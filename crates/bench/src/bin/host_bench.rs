@@ -30,6 +30,8 @@ fn main() -> ExitCode {
     let r = host_bench_data(&cfg);
 
     println!("  elements                : {}", r.elements);
+    println!("  construct (cached)      : {:.3} s", r.construct_seconds);
+    println!("  peak RSS (VmHWM)        : {:.0} MiB", r.peak_rss_mib);
     println!(
         "  seed (recompile) / step : {:.3} s (min of {} reps)",
         r.seed_step_seconds, r.measure_reps

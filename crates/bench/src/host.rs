@@ -154,6 +154,11 @@ pub struct HostBenchResult {
     /// Wall-clock of `ClusterRunner::new` for the cached run (shard
     /// compile + preload + program-cache build).
     pub construct_seconds: f64,
+    /// Peak resident set of the process (`VmHWM`) once the cached run
+    /// has stepped, MiB — one cluster's host footprint, since the seed
+    /// and cached clusters are never alive together. 0 where
+    /// `/proc/self/status` is unavailable.
+    pub peak_rss_mib: f64,
     /// The program-cache compilation inside that construction.
     pub compile_seconds: f64,
     /// Wall-clock of all `steps × measure_reps` cached time-steps.
@@ -191,6 +196,17 @@ pub struct HostBenchResult {
     /// this is 1: extra workers only add scheduling overhead, and the
     /// curve (not an assumption) is what says so.
     pub best_threads: usize,
+}
+
+/// The process's peak resident set so far (`VmHWM`), MiB; 0 where
+/// `/proc/self/status` is unavailable.
+pub fn peak_rss_mib() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next()?.parse::<f64>().ok())
+        .map_or(0.0, |kib| kib / 1024.0)
 }
 
 fn initial_solver(mesh: &HexMesh, n: usize, material: AcousticMaterial) -> Solver<Acoustic> {
@@ -259,6 +275,7 @@ pub fn host_bench_data(cfg: &HostBenchConfig) -> HostBenchResult {
             cached_step_seconds.min(r0.elapsed().as_secs_f64() / cfg.steps as f64);
     }
     let replay_seconds = t0.elapsed().as_secs_f64();
+    let peak_rss_mib = peak_rss_mib();
     let cached_state = cached.state();
 
     // Equivalences: cached vs recompiled must be *exact* (identical
@@ -312,6 +329,7 @@ pub fn host_bench_data(cfg: &HostBenchConfig) -> HostBenchResult {
         elements: mesh.num_elements() as u64,
         threads: rayon::current_num_threads(),
         construct_seconds,
+        peak_rss_mib,
         compile_seconds: cached.program_compile_seconds(),
         replay_seconds,
         total_seconds: construct_seconds + replay_seconds,
@@ -379,7 +397,7 @@ pub fn host_json(r: &HostBenchResult) -> String {
          \"level\": {}, \"n\": {}, \"chips\": {}, \"steps\": {}, \
          \"measure_reps\": {}, \"elements\": {}, \"threads\": {}, \
          \"best_threads\": {},\n  \
-         \"construct_seconds\": {}, \"compile_seconds\": {}, \
+         \"construct_seconds\": {}, \"peak_rss_mib\": {}, \"compile_seconds\": {}, \
          \"replay_seconds\": {}, \"total_seconds\": {},\n  \
          \"seed_step_seconds\": {}, \"cached_step_seconds\": {}, \
          \"speedup\": {},\n  \
@@ -400,6 +418,7 @@ pub fn host_json(r: &HostBenchResult) -> String {
         r.threads,
         r.best_threads,
         number(r.construct_seconds),
+        number(r.peak_rss_mib),
         number(r.compile_seconds),
         number(r.replay_seconds),
         number(r.total_seconds),

@@ -566,6 +566,7 @@ fn host_artifact_schema_reports_a_winning_program_cache() {
     }
     assert_eq!(field("level"), 2.0);
     assert_eq!(field("elements"), 64.0);
+    assert!(field("peak_rss_mib") > 0.0, "VmHWM must be recorded on Linux");
 
     // The compile-once claim, as arithmetic on the artifact itself:
     // program compilation happens inside construction, so the one-time

@@ -183,14 +183,9 @@ pub fn json(snapshot: &Snapshot) -> String {
 mod tests {
     use super::*;
     use crate::MetricsRegistry;
-    use std::sync::Mutex;
 
     fn sample_snapshot() -> Snapshot {
-        static GATE: Mutex<()> = Mutex::new(());
-        let _guard = match GATE.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let _guard = crate::test_lock();
         crate::enable();
         let reg = MetricsRegistry::new();
         reg.counter("pim_ops_total", &[("chip", "0"), ("op", "read")]).add(3);

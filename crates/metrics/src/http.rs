@@ -140,9 +140,12 @@ mod tests {
     /// test: bind an ephemeral port, GET /metrics, check the exposition.
     #[test]
     fn serves_one_scrape_over_tcp() {
-        crate::enable();
-        crate::global().counter("scrape_smoke_total", &[("src", "test")]).add(3);
-        crate::disable();
+        {
+            let _guard = crate::test_lock();
+            crate::enable();
+            crate::global().counter("scrape_smoke_total", &[("src", "test")]).add(3);
+            crate::disable();
+        }
 
         let server = serve("127.0.0.1:0").expect("bind ephemeral port");
         let mut conn = TcpStream::connect(server.local_addr()).expect("connect");

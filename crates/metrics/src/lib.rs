@@ -479,17 +479,22 @@ impl Snapshot {
 // Tests.
 // ---------------------------------------------------------------------------
 
+/// Serializes this crate's unit tests that flip or depend on the
+/// process-global switch; every such test takes it, whatever module it
+/// lives in.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Serialize tests that flip the global switch.
+    /// Runs `f` with the global switch on, under [`test_lock`].
     fn with_enabled<R>(f: impl FnOnce() -> R) -> R {
-        static GATE: Mutex<()> = Mutex::new(());
-        let _guard = match GATE.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let _guard = test_lock();
         enable();
         let out = f();
         disable();
@@ -498,6 +503,7 @@ mod tests {
 
     #[test]
     fn disabled_updates_are_dropped() {
+        let _guard = test_lock();
         let c = MetricsRegistry::new().counter("test_disabled_total", &[]);
         disable();
         c.add(7);
@@ -607,6 +613,7 @@ mod tests {
     fn disabled_update_overhead_is_negligible() {
         // Same bar as pim-trace: the disabled path must stay well under
         // 50 ns per call (one relaxed load + branch; typically < 1 ns).
+        let _guard = test_lock();
         disable();
         let c = MetricsRegistry::new().counter("overhead_probe_total", &[]);
         let f = MetricsRegistry::new().float_counter("overhead_probe_joules", &[]);

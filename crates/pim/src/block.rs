@@ -7,33 +7,40 @@
 //! memristor cells in a row-parallel way"). Costs (time and energy) come
 //! from [`crate::params`].
 //!
-//! # Storage layout: column-major planes
+//! # Storage layout: sparse row tiles
 //!
-//! The crossbar is stored as 32 column planes of 1,024 rows each
-//! (`planes[col × 1024 + row]`), not as 1,024 row-major rows. A
-//! row-parallel `Arith` names a fixed `(dst, a, b)` column triple and a
-//! row range, so under this layout one instruction touches exactly three
-//! contiguous `&[f64]` runs — the same shape as the hardware's
-//! word-parallel bitlines — and the per-op kernels below compile to
-//! straight vector loops instead of a stride-32 gather. `Broadcast`
-//! becomes a contiguous `fill` per word. Host-side `get`/`set` and the
-//! row-buffer `Read`/`Write` path pay the transpose instead, which is
-//! fine: they move ≤32 words at a time while an `Arith` moves up to
-//! 3,072.
+//! The crossbar is stored as 128 row tiles of 8 rows × 32 words. A
+//! tile is 2 KiB, line-aligned and column-major inside
+//! (`cells[col × 8 + row % 8]`), so one column's 8 rows in a tile are a
+//! single 64-byte cache line. Tiles are allocated on first write; a
+//! never-written tile reads as 0.0 and occupies nothing. The element
+//! layout of §5.1 uses compute rows `0..nodes` and a few constant rows
+//! from 512 up, so an acoustic n = 2 element block holds exactly two
+//! tiles (rows 0–7 and 512–519): 4 KiB of cells instead of a dense
+//! 256 KiB crossbar, and every `Read`/`Write`/`Arith` on it stays within
+//! those two tiles.
 //!
-//! The pre-layout scalar loop is retained as [`MemBlock::arith_scalar`]
+//! A row-parallel `Arith` names a `(dst, a, b)` column triple and a row
+//! range. All three columns of a row live in the same tile, so the
+//! kernel walks the range tile by tile, and within a tile every row
+//! reads its operands before it writes its destination. That is the
+//! scalar loop's per-row semantics, so aliased triples — which the
+//! compilers emit all the time: `zero()` is `Sub c c c`, Integration
+//! scales `aux ← aux·A` in place — need no special case. A full tile's
+//! 8 rows go through fixed-length arrays that LLVM vectorizes.
+//!
+//! The row-at-a-time loops are retained as [`MemBlock::arith_scalar`]
 //! and [`MemBlock::broadcast_scalar`] — the bit-exactness oracle the
 //! kernel proptests compare against, and the whole engine when the
-//! `scalar-oracle` feature is enabled (CI runs the full suite both
-//! ways).
+//! `scalar-oracle` feature is enabled.
 //!
 //! Note on precision: the functional model stores `f64` so the PIM
 //! execution can be compared bit-for-bit against the native `f64` dG
 //! solver; the *cost* model charges 32-bit operation prices throughout,
 //! matching the paper's FP32 evaluation. Mapping correctness and numeric
-//! precision are orthogonal concerns, and the column-major layout does
-//! not couple them: it changes where a word lives, never what is stored
-//! in it or what an operation on it is priced at.
+//! precision are orthogonal concerns, and the storage layout does not
+//! couple them: it changes where a word lives, never what is stored in
+//! it or what an operation on it is priced at.
 
 use pim_isa::{AluOp, BLOCK_ROWS, WORDS_PER_ROW};
 
@@ -46,11 +53,46 @@ pub struct OpCost {
     pub joules: f64,
 }
 
+/// Rows per storage tile: one 64-byte line of `f64` per column.
+const TILE_ROWS: usize = 8;
+
+/// Tiles per block.
+const NUM_TILES: usize = BLOCK_ROWS / TILE_ROWS;
+
+/// One row tile, column-major: `TILE_ROWS` rows × 32 words, line-aligned
+/// so each column's run is exactly one cache line.
+#[derive(Debug, Clone)]
+#[repr(align(64))]
+struct Tile([f64; TILE_ROWS * WORDS_PER_ROW]);
+
+impl Tile {
+    fn zeroed() -> Box<Self> {
+        Box::new(Tile([0.0; TILE_ROWS * WORDS_PER_ROW]))
+    }
+}
+
+/// Index of `(row, col)` inside its tile.
+#[inline(always)]
+fn cell(row: usize, col: usize) -> usize {
+    col * TILE_ROWS + row % TILE_ROWS
+}
+
+/// The tiles a row range `first..=last` covers, each as
+/// `(tile, lo, hi)` with the tile-local row span `lo..hi`.
+#[cfg(any(test, not(feature = "scalar-oracle")))]
+#[inline(always)]
+fn tile_spans(first: usize, last: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    (first / TILE_ROWS..=last / TILE_ROWS).map(move |t| {
+        let base = t * TILE_ROWS;
+        (t, first.max(base) - base, (last + 1).min(base + TILE_ROWS) - base)
+    })
+}
+
 /// One memory block.
 #[derive(Debug, Clone)]
 pub struct MemBlock {
-    /// Column-major storage: `planes[col * BLOCK_ROWS + row]`.
-    planes: Box<[f64]>,
+    /// Row tiles, `tiles[row / TILE_ROWS]`; `None` until first written.
+    tiles: [Option<Box<Tile>>; NUM_TILES],
     row_buffer: [f64; WORDS_PER_ROW],
 }
 
@@ -60,151 +102,30 @@ impl Default for MemBlock {
     }
 }
 
-/// Rows per vector-kernel chunk: wide enough that LLVM unrolls the body
-/// into full-width SIMD lanes, small enough that the remainder loop
-/// stays cheap for the few-row streams the per-element compilers emit.
-const CHUNK: usize = 8;
-
-/// `d[i] = f(x[i], y[i])` over three equal-length column runs, chunked
-/// so the inner body is a fixed-trip-count loop the compiler unrolls
-/// and vectorizes. `x`/`y` may alias each other (shared borrows); `d`
-/// is necessarily disjoint from both.
-#[inline(always)]
-fn map2(d: &mut [f64], x: &[f64], y: &[f64], f: impl Fn(f64, f64) -> f64) {
-    let n = d.len();
-    let chunks = n / CHUNK * CHUNK;
-    for ((dc, xc), yc) in
-        d[..chunks].chunks_exact_mut(CHUNK).zip(x.chunks_exact(CHUNK)).zip(y.chunks_exact(CHUNK))
-    {
-        for i in 0..CHUNK {
-            dc[i] = f(xc[i], yc[i]);
-        }
-    }
-    for i in chunks..n {
-        d[i] = f(x[i], y[i]);
-    }
-}
-
-/// `d[i] = f(x[i], y[i], d[i])` — the MAC shape, destination read before
-/// written within each element.
-#[inline(always)]
-fn map2_acc(d: &mut [f64], x: &[f64], y: &[f64], f: impl Fn(f64, f64, f64) -> f64) {
-    let n = d.len();
-    let chunks = n / CHUNK * CHUNK;
-    for ((dc, xc), yc) in
-        d[..chunks].chunks_exact_mut(CHUNK).zip(x.chunks_exact(CHUNK)).zip(y.chunks_exact(CHUNK))
-    {
-        for i in 0..CHUNK {
-            dc[i] = f(xc[i], yc[i], dc[i]);
-        }
-    }
-    for i in chunks..n {
-        d[i] = f(x[i], y[i], d[i]);
-    }
-}
-
-/// `d[i] = f(x[i])` — the unary (Neg/Mov) shape.
-#[inline(always)]
-fn map1(d: &mut [f64], x: &[f64], f: impl Fn(f64) -> f64) {
-    let n = d.len();
-    let chunks = n / CHUNK * CHUNK;
-    for (dc, xc) in d[..chunks].chunks_exact_mut(CHUNK).zip(x.chunks_exact(CHUNK)) {
-        for i in 0..CHUNK {
-            dc[i] = f(xc[i]);
-        }
-    }
-    for i in chunks..n {
-        d[i] = f(x[i]);
-    }
-}
-
-/// Hints the CPU to pull the line holding `p` toward the caches. The
-/// plane working set at cluster scale (thousands of 256 KiB blocks) is
-/// far larger than any cache level, so without hints nearly every cell
-/// access is a serialized DRAM miss; the interpreter knows its targets
-/// well ahead of use and issues these from a lookahead cursor.
-#[inline(always)]
-fn prefetch_read(p: *const f64) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: `p` is derived from an in-bounds reference; prefetch has
-    // no architectural effect regardless.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p as *const i8)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 impl MemBlock {
-    /// An all-zero block.
+    /// An all-zero block. Allocates no tiles.
     pub fn new() -> Self {
-        Self {
-            planes: vec![0.0; BLOCK_ROWS * WORDS_PER_ROW].into_boxed_slice(),
-            row_buffer: [0.0; WORDS_PER_ROW],
-        }
+        Self { tiles: std::array::from_fn(|_| None), row_buffer: [0.0; WORDS_PER_ROW] }
     }
 
     /// Word accessor (row 0..1024, col 0..32).
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> f64 {
         debug_assert!(row < BLOCK_ROWS && col < WORDS_PER_ROW);
-        self.planes[col * BLOCK_ROWS + row]
+        self.tiles[row / TILE_ROWS].as_deref().map_or(0.0, |t| t.0[cell(row, col)])
     }
 
     /// Word setter — host-side preload (DMA), not charged here.
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, value: f64) {
         debug_assert!(row < BLOCK_ROWS && col < WORDS_PER_ROW);
-        self.planes[col * BLOCK_ROWS + row] = value;
+        self.tiles[row / TILE_ROWS].get_or_insert_with(Tile::zeroed).0[cell(row, col)] = value;
     }
 
-    /// Best-effort software prefetch of the cells a `Read`/`Write` at
-    /// `(row, offset, words)` will touch. Purely advisory — nothing
-    /// observable changes, out-of-range coordinates are ignored, and on
-    /// non-x86_64 targets this compiles to nothing. `write` records the
-    /// caller's intent; both intents currently map to a plain `T0` hint
-    /// because `prefetchw` measured slower than `prefetcht0` on the
-    /// hardware this was tuned on.
-    #[inline]
-    pub fn prefetch_words(&self, row: usize, offset: usize, words: usize, write: bool) {
-        for w in 0..words {
-            self.prefetch_cell((offset + w) * BLOCK_ROWS + row, write);
-        }
-    }
-
-    /// Best-effort prefetch of one column plane's `first_row..=last_row`
-    /// slice (the footprint of an `Arith` operand or a `Broadcast`
-    /// destination column): one touch per cache line of `f64`s.
-    #[inline]
-    pub fn prefetch_col(&self, col: usize, first_row: usize, last_row: usize, write: bool) {
-        if col >= WORDS_PER_ROW {
-            return;
-        }
-        let base = col * BLOCK_ROWS;
-        let mut row = first_row;
-        while row <= last_row && row < BLOCK_ROWS {
-            self.prefetch_cell(base + row, write);
-            // 8 × 8-byte cells per 64-byte line.
-            row += 8;
-        }
-    }
-
-    #[inline(always)]
-    fn prefetch_cell(&self, idx: usize, _write: bool) {
-        if let Some(cell) = self.planes.get(idx) {
-            prefetch_read(cell as *const f64);
-        }
-    }
-
-    /// Hints the row buffer itself (4 lines of 8 words): every
-    /// `Read`/`Write`/`Copy`/`Broadcast` goes through it, and with GBs
-    /// of planes streaming past, the small per-block structs get
-    /// evicted right along with the cell data.
-    #[inline]
-    pub fn prefetch_row_buffer(&self) {
-        for chunk in self.row_buffer.chunks(8) {
-            prefetch_read(&chunk[0] as *const f64);
-        }
+    /// Number of allocated row tiles (each `TILE_ROWS` × 32 words). The
+    /// block's cell footprint is this times 2 KiB.
+    pub fn resident_tiles(&self) -> usize {
+        self.tiles.iter().filter(|t| t.is_some()).count()
     }
 
     /// Current row-buffer contents.
@@ -221,8 +142,14 @@ impl MemBlock {
     /// `Read`: cells → row buffer. One search per read.
     pub fn read_to_buffer(&mut self, row: usize, offset: usize, words: usize) -> OpCost {
         assert!(offset + words <= WORDS_PER_ROW, "read crosses the row edge");
-        for w in 0..words {
-            self.row_buffer[w] = self.planes[(offset + w) * BLOCK_ROWS + row];
+        let dst = &mut self.row_buffer[..words];
+        match self.tiles[row / TILE_ROWS].as_deref() {
+            Some(t) => {
+                for (w, slot) in dst.iter_mut().enumerate() {
+                    *slot = t.0[cell(row, offset + w)];
+                }
+            }
+            None => dst.fill(0.0),
         }
         OpCost { seconds: params::T_SEARCH, joules: params::E_SEARCH }
     }
@@ -231,8 +158,9 @@ impl MemBlock {
     /// reset energy; the write takes one set plus one reset phase.
     pub fn write_from_buffer(&mut self, row: usize, offset: usize, words: usize) -> OpCost {
         assert!(offset + words <= WORDS_PER_ROW, "write crosses the row edge");
-        for w in 0..words {
-            self.planes[(offset + w) * BLOCK_ROWS + row] = self.row_buffer[w];
+        let t = self.tiles[row / TILE_ROWS].get_or_insert_with(Tile::zeroed);
+        for (w, &value) in self.row_buffer[..words].iter().enumerate() {
+            t.0[cell(row, offset + w)] = value;
         }
         let bits = (words * 32) as f64;
         OpCost {
@@ -247,8 +175,7 @@ impl MemBlock {
     /// and broadcast to the first 512 rows before the computation
     /// begins"). Every destination row pays a write.
     ///
-    /// Column-major, each destination word is one contiguous `fill` over
-    /// the row range.
+    /// Each destination word is one `fill` per covered tile.
     pub fn broadcast(
         &mut self,
         dst_first: usize,
@@ -261,11 +188,12 @@ impl MemBlock {
         #[cfg(feature = "scalar-oracle")]
         self.broadcast_cells_scalar(dst_first, dst_last, offset, words);
         #[cfg(not(feature = "scalar-oracle"))]
-        for w in 0..words {
-            let value = self.row_buffer[w];
-            self.planes
-                [(offset + w) * BLOCK_ROWS + dst_first..(offset + w) * BLOCK_ROWS + dst_last + 1]
-                .fill(value);
+        for (t, lo, hi) in tile_spans(dst_first, dst_last) {
+            let tile = self.tiles[t].get_or_insert_with(Tile::zeroed);
+            for (w, &value) in self.row_buffer[..words].iter().enumerate() {
+                let base = (offset + w) * TILE_ROWS;
+                tile.0[base + lo..base + hi].fill(value);
+            }
         }
         let rows = (dst_last - dst_first + 1) as f64;
         let bits = (words * 32) as f64;
@@ -293,7 +221,7 @@ impl MemBlock {
         #[cfg(feature = "scalar-oracle")]
         self.arith_cells_scalar(op, first_row, last_row, dst, a, b);
         #[cfg(not(feature = "scalar-oracle"))]
-        self.arith_cells_vector(op, first_row, last_row, dst, a, b);
+        self.arith_cells(op, first_row, last_row, dst, a, b);
         let rows = (last_row - first_row + 1) as u64;
         OpCost {
             seconds: params::nor_seconds(params::alu_cycles(op)),
@@ -301,11 +229,10 @@ impl MemBlock {
         }
     }
 
-    /// The word-parallel data pass: three contiguous column runs, one
-    /// vector kernel per [`AluOp`]. Falls back to the scalar loop when
-    /// the destination column aliases an operand column (the compilers
-    /// never emit that shape, but a hand-written or fuzzed stream may).
-    fn arith_cells_vector(
+    /// The row-parallel data pass: one monomorphized tile kernel per
+    /// [`AluOp`].
+    #[cfg(any(test, not(feature = "scalar-oracle")))]
+    fn arith_cells(
         &mut self,
         op: AluOp,
         first_row: usize,
@@ -314,39 +241,54 @@ impl MemBlock {
         a: usize,
         b: usize,
     ) {
-        let uses_b = matches!(op, AluOp::Add | AluOp::Sub | AluOp::Mul | AluOp::Mac);
-        if dst == a || (uses_b && dst == b) {
-            return self.arith_cells_scalar(op, first_row, last_row, dst, a, b);
-        }
-        let n = last_row - first_row + 1;
-        // Split the plane storage around the destination column so the
-        // destination run borrows mutably while the operand runs borrow
-        // shared — fully safe, and the disjointness lets the kernels
-        // vectorize without aliasing checks.
-        let (before, rest) = self.planes.split_at_mut(dst * BLOCK_ROWS);
-        let (dplane, after) = rest.split_at_mut(BLOCK_ROWS);
-        let col = |c: usize| -> &[f64] {
-            if c < dst {
-                &before[c * BLOCK_ROWS + first_row..][..n]
-            } else {
-                &after[(c - dst - 1) * BLOCK_ROWS + first_row..][..n]
-            }
-        };
-        let d = &mut dplane[first_row..first_row + n];
+        let rows = (first_row, last_row);
         match op {
-            AluOp::Add => map2(d, col(a), col(b), |x, y| x + y),
-            AluOp::Sub => map2(d, col(a), col(b), |x, y| x - y),
-            AluOp::Mul => map2(d, col(a), col(b), |x, y| x * y),
+            AluOp::Add => self.map_rows(rows, dst, a, b, |x, y, _| x + y),
+            AluOp::Sub => self.map_rows(rows, dst, a, b, |x, y, _| x - y),
+            AluOp::Mul => self.map_rows(rows, dst, a, b, |x, y, _| x * y),
             // Two roundings (mul then add), exactly like the scalar
             // oracle — no `mul_add`, which would fuse them.
-            AluOp::Mac => map2_acc(d, col(a), col(b), |x, y, acc| x * y + acc),
-            AluOp::Neg => map1(d, col(a), |x| -x),
-            AluOp::Mov => map1(d, col(a), |x| x),
+            AluOp::Mac => self.map_rows(rows, dst, a, b, |x, y, acc| x * y + acc),
+            AluOp::Neg => self.map_rows(rows, dst, a, b, |x, _, _| -x),
+            AluOp::Mov => self.map_rows(rows, dst, a, b, |x, _, _| x),
         }
     }
 
-    /// The pre-vectorization row-at-a-time data pass, kept as the
-    /// bit-exactness oracle (and as the aliased-destination fallback).
+    /// `dst[r] = f(a[r], b[r], dst[r])` for every row `r` of `rows`,
+    /// tile by tile. Each row's operands are read before its destination
+    /// is written, so any aliasing among `dst`, `a` and `b` behaves like
+    /// the scalar loop.
+    #[cfg(any(test, not(feature = "scalar-oracle")))]
+    #[inline(always)]
+    fn map_rows(
+        &mut self,
+        (first_row, last_row): (usize, usize),
+        dst: usize,
+        a: usize,
+        b: usize,
+        f: impl Fn(f64, f64, f64) -> f64,
+    ) {
+        for (t, lo, hi) in tile_spans(first_row, last_row) {
+            let cells = &mut self.tiles[t].get_or_insert_with(Tile::zeroed).0;
+            if hi - lo == TILE_ROWS {
+                let col = |c: usize| -> [f64; TILE_ROWS] {
+                    cells[c * TILE_ROWS..][..TILE_ROWS].try_into().expect("one tile column")
+                };
+                let (x, y, d) = (col(a), col(b), col(dst));
+                let out: [f64; TILE_ROWS] = std::array::from_fn(|i| f(x[i], y[i], d[i]));
+                cells[dst * TILE_ROWS..][..TILE_ROWS].copy_from_slice(&out);
+            } else {
+                for r in lo..hi {
+                    let (x, y) = (cells[a * TILE_ROWS + r], cells[b * TILE_ROWS + r]);
+                    let d = &mut cells[dst * TILE_ROWS + r];
+                    *d = f(x, y, *d);
+                }
+            }
+        }
+    }
+
+    /// The row-at-a-time data pass, kept as the bit-exactness oracle.
+    #[cfg(any(test, feature = "scalar-oracle"))]
     fn arith_cells_scalar(
         &mut self,
         op: AluOp,
@@ -388,8 +330,8 @@ impl MemBlock {
     }
 
     /// `Arith` through the retained scalar loop, with the same cost
-    /// accounting as [`Self::arith`] — the oracle the vectorized engine
-    /// is proptested bit-identical against.
+    /// accounting as [`Self::arith`] — the oracle the tile kernel is
+    /// proptested bit-identical against.
     #[cfg(any(test, feature = "scalar-oracle"))]
     pub fn arith_scalar(
         &mut self,
@@ -504,8 +446,8 @@ mod tests {
 
     #[test]
     fn aliased_destination_matches_the_scalar_semantics() {
-        // dst == a, dst == b and dst == a == b all take the scalar
-        // fallback; the results must match a hand-computed row loop.
+        // dst == a, dst == b and dst == a == b go through the same tile
+        // kernel; the results must match a hand-computed row loop.
         let mut b = MemBlock::new();
         for row in 0..8 {
             b.set(row, 0, row as f64 + 1.0);
@@ -549,11 +491,33 @@ mod tests {
         let mut b = MemBlock::new();
         let _ = b.arith(AluOp::Add, 5, 4, 0, 1, 2);
     }
+
+    #[test]
+    fn unwritten_rows_read_zero_and_allocate_nothing() {
+        let mut b = MemBlock::new();
+        assert_eq!(b.get(700, 3), 0.0);
+        b.load_row_buffer(&[9.0; WORDS_PER_ROW]);
+        b.read_to_buffer(700, 0, WORDS_PER_ROW);
+        assert!(b.row_buffer().iter().all(|&v| v.to_bits() == 0));
+        assert_eq!(b.resident_tiles(), 0, "reads must not allocate");
+        b.set(3, 0, 1.0);
+        assert_eq!(b.get(700, 3), 0.0);
+        assert_eq!(b.resident_tiles(), 1);
+    }
+
+    #[test]
+    fn neg_over_an_unwritten_row_stores_negative_zero() {
+        let mut b = MemBlock::new();
+        b.arith(AluOp::Neg, 600, 600, 1, 0, 0);
+        assert_eq!(b.get(600, 1).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(b.get(600, 0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(b.resident_tiles(), 1);
+    }
 }
 
 #[cfg(test)]
 mod oracle_tests {
-    //! The vectorized kernels against the retained scalar oracle: for
+    //! The tile kernels against the retained scalar oracle: for
     //! every [`AluOp`], arbitrary row ranges, arbitrary (including
     //! aliased) column triples, and payloads spanning NaNs, ±inf,
     //! denormals and negative zero, the two engines must agree *bit for
@@ -588,8 +552,9 @@ mod oracle_tests {
     }
 
     /// Bit-exact comparison over the whole crossbar, NaN payloads
-    /// included.
+    /// included, plus the allocated footprint.
     fn assert_blocks_bit_identical(v: &MemBlock, s: &MemBlock) {
+        assert_eq!(v.resident_tiles(), s.resident_tiles(), "tile footprint");
         for col in 0..WORDS_PER_ROW {
             for row in 0..BLOCK_ROWS {
                 let (a, b) = (v.get(row, col), s.get(row, col));
@@ -621,7 +586,7 @@ mod oracle_tests {
                 vec_b.set(row, (i * 7) % WORDS_PER_ROW, v);
             }
             let mut sca_b = vec_b.clone();
-            vec_b.arith_cells_vector(op, r0, r1, dst, a, b);
+            vec_b.arith_cells(op, r0, r1, dst, a, b);
             sca_b.arith_cells_scalar(op, r0, r1, dst, a, b);
             assert_blocks_bit_identical(&vec_b, &sca_b);
         }
@@ -662,6 +627,195 @@ mod oracle_tests {
             let cs = sca_b.broadcast_scalar(r0, r1, offset, words);
             prop_assert_eq!(cv, cs);
             assert_blocks_bit_identical(&vec_b, &sca_b);
+        }
+    }
+}
+
+#[cfg(test)]
+mod storage_tests {
+    //! Random `Read`/`Write`/`Broadcast`/`Arith` sequences against a dense
+    //! row-major 1024 × 32 reference crossbar: every cell, the row buffer
+    //! and every operation's cost must match bit for bit, whatever tiles
+    //! the sparse storage did or did not allocate along the way.
+
+    use super::*;
+    use proptest::collection::vec as prop_vec;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Set { row: usize, col: usize, value: f64 },
+        Read { row: usize, offset: usize, words: usize },
+        Write { row: usize, offset: usize, words: usize },
+        Broadcast { first: usize, last: usize, offset: usize, words: usize },
+        Arith { op: AluOp, first: usize, last: usize, dst: usize, a: usize, b: usize },
+    }
+
+    /// The reference: one dense row-major array, semantics and prices
+    /// written out directly.
+    struct Dense {
+        cells: Vec<f64>,
+        buf: [f64; WORDS_PER_ROW],
+    }
+
+    impl Dense {
+        fn new() -> Self {
+            Self { cells: vec![0.0; BLOCK_ROWS * WORDS_PER_ROW], buf: [0.0; WORDS_PER_ROW] }
+        }
+
+        fn at(&mut self, row: usize, col: usize) -> &mut f64 {
+            &mut self.cells[row * WORDS_PER_ROW + col]
+        }
+
+        fn apply(&mut self, op: Op) -> OpCost {
+            // Set-plus-reset energy per written bit, over `rows` rows.
+            let write_joules = |rows: f64, words: usize| {
+                rows * (words * 32) as f64 * 0.5 * (params::E_SET + params::E_RESET)
+            };
+            match op {
+                Op::Set { row, col, value } => {
+                    *self.at(row, col) = value;
+                    OpCost::default()
+                }
+                Op::Read { row, offset, words } => {
+                    for w in 0..words {
+                        self.buf[w] = *self.at(row, offset + w);
+                    }
+                    OpCost { seconds: params::T_SEARCH, joules: params::E_SEARCH }
+                }
+                Op::Write { row, offset, words } => {
+                    for w in 0..words {
+                        *self.at(row, offset + w) = self.buf[w];
+                    }
+                    OpCost { seconds: 2.0 * params::T_SEARCH, joules: write_joules(1.0, words) }
+                }
+                Op::Broadcast { first, last, offset, words } => {
+                    for row in first..=last {
+                        for w in 0..words {
+                            *self.at(row, offset + w) = self.buf[w];
+                        }
+                    }
+                    let rows = (last - first + 1) as f64;
+                    OpCost {
+                        seconds: rows * 2.0 * params::T_SEARCH,
+                        joules: write_joules(rows, words),
+                    }
+                }
+                Op::Arith { op, first, last, dst, a, b } => {
+                    for row in first..=last {
+                        let (x, y, d) = (*self.at(row, a), *self.at(row, b), *self.at(row, dst));
+                        *self.at(row, dst) = match op {
+                            AluOp::Add => x + y,
+                            AluOp::Sub => x - y,
+                            AluOp::Mul => x * y,
+                            AluOp::Mac => x * y + d,
+                            AluOp::Neg => -x,
+                            AluOp::Mov => x,
+                        };
+                    }
+                    OpCost {
+                        seconds: params::nor_seconds(params::alu_cycles(op)),
+                        joules: params::alu_energy(op, (last - first + 1) as u64),
+                    }
+                }
+            }
+        }
+    }
+
+    fn apply(block: &mut MemBlock, op: Op) -> OpCost {
+        match op {
+            Op::Set { row, col, value } => {
+                block.set(row, col, value);
+                OpCost::default()
+            }
+            Op::Read { row, offset, words } => block.read_to_buffer(row, offset, words),
+            Op::Write { row, offset, words } => block.write_from_buffer(row, offset, words),
+            Op::Broadcast { first, last, offset, words } => {
+                block.broadcast(first, last, offset, words)
+            }
+            Op::Arith { op, first, last, dst, a, b } => block.arith(op, first, last, dst, a, b),
+        }
+    }
+
+    fn arb_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            -1.0e3f64..1.0e3,
+            -1.0e3f64..1.0e3,
+            Just(-0.0f64),
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::MIN_POSITIVE / 8.0),
+        ]
+    }
+
+    /// Row ranges that sit inside one tile, straddle several, or cover
+    /// the whole block.
+    fn arb_rows() -> impl Strategy<Value = (usize, usize)> {
+        prop_oneof![
+            Just((5usize, 20usize)),
+            Just((0usize, BLOCK_ROWS - 1)),
+            (0usize..BLOCK_ROWS, 0usize..24)
+                .prop_map(|(r, len)| (r, (r + len).min(BLOCK_ROWS - 1))),
+            (0usize..16).prop_map(|r| (r, r)),
+            (508usize..524, 0usize..8).prop_map(|(r, len)| (r, r + len)),
+        ]
+    }
+
+    /// Columns drawn mostly from a small set so aliased triples are
+    /// common.
+    fn arb_col() -> impl Strategy<Value = usize> {
+        prop_oneof![0usize..3, 0usize..3, 0usize..WORDS_PER_ROW]
+    }
+
+    /// `(offset, words)` that stay inside the row.
+    fn arb_span() -> impl Strategy<Value = (usize, usize)> {
+        (0usize..WORDS_PER_ROW, 1usize..=WORDS_PER_ROW)
+            .prop_map(|(offset, words)| (offset, words.min(WORDS_PER_ROW - offset)))
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (
+            0usize..5,
+            arb_rows(),
+            (0usize..AluOp::ALL.len()).prop_map(|i| AluOp::ALL[i]),
+            (arb_col(), arb_col(), arb_col()),
+            arb_span(),
+            arb_value(),
+        )
+            .prop_map(|(kind, (first, last), op, (dst, a, b), (offset, words), value)| {
+                match kind {
+                    0 => Op::Set { row: first, col: dst, value },
+                    1 => Op::Read { row: first, offset, words },
+                    2 => Op::Write { row: last, offset, words },
+                    3 => Op::Broadcast { first, last, offset, words },
+                    _ => Op::Arith { op, first, last, dst, a, b },
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn sparse_tiles_match_a_dense_reference(ops in prop_vec(arb_op(), 1..48)) {
+            let mut block = MemBlock::new();
+            let mut dense = Dense::new();
+            for &op in &ops {
+                let (got, want) = (apply(&mut block, op), dense.apply(op));
+                prop_assert_eq!(got, want, "cost of {:?}", op);
+            }
+            for row in 0..BLOCK_ROWS {
+                for col in 0..WORDS_PER_ROW {
+                    let (got, want) = (block.get(row, col), dense.cells[row * WORDS_PER_ROW + col]);
+                    assert!(
+                        got.to_bits() == want.to_bits(),
+                        "tiles {got:?} != dense {want:?} at (row {row}, col {col}) after {ops:?}"
+                    );
+                }
+            }
+            for (got, want) in block.row_buffer().iter().zip(&dense.buf) {
+                prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
         }
     }
 }

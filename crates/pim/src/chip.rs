@@ -89,12 +89,11 @@ pub struct PimChip {
     htree: HTreeNetwork,
     bus: BusNetwork,
     host: HostModel,
-    /// Block contents, indexed by `BlockId.0`. Allocation stays lazy —
-    /// an untouched block is `None` (a Gb16 chip has 131K blocks ×
-    /// 256 KiB each, so materializing all of them up front would be
-    /// 32 GiB) — but lookup is a single indexed load into a table of
-    /// pointers instead of a hash probe, and the slot can be prefetched
-    /// ahead of use (see [`Self::prefetch_instr`]).
+    /// Block contents, indexed by `BlockId.0`. Allocation is lazy at
+    /// two levels: an untouched block is `None` (a Gb16 chip has 131K
+    /// blocks), and a materialized block allocates only the row tiles
+    /// that were written (see [`MemBlock`]). Lookup is a single indexed
+    /// load into a table of pointers instead of a hash probe.
     blocks: Vec<Option<Box<MemBlock>>>,
     /// Dense per-block timelines, indexed by `BlockId.0`: the ready/busy
     /// clocks are one `f64` per block, so the interpreter's hot path
@@ -242,40 +241,6 @@ fn block_local(instr: &Instr) -> Option<BlockId> {
     }
 }
 
-/// Hints the cells a block-local instruction will touch in `b` (which
-/// the caller has already resolved to the instruction's target block).
-/// `Copy` moves row buffers only and DMAs touch no cells, so neither
-/// appears here. Store targets use the write-intent hint. Ops that go
-/// through the row buffer also hint the buffer itself — the per-block
-/// structs are tiny but there are thousands of them, so they miss just
-/// like the plane data once the working set outgrows the caches.
-#[inline]
-fn prefetch_block_local(b: &MemBlock, instr: &Instr) {
-    match *instr {
-        Instr::Read { row, offset, words, .. } => {
-            b.prefetch_row_buffer();
-            b.prefetch_words(row as usize, offset as usize, words as usize, false);
-        }
-        Instr::Write { row, offset, words, .. } => {
-            b.prefetch_row_buffer();
-            b.prefetch_words(row as usize, offset as usize, words as usize, true);
-        }
-        Instr::Broadcast { dst_first, dst_last, offset, words, .. } => {
-            b.prefetch_row_buffer();
-            for w in 0..words as usize {
-                b.prefetch_col(offset as usize + w, dst_first as usize, dst_last as usize, true);
-            }
-        }
-        Instr::Arith { first_row, last_row, dst, a, b: rhs, .. } => {
-            let (first, last) = (first_row as usize, last_row as usize);
-            b.prefetch_col(a as usize, first, last, false);
-            b.prefetch_col(rhs as usize, first, last, false);
-            b.prefetch_col(dst as usize, first, last, true);
-        }
-        _ => {}
-    }
-}
-
 /// Static op name for trace payloads.
 fn alu_name(op: AluOp) -> &'static str {
     match op {
@@ -287,14 +252,6 @@ fn alu_name(op: AluOp) -> &'static str {
         AluOp::Mov => "mov",
     }
 }
-
-/// How far past the segment being executed the prefetch cursor in
-/// [`PimChip::execute`] runs. Executing one instruction costs tens of
-/// nanoseconds, so 16 instructions of lookahead gives each hinted
-/// line comfortably more than a DRAM round-trip to arrive while still
-/// bounding how many line-fill buffers the hints occupy (measured:
-/// 16 beats both 8 and 32 on the level-5 workload).
-const PREFETCH_AHEAD: usize = 16;
 
 impl PimChip {
     pub fn new(config: ChipConfig) -> Self {
@@ -439,6 +396,15 @@ impl PimChip {
     pub fn block_mut(&mut self, id: BlockId) -> &mut MemBlock {
         self.check_block(id);
         self.blocks[id.0 as usize].get_or_insert_with(Box::default)
+    }
+
+    /// Every materialized block, in id order. Blocks never touched are
+    /// skipped (they hold nothing and were never allocated).
+    pub fn resident_blocks(&self) -> impl Iterator<Item = (BlockId, &MemBlock)> {
+        self.blocks
+            .iter()
+            .enumerate()
+            .filter_map(|(id, b)| b.as_deref().map(|b| (BlockId(id as u32), b)))
     }
 
     fn check_block(&self, id: BlockId) {
@@ -636,16 +602,8 @@ impl PimChip {
         let instrs = stream.instrs();
         let mut spans = Vec::new();
         let mut i = 0;
-        // Decoupled access/execute: the whole stream is known up front,
-        // so a prefetch cursor runs ahead of the instruction being
-        // executed and hints the cells it will touch into the caches.
-        // At cluster scale the plane working set is GBs spread over
-        // thousands of blocks — without the hints nearly every cell
-        // access is a dependent DRAM miss paid one at a time.
-        let mut pf = 0;
         while i < instrs.len() {
             let Some(block) = block_local(&instrs[i]) else {
-                self.prefetch_to(instrs, &mut pf, i + 1 + PREFETCH_AHEAD);
                 self.execute_one(&instrs[i]);
                 i += 1;
                 continue;
@@ -655,9 +613,8 @@ impl PimChip {
                 j += 1;
             }
             if j - i >= 2 {
-                self.execute_block_run(block, instrs, i, j, &mut pf, &mut spans);
+                self.execute_block_run(block, &instrs[i..j], &mut spans);
             } else {
-                self.prefetch_to(instrs, &mut pf, j + PREFETCH_AHEAD);
                 self.execute_one(&instrs[i]);
             }
             i = j;
@@ -700,61 +657,6 @@ impl PimChip {
         }
     }
 
-    /// Best-effort prefetch of the plane cells `instr` will touch.
-    /// Only already-materialized blocks are hinted (a `None` slot means
-    /// the block is still all zeros and will be allocated on first
-    /// touch); nothing observable changes either way.
-    #[inline]
-    fn prefetch_instr(&self, instr: &Instr) {
-        let resident = |id: BlockId| self.blocks.get(id.0 as usize).and_then(|s| s.as_deref());
-        match *instr {
-            Instr::Lut { row, offset_s, lut_block, offset_d } => {
-                let holder = BlockId(row / BLOCK_ROWS as u32);
-                let row_in_block = row as usize % BLOCK_ROWS;
-                if let Some(b) = resident(holder) {
-                    b.prefetch_words(row_in_block, offset_d as usize, 1, true);
-                    // The content fetch is data-dependent, so peek at
-                    // the index word now: if an instruction between the
-                    // cursor and execution rewrites it we merely hint a
-                    // stale line — the real access re-reads the cell.
-                    let raw = b.get(row_in_block, offset_s as usize);
-                    if let (Ok(index), Some(lut)) =
-                        (pim_isa::lut::try_index_word(raw), resident(BlockId(lut_block)))
-                    {
-                        let index = index as usize;
-                        lut.prefetch_words(index / WORDS_PER_ROW, index % WORDS_PER_ROW, 1, false);
-                    }
-                }
-            }
-            Instr::Copy { src, dst, .. } => {
-                // Copy moves one row buffer into another: no plane
-                // cells, but both block structs get touched.
-                if let Some(b) = resident(src) {
-                    b.prefetch_row_buffer();
-                }
-                if let Some(b) = resident(dst) {
-                    b.prefetch_row_buffer();
-                }
-            }
-            _ => {
-                if let Some(b) = block_local(instr).and_then(resident) {
-                    prefetch_block_local(b, instr);
-                }
-            }
-        }
-    }
-
-    /// Advances the prefetch cursor `pf` to `target` (clamped to the
-    /// stream end), hinting each passed instruction's cells.
-    #[inline]
-    fn prefetch_to(&self, instrs: &[Instr], pf: &mut usize, target: usize) {
-        let target = target.min(instrs.len());
-        while *pf < target {
-            self.prefetch_instr(&instrs[*pf]);
-            *pf += 1;
-        }
-    }
-
     /// Batched fast path for a run of ≥2 consecutive block-local
     /// instructions (Read/Write/Broadcast/Arith) on one block: one
     /// capacity check and one block-map lookup for the whole run, with
@@ -768,21 +670,10 @@ impl PimChip {
     ///
     /// `spans` is caller-owned scratch (drained before returning) so a
     /// traced run reuses one allocation across the stream.
-    ///
-    /// The run is `instrs[i..j]`; the full stream and the prefetch
-    /// cursor `pf` come along so the lookahead keeps pacing itself one
-    /// instruction at a time through the run (issuing a long run's
-    /// hints in one burst would overflow the core's fill buffers and
-    /// get most of them dropped). The block is *taken out* of its slot
-    /// for the duration so the cursor can still hint other blocks
-    /// through `&self`; run-local targets are hinted directly.
     fn execute_block_run(
         &mut self,
         block: BlockId,
-        instrs: &[Instr],
-        i: usize,
-        j: usize,
-        pf: &mut usize,
+        run: &[Instr],
         spans: &mut Vec<(f64, f64, Payload)>,
     ) {
         self.check_block(block);
@@ -791,18 +682,8 @@ impl PimChip {
         let tracing = pim_trace::enabled();
         let mut t = self.block_ready[idx].max(self.barrier);
         let mut busy = self.block_busy[idx];
-        let mut b = self.blocks[idx].take().unwrap_or_default();
-        for (k, instr) in instrs[i..j].iter().enumerate() {
-            let ahead = (i + k + 1 + PREFETCH_AHEAD).min(instrs.len());
-            while *pf < ahead {
-                let upcoming = &instrs[*pf];
-                if block_local(upcoming) == Some(block) {
-                    prefetch_block_local(&b, upcoming);
-                } else {
-                    self.prefetch_instr(upcoming);
-                }
-                *pf += 1;
-            }
+        let b = self.blocks[idx].get_or_insert_with(Box::default);
+        for instr in run {
             let (cost, payload) = match *instr {
                 Instr::Read { row, offset, words, .. } => {
                     let cost = b.read_to_buffer(row as usize, offset as usize, words as usize);
@@ -858,7 +739,6 @@ impl PimChip {
             }
             t = t1;
         }
-        self.blocks[idx] = Some(b);
         self.block_busy[idx] = busy;
         self.block_ready[idx] = t;
         self.elapsed = self.elapsed.max(t);

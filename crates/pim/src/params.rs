@@ -22,8 +22,8 @@
 //! so PIM runs can be compared against the native dG solver at 1e-12 —
 //! every op is still charged as the paper's 32-bit bit-serial sequence,
 //! and neither the stored word width nor the host-side memory layout
-//! (column-major planes since the word-parallel engine) enters any
-//! cycle, joule, or row-activation figure here.
+//! (sparse row tiles, see [`crate::block`]) enters any cycle, joule,
+//! or row-activation figure here.
 
 use serde::{Deserialize, Serialize};
 

@@ -1533,6 +1533,12 @@ impl ClusterRunner {
         self.chips.iter().map(PimChip::total_block_busy_seconds).collect()
     }
 
+    /// The chips themselves, in chip order, for read-only inspection
+    /// (e.g. each block's storage footprint).
+    pub fn chips(&self) -> &[PimChip] {
+        &self.chips
+    }
+
     /// Per-chip configurations, in chip order.
     pub fn chip_configs(&self) -> Vec<ChipConfig> {
         self.chips.iter().map(PimChip::config).collect()

@@ -217,20 +217,22 @@ pub fn clear() {
     let _ = ring::collect_all();
 }
 
+/// Serializes this crate's unit tests that touch process-global state —
+/// the enable flag, the summary-lane filter or the per-thread rings (a
+/// `clear()` or `drain()` empties every thread's ring, not just its own).
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // The global enable flag is shared across the test binary's threads,
-    // so these tests serialize on a lock.
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn disabled_records_nothing() {
-        let _g = guard();
+        let _g = test_lock();
         clear();
         disable();
         record_span(1, 0, 0.0, 1.0, Payload::Counter { name: "x", value: 1.0 });
@@ -241,7 +243,7 @@ mod tests {
     #[test]
     #[cfg_attr(feature = "compiled-off", ignore = "recording is compiled out")]
     fn enabled_roundtrip_preserves_order_and_payload() {
-        let _g = guard();
+        let _g = test_lock();
         clear();
         enable();
         record_span(7, 3, 1.0, 2.0, Payload::Transfer { bytes: 64, energy_j: 1e-12 });
@@ -259,7 +261,7 @@ mod tests {
     #[test]
     #[cfg_attr(feature = "compiled-off", ignore = "recording is compiled out")]
     fn summary_lanes_only_drops_block_and_interconnect_events() {
-        let _g = guard();
+        let _g = test_lock();
         clear();
         enable();
         set_summary_lanes_only(true);
@@ -307,7 +309,7 @@ mod tests {
     #[test]
     #[cfg_attr(feature = "compiled-off", ignore = "recording is compiled out")]
     fn wall_span_measures_nonnegative_duration() {
-        let _g = guard();
+        let _g = test_lock();
         clear();
         enable();
         let pid = alloc_pid("span-test");
@@ -330,7 +332,7 @@ mod tests {
         // or take timer noise. Assert a generous 50 ns bound so the test
         // is immune to CI jitter while still catching any accidental
         // allocation/lock on the disabled path.
-        let _g = guard();
+        let _g = test_lock();
         disable();
         let n = 1_000_000u64;
         let t0 = Instant::now();

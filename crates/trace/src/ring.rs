@@ -182,7 +182,9 @@ mod tests {
     fn poisoned_locks_recover_instead_of_cascading() {
         // A worker that panics while its ring lock is held poisons the
         // mutex; recording and draining must shrug that off rather than
-        // propagate the panic to every later caller.
+        // propagate the panic to every later caller. The lock keeps a
+        // concurrent test's `clear()` from draining the event first.
+        let _g = crate::test_lock();
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             LOCAL.with(|ring| {
                 let _guard = lock_recovering(ring);

@@ -1,6 +1,7 @@
 //! Criterion benchmarks of the native dG solver — the workload side of
-//! the study. One group per paper kernel (Volume / Flux / Integration)
-//! plus whole time-steps for both wave systems.
+//! the study. `rhs_evaluation` times `compute_rhs`, one element pass of
+//! the Volume and Flux phases; `full_time_step` times whole time-steps,
+//! five fused Volume + Flux + Integration passes, for both wave systems.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wavesim_dg::{Acoustic, AcousticMaterial, Elastic, ElasticMaterial, FluxKind, Solver};
@@ -22,7 +23,7 @@ fn elastic_solver(level: u32, n: usize, flux: FluxKind) -> Solver<Elastic> {
 
 fn bench_rhs(c: &mut Criterion) {
     let mut g = c.benchmark_group("rhs_evaluation");
-    for (level, n) in [(1u32, 4usize), (1, 8), (2, 4)] {
+    for (level, n) in [(2u32, 3usize), (1, 4), (1, 8), (2, 4)] {
         g.bench_with_input(
             BenchmarkId::new("acoustic_riemann", format!("L{level}n{n}")),
             &(level, n),

@@ -66,20 +66,23 @@ fn main() {
     }
 
     let mut t = Table::new(
-        "Native dG roofline (per kernel)",
-        &["Kernel", "FLOPs", "Bytes", "Seconds", "FLOP/byte", "GFLOP/s"],
+        "Native dG roofline (per kernel, analytic)",
+        &["Kernel", "FLOPs", "Bytes", "FLOP/byte"],
     );
     for k in &r.roofline {
         t.row(vec![
             k.kernel.clone(),
             k.flops.to_string(),
             k.bytes.to_string(),
-            format!("{:.4e}", k.seconds),
             format!("{:.3}", k.intensity),
-            format!("{:.3}", k.gflops),
         ]);
     }
     t.print();
+    let f = &r.fused_stage;
+    println!(
+        "  measured: {} fused stage passes (Volume + Flux + Integration), {:.4e} s, {:.3} GFLOP/s",
+        f.stages, f.seconds, f.gflops
+    );
 
     println!(
         "\nProgram cache: {} stage reuses, {} switches, {} patched instruction words",

@@ -397,6 +397,10 @@ fn metrics_artifact_schema_reconciles_and_stays_bounded() {
         assert!(k.get("flops").and_then(|x| x.as_f64()).unwrap() > 0.0);
         assert!(k.get("intensity").and_then(|x| x.as_f64()).unwrap() > 0.0);
     }
+    // The three kernels run as one fused pass per stage: one measured record.
+    let fused = v.get("fused_stage").unwrap();
+    assert!(fused.get("seconds").and_then(|x| x.as_f64()).unwrap() > 0.0);
+    assert!(fused.get("gflops").and_then(|x| x.as_f64()).unwrap().is_finite());
 
     let hetero = v.get("heterogeneous").unwrap();
     let drop = hetero.get("idle_drop").and_then(|x| x.as_f64()).unwrap();

@@ -14,7 +14,7 @@
 
 use rayon::prelude::*;
 use wavesim_mesh::{Face, HexMesh, Neighbor};
-use wavesim_numerics::tensor::face_nodes;
+use wavesim_numerics::tensor::{face_nodes, line_strides};
 
 use crate::physics::{FluxKind, Physics};
 use crate::state::State;
@@ -25,7 +25,9 @@ const MAX_VARS: usize = 16;
 /// Precomputed face-node index tables, one per face code. The `t`-th entry
 /// of a face's table tangentially matches the `t`-th entry of the opposite
 /// face's table, which is how minus/plus interface nodes pair up on a
-/// conforming structured mesh.
+/// conforming structured mesh. The PIM compilers walk faces through these
+/// tables; the native kernel below computes the same order from
+/// [`line_strides`].
 #[derive(Debug, Clone)]
 pub struct FluxTopology {
     n: usize,
@@ -73,9 +75,8 @@ impl FluxTopology {
 /// (adding to whatever the Volume kernel already wrote).
 ///
 /// `lift` is the GLL lift constant `1/(w_end · h/2)`.
-#[allow(clippy::too_many_arguments)]
 pub fn apply<P: Physics>(
-    topo: &FluxTopology,
+    n: usize,
     mesh: &HexMesh,
     kind: FluxKind,
     lift: f64,
@@ -85,20 +86,22 @@ pub fn apply<P: Physics>(
 ) {
     assert_eq!(u.num_elements(), mesh.num_elements());
     assert_eq!(u.num_vars(), P::NUM_VARS);
-    assert!(P::NUM_VARS <= MAX_VARS, "raise MAX_VARS for this physics");
+    assert_eq!(u.nodes_per_element(), n * n * n);
     let stride = rhs.element_stride();
-    let nodes = u.nodes_per_element();
-
     rhs.as_mut_slice().par_chunks_mut(stride).enumerate().for_each(|(e, chunk)| {
-        element_flux::<P>(topo, mesh, kind, lift, materials, u, e, chunk, nodes);
+        element_flux::<P>(n, mesh, kind, lift, materials, u, e, chunk);
     });
 }
 
-/// Flux accumulation for a single element (exposed for the PIM functional
-/// validation, which replays elements one at a time).
+/// Flux accumulation for a single element with `n` nodes per axis: the
+/// six faces in [`Face::ALL`] order, each face's nodes in [`face_nodes`]
+/// order, every node's `lift · (F⁻·n − F*·n)` added onto `rhs_chunk`.
+/// Always inlined, so a caller passing a constant `n` gets constant-bound
+/// loops.
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub fn element_flux<P: Physics>(
-    topo: &FluxTopology,
+    n: usize,
     mesh: &HexMesh,
     kind: FluxKind,
     lift: f64,
@@ -106,57 +109,52 @@ pub fn element_flux<P: Physics>(
     u: &State,
     e: usize,
     rhs_chunk: &mut [f64],
-    nodes: usize,
 ) {
-    let elem_id = wavesim_mesh::ElemId(e);
+    assert!(P::NUM_VARS <= MAX_VARS, "raise MAX_VARS for this physics");
+    let nv = P::NUM_VARS;
+    let nodes = n * n * n;
+    let own = &u.element(e)[..nv * nodes];
+    let rhs_chunk = &mut rhs_chunk[..nv * nodes];
     let mut um = [0.0; MAX_VARS];
     let mut up = [0.0; MAX_VARS];
     let mut out = [0.0; MAX_VARS];
-    let nv = P::NUM_VARS;
 
     for face in Face::ALL {
         let normal = face.normal();
-        let minus_table = topo.face_table(face);
-        let plus_table = topo.face_table(face.opposite());
-        let neighbor = mesh.neighbor(elem_id, face);
-        for t in 0..topo.nodes_per_face() {
-            let m_node = minus_table[t];
-            #[allow(clippy::needless_range_loop)]
-            for v in 0..nv {
-                um[v] = u.value(e, v, m_node);
+        // The plus side: the neighbor's record, or `None` for a wall
+        // whose mirror ghost shares the minus side's material.
+        let (plus, m_plus) = match mesh.neighbor(wavesim_mesh::ElemId(e), face) {
+            Neighbor::Element(nb) => {
+                (Some(&u.element(nb.index())[..nv * nodes]), &materials[nb.index()])
             }
-            match neighbor {
-                Neighbor::Element(nb) => {
-                    let p_node = plus_table[t];
-                    #[allow(clippy::needless_range_loop)]
-                    for v in 0..nv {
-                        up[v] = u.value(nb.index(), v, p_node);
+            Neighbor::Boundary => (None, &materials[e]),
+        };
+        let coeffs = P::face_coeffs(kind, &materials[e], m_plus);
+        // Face node `(a, b)` sits at `plane + a·sa + b·sb` on both sides,
+        // on opposite planes.
+        let (stride, sa, sb) = line_strides(n, face.axis());
+        let (m_plane, p_plane) =
+            if face.is_plus() { ((n - 1) * stride, 0) } else { (0, (n - 1) * stride) };
+        for b in 0..n {
+            for a in 0..n {
+                let tangential = a * sa + b * sb;
+                let m_node = m_plane + tangential;
+                for v in 0..nv {
+                    um[v] = own[v * nodes + m_node];
+                }
+                match plus {
+                    Some(rec) => {
+                        let p_node = p_plane + tangential;
+                        for v in 0..nv {
+                            up[v] = rec[v * nodes + p_node];
+                        }
                     }
-                    P::face_flux(
-                        kind,
-                        &materials[e],
-                        &materials[nb.index()],
-                        normal,
-                        &um[..nv],
-                        &up[..nv],
-                        &mut out[..nv],
-                    );
+                    None => P::wall_ghost(normal, &um[..nv], &mut up[..nv]),
                 }
-                Neighbor::Boundary => {
-                    P::wall_ghost(normal, &um[..nv], &mut up[..nv]);
-                    P::face_flux(
-                        kind,
-                        &materials[e],
-                        &materials[e],
-                        normal,
-                        &um[..nv],
-                        &up[..nv],
-                        &mut out[..nv],
-                    );
+                P::face_flux(&coeffs, normal, &um[..nv], &up[..nv], &mut out[..nv]);
+                for v in 0..nv {
+                    rhs_chunk[v * nodes + m_node] += lift * out[v];
                 }
-            }
-            for v in 0..nv {
-                rhs_chunk[v * nodes + m_node] += lift * out[v];
             }
         }
     }
@@ -175,7 +173,6 @@ mod tests {
         // flux kernel must add nothing.
         let n = 3;
         let nn = n * n * n;
-        let topo = FluxTopology::new(n);
         let mesh = HexMesh::refinement_level(1, Boundary::Periodic);
         let mats = vec![AcousticMaterial::UNIT; mesh.num_elements()];
         let mut u = State::zeros(mesh.num_elements(), 4, nn);
@@ -183,7 +180,7 @@ mod tests {
         let mut rhs = State::zeros(mesh.num_elements(), 4, nn);
         for kind in [FluxKind::Central, FluxKind::Riemann] {
             rhs.fill_zero();
-            apply::<Acoustic>(&topo, &mesh, kind, 10.0, &mats, &u, &mut rhs);
+            apply::<Acoustic>(n, &mesh, kind, 10.0, &mats, &u, &mut rhs);
             assert!(rhs.max_abs() < 1e-13, "kind {kind:?}");
         }
     }
@@ -192,13 +189,12 @@ mod tests {
     fn flux_touches_only_face_nodes() {
         let n = 4;
         let nn = n * n * n;
-        let topo = FluxTopology::new(n);
         let mesh = HexMesh::refinement_level(1, Boundary::Periodic);
         let mats = vec![AcousticMaterial::UNIT; mesh.num_elements()];
         let mut u = State::zeros(mesh.num_elements(), 4, nn);
         u.fill_with(|e, v, node| ((e * 31 + v * 17 + node) % 7) as f64 - 3.0);
         let mut rhs = State::zeros(mesh.num_elements(), 4, nn);
-        apply::<Acoustic>(&topo, &mesh, FluxKind::Central, 1.0, &mats, &u, &mut rhs);
+        apply::<Acoustic>(n, &mesh, FluxKind::Central, 1.0, &mats, &u, &mut rhs);
 
         // Interior nodes (not on any face) must be untouched.
         for e in 0..mesh.num_elements() {
@@ -219,7 +215,6 @@ mod tests {
     fn flux_accumulates_on_top_of_existing_rhs() {
         let n = 3;
         let nn = n * n * n;
-        let topo = FluxTopology::new(n);
         let mesh = HexMesh::refinement_level(1, Boundary::Wall);
         let mats = vec![AcousticMaterial::UNIT; mesh.num_elements()];
         let mut u = State::zeros(mesh.num_elements(), 4, nn);
@@ -227,8 +222,8 @@ mod tests {
         let mut rhs_a = State::zeros(mesh.num_elements(), 4, nn);
         let mut rhs_b = State::zeros(mesh.num_elements(), 4, nn);
         rhs_b.fill_with(|_, _, _| 5.0);
-        apply::<Acoustic>(&topo, &mesh, FluxKind::Riemann, 2.0, &mats, &u, &mut rhs_a);
-        apply::<Acoustic>(&topo, &mesh, FluxKind::Riemann, 2.0, &mats, &u, &mut rhs_b);
+        apply::<Acoustic>(n, &mesh, FluxKind::Riemann, 2.0, &mats, &u, &mut rhs_a);
+        apply::<Acoustic>(n, &mesh, FluxKind::Riemann, 2.0, &mats, &u, &mut rhs_b);
         for (a, b) in rhs_a.as_slice().iter().zip(rhs_b.as_slice()) {
             assert!((b - a - 5.0).abs() < 1e-12);
         }

@@ -13,8 +13,11 @@
 //!   each time-step", §2.2), whose temporary registers are the paper's
 //!   *auxiliaries*.
 //!
-//! The solver runs natively (rayon-parallel over elements) and serves three
-//! purposes: it is the functional reference the PIM execution is validated
+//! The [`Solver`] runs the three kernels as the three phases of one
+//! rayon-parallel element pass per LSRK stage: each element's Volume and
+//! Flux fill a per-worker record that its Integration consumes at once,
+//! bit-identical to running the three kernel modules one after another.
+//! It serves three purposes: it is the functional reference the PIM execution is validated
 //! against, the operation-count source for the paper's Table 6, and the
 //! workload description the GPU baseline model consumes.
 

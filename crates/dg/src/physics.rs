@@ -65,19 +65,24 @@ pub trait Physics: Send + Sync + 'static {
         scratch: &mut [f64],
     );
 
+    /// The constants of one face's numerical flux: the flux kind, the
+    /// minus side's material and (Riemann) the two sides' impedances.
+    type FaceCoeffs: Copy;
+
+    /// Computes a face's [`Self::FaceCoeffs`] once, so the square roots
+    /// behind the impedances are taken per face, not per face node (the
+    /// paper serves them per element from a LUT, §4.3).
+    fn face_coeffs(
+        kind: FluxKind,
+        m_minus: &Self::Material,
+        m_plus: &Self::Material,
+    ) -> Self::FaceCoeffs;
+
     /// Computes the per-node *Flux* difference `F⁻·n − F*·n` for every
     /// variable. `um`/`up` hold the `NUM_VARS` interface values of the
     /// minus (own) and plus (neighbor/ghost) side; `normal` is the outward
     /// normal of the minus element.
-    fn face_flux(
-        kind: FluxKind,
-        m_minus: &Self::Material,
-        m_plus: &Self::Material,
-        normal: Vec3,
-        um: &[f64],
-        up: &[f64],
-        out: &mut [f64],
-    );
+    fn face_flux(c: &Self::FaceCoeffs, normal: Vec3, um: &[f64], up: &[f64], out: &mut [f64]);
 
     /// Mirror (rigid-wall) ghost state used at `Boundary::Wall` faces.
     fn wall_ghost(normal: Vec3, um: &[f64], ghost: &mut [f64]);
@@ -95,6 +100,19 @@ pub mod acoustic_vars {
 #[derive(Debug, Clone, Copy)]
 pub struct Acoustic;
 
+/// [`Acoustic`]'s per-face flux constants: the minus side's material and
+/// `Z⁻`, `Z⁺`, `Z⁻Z⁺`, `1/(Z⁻+Z⁺)`. The central flux reads no impedance,
+/// so they are left zero (and the reciprocal infinite) for it.
+#[derive(Debug, Clone, Copy)]
+pub struct AcousticFace {
+    kind: FluxKind,
+    m: AcousticMaterial,
+    zm: f64,
+    zp: f64,
+    zz: f64,
+    inv: f64,
+}
+
 impl Physics for Acoustic {
     const NUM_VARS: usize = 4;
     const NAME: &'static str = "acoustic";
@@ -104,6 +122,7 @@ impl Physics for Acoustic {
         m.sound_speed()
     }
 
+    #[inline(always)]
     fn volume(
         n: usize,
         d: &DiffMatrix,
@@ -143,15 +162,17 @@ impl Physics for Acoustic {
         }
     }
 
-    fn face_flux(
-        kind: FluxKind,
-        mm: &AcousticMaterial,
-        mp: &AcousticMaterial,
-        normal: Vec3,
-        um: &[f64],
-        up: &[f64],
-        out: &mut [f64],
-    ) {
+    type FaceCoeffs = AcousticFace;
+
+    fn face_coeffs(kind: FluxKind, mm: &AcousticMaterial, mp: &AcousticMaterial) -> AcousticFace {
+        let (zm, zp) = match kind {
+            FluxKind::Central => (0.0, 0.0),
+            FluxKind::Riemann => (mm.impedance(), mp.impedance()),
+        };
+        AcousticFace { kind, m: *mm, zm, zp, zz: zm * zp, inv: 1.0 / (zm + zp) }
+    }
+
+    fn face_flux(c: &AcousticFace, normal: Vec3, um: &[f64], up: &[f64], out: &mut [f64]) {
         use acoustic_vars::*;
         let pm = um[P];
         let pp = up[P];
@@ -160,25 +181,20 @@ impl Physics for Acoustic {
         let vnm = vm.dot(normal);
         let vnp = vp.dot(normal);
 
-        let (p_star, vn_star) = match kind {
+        let (p_star, vn_star) = match c.kind {
             FluxKind::Central => (0.5 * (pm + pp), 0.5 * (vnm + vnp)),
-            FluxKind::Riemann => {
-                let zm = mm.impedance();
-                let zp = mp.impedance();
-                let inv = 1.0 / (zm + zp);
-                // Characteristic (impedance-matched) interface state:
-                //   p*  = (Z⁺p⁻ + Z⁻p⁺ + Z⁻Z⁺ (v_n⁻ − v_n⁺)) / (Z⁻ + Z⁺)
-                //   v_n* = (Z⁻v_n⁻ + Z⁺v_n⁺ + (p⁻ − p⁺)) / (Z⁻ + Z⁺)
-                (
-                    (zp * pm + zm * pp + zm * zp * (vnm - vnp)) * inv,
-                    (zm * vnm + zp * vnp + (pm - pp)) * inv,
-                )
-            }
+            // Characteristic (impedance-matched) interface state:
+            //   p*  = (Z⁺p⁻ + Z⁻p⁺ + Z⁻Z⁺ (v_n⁻ − v_n⁺)) / (Z⁻ + Z⁺)
+            //   v_n* = (Z⁻v_n⁻ + Z⁺v_n⁺ + (p⁻ − p⁺)) / (Z⁻ + Z⁺)
+            FluxKind::Riemann => (
+                (c.zp * pm + c.zm * pp + c.zz * (vnm - vnp)) * c.inv,
+                (c.zm * vnm + c.zp * vnp + (pm - pp)) * c.inv,
+            ),
         };
 
         // F_p·n = κ v·n ; F_v·n = (p/ρ) n — minus-side coefficients.
-        out[P] = mm.kappa * (vnm - vn_star);
-        let coeff = (pm - p_star) / mm.rho;
+        out[P] = c.m.kappa * (vnm - vn_star);
+        let coeff = (pm - p_star) / c.m.rho;
         out[VX] = coeff * normal.x;
         out[VY] = coeff * normal.y;
         out[VZ] = coeff * normal.z;
@@ -215,6 +231,19 @@ pub mod elastic_vars {
 #[derive(Debug, Clone, Copy)]
 pub struct Elastic;
 
+/// [`Elastic`]'s per-face flux constants: the minus side's material and
+/// the P and S impedances of both sides. The central flux reads no
+/// impedance, so they are left zero for it.
+#[derive(Debug, Clone, Copy)]
+pub struct ElasticFace {
+    kind: FluxKind,
+    m: ElasticMaterial,
+    zpm: f64,
+    zpp: f64,
+    zsm: f64,
+    zsp: f64,
+}
+
 impl Elastic {
     /// Traction vector `t = S·n` from the six stored stress components.
     #[inline]
@@ -237,6 +266,7 @@ impl Physics for Elastic {
         m.p_speed()
     }
 
+    #[inline(always)]
     fn volume(
         n: usize,
         d: &DiffMatrix,
@@ -299,22 +329,27 @@ impl Physics for Elastic {
         accum!(Axis::Y, VZ, (SYZ, mu));
     }
 
-    fn face_flux(
-        kind: FluxKind,
-        mm: &ElasticMaterial,
-        mp: &ElasticMaterial,
-        normal: Vec3,
-        um: &[f64],
-        up: &[f64],
-        out: &mut [f64],
-    ) {
+    type FaceCoeffs = ElasticFace;
+
+    fn face_coeffs(kind: FluxKind, mm: &ElasticMaterial, mp: &ElasticMaterial) -> ElasticFace {
+        let ((zpm, zpp), (zsm, zsp)) = match kind {
+            FluxKind::Central => ((0.0, 0.0), (0.0, 0.0)),
+            FluxKind::Riemann => {
+                ((mm.p_impedance(), mp.p_impedance()), (mm.s_impedance(), mp.s_impedance()))
+            }
+        };
+        ElasticFace { kind, m: *mm, zpm, zpp, zsm, zsp }
+    }
+
+    fn face_flux(c: &ElasticFace, normal: Vec3, um: &[f64], up: &[f64], out: &mut [f64]) {
         use elastic_vars::*;
+        let mm = &c.m;
         let vm = Vec3::new(um[VX], um[VY], um[VZ]);
         let vp = Vec3::new(up[VX], up[VY], up[VZ]);
         let tm = Self::traction(um, normal);
         let tp = Self::traction(up, normal);
 
-        let (v_star, t_star) = match kind {
+        let (v_star, t_star) = match c.kind {
             FluxKind::Central => (0.5 * (vm + vp), 0.5 * (tm + tp)),
             FluxKind::Riemann => {
                 // Split into normal (P-characteristic) and tangential
@@ -322,8 +357,7 @@ impl Physics for Elastic {
                 // the elastic analog of the acoustic one with σ = −p:
                 //   t_n* = (z⁺t_n⁻ + z⁻t_n⁺ − z⁻z⁺(v_n⁻ − v_n⁺)) / (z⁻+z⁺)
                 //   v_n* = (z⁻v_n⁻ + z⁺v_n⁺ − (t_n⁻ − t_n⁺)) / (z⁻+z⁺)
-                let (zpm, zpp) = (mm.p_impedance(), mp.p_impedance());
-                let (zsm, zsp) = (mm.s_impedance(), mp.s_impedance());
+                let ElasticFace { zpm, zpp, zsm, zsp, .. } = *c;
 
                 let vnm = vm.dot(normal);
                 let vnp = vp.dot(normal);
@@ -395,7 +429,7 @@ mod tests {
         let n = Vec3::new(0.0, 1.0, 0.0);
         for kind in [FluxKind::Central, FluxKind::Riemann] {
             let mut out = [0.0; 4];
-            Acoustic::face_flux(kind, &m, &m, n, &u, &u, &mut out);
+            Acoustic::face_flux(&Acoustic::face_coeffs(kind, &m, &m), n, &u, &u, &mut out);
             for &o in &out {
                 assert_close(o, 0.0, 1e-14);
             }
@@ -409,7 +443,7 @@ mod tests {
         let n = Vec3::new(1.0, 0.0, 0.0);
         for kind in [FluxKind::Central, FluxKind::Riemann] {
             let mut out = [0.0; 9];
-            Elastic::face_flux(kind, &m, &m, n, &u, &u, &mut out);
+            Elastic::face_flux(&Elastic::face_coeffs(kind, &m, &m), n, &u, &u, &mut out);
             for &o in &out {
                 assert_close(o, 0.0, 1e-14);
             }
@@ -429,7 +463,13 @@ mod tests {
         // w⁻ = p − Z v_n = 0 → choose p = 0.5, v_n = 0.5.
         let up = [0.5, 0.5, 0.0, 0.0];
         let mut out = [0.0; 4];
-        Acoustic::face_flux(FluxKind::Riemann, &m, &m, n, &um, &up, &mut out);
+        Acoustic::face_flux(
+            &Acoustic::face_coeffs(FluxKind::Riemann, &m, &m),
+            n,
+            &um,
+            &up,
+            &mut out,
+        );
         // p* = avg + Z/2 (v⁻−v⁺) = 0.75 + 0.25 = 1.0 = p⁻;
         // v_n* = avg + (p⁻−p⁺)/2Z = 0.75 + 0.25 = 1.0 = v_n⁻.
         for &o in &out {
@@ -451,8 +491,8 @@ mod tests {
         for kind in [FluxKind::Central, FluxKind::Riemann] {
             let mut o1 = [0.0; 4];
             let mut o2 = [0.0; 4];
-            Acoustic::face_flux(kind, &ma, &mb, n, &um, &up, &mut o1);
-            Acoustic::face_flux(kind, &mb, &ma, -n, &up, &um, &mut o2);
+            Acoustic::face_flux(&Acoustic::face_coeffs(kind, &ma, &mb), n, &um, &up, &mut o1);
+            Acoustic::face_flux(&Acoustic::face_coeffs(kind, &mb, &ma), -n, &up, &um, &mut o2);
             // p equation: F·n = κ v·n, but the *starred* flux uses the
             // starred velocity, common to both sides: κ⁻(v_n⁻ − v_n*) −
             // κ⁻ v_n⁻ = −κ⁻ v_n*; same from the other side with −n.

@@ -1,5 +1,6 @@
 //! The dG wave solver: mesh + kernels + time integration.
 
+use rayon::prelude::*;
 use wavesim_mesh::{ElementGeometry, HexMesh};
 use wavesim_numerics::gll::GllRule;
 use wavesim_numerics::lagrange::DiffMatrix;
@@ -7,21 +8,21 @@ use wavesim_numerics::tensor::node_coords;
 use wavesim_numerics::Vec3;
 
 use crate::integrator::Lsrk5;
-use crate::kernels::flux::{self, FluxTopology};
-use crate::kernels::{integration, volume};
+use crate::kernels::flux;
 use crate::opcount::{self, ElementWorkload};
 use crate::physics::{FluxKind, Physics};
 use crate::state::State;
 
-/// Per-kernel roofline counters for the native solver: analytic FLOP and
-/// byte counts (from [`crate::opcount`]'s per-element model × elements)
-/// plus measured wall seconds, so `flops / seconds` vs `bytes / seconds`
-/// places each kernel on a host roofline. Shared across solvers; kernel
-/// index 0/1/2 = Volume/Flux/Integration.
+/// Roofline counters for the native solver. The three paper kernels keep
+/// one row each of analytic FLOPs and bytes (from [`crate::opcount`]'s
+/// per-element model × elements; index 0/1/2 = Volume/Flux/Integration).
+/// They run as the phases of one fused element pass, so the measured wall
+/// seconds are one record per stage pass, not a split across kernels.
 struct SolverMetrics {
     flops: [pim_metrics::Counter; 3],
     bytes: [pim_metrics::Counter; 3],
-    seconds: [pim_metrics::FloatCounter; 3],
+    stage_seconds: pim_metrics::FloatCounter,
+    stages: pim_metrics::Counter,
 }
 
 const DG_KERNELS: [&str; 3] = ["Volume", "Flux", "Integration"];
@@ -37,19 +38,61 @@ fn solver_metrics() -> &'static SolverMetrics {
             bytes: std::array::from_fn(|i| {
                 reg.counter("dg_kernel_bytes_total", &[("kernel", DG_KERNELS[i])])
             }),
-            seconds: std::array::from_fn(|i| {
-                reg.float_counter("dg_kernel_seconds_total", &[("kernel", DG_KERNELS[i])])
-            }),
+            stage_seconds: reg.float_counter("dg_stage_seconds_total", &[]),
+            stages: reg.counter("dg_stages_total", &[]),
         }
     })
+}
+
+/// Everything an element pass reads besides the solution: the mesh, the
+/// reference operators and the materials.
+struct Operators<P: Physics> {
+    mesh: HexMesh,
+    rule: GllRule,
+    d: DiffMatrix,
+    geom: ElementGeometry,
+    lift: f64,
+    flux_kind: FluxKind,
+    materials: Vec<P::Material>,
+}
+
+impl<P: Physics> Operators<P> {
+    /// The element kernel: Volume then Flux of element `e` of `u` into
+    /// `rec` (overwritten). `scratch` holds one `n³` work buffer. Orders
+    /// 2–4 each get a copy compiled for their constant `n`.
+    fn element_rhs(&self, u: &State, e: usize, rec: &mut [f64], scratch: &mut [f64]) {
+        match self.rule.len() {
+            2 => self.element_rhs_at(2, u, e, rec, scratch),
+            3 => self.element_rhs_at(3, u, e, rec, scratch),
+            4 => self.element_rhs_at(4, u, e, rec, scratch),
+            n => self.element_rhs_at(n, u, e, rec, scratch),
+        }
+    }
+
+    #[inline(always)]
+    fn element_rhs_at(&self, n: usize, u: &State, e: usize, rec: &mut [f64], scratch: &mut [f64]) {
+        let jac_inv = self.geom.jacobian_inverse_domain();
+        P::volume(n, &self.d, jac_inv, u.element(e), &self.materials[e], rec, scratch);
+        flux::element_flux::<P>(
+            n,
+            &self.mesh,
+            self.flux_kind,
+            self.lift,
+            &self.materials,
+            u,
+            e,
+            rec,
+        );
+    }
 }
 
 /// A complete dG solver for one physics on one mesh.
 ///
 /// Holds the solution [`State`], the LSRK auxiliaries (the paper's
 /// *auxiliaries*, Table 1) and the contributions buffer (the paper's
-/// *contributions*), and advances them with the Volume → Flux →
-/// Integration sequence, five stages per time-step.
+/// *contributions*), and advances them five stages per time-step. The
+/// paper's three kernels — Volume, Flux, Integration — run as the three
+/// phases of one parallel element pass per stage (see [`Self::step`]).
 ///
 /// ```
 /// use wavesim_dg::{Acoustic, AcousticMaterial, FluxKind, Solver};
@@ -64,14 +107,7 @@ fn solver_metrics() -> &'static SolverMetrics {
 /// assert!(solver.state().max_abs().is_finite());
 /// ```
 pub struct Solver<P: Physics> {
-    mesh: HexMesh,
-    rule: GllRule,
-    d: DiffMatrix,
-    geom: ElementGeometry,
-    topo: FluxTopology,
-    lift: f64,
-    flux_kind: FluxKind,
-    materials: Vec<P::Material>,
+    ops: Operators<P>,
     state: State,
     aux: State,
     rhs: State,
@@ -96,19 +132,11 @@ impl<P: Physics> Solver<P> {
         let rule = GllRule::new(nodes_per_axis);
         let d = DiffMatrix::for_gll(&rule);
         let geom = ElementGeometry::new(mesh.h(), &rule);
-        let topo = FluxTopology::new(nodes_per_axis);
         let lift = geom.lift_factor(rule.weights()[0]);
         let nn = geom.nodes_per_element();
         let ne = mesh.num_elements();
         Self {
-            mesh,
-            rule,
-            d,
-            geom,
-            topo,
-            lift,
-            flux_kind,
-            materials,
+            ops: Operators { mesh, rule, d, geom, lift, flux_kind, materials },
             state: State::zeros(ne, P::NUM_VARS, nn),
             aux: State::zeros(ne, P::NUM_VARS, nn),
             rhs: State::zeros(ne, P::NUM_VARS, nn),
@@ -141,27 +169,27 @@ impl<P: Physics> Solver<P> {
 
     /// The mesh.
     pub fn mesh(&self) -> &HexMesh {
-        &self.mesh
+        &self.ops.mesh
     }
 
     /// The GLL rule (per-axis nodes).
     pub fn rule(&self) -> &GllRule {
-        &self.rule
+        &self.ops.rule
     }
 
     /// The element geometry constants.
     pub fn geometry(&self) -> &ElementGeometry {
-        &self.geom
+        &self.ops.geom
     }
 
     /// The flux solver in use.
     pub fn flux_kind(&self) -> FluxKind {
-        self.flux_kind
+        self.ops.flux_kind
     }
 
     /// Per-element materials.
     pub fn materials(&self) -> &[P::Material] {
-        &self.materials
+        &self.ops.materials
     }
 
     /// Current solution.
@@ -174,7 +202,14 @@ impl<P: Physics> Solver<P> {
         &mut self.state
     }
 
-    /// Most recently computed contributions (volume + flux RHS).
+    /// The LSRK auxiliaries after the last stage.
+    pub fn auxiliaries(&self) -> &State {
+        &self.aux
+    }
+
+    /// The contributions (Volume + Flux RHS) of the state at the last
+    /// [`Self::compute_rhs`]. Valid only until the next [`Self::step`],
+    /// which reuses this buffer for the stage's new solution.
     pub fn contributions(&self) -> &State {
         &self.rhs
     }
@@ -191,10 +226,10 @@ impl<P: Physics> Solver<P> {
 
     /// Physical position of a node of an element.
     pub fn node_position(&self, elem: usize, node: usize) -> Vec3 {
-        let n = self.rule.len();
+        let n = self.ops.rule.len();
         let (i, j, k) = node_coords(n, node);
-        let p = self.rule.points();
-        self.mesh.to_physical(wavesim_mesh::ElemId(elem), Vec3::new(p[i], p[j], p[k]))
+        let p = self.ops.rule.points();
+        self.ops.mesh.to_physical(wavesim_mesh::ElemId(elem), Vec3::new(p[i], p[j], p[k]))
     }
 
     /// Initializes the state from a function of (variable, position).
@@ -217,81 +252,59 @@ impl<P: Physics> Solver<P> {
     /// A stable time-step: `cfl · h / (c_max · (n−1)²)`, the standard dG
     /// estimate with polynomial degree `n−1`.
     pub fn stable_dt(&self, cfl: f64) -> f64 {
-        let c_max = self.materials.iter().map(P::max_speed).fold(0.0f64, f64::max);
+        let c_max = self.ops.materials.iter().map(P::max_speed).fold(0.0f64, f64::max);
         assert!(c_max > 0.0, "no positive wave speed in materials");
-        let degree = (self.rule.len() - 1).max(1) as f64;
-        cfl * self.mesh.h() / (c_max * degree * degree)
+        let degree = (self.ops.rule.len() - 1).max(1) as f64;
+        cfl * self.ops.mesh.h() / (c_max * degree * degree)
     }
 
     /// Evaluates the spatial RHS (Volume then Flux) of the current state
-    /// into the contributions buffer.
+    /// into the contributions buffer: one parallel element pass.
     pub fn compute_rhs(&mut self) {
-        self.compute_rhs_staged(0);
+        let nn = self.state.nodes_per_element();
+        let (ops, u) = (&self.ops, &self.state);
+        self.rhs.as_mut_slice().par_chunks_mut(u.element_stride()).enumerate().for_each_init(
+            || vec![0.0; nn],
+            |scratch, (e, rec)| ops.element_rhs(u, e, rec, scratch),
+        );
     }
 
     /// Analytic per-element FLOP/byte model matching this solver's
     /// physics and configuration.
     fn element_workload(&self) -> ElementWorkload {
         match P::NUM_VARS {
-            9 => opcount::elastic_workload(self.rule.len(), self.flux_kind),
-            _ => opcount::acoustic_workload(self.rule.len(), self.flux_kind),
+            9 => opcount::elastic_workload(self.ops.rule.len(), self.ops.flux_kind),
+            _ => opcount::acoustic_workload(self.ops.rule.len(), self.ops.flux_kind),
         }
     }
 
-    /// Publishes one kernel launch (Volume/Flux/Integration = 0/1/2) to
-    /// the roofline counters: analytic FLOPs/bytes for the whole mesh
-    /// plus the measured wall seconds.
-    fn record_kernel_metrics(&self, kernel: usize, seconds: f64) {
+    /// Publishes one fused stage pass to the roofline counters: each
+    /// kernel's analytic FLOPs/bytes for the whole mesh, plus the pass's
+    /// measured wall seconds.
+    fn record_stage_metrics(&self, seconds: f64) {
         let ne = self.state.num_elements() as u64;
         let workload = self.element_workload();
-        let profile = [workload.volume, workload.flux, workload.integration][kernel];
         let metrics = solver_metrics();
-        metrics.flops[kernel].add(profile.ops.flops() * ne);
-        metrics.bytes[kernel].add(profile.mem.total() * ne);
-        metrics.seconds[kernel].add(seconds);
-    }
-
-    fn compute_rhs_staged(&mut self, stage: u8) {
-        use pim_trace::{Kernel, Payload, WallSpan, TID_KERNELS};
-        let pid = if pim_trace::enabled() { self.trace_pid() } else { 0 };
-        let n = self.rule.len();
+        for (k, profile) in
+            [workload.volume, workload.flux, workload.integration].iter().enumerate()
         {
-            let _span = WallSpan::begin(
-                pid,
-                TID_KERNELS,
-                Payload::Kernel { kernel: Kernel::Volume, stage },
-            );
-            let timer = pim_metrics::enabled().then(std::time::Instant::now);
-            volume::apply::<P>(
-                n,
-                &self.d,
-                self.geom.jacobian_inverse_domain(),
-                &self.materials,
-                &self.state,
-                &mut self.rhs,
-            );
-            if let Some(timer) = timer {
-                self.record_kernel_metrics(0, timer.elapsed().as_secs_f64());
-            }
+            metrics.flops[k].add(profile.ops.flops() * ne);
+            metrics.bytes[k].add(profile.mem.total() * ne);
         }
-        let _span =
-            WallSpan::begin(pid, TID_KERNELS, Payload::Kernel { kernel: Kernel::Flux, stage });
-        let timer = pim_metrics::enabled().then(std::time::Instant::now);
-        flux::apply::<P>(
-            &self.topo,
-            &self.mesh,
-            self.flux_kind,
-            self.lift,
-            &self.materials,
-            &self.state,
-            &mut self.rhs,
-        );
-        if let Some(timer) = timer {
-            self.record_kernel_metrics(1, timer.elapsed().as_secs_f64());
-        }
+        metrics.stage_seconds.add(seconds);
+        metrics.stages.inc();
     }
 
-    /// Advances one time-step: five (Volume → Flux → Integration) rounds.
+    /// Advances one time-step: five LSRK stages.
+    ///
+    /// Each stage is one parallel pass over the elements. Per element, the
+    /// Volume phase writes a per-worker record, the Flux phase adds the six
+    /// faces onto it, and the Integration phase copies the element's `u`
+    /// into the contributions buffer and applies `aux ← A·aux + dt·r;
+    /// u ← u + B·aux` there; that buffer then swaps with the solution. Every
+    /// value sees the same operations in the same order as the three
+    /// separate kernels ([`crate::kernels`]), so the result is
+    /// bit-identical to them.
     pub fn step(&mut self, dt: f64) {
         use pim_trace::{Kernel, Payload, WallSpan, TID_KERNELS};
         let pid = if pim_trace::enabled() { self.trace_pid() } else { 0 };
@@ -303,20 +316,35 @@ impl<P: Physics> Solver<P> {
                 TID_KERNELS,
                 Payload::Kernel { kernel: Kernel::RkStage, stage: s as u8 },
             );
-            self.compute_rhs_staged(s as u8);
-            let _int_span = WallSpan::begin(
-                pid,
-                TID_KERNELS,
-                Payload::Kernel { kernel: Kernel::Integration, stage: s as u8 },
-            );
             let timer = pim_metrics::enabled().then(std::time::Instant::now);
-            integration::stage(s, dt, &mut self.state, &mut self.aux, &self.rhs);
+            self.fused_stage(s, dt);
             if let Some(timer) = timer {
-                self.record_kernel_metrics(2, timer.elapsed().as_secs_f64());
+                self.record_stage_metrics(timer.elapsed().as_secs_f64());
             }
         }
         self.time += dt;
         self.steps_taken += 1;
+    }
+
+    /// One LSRK stage as one element pass; see [`Self::step`].
+    fn fused_stage(&mut self, stage: usize, dt: f64) {
+        let stride = self.state.element_stride();
+        let nn = self.state.nodes_per_element();
+        let (ops, u) = (&self.ops, &self.state);
+        self.rhs
+            .as_mut_slice()
+            .par_chunks_mut(stride)
+            .zip(self.aux.as_mut_slice().par_chunks_mut(stride))
+            .enumerate()
+            .for_each_init(
+                || (vec![0.0; stride], vec![0.0; nn]),
+                |(rec, scratch), (e, (next, aux))| {
+                    ops.element_rhs(u, e, rec, scratch);
+                    next.copy_from_slice(u.element(e));
+                    Lsrk5::stage_update(stage, dt, next, aux, rec);
+                },
+            );
+        std::mem::swap(&mut self.state, &mut self.rhs);
     }
 
     /// Advances `steps` time-steps.
@@ -326,41 +354,19 @@ impl<P: Physics> Solver<P> {
         }
     }
 
-    /// Advances **only** `elems` through one LSRK stage: per-element
-    /// Volume + Flux into the contributions buffer, then the stage
-    /// update. The shard-restricted reference step for the multi-chip
-    /// cluster runtime — flux reads neighbor values from the *current*
-    /// full state, so the caller must have refreshed any remote (halo)
-    /// neighbors of `elems` to their pre-stage values first, exactly as
-    /// the cluster's halo exchange does. Does not advance [`Self::time`];
-    /// drive all five stages (with halo refreshes between them) to
-    /// complete a step.
+    /// Advances **only** `elems` through one LSRK stage: the element
+    /// kernel (Volume + Flux) of each into the contributions buffer, then
+    /// the stage update. The shard-restricted reference step for the
+    /// multi-chip cluster runtime — flux reads neighbor values from the
+    /// *current* full state, so the caller must have refreshed any remote
+    /// (halo) neighbors of `elems` to their pre-stage values first, exactly
+    /// as the cluster's halo exchange does. Does not advance
+    /// [`Self::time`]; drive all five stages (with halo refreshes between
+    /// them) to complete a step.
     pub fn stage_restricted(&mut self, stage: usize, dt: f64, elems: &[usize]) {
-        let n = self.rule.len();
-        let nn = self.geom.nodes_per_element();
-        let jac_inv = self.geom.jacobian_inverse_domain();
-        let mut scratch = vec![0.0; nn];
+        let mut scratch = vec![0.0; self.state.nodes_per_element()];
         for &e in elems {
-            P::volume(
-                n,
-                &self.d,
-                jac_inv,
-                self.state.element(e),
-                &self.materials[e],
-                self.rhs.element_mut(e),
-                &mut scratch,
-            );
-            flux::element_flux::<P>(
-                &self.topo,
-                &self.mesh,
-                self.flux_kind,
-                self.lift,
-                &self.materials,
-                &self.state,
-                e,
-                self.rhs.element_mut(e),
-                nn,
-            );
+            self.ops.element_rhs(&self.state, e, self.rhs.element_mut(e), &mut scratch);
         }
         for &e in elems {
             Lsrk5::stage_update(

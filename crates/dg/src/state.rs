@@ -129,14 +129,26 @@ impl State {
     }
 
     /// Maximum absolute value across the state (for stability checks).
+    /// NaN if any value is NaN, so `max_abs().is_finite()` fails on it.
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
+        self.data.iter().fold(0.0, |m, &v| max_or_nan(m, v.abs()))
     }
 
-    /// Maximum absolute difference against another state of identical shape.
+    /// Maximum absolute difference against another state of identical
+    /// shape. NaN if any difference is NaN.
     pub fn max_abs_diff(&self, other: &State) -> f64 {
         assert_eq!(self.data.len(), other.data.len(), "state shapes differ");
-        self.data.iter().zip(&other.data).fold(0.0f64, |m, (&a, &b)| m.max((a - b).abs()))
+        self.data.iter().zip(&other.data).fold(0.0, |m, (&a, &b)| max_or_nan(m, (a - b).abs()))
+    }
+}
+
+/// `f64::max`, except that a NaN on either side wins instead of being
+/// dropped.
+fn max_or_nan(m: f64, x: f64) -> f64 {
+    if m.is_nan() || x.is_nan() {
+        f64::NAN
+    } else {
+        m.max(x)
     }
 }
 
@@ -191,5 +203,28 @@ mod tests {
         assert_eq!(a.max_abs(), 3.0);
         assert_eq!(a.max_abs_diff(&b), 4.5);
         assert_eq!(a.max_abs_diff(&a), 0.0);
+    }
+
+    #[test]
+    fn norms_propagate_nan_and_infinity() {
+        let finite = State::zeros(1, 2, 3);
+        for (bad, max_abs_is_nan) in
+            [(f64::NAN, true), (f64::INFINITY, false), (f64::NEG_INFINITY, false)]
+        {
+            for cell in [0, 2, 5] {
+                let mut s = State::zeros(1, 2, 3);
+                s.fill_with(|_, v, n| (v * 3 + n) as f64 - 2.5);
+                s.as_mut_slice()[cell] = bad;
+                let (norm, diff) = (s.max_abs(), s.max_abs_diff(&finite));
+                assert!(!norm.is_finite() && !diff.is_finite(), "{bad} at {cell}");
+                assert_eq!(norm.is_nan(), max_abs_is_nan, "{bad} at {cell}");
+                assert_eq!(diff.is_nan(), max_abs_is_nan, "{bad} at {cell}");
+                assert_eq!(finite.max_abs_diff(&s).is_nan(), max_abs_is_nan, "{bad} at {cell}");
+            }
+        }
+        // inf − inf is NaN: two states with the same infinite cell differ by NaN.
+        let mut inf = State::zeros(1, 1, 2);
+        inf.as_mut_slice()[1] = f64::INFINITY;
+        assert!(inf.max_abs_diff(&inf).is_nan());
     }
 }

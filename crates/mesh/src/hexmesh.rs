@@ -103,9 +103,10 @@ impl HexMesh {
     /// Grid coordinates `(ix, iy, iz)` of an element.
     #[inline]
     pub fn elem_coords(&self, elem: ElemId) -> (usize, usize, usize) {
-        let n = self.per_axis;
         debug_assert!(elem.0 < self.num_elements());
-        (elem.0 % n, (elem.0 / n) % n, elem.0 / (n * n))
+        // `per_axis` is `2^level`: shifts and masks, not divisions.
+        let (level, mask) = (self.level, self.per_axis - 1);
+        (elem.0 & mask, (elem.0 >> level) & mask, elem.0 >> (2 * level))
     }
 
     /// Element id from grid coordinates.

@@ -51,55 +51,66 @@ pub fn node_coords(n: usize, idx: usize) -> (usize, usize, usize) {
 /// Applies the differentiation matrix along `axis`: `out = (D ⊗ I ⊗ I) v`
 /// (with the Kronecker position matching the axis). `v` and `out` must both
 /// have length `n³` and must not alias.
+///
+/// `n` in `2..=4` dispatches to a loop nest with the order fixed at
+/// compile time (the matrix and each line live in stack arrays); other
+/// orders take the runtime loop. Both accumulate every output in the
+/// same order, so the results are bit-identical.
+#[inline]
 pub fn apply_along_axis(d: &DiffMatrix, axis: Axis, n: usize, v: &[f64], out: &mut [f64]) {
     debug_assert_eq!(d.n(), n);
     debug_assert_eq!(v.len(), n * n * n);
     debug_assert_eq!(out.len(), n * n * n);
+    match n {
+        2 => apply_fixed::<2>(d, axis, v, out),
+        3 => apply_fixed::<3>(d, axis, v, out),
+        4 => apply_fixed::<4>(d, axis, v, out),
+        _ => apply_runtime(d, axis, n, v, out),
+    }
+}
+
+/// `(stride, sa, sb)` of the `n²` lines along `axis`: line `(a, b)` starts
+/// at `a·sa + b·sb` and steps by `stride`. The same triple walks a face
+/// normal to `axis`: its node `t = a + n·b` (the [`face_nodes`] order) is
+/// `plane·stride + a·sa + b·sb`, with `plane` 0 or `n − 1`.
+#[inline]
+pub fn line_strides(n: usize, axis: Axis) -> (usize, usize, usize) {
     match axis {
-        Axis::X => {
-            // Lines are contiguous runs of n values.
-            for line in 0..n * n {
-                let base = line * n;
-                for i in 0..n {
-                    let row = d.row(i);
-                    let mut acc = 0.0;
-                    for j in 0..n {
-                        acc += row[j] * v[base + j];
-                    }
-                    out[base + i] = acc;
+        Axis::X => (1, n, n * n),
+        Axis::Y => (n, 1, n * n),
+        Axis::Z => (n * n, 1, n),
+    }
+}
+
+fn apply_fixed<const N: usize>(d: &DiffMatrix, axis: Axis, v: &[f64], out: &mut [f64]) {
+    let m: [[f64; N]; N] = std::array::from_fn(|i| std::array::from_fn(|j| d.get(i, j)));
+    let (stride, sa, sb) = line_strides(N, axis);
+    for b in 0..N {
+        for a in 0..N {
+            let base = a * sa + b * sb;
+            let line: [f64; N] = std::array::from_fn(|j| v[base + j * stride]);
+            for (i, row) in m.iter().enumerate() {
+                let mut acc = 0.0;
+                for (r, x) in row.iter().zip(&line) {
+                    acc += r * x;
                 }
+                out[base + i * stride] = acc;
             }
         }
-        Axis::Y => {
-            let stride = n;
-            for k in 0..n {
-                for i in 0..n {
-                    let base = i + n * n * k;
-                    for jj in 0..n {
-                        let row = d.row(jj);
-                        let mut acc = 0.0;
-                        for j in 0..n {
-                            acc += row[j] * v[base + j * stride];
-                        }
-                        out[base + jj * stride] = acc;
-                    }
+    }
+}
+
+fn apply_runtime(d: &DiffMatrix, axis: Axis, n: usize, v: &[f64], out: &mut [f64]) {
+    let (stride, sa, sb) = line_strides(n, axis);
+    for b in 0..n {
+        for a in 0..n {
+            let base = a * sa + b * sb;
+            for i in 0..n {
+                let mut acc = 0.0;
+                for (j, r) in d.row(i).iter().enumerate() {
+                    acc += r * v[base + j * stride];
                 }
-            }
-        }
-        Axis::Z => {
-            let stride = n * n;
-            for j in 0..n {
-                for i in 0..n {
-                    let base = i + n * j;
-                    for kk in 0..n {
-                        let row = d.row(kk);
-                        let mut acc = 0.0;
-                        for k in 0..n {
-                            acc += row[k] * v[base + k * stride];
-                        }
-                        out[base + kk * stride] = acc;
-                    }
-                }
+                out[base + i * stride] = acc;
             }
         }
     }
@@ -112,15 +123,9 @@ pub fn apply_along_axis(d: &DiffMatrix, axis: Axis, n: usize, v: &[f64], out: &m
 /// order of the two tangential axes (lower axis fastest), which both sides
 /// of a conforming face share on a structured mesh.
 pub fn face_nodes(n: usize, axis: Axis, plus: bool) -> impl Iterator<Item = usize> {
-    let fixed = if plus { n - 1 } else { 0 };
-    (0..n * n).map(move |t| {
-        let (a, b) = (t % n, t / n);
-        match axis {
-            Axis::X => node_index(n, fixed, a, b),
-            Axis::Y => node_index(n, a, fixed, b),
-            Axis::Z => node_index(n, a, b, fixed),
-        }
-    })
+    let (stride, sa, sb) = line_strides(n, axis);
+    let plane = if plus { (n - 1) * stride } else { 0 };
+    (0..n * n).map(move |t| plane + (t % n) * sa + (t / n) * sb)
 }
 
 /// Weighted inner product `Σ w_i w_j w_k u[ijk] v[ijk]` over the element —
@@ -263,6 +268,23 @@ mod tests {
                     Axis::Y => assert_eq!((pa, pc), (ma, mc)),
                     Axis::Z => assert_eq!((pa, pb), (ma, mb)),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn fixed_order_dispatch_is_bit_identical_to_the_runtime_loop() {
+        for n in 2..=4 {
+            let rule = GllRule::new(n);
+            let d = DiffMatrix::for_gll(&rule);
+            let v = nodal_field(n, &rule, |x, y, z| (3.0 * x).sin() + y * z * z - 0.5 * x * y);
+            for axis in Axis::ALL {
+                let mut fixed = vec![0.0; n * n * n];
+                let mut runtime = vec![0.0; n * n * n];
+                apply_along_axis(&d, axis, n, &v, &mut fixed);
+                apply_runtime(&d, axis, n, &v, &mut runtime);
+                let bits = |x: &[f64]| x.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fixed), bits(&runtime), "n = {n}, axis {axis:?}");
             }
         }
     }

@@ -1,14 +1,12 @@
-//! Host-performance study of the compile-once program cache and the
-//! threaded execution pool: times the seed path (per-stage stream
-//! recompilation) against cached replay on the same cluster problem,
-//! checks both paths agree bit for bit and match the native dG solver
-//! ≤ 1e-12, reconciles a traced run's energy with the chip ledgers,
-//! and sweeps a thread-scaling curve. Writes `BENCH_host.json`.
+//! Host-performance study of the cluster runner's cached program replay
+//! and the threaded execution pool: times construction and cached-replay
+//! steps, checks the run matches the native dG solver ≤ 1e-12,
+//! reconciles a traced run's energy with the chip ledgers, and sweeps a
+//! thread-scaling curve. Writes `BENCH_host.json`.
 //!
 //! `--smoke` runs a small configuration as the CI gate; either mode
-//! exits nonzero if cached replay fails to beat recompilation, or if
-//! the word-parallel engine stops beating the recorded scalar-engine
-//! baseline for the configuration.
+//! exits nonzero if the word-parallel engine stops beating the recorded
+//! scalar-engine baseline for the configuration.
 
 use std::process::ExitCode;
 
@@ -33,18 +31,12 @@ fn main() -> ExitCode {
     println!("  construct (cached)      : {:.3} s", r.construct_seconds);
     println!("  peak RSS (VmHWM)        : {:.0} MiB", r.peak_rss_mib);
     println!(
-        "  seed (recompile) / step : {:.3} s (min of {} reps)",
-        r.seed_step_seconds, r.measure_reps
-    );
-    println!(
         "  cached replay / step    : {:.3} s (min of {} reps)",
         r.cached_step_seconds, r.measure_reps
     );
-    println!("  speedup                 : {:.2}x", r.speedup);
     println!("  program compile (once)  : {:.3} s", r.compile_seconds);
     println!("  cached instrs           : {}", r.cached_instrs);
     println!("  patch sites             : {}", r.patch_sites);
-    println!("  cached == recompiled    : {}", r.cached_equals_recompiled);
     println!("  max |diff| vs native dG : {:e}", r.max_abs_diff_vs_native);
     println!(
         "  traced energy rel err   : {:.4e} (level {} × {} chips)",
@@ -62,10 +54,6 @@ fn main() -> ExitCode {
     println!("  best thread count       : {}", r.best_threads);
 
     assert!(
-        r.cached_equals_recompiled,
-        "cached replay must be bit-identical to per-stage recompilation"
-    );
-    assert!(
         r.max_abs_diff_vs_native <= 1e-12,
         "cached+threaded cluster diverged from native dG: {:e}",
         r.max_abs_diff_vs_native
@@ -79,10 +67,6 @@ fn main() -> ExitCode {
     let doc = host_json(&r);
     artifacts::write_artifact("BENCH_host.json", &doc).expect("write BENCH_host.json");
 
-    if r.speedup < 1.0 {
-        eprintln!("host_bench: FAIL — cached replay slower than recompilation ({:.2}x)", r.speedup);
-        return ExitCode::FAILURE;
-    }
     if r.scalar_baseline_step_seconds > 0.0
         && r.cached_step_seconds >= r.scalar_baseline_step_seconds
     {

@@ -1,20 +1,13 @@
-//! The host-performance study behind `BENCH_host.json`: how much host
-//! wall-clock the compile-once program cache and the threaded rayon
-//! shim buy on the functional cluster runner.
+//! The host-performance study behind `BENCH_host.json`: the host
+//! wall-clock of the functional cluster runner, which compiles every
+//! kernel program once at construction and replays each step with only
+//! the Integration patch table applied.
 //!
-//! Two runs of the same problem are timed end to end:
-//!
-//! * **seed path** — [`pim_cluster::ClusterRunner`] with the program
-//!   cache disabled, recompiling every kernel stream every LSRK stage
-//!   (the pre-cache behavior);
-//! * **cached path** — the default: compile once at construction,
-//!   replay each step with only the Integration patch table applied.
-//!
-//! The two paths execute byte-identical instruction streams, so their
-//! merged states must agree *exactly* — measured, not assumed, along
-//! with the ≤1e-12 equivalence against the native dG solver, a traced
-//! energy ↔ ledger reconciliation, and a thread-scaling curve swept
-//! through [`rayon::set_num_threads`].
+//! One run is timed end to end — construction (including the program
+//! compile), then cached-replay steps — and checked against the native
+//! dG solver (≤1e-12), alongside a traced energy ↔ ledger
+//! reconciliation and a thread-scaling curve swept through
+//! [`rayon::set_num_threads`].
 //!
 //! Per-step timings are minima over [`HostBenchConfig::measure_reps`]
 //! repetitions, because the benchmark hosts exhibit one-sided
@@ -52,7 +45,7 @@ pub const SCALAR_BASELINE_SMOKE_STEP_SECONDS: f64 = 0.164;
 /// level-5 mesh on four 8 GB chips); `smoke()` is the CI gate.
 #[derive(Debug, Clone)]
 pub struct HostBenchConfig {
-    /// Mesh refinement level of the headline seed-vs-cached comparison.
+    /// Mesh refinement level of the headline run.
     pub level: u32,
     /// Nodes per axis.
     pub n: usize,
@@ -60,13 +53,11 @@ pub struct HostBenchConfig {
     pub chips: usize,
     /// Time-steps per timed run.
     pub steps: usize,
-    /// Timed repetitions of both the seed and cached runs; the
-    /// reported per-step numbers are the **minimum** over the reps.
-    /// The benchmark hosts show multi-second interference spikes that
-    /// inflate single runs by tens of percent, and the minimum is the
-    /// stable statistic under one-sided noise. Both paths always run
-    /// the same `steps × measure_reps` total so their final states
-    /// stay comparable bit for bit.
+    /// Timed repetitions of the headline run; the reported per-step
+    /// number is the **minimum** over the reps. The benchmark hosts
+    /// show multi-second interference spikes that inflate single runs
+    /// by tens of percent, and the minimum is the stable statistic
+    /// under one-sided noise.
     pub measure_reps: usize,
     /// Per-chip capacity (level 5 needs 8 GB chips for 4 shards).
     pub capacity: ChipCapacity,
@@ -155,8 +146,7 @@ pub struct HostBenchResult {
     /// compile + preload + program-cache build).
     pub construct_seconds: f64,
     /// Peak resident set of the process (`VmHWM`) once the cached run
-    /// has stepped, MiB — one cluster's host footprint, since the seed
-    /// and cached clusters are never alive together. 0 where
+    /// has stepped, MiB — one cluster's host footprint. 0 where
     /// `/proc/self/status` is unavailable.
     pub peak_rss_mib: f64,
     /// The program-cache compilation inside that construction.
@@ -165,18 +155,11 @@ pub struct HostBenchResult {
     pub replay_seconds: f64,
     /// Cached-run total: construction + stepping.
     pub total_seconds: f64,
-    /// Seed path (per-stage recompilation), seconds per step — minimum
-    /// over `measure_reps` timed runs.
-    pub seed_step_seconds: f64,
     /// Cached replay, seconds per step — minimum over `measure_reps`
     /// timed runs.
     pub cached_step_seconds: f64,
-    /// `seed_step_seconds / cached_step_seconds`.
-    pub speedup: f64,
     pub cached_instrs: u64,
     pub patch_sites: u64,
-    /// The two paths' merged states agree bit for bit.
-    pub cached_equals_recompiled: bool,
     /// Cached+threaded run vs the native dG solver.
     pub max_abs_diff_vs_native: f64,
     pub trace_level: u32,
@@ -243,25 +226,12 @@ pub fn host_bench_data(cfg: &HostBenchConfig) -> HostBenchResult {
     let mesh = HexMesh::refinement_level(cfg.level, Boundary::Periodic);
     let mut reference = initial_solver(&mesh, cfg.n, material);
 
-    // Both paths run `steps × reps` total; each `steps`-long run is
-    // timed separately and the per-step statistic is the minimum over
-    // the reps (see `HostBenchConfig::measure_reps`).
+    // Each `steps`-long run is timed separately and the per-step
+    // statistic is the minimum over the reps (see
+    // `HostBenchConfig::measure_reps`).
     let reps = cfg.measure_reps.max(1);
 
-    // Seed path: per-stage recompilation, timed per step.
-    let mut seed =
-        build_cluster(&mesh, cfg.n, material, reference.state(), dt, cfg.chips, cfg.capacity);
-    seed.set_program_cache(false);
-    let mut seed_step_seconds = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        seed.run(cfg.steps);
-        seed_step_seconds = seed_step_seconds.min(t0.elapsed().as_secs_f64() / cfg.steps as f64);
-    }
-    let seed_state = seed.state();
-    drop(seed);
-
-    // Cached path: compile once, replay every step.
+    // Compile once, replay every step.
     let t0 = Instant::now();
     let mut cached =
         build_cluster(&mesh, cfg.n, material, reference.state(), dt, cfg.chips, cfg.capacity);
@@ -278,9 +248,7 @@ pub fn host_bench_data(cfg: &HostBenchConfig) -> HostBenchResult {
     let peak_rss_mib = peak_rss_mib();
     let cached_state = cached.state();
 
-    // Equivalences: cached vs recompiled must be *exact* (identical
-    // instruction streams), cached vs native within roundoff.
-    let cached_equals_recompiled = cached_state.max_abs_diff(&seed_state) == 0.0;
+    // Cached replay vs native within roundoff.
     reference.run(dt, cfg.steps * reps);
     let max_abs_diff_vs_native = cached_state.max_abs_diff(reference.state());
 
@@ -333,12 +301,9 @@ pub fn host_bench_data(cfg: &HostBenchConfig) -> HostBenchResult {
         compile_seconds: cached.program_compile_seconds(),
         replay_seconds,
         total_seconds: construct_seconds + replay_seconds,
-        seed_step_seconds,
         cached_step_seconds,
-        speedup: seed_step_seconds / cached_step_seconds,
         cached_instrs: cached.cached_instrs(),
         patch_sites: cached.patch_sites(),
-        cached_equals_recompiled,
         max_abs_diff_vs_native,
         trace_level: cfg.trace_level,
         trace_chips: cfg.trace_chips,
@@ -393,18 +358,16 @@ pub fn host_json(r: &HostBenchResult) -> String {
     let mut out = String::with_capacity(1024);
     let _ = write!(
         out,
-        "{{\n  \"schema_version\": 3,\n  \
+        "{{\n  \"schema_version\": 4,\n  \
          \"level\": {}, \"n\": {}, \"chips\": {}, \"steps\": {}, \
          \"measure_reps\": {}, \"elements\": {}, \"threads\": {}, \
          \"best_threads\": {},\n  \
          \"construct_seconds\": {}, \"peak_rss_mib\": {}, \"compile_seconds\": {}, \
          \"replay_seconds\": {}, \"total_seconds\": {},\n  \
-         \"seed_step_seconds\": {}, \"cached_step_seconds\": {}, \
-         \"speedup\": {},\n  \
+         \"cached_step_seconds\": {},\n  \
          \"scalar_baseline_step_seconds\": {}, \
          \"speedup_vs_scalar_baseline\": {},\n  \
-         \"cached_instrs\": {}, \"patch_sites\": {}, \
-         \"cached_equals_recompiled\": {},\n  \
+         \"cached_instrs\": {}, \"patch_sites\": {},\n  \
          \"max_abs_diff_vs_native\": {},\n  \
          \"trace_level\": {}, \"trace_chips\": {}, \
          \"trace_energy_rel_err\": {},\n  \
@@ -422,14 +385,11 @@ pub fn host_json(r: &HostBenchResult) -> String {
         number(r.compile_seconds),
         number(r.replay_seconds),
         number(r.total_seconds),
-        number(r.seed_step_seconds),
         number(r.cached_step_seconds),
-        number(r.speedup),
         number(r.scalar_baseline_step_seconds),
         number(r.speedup_vs_scalar_baseline),
         r.cached_instrs,
         r.patch_sites,
-        r.cached_equals_recompiled,
         number(r.max_abs_diff_vs_native),
         r.trace_level,
         r.trace_chips,

@@ -29,10 +29,10 @@
 //! scales `aux ← aux·A` in place — need no special case. A full tile's
 //! 8 rows go through fixed-length arrays that LLVM vectorizes.
 //!
-//! The row-at-a-time loops are retained as [`MemBlock::arith_scalar`]
-//! and [`MemBlock::broadcast_scalar`] — the bit-exactness oracle the
-//! kernel proptests compare against, and the whole engine when the
-//! `scalar-oracle` feature is enabled.
+//! The row-at-a-time loops are retained, test-only, as
+//! `MemBlock::arith_scalar` and `MemBlock::broadcast_scalar` — the
+//! bit-exactness oracle the kernel proptests compare against, op by op
+//! and over random op sequences.
 //!
 //! Note on precision: the functional model stores `f64` so the PIM
 //! execution can be compared bit-for-bit against the native `f64` dG
@@ -79,7 +79,6 @@ fn cell(row: usize, col: usize) -> usize {
 
 /// The tiles a row range `first..=last` covers, each as
 /// `(tile, lo, hi)` with the tile-local row span `lo..hi`.
-#[cfg(any(test, not(feature = "scalar-oracle")))]
 #[inline(always)]
 fn tile_spans(first: usize, last: usize) -> impl Iterator<Item = (usize, usize, usize)> {
     (first / TILE_ROWS..=last / TILE_ROWS).map(move |t| {
@@ -185,9 +184,6 @@ impl MemBlock {
     ) -> OpCost {
         assert!(dst_first <= dst_last && dst_last < BLOCK_ROWS, "bad broadcast range");
         assert!(offset + words <= WORDS_PER_ROW, "broadcast crosses the row edge");
-        #[cfg(feature = "scalar-oracle")]
-        self.broadcast_cells_scalar(dst_first, dst_last, offset, words);
-        #[cfg(not(feature = "scalar-oracle"))]
         for (t, lo, hi) in tile_spans(dst_first, dst_last) {
             let tile = self.tiles[t].get_or_insert_with(Tile::zeroed);
             for (w, &value) in self.row_buffer[..words].iter().enumerate() {
@@ -218,9 +214,6 @@ impl MemBlock {
     ) -> OpCost {
         assert!(first_row <= last_row && last_row < BLOCK_ROWS, "bad row range");
         assert!(dst < WORDS_PER_ROW && a < WORDS_PER_ROW && b < WORDS_PER_ROW);
-        #[cfg(feature = "scalar-oracle")]
-        self.arith_cells_scalar(op, first_row, last_row, dst, a, b);
-        #[cfg(not(feature = "scalar-oracle"))]
         self.arith_cells(op, first_row, last_row, dst, a, b);
         let rows = (last_row - first_row + 1) as u64;
         OpCost {
@@ -231,7 +224,6 @@ impl MemBlock {
 
     /// The row-parallel data pass: one monomorphized tile kernel per
     /// [`AluOp`].
-    #[cfg(any(test, not(feature = "scalar-oracle")))]
     fn arith_cells(
         &mut self,
         op: AluOp,
@@ -258,7 +250,6 @@ impl MemBlock {
     /// tile by tile. Each row's operands are read before its destination
     /// is written, so any aliasing among `dst`, `a` and `b` behaves like
     /// the scalar loop.
-    #[cfg(any(test, not(feature = "scalar-oracle")))]
     #[inline(always)]
     fn map_rows(
         &mut self,
@@ -288,7 +279,7 @@ impl MemBlock {
     }
 
     /// The row-at-a-time data pass, kept as the bit-exactness oracle.
-    #[cfg(any(test, feature = "scalar-oracle"))]
+    #[cfg(test)]
     fn arith_cells_scalar(
         &mut self,
         op: AluOp,
@@ -313,8 +304,8 @@ impl MemBlock {
         }
     }
 
-    /// Scalar broadcast data pass (oracle / `scalar-oracle` engine).
-    #[cfg(any(test, feature = "scalar-oracle"))]
+    /// Scalar broadcast data pass (the oracle).
+    #[cfg(test)]
     fn broadcast_cells_scalar(
         &mut self,
         dst_first: usize,
@@ -332,7 +323,7 @@ impl MemBlock {
     /// `Arith` through the retained scalar loop, with the same cost
     /// accounting as [`Self::arith`] — the oracle the tile kernel is
     /// proptested bit-identical against.
-    #[cfg(any(test, feature = "scalar-oracle"))]
+    #[cfg(test)]
     pub fn arith_scalar(
         &mut self,
         op: AluOp,
@@ -354,7 +345,7 @@ impl MemBlock {
 
     /// `Broadcast` through the retained scalar loop (oracle twin of
     /// [`Self::broadcast`]).
-    #[cfg(any(test, feature = "scalar-oracle"))]
+    #[cfg(test)]
     pub fn broadcast_scalar(
         &mut self,
         dst_first: usize,
@@ -633,10 +624,12 @@ mod oracle_tests {
 
 #[cfg(test)]
 mod storage_tests {
-    //! Random `Read`/`Write`/`Broadcast`/`Arith` sequences against a dense
-    //! row-major 1024 × 32 reference crossbar: every cell, the row buffer
-    //! and every operation's cost must match bit for bit, whatever tiles
-    //! the sparse storage did or did not allocate along the way.
+    //! Random `Read`/`Write`/`Broadcast`/`Arith` sequences against two
+    //! references: a dense row-major 1024 × 32 crossbar (every cell, the
+    //! row buffer and every operation's cost must match bit for bit,
+    //! whatever tiles the sparse storage did or did not allocate along
+    //! the way), and the retained scalar loops replayed op by op on a
+    //! second block — the end-to-end engine cross-check.
 
     use super::*;
     use proptest::collection::vec as prop_vec;
@@ -737,6 +730,29 @@ mod storage_tests {
         }
     }
 
+    /// [`apply`] with `Arith` and `Broadcast` through the scalar oracle.
+    fn apply_scalar(block: &mut MemBlock, op: Op) -> OpCost {
+        match op {
+            Op::Broadcast { first, last, offset, words } => {
+                block.broadcast_scalar(first, last, offset, words)
+            }
+            Op::Arith { op, first, last, dst, a, b } => {
+                block.arith_scalar(op, first, last, dst, a, b)
+            }
+            _ => apply(block, op),
+        }
+    }
+
+    /// Same tiles allocated, same cells bit for bit, same row buffer.
+    fn same_bits(x: &MemBlock, y: &MemBlock) -> bool {
+        let bits = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits());
+        x.tiles.iter().zip(&y.tiles).all(|pair| match pair {
+            (None, None) => true,
+            (Some(p), Some(q)) => bits(&p.0, &q.0),
+            _ => false,
+        }) && bits(&x.row_buffer, &y.row_buffer)
+    }
+
     fn arb_value() -> impl Strategy<Value = f64> {
         prop_oneof![
             -1.0e3f64..1.0e3,
@@ -815,6 +831,19 @@ mod storage_tests {
             }
             for (got, want) in block.row_buffer().iter().zip(&dense.buf) {
                 prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+        }
+
+        #[test]
+        fn op_sequences_match_the_scalar_oracle_after_every_op(ops in prop_vec(arb_op(), 64)) {
+            let (mut engine, mut oracle) = (MemBlock::new(), MemBlock::new());
+            for (i, &op) in ops.iter().enumerate() {
+                let (got, want) = (apply(&mut engine, op), apply_scalar(&mut oracle, op));
+                prop_assert_eq!(got, want, "cost of op {} {:?}", i, op);
+                prop_assert!(
+                    same_bits(&engine, &oracle),
+                    "engine and scalar oracle diverged at op {} {:?} of {:?}", i, op, ops
+                );
             }
         }
     }

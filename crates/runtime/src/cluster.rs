@@ -1,36 +1,55 @@
 //! Functional multi-chip execution: N simulated PIM chips advance one
 //! sharded acoustic problem, with the halo exchange **overlapped** with
-//! the Volume kernel. Two per-stage protocols share one compiled
-//! program set ([`ClusterProtocol`]): the bulk-synchronous **fenced**
-//! schedule below, and the dependency-driven **pipelined** schedule
-//! (the default) documented at [`ClusterRunner::step_pipelined`].
+//! the Volume kernel.
 //!
 //! Each chip holds one [`wavesim_mesh::Shard`]: its resident elements
 //! packed from block 0, its ghost elements in the blocks after them
 //! (`AcousticMapping::install_shard_map`), and the shared impedance LUT
-//! block after those. Per LSRK stage the fenced cluster runs
+//! block after those. Every kernel program is compiled once at
+//! construction and replayed each stage. Per LSRK stage every chip runs
+//! one stage body
 //!
-//! > **barrier → { Volume ∥ halo } → fence → Flux → Integration**
+//! > **entry → { Volume ∥ halo } → fence → Flux → Integration**
 //!
-//! 1. **barrier**: all chips align at the cluster-wide maximum simulated
-//!    time (a stage cannot start before the slowest chip of the previous
-//!    stage has finished),
+//! 1. **entry**: the chip's stage opens at its entry clock (below); a
+//!    host-placed math window, if any, gates the stage from there,
 //! 2. **Volume ∥ halo**: Volume reads only each element's own columns, so
-//!    it issues immediately after the barrier on every chip's compute
-//!    lane while the halo streams down the *off-chip* lane concurrently:
-//!    the send-side snapshot (`StoreOffchip` per boundary element), every
+//!    it issues at stage entry on the chip's compute lane while the halo
+//!    streams down the *off-chip* lane concurrently: the send-side
+//!    snapshot (`StoreOffchip` per boundary element), every
 //!    [`HaloMessage`] of the plan on the inter-chip link (time and energy
 //!    charged to *both* endpoint chips' ports, traced as off-chip events
 //!    on each chip's own process row), and the ghost-landing DMAs
 //!    (`LoadOffchip` per ghost element). Neither lane waits for the
 //!    other — `pim_sim::PimChip`'s dual-lane timeline keeps them
 //!    independent until something depends on the data,
-//! 3. **fence**: [`pim_sim::PimChip::fence_offchip`] joins the lanes
-//!    before Flux — the first kernel that reads ghost blocks. Only the
-//!    halo time the Volume window could not hide (the *exposed* halo,
-//!    tracked per chip in [`HaloStats::exposed_seconds`]) lengthens the
-//!    stage,
-//! 4. **Flux → Integration** run on the compute lane as before.
+//! 3. **fence**: the compute lane joins the halo before Flux — the first
+//!    kernel that reads ghost blocks. Only the halo time the Volume
+//!    window could not hide (the *exposed* halo, tracked per chip in
+//!    [`HaloStats::exposed_seconds`]) lengthens the stage,
+//! 4. **Flux → Integration** run on the compute lane.
+//!
+//! The [`ClusterProtocol`] is consulted at exactly three points of that
+//! body, and nothing else differs — same instruction streams, same
+//! per-chip order, so the merged state is bit-identical either way:
+//!
+//! | decision | `Fenced` | `Pipelined` |
+//! |---|---|---|
+//! | stage entry | cluster-wide barrier: the max over chips of both lanes | the chip's own compute clock |
+//! | outbound link charges | per message, interleaved with the inbound ones, ahead of the ghost landing | behind the ghost landing |
+//! | pre-Flux fence | [`pim_sim::PimChip::fence_offchip`] (whole lane) | [`pim_sim::PimChip::fence_blocks`] (ghost blocks) |
+//!
+//! Inbound charges are floored at the *sender's* stage entry
+//! ([`pim_sim::PimChip::link_transfer_tagged`]) under both — a no-op at
+//! the fenced barrier. Under `Pipelined` that floor bounds the skew (a
+//! chip's next stage cannot open before every in-neighbor opened this
+//! one; asserted each stage), and it keeps the schedule **never slower,
+//! per stage**: every lane release happens no later than its fenced
+//! counterpart (stage entries are ≤ the barrier, inbound floors are a
+//! sender's entry ≤ the barrier, and the charge multiset is identical),
+//! so each chip's lane and compute clocks are ≤ their fenced values by
+//! induction, and `fence_blocks ≤ fence_offchip` on equal-or-earlier
+//! lanes.
 //!
 //! Because ghosts hold the neighbors' pre-stage variables when Flux runs
 //! — the fence plus the ghost blocks' DMA dependencies guarantee it — the
@@ -55,7 +74,7 @@ use crate::halo::{halo_messages, HaloMessage};
 /// protocols execute byte-identical instruction streams in the same
 /// per-chip order, so the merged states agree **bit for bit** — only
 /// the simulated-time placement of the work differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClusterProtocol {
     /// Bulk-synchronous: every stage opens at the cluster-wide barrier
     /// and a global [`pim_sim::PimChip::fence_offchip`] joins each
@@ -68,28 +87,9 @@ pub enum ClusterProtocol {
     /// charges drain concurrently with Flux/Integration. Per-stage
     /// makespan is provably ≤ the fenced schedule's; inter-chip skew is
     /// bounded by the halo dependency chain (at most one stage between
-    /// link neighbors, asserted every stage).
+    /// link neighbors, asserted every stage). The default.
+    #[default]
     Pipelined,
-}
-
-impl ClusterProtocol {
-    /// The construction-time default: pipelined, unless the
-    /// `fenced-protocol` cargo feature flips the whole build back to
-    /// the bulk-synchronous schedule (the CI mirror of pim-sim's
-    /// `scalar-oracle` gate).
-    pub fn default_protocol() -> Self {
-        if cfg!(feature = "fenced-protocol") {
-            ClusterProtocol::Fenced
-        } else {
-            ClusterProtocol::Pipelined
-        }
-    }
-}
-
-impl Default for ClusterProtocol {
-    fn default() -> Self {
-        Self::default_protocol()
-    }
 }
 
 /// Cluster shape: what each chip is (one [`ChipConfig`] per chip, so
@@ -111,9 +111,9 @@ pub struct ClusterConfig {
     /// the per-stage host sqrt/inverse refresh; `OnPim`/`Auto` move
     /// supported ops onto the in-block LUT + Newton sequence.
     pub math: MathConfig,
-    /// The per-stage schedule (default:
-    /// [`ClusterProtocol::default_protocol`]). Bit-identical state
-    /// either way; only simulated-time placement differs.
+    /// The per-stage schedule (default: [`ClusterProtocol::Pipelined`]).
+    /// Bit-identical state either way; only simulated-time placement
+    /// differs.
     pub protocol: ClusterProtocol,
 }
 
@@ -137,7 +137,7 @@ impl ClusterConfig {
             link: InterChipLink::default(),
             weighted_partition: true,
             math: MathConfig::default(),
-            protocol: ClusterProtocol::default_protocol(),
+            protocol: ClusterProtocol::default(),
         }
     }
 
@@ -259,31 +259,20 @@ impl MathStats {
 
 /// Publishes one kernel window's busy time and dynamic energy to the
 /// per-(chip, kernel) cluster counters. `busy_before`/`energy_before`
-/// are the chip's compute-lane time and dynamic energy captured when the
-/// window opened. Gated, and called once per kernel per stage, so the
-/// registry lookup cost is irrelevant next to simulating the kernel.
+/// are the lane time and dynamic energy captured when the window
+/// opened; the busy time lives on the compute lane, except the halo
+/// exchange's, which lives on the *off-chip* lane. Gated, and called
+/// once per kernel per stage, so the registry lookup cost is irrelevant
+/// next to simulating the kernel.
 fn record_cluster_kernel(chip: &PimChip, kernel: &str, busy_before: f64, energy_before: f64) {
     if !pim_metrics::enabled() {
         return;
     }
+    let busy = if kernel == "HaloExchange" { chip.offchip_time() } else { chip.elapsed() };
     let reg = pim_metrics::global();
     let labels = [("chip", chip.metrics_label()), ("kernel", kernel)];
     reg.float_counter("cluster_kernel_busy_seconds_total", &labels)
-        .add((chip.elapsed() - busy_before).max(0.0));
-    reg.float_counter("cluster_kernel_energy_joules_total", &labels)
-        .add((chip.ledger().dynamic() - energy_before).max(0.0));
-}
-
-/// Like [`record_cluster_kernel`] but for the halo exchange, whose busy
-/// time lives on the *off-chip* lane.
-fn record_cluster_halo(chip: &PimChip, busy_before: f64, energy_before: f64) {
-    if !pim_metrics::enabled() {
-        return;
-    }
-    let reg = pim_metrics::global();
-    let labels = [("chip", chip.metrics_label()), ("kernel", "HaloExchange")];
-    reg.float_counter("cluster_kernel_busy_seconds_total", &labels)
-        .add((chip.offchip_time() - busy_before).max(0.0));
+        .add((busy - busy_before).max(0.0));
     reg.float_counter("cluster_kernel_energy_joules_total", &labels)
         .add((chip.ledger().dynamic() - energy_before).max(0.0));
 }
@@ -527,10 +516,6 @@ pub struct ClusterRunner {
     math: MathStats,
     /// Per-chip compile-once kernel programs.
     programs: Vec<ChipPrograms>,
-    /// Replay the cached programs (default). When disabled, every stage
-    /// recompiles its streams — the pre-cache behavior, kept as the
-    /// measured baseline for `host_bench`.
-    use_program_cache: bool,
     /// Host seconds spent compiling the program cache at construction.
     compile_seconds: f64,
 }
@@ -743,7 +728,6 @@ impl ClusterRunner {
                 stages: 0,
             },
             programs,
-            use_program_cache: true,
             compile_seconds,
         }
     }
@@ -778,14 +762,6 @@ impl ClusterRunner {
         self.protocol
     }
 
-    /// Switches the per-stage schedule. Both protocols execute the same
-    /// instruction streams in the same per-chip order, so switching
-    /// mid-run never changes the numerical state — only where the
-    /// remaining work lands in simulated time.
-    pub fn set_protocol(&mut self, protocol: ClusterProtocol) {
-        self.protocol = protocol;
-    }
-
     /// Cluster-wide simulated clock after each completed LSRK stage, in
     /// execution order (5 entries per step) — the makespan record
     /// behind the per-stage `pipelined ≤ fenced` guarantee.
@@ -807,19 +783,6 @@ impl ClusterRunner {
     /// order.
     pub fn math_placements(&self) -> Vec<Option<MathPlacement>> {
         self.math_decisions.iter().map(|d| d.placement).collect()
-    }
-
-    /// Enables or disables cached-program replay (enabled by default).
-    /// Disabled, every stage recompiles its streams from the mapping —
-    /// the measured baseline of `host_bench`, numerically identical by
-    /// construction.
-    pub fn set_program_cache(&mut self, enabled: bool) {
-        self.use_program_cache = enabled;
-    }
-
-    /// Whether steps replay the cached programs.
-    pub fn program_cache_enabled(&self) -> bool {
-        self.use_program_cache
     }
 
     /// Host seconds spent compiling the program cache at construction.
@@ -881,593 +844,317 @@ impl ClusterRunner {
         self.staging = initial.clone();
     }
 
-    /// Advances one time-step: five LSRK stages under the configured
-    /// [`ClusterProtocol`] — barrier → { Volume ∥ halo } → fence →
-    /// Flux → Integration for [`ClusterProtocol::Fenced`] (module
-    /// docs), the per-chip dependency-driven schedule of
-    /// [`Self::step_pipelined`] for [`ClusterProtocol::Pipelined`].
+    /// Advances one time-step: five LSRK stages of the stage body
+    /// (module docs) under the configured [`ClusterProtocol`].
     pub fn step(&mut self) {
-        match self.protocol {
-            ClusterProtocol::Fenced => self.step_fenced(),
-            ClusterProtocol::Pipelined => self.step_pipelined(),
-        }
-    }
-
-    /// The bulk-synchronous schedule (module docs): one cluster-wide
-    /// barrier per stage, one global off-chip fence before Flux.
-    fn step_fenced(&mut self) {
-        let nodes = self.mappings[0].nodes();
         for stage in 0..Lsrk5::STAGES {
-            let metrics_on = pim_metrics::enabled();
-            // One causal flow id per halo message this stage, shared by
-            // the message's link endpoints, ghost arrivals and fence
-            // release so a trace consumer can walk the dependency edge.
-            let flow_base = self.flow_counter;
-            self.flow_counter += self.messages.len() as u64;
-            // 1. Lockstep barrier at the cluster-wide simulated time
-            // (both lanes: a chip still draining its off-chip port holds
-            // the whole cluster back, though stages normally end fenced).
-            let now =
-                self.chips.iter().fold(0.0f64, |m, c| m.max(c.elapsed()).max(c.offchip_time()));
-            for chip in &mut self.chips {
-                chip.advance_barrier(now);
-            }
-
-            // 1b. Host-placed math: the per-stage sqrt/inverse refresh
-            // *gates* the stage (the staged constants it produces are
-            // Volume/Flux inputs), so its window anchors at the barrier
-            // and this chip's barrier advances to its end. Nothing
-            // happens on the legacy path (cost is ZERO when no placement
-            // or nothing stays on the host).
-            for (c, chip) in self.chips.iter_mut().enumerate() {
-                let cost = self.math_host_cost[c];
-                if cost.seconds <= 0.0 {
-                    continue;
-                }
-                let (t0, t1) =
-                    chip.charge_host_math(now, cost.seconds, cost.joules, self.math_host_ops[c]);
-                chip.advance_barrier(t1);
-                end_kernel_span_at(chip, Kernel::HostPreprocess, stage as u8, t0, t1);
-                self.math.host_seconds[c] += t1 - t0;
-                self.math.exposed_seconds[c] += (t1 - now).max(0.0);
-                if metrics_on {
-                    let reg = pim_metrics::global();
-                    let labels = [("chip", chip.metrics_label())];
-                    reg.float_counter("cluster_math_host_seconds_total", &labels).add(t1 - t0);
-                    reg.float_counter("cluster_math_exposed_seconds_total", &labels)
-                        .add((t1 - now).max(0.0));
-                }
-            }
-
-            // The halo window (2a–2c) rides the off-chip lane; snapshot
-            // each chip's lane time and energy here so its close can
-            // publish the deltas.
-            let halo_open: Vec<(f64, f64)> = if metrics_on {
-                self.chips.iter().map(|c| (c.offchip_time(), c.ledger().dynamic())).collect()
-            } else {
-                Vec::new()
-            };
-
-            // 2a. Halo send snapshot. Functionally extract the send sets
-            // first — every message must carry *pre-stage* variables even
-            // though the sequential message loop interleaves sends and
-            // receives — and charge the snapshot DMAs to each chip's
-            // off-chip lane. The HaloExchange window opens here, at the
-            // barrier, so the snapshot time is inside the span.
-            for (s, sends) in self.send_sets.iter().enumerate() {
-                self.mappings[s].extract_vars_subset(&mut self.chips[s], sends, &mut self.staging);
-                if self.use_program_cache {
-                    self.chips[s].execute(&self.programs[s].halo_store);
-                } else {
-                    let store = self.mappings[s].compile_halo_store_for(sends);
-                    self.chips[s].execute(&store);
-                }
-            }
-
-            // 2b. The link transfers stream while Volume computes: each
-            // message occupies both endpoints' off-chip ports. The whole
-            // exchange is *enqueued* ahead of the Volume stream (like an
-            // async prefetch, before Volume's trailing Sync raises the
-            // program-order barrier), but in simulated time it rides the
-            // off-chip lane concurrently with the kernel.
-            for (i, m) in self.messages.iter().enumerate() {
-                let bytes = m.bytes(nodes);
-                let flow = flow_base + i as u64;
-                let d_src =
-                    self.chips[m.src].link_transfer_tagged(&self.link, bytes, 0.0, flow, false);
-                let d_dst =
-                    self.chips[m.dst].link_transfer_tagged(&self.link, bytes, 0.0, flow, true);
-                self.halo.link_seconds[m.src] += d_src;
-                self.halo.link_seconds[m.dst] += d_dst;
-                self.halo.messages += 1;
-                self.halo.payload_bytes += bytes;
-            }
-
-            // 2c. Ghost landing: the received variables reach the ghost
-            // blocks functionally, and the landing DMAs occupy both the
-            // off-chip lane and the ghost blocks — Flux cannot read a
-            // ghost before its data arrives. The HaloExchange window
-            // closes on the off-chip lane, where the exchange really
-            // ends (typically mid-Volume).
-            let staging = &self.staging;
-            let (mappings, ghosts) = (&self.mappings, &self.ghosts);
-            let (programs, cached) = (&self.programs, self.use_program_cache);
-            let ghost_block_msgs = &self.ghost_block_msgs;
-            self.chips.par_chunks_mut(1).enumerate().for_each(|(c, chunk)| {
-                let chip = &mut chunk[0];
-                mappings[c].load_vars_subset(chip, staging, &ghosts[c]);
-                if cached {
-                    chip.execute(&programs[c].halo_load);
-                } else {
-                    chip.execute(&mappings[c].compile_halo_load_for(&ghosts[c]));
-                }
-                record_block_arrivals(chip, &ghost_block_msgs[c], flow_base);
-                let t1 = chip.offchip_time();
-                end_kernel_span_at(chip, Kernel::HaloExchange, stage as u8, now, t1);
-                if metrics_on {
-                    record_cluster_halo(chip, halo_open[c].0, halo_open[c].1);
-                }
-            });
-
-            // 2d. Volume starts at the barrier on the compute lane: it
-            // reads only each element's own columns, so nothing above
-            // delays it — the lane ops did not advance `elapsed`, and the
-            // resident blocks are not DMA targets.
-            let (mappings, residents) = (&self.mappings, &self.residents);
-            let math_onpim = &mut self.math.onpim_seconds;
-            let math_host_cost = &self.math_host_cost;
-            self.chips.par_chunks_mut(1).zip(math_onpim.par_chunks_mut(1)).enumerate().for_each(
-                |(c, (chunk, onpim))| {
-                    let chip = &mut chunk[0];
-                    // Volume opens at the stage barrier unless a math
-                    // window (host gate or on-PIM refine) pushed this
-                    // chip's start past it.
-                    let mut vol_t0 =
-                        if math_host_cost[c].seconds > 0.0 { chip.elapsed().max(now) } else { now };
-                    // On-PIM math refinement runs first on the compute
-                    // lane: the finalize multiplies write the staged
-                    // constants Volume is about to broadcast.
-                    if programs[c].math.is_some() {
-                        let t0 = begin_kernel_span(chip);
-                        let (busy0, energy0) = kernel_window_open(chip);
-                        let before = chip.elapsed();
-                        if cached {
-                            chip.execute(programs[c].math.as_ref().unwrap());
-                        } else {
-                            chip.execute(&mappings[c].compile_math_stage_for(&residents[c]));
-                        }
-                        onpim[0] += chip.elapsed() - before;
-                        end_kernel_span(chip, Kernel::MathRefine, stage as u8, t0);
-                        record_cluster_kernel(chip, "MathRefine", busy0, energy0);
-                        if metrics_on {
-                            pim_metrics::global()
-                                .float_counter(
-                                    "cluster_math_onpim_seconds_total",
-                                    &[("chip", chip.metrics_label())],
-                                )
-                                .add((chip.elapsed() - before).max(0.0));
-                        }
-                        vol_t0 = chip.elapsed();
-                    }
-                    let (busy0, energy0) = kernel_window_open(chip);
-                    if cached {
-                        chip.execute(&programs[c].volume);
-                    } else {
-                        chip.execute(&mappings[c].compile_volume_for(&residents[c]));
-                    }
-                    end_kernel_span(chip, Kernel::Volume, stage as u8, vol_t0);
-                    record_cluster_kernel(chip, "Volume", busy0, energy0);
-                },
-            );
-
-            // 3. Fence: only Flux waits for the exchange. Whatever the
-            // Volume window could not hide is the stage's exposed halo.
-            // A single-chip cluster running its math fully on-PIM has no
-            // halo in flight and no host round-trip left mid-stage, so
-            // the pre-Flux off-chip fence is provably a no-op and is
-            // skipped.
-            let skip_fence = self.chips.len() == 1
-                && self.math_decisions[0].placement.is_some_and(|p| !p.any_host());
-            if !skip_fence {
-                let ghost_block_msgs = &self.ghost_block_msgs;
-                for (c, chip) in self.chips.iter_mut().enumerate() {
-                    let before = chip.elapsed();
-                    chip.fence_offchip();
-                    let exposed = chip.elapsed() - before;
-                    self.halo.exposed_seconds[c] += exposed;
-                    record_fence_wait(chip, "offchip", &ghost_block_msgs[c], flow_base, before);
-                    if metrics_on {
-                        pim_metrics::global()
-                            .float_counter(
-                                "cluster_exposed_halo_seconds_total",
-                                &[("chip", chip.metrics_label())],
-                            )
-                            .add(exposed.max(0.0));
-                    }
-                }
-            }
-
-            // 4. Flux → Integration on the compute lane. Integration is
-            // the one per-stage-varying stream: its cached program is
-            // patched to this stage's A/B coefficients in place, and
-            // debug builds verify the patched replay against a fresh
-            // compile byte for byte.
-            let (mappings, residents) = (&self.mappings, &self.residents);
-            self.chips.par_chunks_mut(1).zip(self.programs.par_chunks_mut(1)).enumerate().for_each(
-                |(c, (chunk, progs))| {
-                    let chip = &mut chunk[0];
-                    let prog = &mut progs[0];
-                    let m = &mappings[c];
-                    let res = &residents[c];
-
-                    let t0 = begin_kernel_span(chip);
-                    let (busy0, energy0) = kernel_window_open(chip);
-                    if cached {
-                        chip.execute(&prog.flux);
-                    } else {
-                        chip.execute(&m.compile_flux_phased_for(res));
-                    }
-                    end_kernel_span(chip, Kernel::Flux, stage as u8, t0);
-                    record_cluster_kernel(chip, "Flux", busy0, energy0);
-
-                    let t0 = begin_kernel_span(chip);
-                    let (busy0, energy0) = kernel_window_open(chip);
-                    if cached {
-                        #[cfg(debug_assertions)]
-                        let verify = prog.integration.take_verify(stage);
-                        let stream = prog.integration.for_stage(stage);
-                        // Byte-identity with a fresh compile, proven once
-                        // per (chip, stage) — the program is immutable
-                        // after that, so re-checking every step would
-                        // just re-pay compilation in debug builds.
-                        #[cfg(debug_assertions)]
-                        if verify {
-                            assert_eq!(
-                                stream,
-                                &m.compile_integration_for(res, stage),
-                                "patched Integration replay diverged from a fresh compile"
-                            );
-                        }
-                        chip.execute(stream);
-                    } else {
-                        chip.execute(&m.compile_integration_for(res, stage));
-                    }
-                    end_kernel_span(chip, Kernel::Integration, stage as u8, t0);
-                    record_cluster_kernel(chip, "Integration", busy0, energy0);
-
-                    end_kernel_span(chip, Kernel::RkStage, stage as u8, now);
-                },
-            );
-
-            self.stage_makespans.push(self.elapsed());
-            self.halo.stages += 1;
-            self.math.stages += 1;
-            if metrics_on {
-                pim_metrics::global().counter("cluster_stages_total", &[]).inc();
-            }
+            self.run_stage(stage);
         }
         self.publish_step_gauges();
     }
 
-    /// The dependency-driven schedule behind
-    /// [`ClusterProtocol::Pipelined`]. Same instruction streams, same
-    /// per-chip execution order as [`Self::step_fenced`] — so the state
-    /// is bit-identical — but the simulated-time placement is per-chip:
-    ///
-    /// 1. **per-chip stage cursor**: chip `c` enters the stage at its
-    ///    own compute-lane clock `starts[c]` instead of the cluster
-    ///    maximum; a straggler no longer stalls its non-neighbors. The
-    ///    halo dependency chain bounds the skew — every inbound link
-    ///    charge is floored at its *sender's* stage entry
-    ///    ([`pim_sim::PimChip::link_transfer_from`]), so a chip's next
-    ///    stage cannot open before every in-neighbor opened this one
-    ///    (asserted each stage, at most one stage apart per edge);
-    /// 2. **halo lane order** per chip: send snapshot → inbound
-    ///    (receive-side) charges → ghost-landing DMAs → outbound
-    ///    (send-side) charges. Everything is enqueued before Volume in
-    ///    host order (the same async-prefetch ordering the fenced path
-    ///    uses), and the outbound tail rides *behind* the ghost
-    ///    landings so the fence below never waits for it;
-    /// 3. **per-block fence**: before Flux — the only ghost reader —
-    ///    the compute lane joins exactly the ghost blocks' readiness
-    ///    ([`pim_sim::PimChip::fence_blocks`]); the outbound charges
-    ///    keep draining concurrently with Flux/Integration and, if need
-    ///    be, into the next stage's Volume window.
-    ///
-    /// **Never slower, per stage**: every lane release above happens no
-    /// later than its fenced counterpart (stage entries are ≤ the
-    /// fenced barrier, inbound floors are a sender's stage entry ≤ that
-    /// barrier, and the charge multiset is identical), so each chip's
-    /// lane and compute clocks are ≤ their fenced values by induction,
-    /// and `fence_blocks ≤ fence_offchip` on equal-or-earlier lanes —
-    /// the per-stage cluster makespan never exceeds the fenced one.
-    fn step_pipelined(&mut self) {
+    /// One LSRK stage on every chip: entry → { Volume ∥ halo } → fence →
+    /// Flux → Integration. The protocol decides exactly three things
+    /// (module docs): the stage-entry clocks, whether the outbound link
+    /// charges ride ahead of or behind the ghost landing, and which
+    /// pre-Flux fence joins the lanes. Everything else — the instruction
+    /// streams, their per-chip order, and the accounting — is shared.
+    fn run_stage(&mut self, stage: usize) {
         let nodes = self.mappings[0].nodes();
-        for stage in 0..Lsrk5::STAGES {
-            let metrics_on = pim_metrics::enabled();
-            // One causal flow id per halo message this stage (see
-            // `step_fenced`); here the id additionally ties the inbound
-            // charge to the *sender's* stage entry that floors it.
-            let flow_base = self.flow_counter;
-            self.flow_counter += self.messages.len() as u64;
-            // 1. Per-chip stage cursor. A chip's compute clock already
-            // covers everything its own Flux fenced last stage; its
-            // outbound tail may still be draining and is *not* waited
-            // for here.
-            let starts: Vec<f64> = self.chips.iter().map(|c| c.elapsed()).collect();
+        let fenced = self.protocol == ClusterProtocol::Fenced;
+        let metrics_on = pim_metrics::enabled();
+        // One causal flow id per halo message this stage, shared by the
+        // message's link endpoints, ghost arrivals and fence release so a
+        // trace consumer can walk the dependency edge (and, for the
+        // inbound charge, to the sender's stage entry that floors it).
+        let flow_base = self.flow_counter;
+        self.flow_counter += self.messages.len() as u64;
 
-            // The skew bound: entering this stage, every chip that
-            // sends to `dst` must have entered the previous one —
-            // guaranteed because last stage's fence floored `dst` at
-            // `prev_starts[src]` plus a positive link duration. Link
-            // neighbors are therefore never more than one stage apart.
-            for m in &self.messages {
-                assert!(
-                    starts[m.dst] >= self.prev_starts[m.src] - 1e-12,
-                    "pipelined skew bound violated: chip {} entered a stage at {:.6e}s \
-                     before its in-neighbor {} entered the previous one ({:.6e}s)",
-                    m.dst,
-                    starts[m.dst],
-                    m.src,
-                    self.prev_starts[m.src],
-                );
+        // 1. Stage entry (protocol decision 1). Fenced: the lockstep
+        // barrier at the cluster-wide simulated time, both lanes
+        // counted (a chip still draining its off-chip port holds the
+        // whole cluster back). Pipelined: each chip at its own compute
+        // clock, which already covers everything its last Flux fenced;
+        // an outbound tail still draining is *not* waited for.
+        let starts: Vec<f64> = match self.protocol {
+            ClusterProtocol::Fenced => vec![self.elapsed(); self.chips.len()],
+            ClusterProtocol::Pipelined => self.chips.iter().map(|c| c.elapsed()).collect(),
+        };
+
+        // The skew bound: entering this stage, every chip that sends to
+        // `dst` must have entered the previous one — guaranteed because
+        // last stage's fence floored `dst` at `prev_starts[src]` plus a
+        // positive link duration. Link neighbors are therefore never
+        // more than one stage apart (trivially so at a barrier).
+        for m in &self.messages {
+            assert!(
+                starts[m.dst] >= self.prev_starts[m.src] - 1e-12,
+                "pipelined skew bound violated: chip {} entered a stage at {:.6e}s \
+                 before its in-neighbor {} entered the previous one ({:.6e}s)",
+                m.dst,
+                starts[m.dst],
+                m.src,
+                self.prev_starts[m.src],
+            );
+        }
+        let spread = starts.iter().fold(0.0f64, |m, &s| m.max(s))
+            - starts.iter().fold(f64::INFINITY, |m, &s| m.min(s));
+        let spread = spread.max(0.0);
+        self.halo.max_skew_seconds = self.halo.max_skew_seconds.max(spread);
+        if metrics_on {
+            // Fixed-bucket histogram so a scrape sees the whole skew
+            // distribution across stages, not just the last sample.
+            pim_metrics::global()
+                .histogram("cluster_stage_skew_seconds", &[], SKEW_BUCKETS)
+                .observe(spread);
+        }
+        for (c, chip) in self.chips.iter_mut().enumerate() {
+            chip.advance_barrier(starts[c]);
+        }
+
+        // 1b. Host-placed math: the per-stage sqrt/inverse refresh
+        // *gates* this chip's stage (the staged constants it produces
+        // are Volume/Flux inputs), so its window anchors at the chip's
+        // stage entry and the chip's barrier advances to its end.
+        // Nothing happens on the legacy path (cost is ZERO when no
+        // placement or nothing stays on the host).
+        for (c, chip) in self.chips.iter_mut().enumerate() {
+            let cost = self.math_host_cost[c];
+            if cost.seconds <= 0.0 {
+                continue;
             }
-            let spread = starts.iter().fold(0.0f64, |m, &s| m.max(s))
-                - starts.iter().fold(f64::INFINITY, |m, &s| m.min(s));
-            let spread = spread.max(0.0);
-            self.halo.max_skew_seconds = self.halo.max_skew_seconds.max(spread);
+            let (t0, t1) =
+                chip.charge_host_math(starts[c], cost.seconds, cost.joules, self.math_host_ops[c]);
+            chip.advance_barrier(t1);
+            end_kernel_span_at(chip, Kernel::HostPreprocess, stage as u8, t0, t1);
+            self.math.host_seconds[c] += t1 - t0;
+            self.math.exposed_seconds[c] += (t1 - starts[c]).max(0.0);
             if metrics_on {
-                // Fixed-bucket histogram so a scrape sees the whole skew
-                // distribution across stages, not just the last sample.
-                pim_metrics::global()
-                    .histogram("cluster_stage_skew_seconds", &[], SKEW_BUCKETS)
-                    .observe(spread);
+                let reg = pim_metrics::global();
+                let labels = [("chip", chip.metrics_label())];
+                reg.float_counter("cluster_math_host_seconds_total", &labels).add(t1 - t0);
+                reg.float_counter("cluster_math_exposed_seconds_total", &labels)
+                    .add((t1 - starts[c]).max(0.0));
             }
+        }
 
-            for (c, chip) in self.chips.iter_mut().enumerate() {
-                chip.advance_barrier(starts[c]);
+        // The halo window (2a–2d) rides the off-chip lane; snapshot each
+        // chip's lane time and energy here so its close can publish the
+        // deltas.
+        let halo_open: Vec<(f64, f64)> = if metrics_on {
+            self.chips.iter().map(|c| (c.offchip_time(), c.ledger().dynamic())).collect()
+        } else {
+            Vec::new()
+        };
+
+        // 2a. Halo send snapshot. Functionally extract the send sets
+        // first — every message must carry *pre-stage* variables even
+        // though the sequential message loop interleaves sends and
+        // receives — and charge the snapshot DMAs to each chip's
+        // off-chip lane.
+        for (s, sends) in self.send_sets.iter().enumerate() {
+            self.mappings[s].extract_vars_subset(&mut self.chips[s], sends, &mut self.staging);
+            self.chips[s].execute(&self.programs[s].halo_store);
+        }
+
+        // 2b. The link transfers stream while Volume computes: each
+        // message occupies both endpoints' off-chip ports. The whole
+        // exchange is *enqueued* ahead of the Volume stream (like an
+        // async prefetch, before Volume's trailing Sync raises the
+        // program-order barrier), but in simulated time it rides the
+        // off-chip lane concurrently with the kernel. Inbound charges
+        // are floored at the *sender's* stage entry: a chip running
+        // ahead cannot take delivery of a payload its producer has not
+        // started computing (a no-op at a barrier). Protocol decision 2:
+        // the fenced schedule charges the outbound side here too,
+        // interleaved per message ahead of the ghost landing.
+        for (i, m) in self.messages.iter().enumerate() {
+            let bytes = m.bytes(nodes);
+            let flow = flow_base + i as u64;
+            if fenced {
+                let d_src =
+                    self.chips[m.src].link_transfer_tagged(&self.link, bytes, 0.0, flow, false);
+                self.halo.link_seconds[m.src] += d_src;
             }
+            let d_dst = self.chips[m.dst].link_transfer_tagged(
+                &self.link,
+                bytes,
+                starts[m.src],
+                flow,
+                true,
+            );
+            self.halo.link_seconds[m.dst] += d_dst;
+            self.halo.messages += 1;
+            self.halo.payload_bytes += bytes;
+        }
 
-            // 1b. Host-placed math, anchored at each chip's own stage
-            // entry instead of a global barrier; it still gates only
-            // *this* chip's stage kernels.
-            for (c, chip) in self.chips.iter_mut().enumerate() {
-                let cost = self.math_host_cost[c];
-                if cost.seconds <= 0.0 {
-                    continue;
-                }
-                let (t0, t1) = chip.charge_host_math(
-                    starts[c],
-                    cost.seconds,
-                    cost.joules,
-                    self.math_host_ops[c],
-                );
-                chip.advance_barrier(t1);
-                end_kernel_span_at(chip, Kernel::HostPreprocess, stage as u8, t0, t1);
-                self.math.host_seconds[c] += t1 - t0;
-                self.math.exposed_seconds[c] += (t1 - starts[c]).max(0.0);
-                if metrics_on {
-                    let reg = pim_metrics::global();
-                    let labels = [("chip", chip.metrics_label())];
-                    reg.float_counter("cluster_math_host_seconds_total", &labels).add(t1 - t0);
-                    reg.float_counter("cluster_math_exposed_seconds_total", &labels)
-                        .add((t1 - starts[c]).max(0.0));
-                }
-            }
+        // 2c. Ghost landing: the received variables reach the ghost
+        // blocks functionally, and the landing DMAs occupy both the
+        // off-chip lane and the ghost blocks — Flux cannot read a ghost
+        // before its data arrives.
+        let staging = &self.staging;
+        let (mappings, ghosts, programs) = (&self.mappings, &self.ghosts, &self.programs);
+        let ghost_block_msgs = &self.ghost_block_msgs;
+        self.chips.par_chunks_mut(1).enumerate().for_each(|(c, chunk)| {
+            let chip = &mut chunk[0];
+            mappings[c].load_vars_subset(chip, staging, &ghosts[c]);
+            chip.execute(&programs[c].halo_load);
+            record_block_arrivals(chip, &ghost_block_msgs[c], flow_base);
+        });
 
-            let halo_open: Vec<(f64, f64)> = if metrics_on {
-                self.chips.iter().map(|c| (c.offchip_time(), c.ledger().dynamic())).collect()
-            } else {
-                Vec::new()
-            };
-
-            // 2a. Halo send snapshot — identical to the fenced path:
-            // extract every send set first (pre-stage variables), then
-            // charge the snapshot DMAs to each chip's off-chip lane.
-            for (s, sends) in self.send_sets.iter().enumerate() {
-                self.mappings[s].extract_vars_subset(&mut self.chips[s], sends, &mut self.staging);
-                if self.use_program_cache {
-                    self.chips[s].execute(&self.programs[s].halo_store);
-                } else {
-                    let store = self.mappings[s].compile_halo_store_for(sends);
-                    self.chips[s].execute(&store);
-                }
-            }
-
-            // 2b. Inbound (receive-side) link charges, floored at each
-            // message's *sender* stage entry: a chip running ahead
-            // cannot take delivery of a payload its producer has not
-            // started computing. The floor is what both bounds the skew
-            // and keeps the schedule dominated by the fenced one
-            // (`starts[src] ≤` the fenced barrier).
+        // 2d. The pipelined schedule's outbound charges ride the lane
+        // *behind* the ghost landings: its fence waits only for the
+        // ghost blocks, so this tail drains concurrently with
+        // Flux/Integration. The HaloExchange span closes on the off-chip
+        // lane, where the exchange really ends (typically mid-Volume).
+        if !fenced {
             for (i, m) in self.messages.iter().enumerate() {
-                let bytes = m.bytes(nodes);
-                let d_dst = self.chips[m.dst].link_transfer_tagged(
-                    &self.link,
-                    bytes,
-                    starts[m.src],
-                    flow_base + i as u64,
-                    true,
-                );
-                self.halo.link_seconds[m.dst] += d_dst;
-                self.halo.messages += 1;
-                self.halo.payload_bytes += bytes;
-            }
-
-            // 2c. Ghost landing, queued directly behind the inbound
-            // charges so the pre-Flux fence covers exactly the
-            // store → inbound → landing chain.
-            let staging = &self.staging;
-            let (mappings, ghosts) = (&self.mappings, &self.ghosts);
-            let (programs, cached) = (&self.programs, self.use_program_cache);
-            let ghost_block_msgs = &self.ghost_block_msgs;
-            self.chips.par_chunks_mut(1).enumerate().for_each(|(c, chunk)| {
-                let chip = &mut chunk[0];
-                mappings[c].load_vars_subset(chip, staging, &ghosts[c]);
-                if cached {
-                    chip.execute(&programs[c].halo_load);
-                } else {
-                    chip.execute(&mappings[c].compile_halo_load_for(&ghosts[c]));
-                }
-                record_block_arrivals(chip, &ghost_block_msgs[c], flow_base);
-            });
-
-            // 2d. Outbound (send-side) link charges ride the lane
-            // *behind* the ghost landings: the fence below waits only
-            // for the ghost blocks, so this tail drains concurrently
-            // with Flux/Integration — the pipelined win. Posted before
-            // Volume in host order so Volume's trailing Sync cannot
-            // delay it. The HaloExchange span closes here, where the
-            // exchange really ends on each chip's lane.
-            for (i, m) in self.messages.iter().enumerate() {
-                let bytes = m.bytes(nodes);
+                let flow = flow_base + i as u64;
                 let d_src = self.chips[m.src].link_transfer_tagged(
                     &self.link,
-                    bytes,
+                    m.bytes(nodes),
                     0.0,
-                    flow_base + i as u64,
+                    flow,
                     false,
                 );
                 self.halo.link_seconds[m.src] += d_src;
             }
-            for (c, chip) in self.chips.iter_mut().enumerate() {
-                let t1 = chip.offchip_time();
-                end_kernel_span_at(chip, Kernel::HaloExchange, stage as u8, starts[c], t1);
-                if metrics_on {
-                    record_cluster_halo(chip, halo_open[c].0, halo_open[c].1);
-                }
+        }
+        for (c, chip) in self.chips.iter_mut().enumerate() {
+            let t1 = chip.offchip_time();
+            end_kernel_span_at(chip, Kernel::HaloExchange, stage as u8, starts[c], t1);
+            if metrics_on {
+                record_cluster_kernel(chip, "HaloExchange", halo_open[c].0, halo_open[c].1);
             }
+        }
 
-            // 2e. Volume at each chip's own stage entry on the compute
-            // lane — nothing above advanced `elapsed`, exactly as in
-            // the fenced schedule.
-            let (mappings, residents) = (&self.mappings, &self.residents);
-            let math_onpim = &mut self.math.onpim_seconds;
-            let math_host_cost = &self.math_host_cost;
-            let starts_ref = &starts;
-            self.chips.par_chunks_mut(1).zip(math_onpim.par_chunks_mut(1)).enumerate().for_each(
-                |(c, (chunk, onpim))| {
-                    let chip = &mut chunk[0];
-                    let mut vol_t0 = if math_host_cost[c].seconds > 0.0 {
-                        chip.elapsed().max(starts_ref[c])
-                    } else {
-                        starts_ref[c]
-                    };
-                    if programs[c].math.is_some() {
-                        let t0 = begin_kernel_span(chip);
-                        let (busy0, energy0) = kernel_window_open(chip);
-                        let before = chip.elapsed();
-                        if cached {
-                            chip.execute(programs[c].math.as_ref().unwrap());
-                        } else {
-                            chip.execute(&mappings[c].compile_math_stage_for(&residents[c]));
-                        }
-                        onpim[0] += chip.elapsed() - before;
-                        end_kernel_span(chip, Kernel::MathRefine, stage as u8, t0);
-                        record_cluster_kernel(chip, "MathRefine", busy0, energy0);
-                        if metrics_on {
-                            pim_metrics::global()
-                                .float_counter(
-                                    "cluster_math_onpim_seconds_total",
-                                    &[("chip", chip.metrics_label())],
-                                )
-                                .add((chip.elapsed() - before).max(0.0));
-                        }
-                        vol_t0 = chip.elapsed();
-                    }
+        // 2e. Volume at the chip's stage entry on the compute lane: it
+        // reads only each element's own columns, so nothing above
+        // delays it — the lane ops did not advance `elapsed`, and the
+        // resident blocks are not DMA targets.
+        let math_onpim = &mut self.math.onpim_seconds;
+        let (math_host_cost, starts_ref) = (&self.math_host_cost, &starts);
+        self.chips.par_chunks_mut(1).zip(math_onpim.par_chunks_mut(1)).enumerate().for_each(
+            |(c, (chunk, onpim))| {
+                let chip = &mut chunk[0];
+                // Volume opens at the stage entry unless a math window
+                // (host gate or on-PIM refine) pushed this chip past it.
+                let mut vol_t0 = if math_host_cost[c].seconds > 0.0 {
+                    chip.elapsed().max(starts_ref[c])
+                } else {
+                    starts_ref[c]
+                };
+                // On-PIM math refinement runs first on the compute lane:
+                // the finalize multiplies write the staged constants
+                // Volume is about to broadcast.
+                if let Some(math) = &programs[c].math {
+                    let t0 = begin_kernel_span(chip);
                     let (busy0, energy0) = kernel_window_open(chip);
-                    if cached {
-                        chip.execute(&programs[c].volume);
-                    } else {
-                        chip.execute(&mappings[c].compile_volume_for(&residents[c]));
-                    }
-                    end_kernel_span(chip, Kernel::Volume, stage as u8, vol_t0);
-                    record_cluster_kernel(chip, "Volume", busy0, energy0);
-                },
-            );
-
-            // 3. Per-block fence: Flux reads exactly the ghost blocks,
-            // so the compute lane joins only their readiness. Whatever
-            // the Volume window could not hide of the
-            // store → inbound → landing chain is this stage's exposed
-            // halo; the outbound tail is never charged here.
-            let skip_fence = self.chips.len() == 1
-                && self.math_decisions[0].placement.is_some_and(|p| !p.any_host());
-            if !skip_fence {
-                let ghost_blocks = &self.ghost_blocks;
-                let ghost_block_msgs = &self.ghost_block_msgs;
-                for (c, chip) in self.chips.iter_mut().enumerate() {
                     let before = chip.elapsed();
-                    chip.fence_blocks(&ghost_blocks[c]);
-                    let exposed = chip.elapsed() - before;
-                    self.halo.exposed_seconds[c] += exposed;
-                    record_fence_wait(chip, "blocks", &ghost_block_msgs[c], flow_base, before);
+                    chip.execute(math);
+                    onpim[0] += chip.elapsed() - before;
+                    end_kernel_span(chip, Kernel::MathRefine, stage as u8, t0);
+                    record_cluster_kernel(chip, "MathRefine", busy0, energy0);
                     if metrics_on {
                         pim_metrics::global()
                             .float_counter(
-                                "cluster_exposed_halo_seconds_total",
+                                "cluster_math_onpim_seconds_total",
                                 &[("chip", chip.metrics_label())],
                             )
-                            .add(exposed.max(0.0));
+                            .add((chip.elapsed() - before).max(0.0));
                     }
+                    vol_t0 = chip.elapsed();
+                }
+                let (busy0, energy0) = kernel_window_open(chip);
+                chip.execute(&programs[c].volume);
+                end_kernel_span(chip, Kernel::Volume, stage as u8, vol_t0);
+                record_cluster_kernel(chip, "Volume", busy0, energy0);
+            },
+        );
+
+        // 3. Fence (protocol decision 3): only Flux waits for the
+        // exchange. Fenced joins the chip's whole off-chip lane;
+        // pipelined joins only the ghost blocks Flux reads, so its
+        // outbound tail is never charged here. Whatever the Volume
+        // window could not hide is the stage's exposed halo. A
+        // single-chip cluster running its math fully on-PIM has no halo
+        // in flight and no host round-trip left mid-stage, so the fence
+        // is provably a no-op and is skipped.
+        let skip_fence = self.chips.len() == 1
+            && self.math_decisions[0].placement.is_some_and(|p| !p.any_host());
+        if !skip_fence {
+            for (c, chip) in self.chips.iter_mut().enumerate() {
+                let before = chip.elapsed();
+                let kind = if fenced {
+                    chip.fence_offchip();
+                    "offchip"
+                } else {
+                    chip.fence_blocks(&self.ghost_blocks[c]);
+                    "blocks"
+                };
+                let exposed = chip.elapsed() - before;
+                self.halo.exposed_seconds[c] += exposed;
+                record_fence_wait(chip, kind, &self.ghost_block_msgs[c], flow_base, before);
+                if metrics_on {
+                    pim_metrics::global()
+                        .float_counter(
+                            "cluster_exposed_halo_seconds_total",
+                            &[("chip", chip.metrics_label())],
+                        )
+                        .add(exposed.max(0.0));
                 }
             }
-
-            // 4. Flux → Integration, identical to the fenced path
-            // except the RkStage span anchors at this chip's own stage
-            // entry.
-            let (mappings, residents) = (&self.mappings, &self.residents);
-            self.chips.par_chunks_mut(1).zip(self.programs.par_chunks_mut(1)).enumerate().for_each(
-                |(c, (chunk, progs))| {
-                    let chip = &mut chunk[0];
-                    let prog = &mut progs[0];
-                    let m = &mappings[c];
-                    let res = &residents[c];
-
-                    let t0 = begin_kernel_span(chip);
-                    let (busy0, energy0) = kernel_window_open(chip);
-                    if cached {
-                        chip.execute(&prog.flux);
-                    } else {
-                        chip.execute(&m.compile_flux_phased_for(res));
-                    }
-                    end_kernel_span(chip, Kernel::Flux, stage as u8, t0);
-                    record_cluster_kernel(chip, "Flux", busy0, energy0);
-
-                    let t0 = begin_kernel_span(chip);
-                    let (busy0, energy0) = kernel_window_open(chip);
-                    if cached {
-                        #[cfg(debug_assertions)]
-                        let verify = prog.integration.take_verify(stage);
-                        let stream = prog.integration.for_stage(stage);
-                        #[cfg(debug_assertions)]
-                        if verify {
-                            assert_eq!(
-                                stream,
-                                &m.compile_integration_for(res, stage),
-                                "patched Integration replay diverged from a fresh compile"
-                            );
-                        }
-                        chip.execute(stream);
-                    } else {
-                        chip.execute(&m.compile_integration_for(res, stage));
-                    }
-                    end_kernel_span(chip, Kernel::Integration, stage as u8, t0);
-                    record_cluster_kernel(chip, "Integration", busy0, energy0);
-
-                    end_kernel_span(chip, Kernel::RkStage, stage as u8, starts_ref[c]);
-                },
-            );
-
-            self.prev_starts = starts;
-            self.stage_makespans.push(self.elapsed());
-            self.halo.stages += 1;
-            self.math.stages += 1;
-            if metrics_on {
-                pim_metrics::global().counter("cluster_stages_total", &[]).inc();
-            }
         }
-        self.publish_step_gauges();
+
+        // 4. Flux → Integration on the compute lane. Integration is the
+        // one per-stage-varying stream: its cached program is patched to
+        // this stage's A/B coefficients in place, and debug builds verify
+        // the patched replay against a fresh compile byte for byte.
+        #[cfg(debug_assertions)]
+        let (mappings, residents) = (&self.mappings, &self.residents);
+        self.chips.par_chunks_mut(1).zip(self.programs.par_chunks_mut(1)).enumerate().for_each(
+            |(c, (chunk, progs))| {
+                let chip = &mut chunk[0];
+                let prog = &mut progs[0];
+
+                let t0 = begin_kernel_span(chip);
+                let (busy0, energy0) = kernel_window_open(chip);
+                chip.execute(&prog.flux);
+                end_kernel_span(chip, Kernel::Flux, stage as u8, t0);
+                record_cluster_kernel(chip, "Flux", busy0, energy0);
+
+                let t0 = begin_kernel_span(chip);
+                let (busy0, energy0) = kernel_window_open(chip);
+                #[cfg(debug_assertions)]
+                let verify = prog.integration.take_verify(stage);
+                let stream = prog.integration.for_stage(stage);
+                // Byte-identity with a fresh compile, proven once per
+                // (chip, stage) — the program is immutable after that,
+                // so re-checking every step would just re-pay
+                // compilation in debug builds.
+                #[cfg(debug_assertions)]
+                if verify {
+                    assert_eq!(
+                        stream,
+                        &mappings[c].compile_integration_for(&residents[c], stage),
+                        "patched Integration replay diverged from a fresh compile"
+                    );
+                }
+                chip.execute(stream);
+                end_kernel_span(chip, Kernel::Integration, stage as u8, t0);
+                record_cluster_kernel(chip, "Integration", busy0, energy0);
+
+                end_kernel_span(chip, Kernel::RkStage, stage as u8, starts_ref[c]);
+            },
+        );
+
+        self.prev_starts = starts;
+        self.stage_makespans.push(self.elapsed());
+        self.halo.stages += 1;
+        self.math.stages += 1;
+        if metrics_on {
+            pim_metrics::global().counter("cluster_stages_total", &[]).inc();
+        }
     }
 
     /// Per-chip occupancy gauges published at the end of every step:
@@ -1547,5 +1234,36 @@ impl ClusterRunner {
     /// Per-chip trace process ids (allocated at construction).
     pub fn trace_pids(&mut self) -> Vec<u32> {
         self.chips.iter_mut().map(|c| c.trace_pid()).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wavesim_mesh::Boundary;
+
+    /// The compile-once cache, instruction for instruction, against
+    /// fresh compiles from each chip's mapping — Integration's in-place
+    /// patching included, with stages visited out of order and revisited.
+    #[test]
+    fn cached_programs_equal_fresh_compiles() {
+        let mesh = HexMesh::refinement_level(2, Boundary::Periodic);
+        let initial = State::zeros(mesh.num_elements(), 4, 8);
+        let config = ClusterConfig::new(2).with_math(MathConfig::on_pim());
+        let material = AcousticMaterial::new(2.0, 1.0);
+        let mut r =
+            ClusterRunner::new(&mesh, 2, FluxKind::Riemann, material, &initial, 1e-3, config);
+        for (c, prog) in r.programs.iter_mut().enumerate() {
+            let (m, res) = (&r.mappings[c], &r.residents[c]);
+            assert_eq!(prog.halo_store, m.compile_halo_store_for(&r.send_sets[c]), "chip {c}");
+            assert_eq!(prog.halo_load, m.compile_halo_load_for(&r.ghosts[c]), "chip {c}");
+            assert_eq!(prog.volume, m.compile_volume_for(res), "chip {c}");
+            assert_eq!(prog.flux, m.compile_flux_phased_for(res), "chip {c}");
+            assert_eq!(prog.math.as_ref(), Some(&m.compile_math_stage_for(res)), "chip {c}");
+            for s in [4, 0, 3, 1, 2, 4] {
+                let fresh = m.compile_integration_for(res, s);
+                assert_eq!(prog.integration.for_stage(s), &fresh, "chip {c} stage {s}");
+            }
+        }
     }
 }

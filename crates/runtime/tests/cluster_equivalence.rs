@@ -2,7 +2,7 @@
 //! the native dG solver exactly, for the same ≤1e-12 bound the
 //! single-chip mapping meets.
 
-use pim_cluster::{ClusterConfig, ClusterRunner};
+use pim_cluster::{ClusterConfig, ClusterProtocol, ClusterRunner};
 use wavesim_dg::{Acoustic, AcousticMaterial, FluxKind, Solver};
 use wavesim_mesh::{Boundary, HexMesh};
 
@@ -73,28 +73,30 @@ fn cluster_time_and_halo_accounting_are_sane() {
     let mesh = HexMesh::refinement_level(2, Boundary::Periodic);
     let material = AcousticMaterial::new(2.0, 1.0);
     let reference = native(&mesh, 2, FluxKind::Riemann, material);
-    let mut cluster = ClusterRunner::new(
-        &mesh,
-        2,
-        FluxKind::Riemann,
-        material,
-        reference.state(),
-        1e-3,
-        ClusterConfig::new(2),
-    );
-    cluster.step();
-    let stats = cluster.halo_stats();
-    assert_eq!(stats.stages, 5);
-    // Two shards exchange one message per direction per stage.
-    assert_eq!(stats.messages, 2 * 5);
-    assert!(stats.payload_bytes > 0);
-    assert!(stats.seconds_per_stage() > 0.0);
-    assert!(cluster.elapsed() > 0.0);
-    let reports = cluster.finish_reports();
-    assert_eq!(reports.len(), 2);
-    for r in &reports {
-        // Every chip computed and took halo traffic through its port.
-        assert!(r.ledger.compute > 0.0);
-        assert!(r.ledger.offchip > 0.0);
+    for protocol in [ClusterProtocol::Fenced, ClusterProtocol::Pipelined] {
+        let mut cluster = ClusterRunner::new(
+            &mesh,
+            2,
+            FluxKind::Riemann,
+            material,
+            reference.state(),
+            1e-3,
+            ClusterConfig::new(2).with_protocol(protocol),
+        );
+        cluster.step();
+        let stats = cluster.halo_stats();
+        assert_eq!(stats.stages, 5);
+        // Two shards exchange one message per direction per stage.
+        assert_eq!(stats.messages, 2 * 5);
+        assert!(stats.payload_bytes > 0);
+        assert!(stats.seconds_per_stage() > 0.0, "{protocol:?}");
+        assert!(cluster.elapsed() > 0.0, "{protocol:?}");
+        let reports = cluster.finish_reports();
+        assert_eq!(reports.len(), 2);
+        for r in &reports {
+            // Every chip computed and took halo traffic through its port.
+            assert!(r.ledger.compute > 0.0);
+            assert!(r.ledger.offchip > 0.0);
+        }
     }
 }

@@ -32,7 +32,6 @@ fn element_blocks_hold_at_most_two_tiles_after_a_cached_step() {
         1e-3,
         ClusterConfig::new(2),
     );
-    assert!(cluster.program_cache_enabled());
     cluster.step();
 
     let (mut blocks, mut most) = (0, 0);

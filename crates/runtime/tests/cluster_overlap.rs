@@ -1,9 +1,9 @@
 //! The overlapped halo exchange, observed from the outside: traced
 //! off-chip spans must land *inside* the Volume windows (the schedule's
 //! whole point), and the HaloExchange envelope must cover the link time
-//! it wraps.
+//! it wraps — under both protocols.
 
-use pim_cluster::{ClusterConfig, ClusterRunner};
+use pim_cluster::{ClusterConfig, ClusterProtocol, ClusterRunner};
 use pim_trace::timeline::offchip_kernel_overlap;
 use pim_trace::Kernel;
 use wavesim_dg::{AcousticMaterial, FluxKind, State};
@@ -11,6 +11,12 @@ use wavesim_mesh::{Boundary, HexMesh};
 
 #[test]
 fn traced_offchip_halo_spans_overlap_the_volume_windows() {
+    for protocol in [ClusterProtocol::Fenced, ClusterProtocol::Pipelined] {
+        check_overlap(protocol);
+    }
+}
+
+fn check_overlap(protocol: ClusterProtocol) {
     let mesh = HexMesh::refinement_level(3, Boundary::Periodic);
     let n = 2;
     let initial = State::zeros(mesh.num_elements(), 4, n * n * n);
@@ -25,7 +31,7 @@ fn traced_offchip_halo_spans_overlap_the_volume_windows() {
         AcousticMaterial::new(2.0, 1.0),
         &initial,
         1e-3,
-        ClusterConfig::new(2),
+        ClusterConfig::new(2).with_protocol(protocol),
     );
     cluster.step();
     let pids = cluster.trace_pids();
@@ -41,7 +47,7 @@ fn traced_offchip_halo_spans_overlap_the_volume_windows() {
         let overlap = offchip_kernel_overlap(&events, pid, Kernel::Volume);
         assert!(
             overlap > 0.0,
-            "chip {c}: no off-chip work overlapped Volume — the halo is bulk-synchronous"
+            "{protocol:?} chip {c}: no off-chip work overlapped Volume — the halo is bulk-synchronous"
         );
 
         // The HaloExchange envelopes (barrier → last ghost DMA) must
@@ -58,7 +64,7 @@ fn traced_offchip_halo_spans_overlap_the_volume_windows() {
             .sum();
         assert!(
             halo_span >= stats.link_seconds[c] - 1e-18,
-            "chip {c}: HaloExchange spans ({halo_span:e} s) shorter than the link time \
+            "{protocol:?} chip {c}: HaloExchange spans ({halo_span:e} s) shorter than the link time \
              they wrap ({:e} s)",
             stats.link_seconds[c]
         );
@@ -80,7 +86,7 @@ fn traced_offchip_halo_spans_overlap_the_volume_windows() {
         for e in events.iter().filter(|e| e.pid == pid && e.tid == pim_trace::TID_OFFCHIP) {
             assert!(
                 windows.iter().any(|&(w0, w1)| e.t0 >= w0 - 1e-18 && e.t1 <= w1 + 1e-18),
-                "chip {c}: off-chip event [{:e}, {:e}] outside every HaloExchange window",
+                "{protocol:?} chip {c}: off-chip event [{:e}, {:e}] outside every HaloExchange window",
                 e.t0,
                 e.t1
             );

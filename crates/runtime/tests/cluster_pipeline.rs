@@ -182,27 +182,6 @@ fn sixteen_chip_level4_pipelined_matches_native_solver() {
 }
 
 #[test]
-fn protocol_switch_mid_run_does_not_change_the_state() {
-    // The protocols share one compiled program set, so flipping the
-    // schedule between steps must leave the numerics untouched.
-    let mesh = HexMesh::refinement_level(3, Boundary::Periodic);
-    let material = AcousticMaterial::new(2.0, 1.0);
-    let reference = native(&mesh, 2, material);
-
-    let mut fenced =
-        runner(&mesh, 2, reference.state(), 2, ChipCapacity::Gb2, ClusterProtocol::Fenced);
-    fenced.run(2);
-
-    let mut mixed =
-        runner(&mesh, 2, reference.state(), 2, ChipCapacity::Gb2, ClusterProtocol::Pipelined);
-    mixed.step();
-    mixed.set_protocol(ClusterProtocol::Fenced);
-    mixed.step();
-
-    assert_eq!(fenced.state().max_abs_diff(&mixed.state()), 0.0);
-}
-
-#[test]
 fn pipelined_exposed_halo_never_exceeds_fenced() {
     // Per-chip exposed-halo accounting: the per-block fence can only
     // wait for less than the whole-lane fence.

@@ -2,15 +2,22 @@
 //! acoustic step must (a) match the native solver ≤ 1e-12, (b) surface
 //! the halo traffic as off-chip events on each chip's own process row,
 //! and (c) reconcile every chip's traced energy with its ledger, the
-//! same cross-check `trace_crosscheck.rs` performs for one chip.
+//! same cross-check `trace_crosscheck.rs` performs for one chip — under
+//! both protocols.
 
-use pim_cluster::{ClusterConfig, ClusterRunner};
+use pim_cluster::{ClusterConfig, ClusterProtocol, ClusterRunner};
 use pim_trace::{Kernel, Payload, TID_OFFCHIP};
 use wavesim_dg::{Acoustic, AcousticMaterial, FluxKind, Solver};
 use wavesim_mesh::{Boundary, HexMesh};
 
 #[test]
 fn two_chip_level3_halo_traffic_is_traced_and_reconciles() {
+    for protocol in [ClusterProtocol::Fenced, ClusterProtocol::Pipelined] {
+        check_traced_step(protocol);
+    }
+}
+
+fn check_traced_step(protocol: ClusterProtocol) {
     let mesh = HexMesh::refinement_level(3, Boundary::Periodic);
     let n = 2;
     let material = AcousticMaterial::new(2.0, 1.0);
@@ -37,7 +44,7 @@ fn two_chip_level3_halo_traffic_is_traced_and_reconciles() {
         material,
         reference.state(),
         dt,
-        ClusterConfig::new(2),
+        ClusterConfig::new(2).with_protocol(protocol),
     );
     cluster.step();
     let merged = cluster.state();
@@ -50,7 +57,7 @@ fn two_chip_level3_halo_traffic_is_traced_and_reconciles() {
     // (a) numerics.
     reference.step(dt);
     let diff = merged.max_abs_diff(reference.state());
-    assert!(diff <= 1e-12, "traced 2-chip cluster diverged: {diff:e}");
+    assert!(diff <= 1e-12, "{protocol:?}: traced 2-chip cluster diverged: {diff:e}");
 
     // (b) each chip has its own labeled process row carrying off-chip
     // halo events. The overlapped protocol streams the exchange as
@@ -62,7 +69,11 @@ fn two_chip_level3_halo_traffic_is_traced_and_reconciles() {
         assert!(pim_trace::pid_label(pid).starts_with(&format!("pim-cluster chip {i}")));
         let offchip: Vec<_> =
             events.iter().filter(|e| e.pid == pid && e.tid == TID_OFFCHIP).collect();
-        assert_eq!(offchip.len(), 5 * (128 + 2 + 128), "chip {i}: snapshot + link + ghost events");
+        assert_eq!(
+            offchip.len(),
+            5 * (128 + 2 + 128),
+            "{protocol:?} chip {i}: snapshot + link + ghost events"
+        );
         let mut sends = 0;
         let mut recvs = 0;
         for e in &offchip {
@@ -72,18 +83,20 @@ fn two_chip_level3_halo_traffic_is_traced_and_reconciles() {
                 }
                 Payload::Link { bytes, energy_j, flow, inbound } => {
                     assert!(bytes > 0 && energy_j > 0.0);
-                    assert!(flow != 0, "chip {i}: link charges carry a causal id");
+                    assert!(flow != 0, "{protocol:?} chip {i}: link charges carry a causal id");
                     if inbound {
                         recvs += 1;
                     } else {
                         sends += 1;
                     }
                 }
-                ref p => panic!("chip {i}: non-offchip payload on the offchip lane: {p:?}"),
+                ref p => {
+                    panic!("{protocol:?} chip {i}: non-offchip payload on the offchip lane: {p:?}")
+                }
             }
         }
         // The two link endpoints per stage are one send and one receive.
-        assert_eq!((sends, recvs), (5, 5), "chip {i}: link endpoint mix");
+        assert_eq!((sends, recvs), (5, 5), "{protocol:?} chip {i}: link endpoint mix");
         // Kernel rows carry the halo-exchange window plus the three
         // compute kernels for every stage.
         for kernel in [Kernel::HaloExchange, Kernel::Volume, Kernel::Flux, Kernel::Integration] {
@@ -94,7 +107,7 @@ fn two_chip_level3_halo_traffic_is_traced_and_reconciles() {
                         && matches!(e.payload, Payload::Kernel { kernel: k, .. } if k == kernel)
                 })
                 .count();
-            assert_eq!(windows, 5, "chip {i}: {} windows", kernel.name());
+            assert_eq!(windows, 5, "{protocol:?} chip {i}: {} windows", kernel.name());
         }
     }
 
@@ -106,7 +119,7 @@ fn two_chip_level3_halo_traffic_is_traced_and_reconciles() {
         let ledger = report.ledger.dynamic();
         assert!(
             (traced - ledger).abs() <= 0.01 * ledger,
-            "chip {i}: traced {traced} J vs ledger dynamic {ledger} J"
+            "{protocol:?} chip {i}: traced {traced} J vs ledger dynamic {ledger} J"
         );
     }
     // And the halo payload seen on the trace matches the runner's own

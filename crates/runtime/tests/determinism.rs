@@ -1,13 +1,11 @@
-//! Thread-count and program-cache determinism: the parallel runtime
-//! must be a pure performance lever, never a numerics lever.
+//! Thread-count determinism: the parallel runtime must be a pure
+//! performance lever, never a numerics lever.
 //!
 //! The execution pool deals disjoint chunks to workers and chips only
 //! interact at the sequential fences between kernel phases, so the
 //! simulated state must be *bit-identical* — not merely close — across
 //! worker counts, for both the cluster runner and the native dG solver
-//! whose kernels run on the same shim. Likewise, cached program replay
-//! executes byte-identical instruction streams to per-stage
-//! recompilation, so the two paths must agree exactly.
+//! whose kernels run on the same shim.
 
 use pim_cluster::{ClusterConfig, ClusterRunner};
 use wavesim_dg::{Acoustic, AcousticMaterial, FluxKind, Solver, State};
@@ -27,7 +25,7 @@ fn native(mesh: &HexMesh, n: usize, material: AcousticMaterial) -> Solver<Acoust
 
 /// One 2-chip level-3 cluster run at a pinned worker count, returning
 /// (merged cluster state, native state after the same steps).
-fn run_at(threads: usize, cache: bool, steps: usize) -> (State, State) {
+fn run_at(threads: usize, steps: usize) -> (State, State) {
     let mesh = HexMesh::refinement_level(3, Boundary::Periodic);
     let n = 2;
     let material = AcousticMaterial::new(2.0, 1.0);
@@ -44,7 +42,6 @@ fn run_at(threads: usize, cache: bool, steps: usize) -> (State, State) {
         dt,
         ClusterConfig::new(2),
     );
-    cluster.set_program_cache(cache);
     cluster.run(steps);
     reference.run(dt, steps);
     rayon::set_num_threads(0);
@@ -55,8 +52,8 @@ fn run_at(threads: usize, cache: bool, steps: usize) -> (State, State) {
 #[test]
 fn cluster_and_native_solver_are_bit_identical_across_thread_counts() {
     let steps = 2;
-    let (cluster1, native1) = run_at(1, true, steps);
-    let (cluster4, native4) = run_at(4, true, steps);
+    let (cluster1, native1) = run_at(1, steps);
+    let (cluster4, native4) = run_at(4, steps);
 
     assert_eq!(
         cluster1.as_slice(),
@@ -73,16 +70,4 @@ fn cluster_and_native_solver_are_bit_identical_across_thread_counts() {
     // bound — determinism alone could hide an everywhere-wrong result.
     let diff = cluster4.max_abs_diff(&native4);
     assert!(diff <= 1e-12, "4-thread cluster diverged from native dG: {diff:e}");
-}
-
-#[test]
-fn cached_replay_matches_per_stage_recompilation_exactly() {
-    let steps = 2;
-    let (cached, _) = run_at(4, true, steps);
-    let (recompiled, _) = run_at(4, false, steps);
-    assert_eq!(
-        cached.as_slice(),
-        recompiled.as_slice(),
-        "cached program replay altered the numerics"
-    );
 }

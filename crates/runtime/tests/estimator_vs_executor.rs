@@ -8,7 +8,12 @@ use pim_sim::{ChipConfig, InterChipLink};
 use wavesim_dg::{Acoustic, AcousticMaterial, FluxKind, Solver, State};
 use wavesim_mesh::{Boundary, HexMesh};
 
-fn measured_halo_seconds_per_stage(level: u32, n: usize, num_chips: usize) -> f64 {
+fn measured_halo_seconds_per_stage(
+    level: u32,
+    n: usize,
+    num_chips: usize,
+    protocol: ClusterProtocol,
+) -> f64 {
     let mesh = HexMesh::refinement_level(level, Boundary::Periodic);
     let material = AcousticMaterial::new(2.0, 1.0);
     let mut reference = Solver::<Acoustic>::uniform(mesh.clone(), n, FluxKind::Riemann, material);
@@ -20,7 +25,7 @@ fn measured_halo_seconds_per_stage(level: u32, n: usize, num_chips: usize) -> f6
         material,
         reference.state(),
         1e-3,
-        ClusterConfig::new(num_chips),
+        ClusterConfig::new(num_chips).with_protocol(protocol),
     );
     cluster.step();
     cluster.halo_stats().seconds_per_stage()
@@ -35,14 +40,16 @@ fn modeled_halo_time_is_within_2x_of_the_executor() {
     let probe = KernelProbe::measure(n, FluxKind::Riemann, ChipConfig::default_2gb());
     let modeled = estimate_cluster(level, chips, InterChipLink::default(), &probe)
         .halo_link_seconds_per_stage;
-    let measured = measured_halo_seconds_per_stage(level, n, chips);
-    assert!(modeled > 0.0 && measured > 0.0);
-    let ratio = measured / modeled;
-    assert!(
-        (0.5..2.0).contains(&ratio),
-        "halo estimator drifted from the executor: measured {measured:e}, \
-         modeled {modeled:e}, ratio {ratio:.3}"
-    );
+    for protocol in [ClusterProtocol::Fenced, ClusterProtocol::Pipelined] {
+        let measured = measured_halo_seconds_per_stage(level, n, chips, protocol);
+        assert!(modeled > 0.0 && measured > 0.0);
+        let ratio = measured / modeled;
+        assert!(
+            (0.5..2.0).contains(&ratio),
+            "{protocol:?}: halo estimator drifted from the executor: measured {measured:e}, \
+             modeled {modeled:e}, ratio {ratio:.3}"
+        );
+    }
 }
 
 #[test]
@@ -56,25 +63,28 @@ fn executor_exposes_less_halo_than_its_raw_link_time() {
     let mesh = HexMesh::refinement_level(level, Boundary::Periodic);
     let material = AcousticMaterial::new(2.0, 1.0);
     let initial = State::zeros(mesh.num_elements(), 4, n * n * n);
-    let mut cluster = ClusterRunner::new(
-        &mesh,
-        n,
-        FluxKind::Riemann,
-        material,
-        &initial,
-        1e-3,
-        ClusterConfig::new(chips),
-    );
-    cluster.step();
-    let stats = cluster.halo_stats();
-    let raw = stats.seconds_per_stage();
-    let exposed = stats.exposed_seconds_per_stage();
-    assert!(raw > 0.0);
-    assert!(exposed >= 0.0);
-    assert!(
-        exposed < raw,
-        "the Volume window hid none of the exchange: exposed {exposed:e} vs raw {raw:e}"
-    );
+    for protocol in [ClusterProtocol::Fenced, ClusterProtocol::Pipelined] {
+        let mut cluster = ClusterRunner::new(
+            &mesh,
+            n,
+            FluxKind::Riemann,
+            material,
+            &initial,
+            1e-3,
+            ClusterConfig::new(chips).with_protocol(protocol),
+        );
+        cluster.step();
+        let stats = cluster.halo_stats();
+        let raw = stats.seconds_per_stage();
+        let exposed = stats.exposed_seconds_per_stage();
+        assert!(raw > 0.0);
+        assert!(exposed >= 0.0);
+        assert!(
+            exposed < raw,
+            "{protocol:?}: the Volume window hid none of the exchange: \
+             exposed {exposed:e} vs raw {raw:e}"
+        );
+    }
 
     let probe = KernelProbe::measure(n, FluxKind::Riemann, ChipConfig::default_2gb());
     let est = estimate_cluster(level, chips, InterChipLink::default(), &probe);

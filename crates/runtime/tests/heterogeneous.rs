@@ -3,7 +3,7 @@
 //! capacity-weighted deal beats the unweighted one on the measured
 //! capacity-idle share (1 − block_busy / (num_blocks × elapsed)).
 
-use pim_cluster::{ClusterConfig, ClusterRunner};
+use pim_cluster::{ClusterConfig, ClusterProtocol, ClusterRunner};
 use pim_sim::{ChipCapacity, ChipConfig};
 use wavesim_dg::{Acoustic, AcousticMaterial, FluxKind, Solver};
 use wavesim_mesh::{Boundary, HexMesh};
@@ -96,7 +96,7 @@ fn weighted_deal_lowers_max_capacity_idle_share() {
 
     // Max over chips of 1 - block_busy / (num_blocks * elapsed): the
     // share of the cluster's block-seconds the worst chip left idle.
-    let max_idle = |weighted: bool| -> f64 {
+    let max_idle = |weighted: bool, protocol: ClusterProtocol| -> f64 {
         let reference = native(&mesh, 2, FluxKind::Riemann, material);
         let mut cluster = ClusterRunner::new(
             &mesh,
@@ -105,7 +105,7 @@ fn weighted_deal_lowers_max_capacity_idle_share() {
             material,
             reference.state(),
             dt,
-            mixed_config(weighted),
+            mixed_config(weighted).with_protocol(protocol),
         );
         cluster.run(2);
         let elapsed = cluster.elapsed();
@@ -117,11 +117,13 @@ fn weighted_deal_lowers_max_capacity_idle_share() {
             .fold(0.0f64, f64::max)
     };
 
-    let weighted = max_idle(true);
-    let unweighted = max_idle(false);
-    assert!(
-        weighted < unweighted,
-        "capacity-weighted deal should lower the worst chip's capacity-idle share: \
-         weighted {weighted:.6} vs unweighted {unweighted:.6}"
-    );
+    for protocol in [ClusterProtocol::Fenced, ClusterProtocol::Pipelined] {
+        let weighted = max_idle(true, protocol);
+        let unweighted = max_idle(false, protocol);
+        assert!(
+            weighted < unweighted,
+            "{protocol:?}: capacity-weighted deal should lower the worst chip's capacity-idle \
+             share: weighted {weighted:.6} vs unweighted {unweighted:.6}"
+        );
+    }
 }

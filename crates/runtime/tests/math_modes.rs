@@ -9,10 +9,9 @@
 //! * `OnPim` replaces the host constants with the fixed-point LUT +
 //!   Newton sequence, whose divergence from the native solver is bounded
 //!   by `CLUSTER_MATH_BOUND`.
-//! * Whatever the mode, results are bit-identical across worker counts
-//!   and across cached-vs-recompiled program execution.
+//! * Whatever the mode, results are bit-identical across worker counts.
 
-use pim_cluster::{ClusterConfig, ClusterRunner};
+use pim_cluster::{ClusterConfig, ClusterProtocol, ClusterRunner};
 use pim_math::{MathConfig, MathPlacement, CLUSTER_MATH_BOUND};
 use wavesim_dg::{Acoustic, AcousticMaterial, FluxKind, Solver, State};
 use wavesim_mesh::{Boundary, HexMesh};
@@ -35,9 +34,13 @@ fn run_math(
     chips: usize,
     math: MathConfig,
     threads: usize,
-    cache: bool,
     steps: usize,
 ) -> (ClusterRunner, State) {
+    run_config(ClusterConfig::new(chips).with_math(math), threads, steps)
+}
+
+/// [`run_math`] on an explicit cluster configuration.
+fn run_config(config: ClusterConfig, threads: usize, steps: usize) -> (ClusterRunner, State) {
     let mesh = HexMesh::refinement_level(3, Boundary::Periodic);
     let n = 2;
     let material = AcousticMaterial::new(2.0, 1.0); // κρ = 2, ρ = 1: in table range
@@ -45,16 +48,8 @@ fn run_math(
     let mut reference = native(&mesh, n, material);
 
     rayon::set_num_threads(threads);
-    let mut cluster = ClusterRunner::new(
-        &mesh,
-        n,
-        FluxKind::Riemann,
-        material,
-        reference.state(),
-        dt,
-        ClusterConfig::new(chips).with_math(math),
-    );
-    cluster.set_program_cache(cache);
+    let mut cluster =
+        ClusterRunner::new(&mesh, n, FluxKind::Riemann, material, reference.state(), dt, config);
     cluster.run(steps);
     reference.run(dt, steps);
     rayon::set_num_threads(0);
@@ -65,8 +60,8 @@ fn run_math(
 #[test]
 fn host_mode_prices_the_gate_without_touching_numerics() {
     let steps = 2;
-    let (mut off, _) = run_math(2, MathConfig::off(), 4, true, steps);
-    let (mut host, _) = run_math(2, MathConfig::host(), 4, true, steps);
+    let (mut off, _) = run_math(2, MathConfig::off(), 4, steps);
+    let (mut host, _) = run_math(2, MathConfig::host(), 4, steps);
 
     assert_eq!(
         off.state().as_slice(),
@@ -87,7 +82,7 @@ fn host_mode_prices_the_gate_without_touching_numerics() {
 #[test]
 fn on_pim_math_stays_within_the_documented_bound_of_native() {
     let steps = 2;
-    let (mut cluster, reference) = run_math(2, MathConfig::on_pim(), 4, true, steps);
+    let (mut cluster, reference) = run_math(2, MathConfig::on_pim(), 4, steps);
 
     assert!(
         cluster.math_placements().iter().all(|p| p.is_some_and(|p| !p.any_host())),
@@ -109,22 +104,14 @@ fn on_pim_math_stays_within_the_documented_bound_of_native() {
 }
 
 #[test]
-fn on_pim_math_is_bit_identical_across_workers_and_cache_modes() {
+fn on_pim_math_is_bit_identical_across_workers() {
     let steps = 2;
-    let (mut one, _) = run_math(2, MathConfig::on_pim(), 1, true, steps);
-    let (mut four, _) = run_math(2, MathConfig::on_pim(), 4, true, steps);
-    let (mut recompiled, _) = run_math(2, MathConfig::on_pim(), 4, false, steps);
-
-    let baseline = one.state();
+    let (mut one, _) = run_math(2, MathConfig::on_pim(), 1, steps);
+    let (mut four, _) = run_math(2, MathConfig::on_pim(), 4, steps);
     assert_eq!(
-        baseline.as_slice(),
+        one.state().as_slice(),
         four.state().as_slice(),
         "on-PIM math state depends on the worker count"
-    );
-    assert_eq!(
-        baseline.as_slice(),
-        recompiled.state().as_slice(),
-        "cached on-PIM program replay altered the numerics"
     );
 }
 
@@ -137,10 +124,17 @@ fn single_chip_on_pim_skips_the_offchip_fence_and_stays_correct() {
     // multi-chip on-PIM run's determinism contract (same mode, its own
     // stream — checked against native rather than bitwise, since the
     // partitioning differs).
-    let (mut cluster, reference) = run_math(1, MathConfig::on_pim(), 4, true, steps);
-    assert!(cluster.math_placements()[0].is_some_and(|p| !p.any_host()));
-    let diff = cluster.state().max_abs_diff(&reference);
-    assert!(diff <= CLUSTER_MATH_BOUND, "fence-skipped single-chip run diverged: {diff:e}");
+    // Both protocols take the same skip.
+    for protocol in [ClusterProtocol::Fenced, ClusterProtocol::Pipelined] {
+        let config = ClusterConfig::new(1).with_math(MathConfig::on_pim()).with_protocol(protocol);
+        let (mut cluster, reference) = run_config(config, 4, steps);
+        assert!(cluster.math_placements()[0].is_some_and(|p| !p.any_host()));
+        let diff = cluster.state().max_abs_diff(&reference);
+        assert!(
+            diff <= CLUSTER_MATH_BOUND,
+            "{protocol:?}: fence-skipped single-chip run diverged: {diff:e}"
+        );
+    }
 }
 
 #[test]
@@ -149,8 +143,8 @@ fn auto_mode_keeps_small_shards_on_the_host() {
     // crossover, so the cost model must keep the host placement — and
     // with it, the exact constants.
     let steps = 1;
-    let (mut auto, _) = run_math(2, MathConfig::auto(), 4, true, steps);
-    let (mut off, _) = run_math(2, MathConfig::off(), 4, true, steps);
+    let (mut auto, _) = run_math(2, MathConfig::auto(), 4, steps);
+    let (mut off, _) = run_math(2, MathConfig::off(), 4, steps);
 
     assert!(
         auto.math_placements().iter().all(|p| *p == Some(MathPlacement::all_host())),

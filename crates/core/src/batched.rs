@@ -1,6 +1,7 @@
-//! Functional execution of a *batched* acoustic simulation (§6.1):
-//! a model larger than the chip, processed per kernel in resident
-//! batches of y-slices with off-chip swaps between them.
+//! Functional execution of a *batched* simulation (§6.1): a model larger
+//! than the chip, processed per kernel in resident batches of y-slices
+//! with off-chip swaps between them — the `B` technique rows of Table 5
+//! for any element mapping (`N & B`, `E_r & B`, …).
 //!
 //! The paper's scheme (Figs. 6–7) batches each kernel separately:
 //!
@@ -22,14 +23,13 @@
 
 use pim_isa::InstrStream;
 use pim_sim::PimChip;
-use wavesim_dg::{AcousticMaterial, FluxKind, Lsrk5, State};
-use wavesim_mesh::HexMesh;
+use wavesim_dg::{Lsrk5, State};
 
-use crate::compiler::AcousticMapping;
+use crate::mapping::{ElementKernels, Mapping};
 use crate::program_cache::StageProgram;
 
 /// One batch's kernel programs, compiled once at construction against
-/// that batch's (deterministic) block map and replayed every pass. The
+/// that batch's (deterministic) slot map and replayed every pass. The
 /// per-pass `install_map` still runs — the host-side data movers need
 /// the placement — but the streams themselves never recompile; debug
 /// builds assert each replay against a fresh compile.
@@ -50,10 +50,9 @@ struct BatchPrograms {
     verified_invariant: bool,
 }
 
-/// A batched acoustic simulation runner: the functional counterpart of
-/// the `B` technique rows of Table 5.
-pub struct BatchedAcousticRunner {
-    mapping: AcousticMapping,
+/// A batched simulation runner over any element mapping.
+pub struct BatchedRunner<K: ElementKernels> {
+    mapping: Mapping<K>,
     /// Element lists per batch (whole y-slices).
     batches: Vec<Vec<usize>>,
     /// Per batch: the out-of-batch boundary elements whose variables
@@ -68,8 +67,8 @@ pub struct BatchedAcousticRunner {
     contribs: State,
 }
 
-/// The block map of one batch pass: residents pack from block 0, then
-/// the boundary extras, then everything else parked past the window.
+/// The slot map of one batch pass: residents pack from slot 0, then the
+/// boundary extras, then everything else parked past the window.
 fn batch_map(total: usize, residents: &[usize], extras: &[usize]) -> Vec<u32> {
     let mut map = vec![0u32; total];
     let mut next = 0u32;
@@ -86,28 +85,29 @@ fn batch_map(total: usize, residents: &[usize], extras: &[usize]) -> Vec<u32> {
     map
 }
 
-impl BatchedAcousticRunner {
-    /// Builds a runner that splits the mesh into `num_batches` groups of
-    /// consecutive y-slices.
+impl<K: ElementKernels> BatchedRunner<K> {
+    /// Builds a runner that splits `mapping`'s mesh into `num_batches`
+    /// groups of consecutive y-slices, starting from `initial`.
+    /// `capacity_blocks` is the chip window in memory blocks: a batch
+    /// plus its boundary slices plus the LUT slot (one element's worth of
+    /// blocks, so four-block elements stay aligned) must fit.
     ///
     /// # Panics
     /// Panics if the slice count is not divisible by `num_batches`, or a
     /// batch plus its boundary slices would not fit `capacity_blocks`.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
-        mesh: HexMesh,
-        n: usize,
-        flux_kind: FluxKind,
-        material: AcousticMaterial,
+        mut mapping: Mapping<K>,
         initial: &State,
         dt: f64,
         num_batches: usize,
         capacity_blocks: usize,
     ) -> Self {
+        let mesh = mapping.mesh();
         let slices = mesh.num_slices();
         assert!(num_batches >= 2, "batching needs at least two batches");
         assert_eq!(slices % num_batches, 0, "slices must split evenly into batches");
         let slices_per_batch = slices / num_batches;
+        let periodic = mesh.boundary() == wavesim_mesh::Boundary::Periodic;
 
         let mut batches = Vec::new();
         let mut boundary = Vec::new();
@@ -121,7 +121,6 @@ impl BatchedAcousticRunner {
             // Boundary slices: the y-neighbors just outside the batch
             // (wrapping only on periodic meshes; a wall face needs no
             // neighbor slice).
-            let periodic = mesh.boundary() == wavesim_mesh::Boundary::Periodic;
             let mut candidates = Vec::new();
             if first > 0 {
                 candidates.push(first - 1);
@@ -142,7 +141,7 @@ impl BatchedAcousticRunner {
             extra.sort_unstable();
             extra.dedup();
             assert!(
-                elems.len() + extra.len() < capacity_blocks,
+                (elems.len() + extra.len() + 1) * K::BLOCKS as usize <= capacity_blocks,
                 "batch {b}: {} resident + {} boundary elements exceed {capacity_blocks} blocks",
                 elems.len(),
                 extra.len()
@@ -151,27 +150,18 @@ impl BatchedAcousticRunner {
             boundary.push(extra);
         }
 
-        // Placement: within a batch pass, residents pack from block 0
-        // and boundary slices take the following blocks. Because every
-        // batch reuses the same window, the block map is installed fresh
-        // per pass (`install_map`).
-        let nodes = initial.nodes_per_element();
-        let materials = vec![material; mesh.num_elements()];
-        let mut mapping = AcousticMapping::new(mesh, n, flux_kind, materials);
-        assert_eq!(initial.nodes_per_element(), nodes);
-
         // Compile-once program cache: each batch's maps are a pure
         // function of the partition, so every kernel stream of every
         // pass is known here, before the time loop.
         let total = initial.num_elements();
         let mut programs = Vec::with_capacity(num_batches);
         for (residents, extras) in batches.iter().zip(&boundary) {
-            mapping.set_block_map(batch_map(total, residents, &[]));
+            mapping.set_slot_map(batch_map(total, residents, &[]));
             let volume = mapping.compile_volume_for(residents);
             let integration = StageProgram::new(
                 (0..Lsrk5::STAGES).map(|s| mapping.compile_integration_for(residents, s)).collect(),
             );
-            mapping.set_block_map(batch_map(total, residents, extras));
+            mapping.set_slot_map(batch_map(total, residents, extras));
             let lut = mapping.compile_lut_setup_for(residents);
             let flux = mapping.compile_flux_for(residents);
             programs.push(BatchPrograms {
@@ -184,6 +174,7 @@ impl BatchedAcousticRunner {
             });
         }
 
+        let (vars, nodes) = (mapping.num_vars(), initial.nodes_per_element());
         Self {
             mapping,
             batches,
@@ -191,8 +182,8 @@ impl BatchedAcousticRunner {
             programs,
             dt,
             vars: initial.clone(),
-            aux: State::zeros(initial.num_elements(), 4, nodes),
-            contribs: State::zeros(initial.num_elements(), 4, nodes),
+            aux: State::zeros(total, vars, nodes),
+            contribs: State::zeros(total, vars, nodes),
         }
     }
 
@@ -206,13 +197,13 @@ impl BatchedAcousticRunner {
         &self.vars
     }
 
-    /// Installs the block map for a batch pass: residents first, then
-    /// the boundary elements, everything else parked past the window
-    /// (never touched during this pass).
+    /// Installs the slot map for a batch pass: residents first, then the
+    /// boundary elements, everything else parked past the window (never
+    /// touched during this pass).
     fn install_map(&mut self, batch: usize, with_boundary: bool) -> (Vec<usize>, Vec<usize>) {
         let residents = self.batches[batch].clone();
         let extras = if with_boundary { self.boundary[batch].clone() } else { Vec::new() };
-        self.mapping.set_block_map(batch_map(self.vars.num_elements(), &residents, &extras));
+        self.mapping.set_slot_map(batch_map(self.vars.num_elements(), &residents, &extras));
         (residents, extras)
     }
 
@@ -319,22 +310,26 @@ impl BatchedAcousticRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wavesim_mesh::Boundary;
+    use crate::compiler::AcousticMapping;
+    use crate::compiler_elastic::ElasticMapping;
+    use wavesim_dg::{AcousticMaterial, ElasticMaterial, FluxKind};
+    use wavesim_mesh::{Boundary, HexMesh};
+
+    fn acoustic(capacity: usize) -> BatchedRunner<crate::compiler::NaiveAcoustic> {
+        let mesh = HexMesh::refinement_level(1, Boundary::Periodic);
+        let mapping = AcousticMapping::uniform(mesh, 3, FluxKind::Central, AcousticMaterial::UNIT);
+        BatchedRunner::new(mapping, &State::zeros(8, 4, 27), 1e-3, 2, capacity)
+    }
+
+    fn elastic(capacity: usize) -> BatchedRunner<crate::compiler_elastic::RowExpandedElastic> {
+        let mesh = HexMesh::refinement_level(1, Boundary::Wall);
+        let mapping = ElasticMapping::uniform(mesh, 3, FluxKind::Central, ElasticMaterial::UNIT);
+        BatchedRunner::new(mapping, &State::zeros(8, 9, 27), 1e-3, 2, capacity)
+    }
 
     #[test]
     fn batches_partition_the_mesh() {
-        let mesh = HexMesh::refinement_level(1, Boundary::Periodic);
-        let state = State::zeros(8, 4, 27);
-        let r = BatchedAcousticRunner::new(
-            mesh,
-            3,
-            FluxKind::Central,
-            AcousticMaterial::UNIT,
-            &state,
-            1e-3,
-            2,
-            64,
-        );
+        let r = acoustic(64);
         assert_eq!(r.num_batches(), 2);
         let mut all: Vec<usize> = r.batches.iter().flatten().copied().collect();
         all.sort_unstable();
@@ -347,17 +342,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceed")]
     fn capacity_violations_are_caught() {
-        let mesh = HexMesh::refinement_level(1, Boundary::Periodic);
-        let state = State::zeros(8, 4, 27);
-        let _ = BatchedAcousticRunner::new(
-            mesh,
-            3,
-            FluxKind::Central,
-            AcousticMaterial::UNIT,
-            &state,
-            1e-3,
-            2,
-            4, // too small: 4 residents + 4 boundary + LUT
-        );
+        // Too small: 4 residents + 4 boundary + LUT.
+        let _ = acoustic(4);
+    }
+
+    #[test]
+    fn quartet_capacity_accounting() {
+        // 4 residents + 4 boundary quartets + LUT quartet = 36 blocks.
+        assert_eq!(elastic(36).num_batches(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed")]
+    fn undersized_window_is_rejected() {
+        let _ = elastic(35);
     }
 }

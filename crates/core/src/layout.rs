@@ -171,30 +171,6 @@ impl ElasticRole {
             ElasticRole::Buffer => 3,
         }
     }
-
-    /// The three `elastic_vars` indices this data block owns (buffer
-    /// owns none).
-    pub fn vars(self) -> [usize; 3] {
-        // Indices follow wavesim_dg::physics::elastic_vars:
-        // VX=0 VY=1 VZ=2 SXX=3 SYY=4 SZZ=5 SXY=6 SXZ=7 SYZ=8.
-        match self {
-            ElasticRole::Velocity => [0, 1, 2],
-            ElasticRole::DiagStress => [3, 4, 5],
-            ElasticRole::ShearStress => [6, 7, 8],
-            ElasticRole::Buffer => panic!("the buffer block owns no variables"),
-        }
-    }
-
-    /// Which data block owns a global elastic variable, and its local
-    /// slot (0..3) within that block.
-    pub fn owner_of(var: usize) -> (ElasticRole, usize) {
-        assert!(var < 9);
-        match var / 3 {
-            0 => (ElasticRole::Velocity, var % 3),
-            1 => (ElasticRole::DiagStress, var % 3),
-            _ => (ElasticRole::ShearStress, var % 3),
-        }
-    }
 }
 
 /// Column map shared by the three elastic data blocks.
@@ -204,16 +180,12 @@ impl ElasticRole {
 /// three transfer columns for the cross-block derivative and flux
 /// exchange of Figs. 8–9. The velocity block additionally reuses its
 /// ghost columns as outgoing stress-contribution space during Volume
-/// (ghosts are only live during Flux).
+/// (ghosts are only live during Flux). The row geometry (`dshape`,
+/// staging rows) is the mapping core's, shared by every mapping.
 #[derive(Debug, Clone, Copy)]
-pub struct ElasticBlockLayout {
-    pub n: usize,
-}
+pub struct ElasticBlockLayout;
 
 impl ElasticBlockLayout {
-    /// Variables per data block.
-    pub const VARS_PER_BLOCK: usize = 3;
-
     pub const VARS: usize = 0;
     pub const AUX: usize = 3;
     pub const CONTRIB: usize = 6;
@@ -227,18 +199,6 @@ impl ElasticBlockLayout {
     pub const XFER: usize = 28;
     /// One spare column.
     pub const SPARE: usize = 31;
-
-    /// First constants-storage row.
-    pub const CONST_ROWS: usize = 512;
-
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 2 && n * n * n <= 512, "element must fit 512 compute rows");
-        Self { n }
-    }
-
-    pub fn nodes(&self) -> usize {
-        self.n * self.n * self.n
-    }
 
     pub fn var_col(slot: usize) -> usize {
         assert!(slot < 3);
@@ -278,22 +238,6 @@ impl ElasticBlockLayout {
     pub fn xfer_col(i: usize) -> usize {
         assert!(i < 3);
         Self::XFER + i
-    }
-
-    /// Constants row holding `dshape` row `a`.
-    pub fn dshape_row(&self, a: usize) -> usize {
-        assert!(a < self.n);
-        Self::CONST_ROWS + a
-    }
-
-    /// Element-wide constants staging row.
-    pub fn const_staging_row(&self) -> usize {
-        Self::CONST_ROWS + self.n
-    }
-
-    /// Face-constants staging row for face code `f` (two faces per row).
-    pub fn face_staging_row(&self, f: usize) -> usize {
-        self.const_staging_row() + 1 + f / 2
     }
 }
 

@@ -5,7 +5,8 @@
 //! any Integration, boundary slices resident) is semantically airtight.
 
 use pim_sim::{ChipConfig, PimChip};
-use wave_pim::batched::BatchedAcousticRunner;
+use wave_pim::batched::BatchedRunner;
+use wave_pim::compiler::AcousticMapping;
 use wavesim_dg::{Acoustic, AcousticMaterial, FluxKind, Solver};
 use wavesim_mesh::{Boundary, HexMesh};
 
@@ -26,16 +27,8 @@ fn run_case(boundary: Boundary, flux: FluxKind, num_batches: usize, steps: usize
     });
 
     assert!(capacity < 64 + 1, "the window must be genuinely smaller than the problem");
-    let mut runner = BatchedAcousticRunner::new(
-        mesh,
-        n,
-        flux,
-        material,
-        native.state(),
-        dt,
-        num_batches,
-        capacity,
-    );
+    let mapping = AcousticMapping::uniform(mesh, n, flux, material);
+    let mut runner = BatchedRunner::new(mapping, native.state(), dt, num_batches, capacity);
     let mut chip = PimChip::new(ChipConfig::default_2gb());
     for _ in 0..steps {
         runner.step(&mut chip);
@@ -76,7 +69,7 @@ fn batched_elastic_matches_native() {
     // The E_r&B cells of Table 5, functionally: a 64-element elastic
     // model (256 blocks + LUT needed) run in two batches on a 196-block
     // window.
-    use wave_pim::batched_elastic::BatchedElasticRunner;
+    use wave_pim::compiler_elastic::ElasticMapping;
     use wavesim_dg::{Elastic, ElasticMaterial};
 
     let mesh = HexMesh::refinement_level(2, Boundary::Wall);
@@ -93,16 +86,8 @@ fn batched_elastic_matches_native() {
     // 2 batches: 32 resident + 16 boundary elements = 48 quartets + LUT.
     let capacity = 48 * 4 + 4;
     assert!(capacity < 64 * 4 + 1, "window must be smaller than the problem");
-    let mut runner = BatchedElasticRunner::new(
-        mesh,
-        n,
-        FluxKind::Riemann,
-        material,
-        native.state(),
-        dt,
-        2,
-        capacity,
-    );
+    let mapping = ElasticMapping::uniform(mesh, n, FluxKind::Riemann, material);
+    let mut runner = BatchedRunner::new(mapping, native.state(), dt, 2, capacity);
     let mut chip = PimChip::new(ChipConfig::default_2gb());
     runner.step(&mut chip);
     native.run(dt, 1);
@@ -110,4 +95,49 @@ fn batched_elastic_matches_native() {
     let diff = native.state().max_abs_diff(runner.vars());
     let scale = native.state().max_abs().max(1e-30);
     assert!(diff / scale < 1e-11, "batched elastic |Δ|∞ = {diff:.3e}");
+}
+
+#[test]
+fn batched_expanded_matches_native() {
+    // The E_p&B combination through the same runner: a 64-element
+    // four-block acoustic model over two media (256 blocks + LUT
+    // needed) run in two batches on a 196-block window, held to the
+    // expanded mapping's bound.
+    use wave_pim::compiler_expanded::ExpandedAcousticMapping;
+
+    let mesh = HexMesh::refinement_level(2, Boundary::Wall);
+    let materials: Vec<AcousticMaterial> = (0..mesh.num_elements())
+        .map(|e| {
+            if e % 3 == 0 {
+                AcousticMaterial::new(2.0, 1.0)
+            } else {
+                AcousticMaterial::new(1.0, 2.0)
+            }
+        })
+        .collect();
+    let n = 3;
+    let dt = 1.0e-3;
+
+    let mut native = Solver::<Acoustic>::new(mesh.clone(), n, FluxKind::Riemann, materials.clone());
+    native.set_initial(|v, x| match v {
+        0 => (TAU * x.x).sin() + 0.5 * (TAU * x.y).cos(),
+        1 => 0.2 * (TAU * x.y).sin(),
+        2 => -0.3 * (TAU * x.z).cos(),
+        _ => 0.1 * (TAU * x.x).cos(),
+    });
+
+    // 2 batches: 32 resident + 16 boundary elements = 48 quartets + LUT.
+    let capacity = 48 * 4 + 4;
+    assert!(capacity < 64 * 4 + 1, "window must be smaller than the problem");
+    let mapping = ExpandedAcousticMapping::new(mesh, n, FluxKind::Riemann, materials);
+    let mut runner = BatchedRunner::new(mapping, native.state(), dt, 2, capacity);
+    let mut chip = PimChip::new(ChipConfig::default_2gb());
+    for _ in 0..2 {
+        runner.step(&mut chip);
+    }
+    native.run(dt, 2);
+
+    let diff = native.state().max_abs_diff(runner.vars());
+    let scale = native.state().max_abs().max(1e-30);
+    assert!(diff / scale < 1e-11, "batched expanded |Δ|∞ = {diff:.3e}");
 }

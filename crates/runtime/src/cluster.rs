@@ -1,13 +1,14 @@
 //! Functional multi-chip execution: N simulated PIM chips advance one
-//! sharded acoustic problem, with the halo exchange **overlapped** with
-//! the Volume kernel.
+//! sharded problem under any element mapping (one-block acoustic by
+//! default; the four-block mappings run the same way), with the halo
+//! exchange **overlapped** with the Volume kernel.
 //!
 //! Each chip holds one [`wavesim_mesh::Shard`]: its resident elements
-//! packed from block 0, its ghost elements in the blocks after them
-//! (`AcousticMapping::install_shard_map`), and the shared impedance LUT
-//! block after those. Every kernel program is compiled once at
-//! construction and replayed each stage. Per LSRK stage every chip runs
-//! one stage body
+//! packed from slot 0, its ghost elements in the slots after them
+//! ([`Mapping::install_shard_map`]), and the shared face-pair LUT block
+//! after those. Every kernel program is compiled once at construction
+//! and replayed each stage. Per LSRK stage every chip runs one stage
+//! body
 //!
 //! > **entry → { Volume ∥ halo } → fence → Flux → Integration**
 //!
@@ -16,13 +17,14 @@
 //! 2. **Volume ∥ halo**: Volume reads only each element's own columns, so
 //!    it issues at stage entry on the chip's compute lane while the halo
 //!    streams down the *off-chip* lane concurrently: the send-side
-//!    snapshot (`StoreOffchip` per boundary element), every
-//!    [`HaloMessage`] of the plan on the inter-chip link (time and energy
-//!    charged to *both* endpoint chips' ports, traced as off-chip events
-//!    on each chip's own process row), and the ghost-landing DMAs
-//!    (`LoadOffchip` per ghost element). Neither lane waits for the
-//!    other — `pim_sim::PimChip`'s dual-lane timeline keeps them
-//!    independent until something depends on the data,
+//!    snapshot (`StoreOffchip` per variable block of each boundary
+//!    element), every [`HaloMessage`] of the plan on the inter-chip link
+//!    (time and energy charged to *both* endpoint chips' ports, traced as
+//!    off-chip events on each chip's own process row), and the
+//!    ghost-landing DMAs (`LoadOffchip` per variable block of each ghost
+//!    element). Neither lane waits for the other — `pim_sim::PimChip`'s
+//!    dual-lane timeline keeps them independent until something depends
+//!    on the data,
 //! 3. **fence**: the compute lane joins the halo before Flux — the first
 //!    kernel that reads ghost blocks. Only the halo time the Volume
 //!    window could not hide (the *exposed* halo, tracked per chip in
@@ -62,7 +64,8 @@ use pim_math::{CostModel, MathConfig, MathDecision, MathPlacement, OpCost};
 use pim_sim::{ChipConfig, ExecReport, InterChipLink, PimChip};
 use pim_trace::Kernel;
 use rayon::prelude::*;
-use wave_pim::compiler::AcousticMapping;
+use wave_pim::compiler::{AcousticMapping, NaiveAcoustic};
+use wave_pim::mapping::{ElementKernels, Mapping};
 use wave_pim::program_cache::StageProgram;
 use wave_pim::tracehooks::{begin_kernel_span, end_kernel_span, end_kernel_span_at};
 use wavesim_dg::{AcousticMaterial, FluxKind, Lsrk5, State};
@@ -391,15 +394,17 @@ fn record_fence_wait(
 /// replayed every step (the compile-once program cache). The mesh
 /// topology, shard placement, and kernel structure are fixed for the
 /// run, so only Integration varies across LSRK stages — and only in the
-/// two staged-coefficient `Read` offsets per element that its
+/// two staged-coefficient `Read` offsets per variable block that its
 /// [`StageProgram`] patch table carries.
 struct ChipPrograms {
-    /// Halo send snapshot (`StoreOffchip` per boundary element).
+    /// Halo send snapshot (`StoreOffchip` per variable block of each
+    /// boundary element).
     halo_store: InstrStream,
-    /// Ghost landing (`LoadOffchip` per ghost element).
+    /// Ghost landing (`LoadOffchip` per variable block of each ghost).
     halo_load: InstrStream,
     volume: InstrStream,
-    /// The phased Flux schedule.
+    /// The mapping's runner Flux schedule (phased for one-block
+    /// acoustic).
     flux: InstrStream,
     /// Integration with the per-stage `A`/`B` patch table.
     integration: StageProgram,
@@ -414,14 +419,19 @@ struct ChipPrograms {
 }
 
 impl ChipPrograms {
-    fn compile(m: &AcousticMapping, res: &[usize], ghosts: &[usize], sends: &[usize]) -> Self {
+    fn compile<K: ElementKernels>(
+        m: &Mapping<K>,
+        res: &[usize],
+        ghosts: &[usize],
+        sends: &[usize],
+    ) -> Self {
         let math =
             m.math_placement().filter(|p| p.any_onpim()).map(|_| m.compile_math_stage_for(res));
         Self {
             halo_store: m.compile_halo_store_for(sends),
             halo_load: m.compile_halo_load_for(ghosts),
             volume: m.compile_volume_for(res),
-            flux: m.compile_flux_phased_for(res),
+            flux: m.compile_flux_schedule_for(res),
             integration: StageProgram::new(
                 (0..Lsrk5::STAGES).map(|s| m.compile_integration_for(res, s)).collect(),
             ),
@@ -464,10 +474,11 @@ impl ChipPrograms {
     }
 }
 
-/// The multi-chip runner. See the module docs for the per-stage protocol.
-pub struct ClusterRunner {
+/// The multi-chip runner over the element mapping `K`. See the module
+/// docs for the per-stage protocol.
+pub struct ClusterRunner<K: ElementKernels = NaiveAcoustic> {
     partition: SlicePartition,
-    mappings: Vec<AcousticMapping>,
+    mappings: Vec<Mapping<K>>,
     chips: Vec<PimChip>,
     /// Resident element ids per shard.
     residents: Vec<Vec<usize>>,
@@ -476,7 +487,8 @@ pub struct ClusterRunner {
     /// Boundary element ids per shard (the send set).
     send_sets: Vec<Vec<usize>>,
     /// Deduplicated chip blocks holding each shard's ghost elements —
-    /// exactly what the pipelined pre-Flux `fence_blocks` waits on.
+    /// every variable block of every ghost, exactly what the ghost
+    /// landing DMAs and the pipelined pre-Flux `fence_blocks` wait on.
     ghost_blocks: Vec<Vec<BlockId>>,
     /// Per chip: each ghost block paired with the index into `messages`
     /// of the inbound message carrying its data — the causal map behind
@@ -521,14 +533,11 @@ pub struct ClusterRunner {
 }
 
 impl ClusterRunner {
-    /// Shards `mesh` across `config.num_chips()` chips — the slice deal
-    /// weighted by each chip's block capacity unless
-    /// [`ClusterConfig::weighted_partition`] is off — compiles each
-    /// shard with the single-chip mapper, and preloads every chip.
+    /// Shards `mesh` under the one-block acoustic mapping with one
+    /// material everywhere; see [`Self::with_mapping`].
     ///
     /// # Panics
-    /// Panics if there are more chips than mesh slices, or a shard
-    /// (residents + ghosts + LUT + parking) does not fit its chip.
+    /// As [`Self::with_mapping`].
     pub fn new(
         mesh: &HexMesh,
         n: usize,
@@ -538,7 +547,34 @@ impl ClusterRunner {
         dt: f64,
         config: ClusterConfig,
     ) -> Self {
+        let mapping = AcousticMapping::uniform(mesh.clone(), n, flux_kind, material);
+        Self::with_mapping(mapping, initial, dt, config)
+    }
+}
+
+impl<K: ElementKernels> ClusterRunner<K> {
+    /// Shards `template`'s mesh across `config.num_chips()` chips — the
+    /// slice deal weighted by each chip's block capacity unless
+    /// [`ClusterConfig::weighted_partition`] is off — places each shard
+    /// on a copy of `template`, compiles its programs, and preloads every
+    /// chip.
+    ///
+    /// # Panics
+    /// Panics if `initial` does not match the mesh and the mapping's
+    /// variables, there are more chips than mesh slices, a shard
+    /// (residents + ghosts + parking + LUT) does not fit its chip, or
+    /// `config.math` would put a math lane on-PIM for a mapping without
+    /// on-PIM math streams (the four-block mappings, DESIGN §11) — such a
+    /// lane would otherwise be priced as free.
+    pub fn with_mapping(
+        template: Mapping<K>,
+        initial: &State,
+        dt: f64,
+        config: ClusterConfig,
+    ) -> Self {
+        let mesh = template.mesh();
         assert_eq!(initial.num_elements(), mesh.num_elements(), "initial state must match mesh");
+        assert_eq!(initial.num_vars(), template.num_vars(), "initial state must match mapping");
         let num_chips = config.num_chips();
         let partition = SlicePartition::new_weighted(mesh, &config.partition_weights());
         let messages = halo_messages(&partition);
@@ -561,13 +597,14 @@ impl ClusterRunner {
             let snd: Vec<usize> =
                 shard.boundary_elements(&partition).iter().map(|e| e.index()).collect();
 
-            let mut mapping = AcousticMapping::uniform(mesh.clone(), n, flux_kind, material);
-            let window = mapping.install_shard_map(&res, &gho);
+            let mut mapping = template.clone();
+            mapping.install_shard_map(&res, &gho);
 
             // The chip blocks this shard's ghosts land in, deduplicated
             // in block order — the pipelined protocol's pre-Flux fence
             // set (Flux is the only ghost reader).
-            let mut gblocks: Vec<BlockId> = gho.iter().map(|&e| mapping.block_of(e)).collect();
+            let mut gblocks: Vec<BlockId> =
+                gho.iter().flat_map(|&e| mapping.var_blocks(e)).collect();
             gblocks.sort_unstable_by_key(|b| b.0);
             gblocks.dedup();
 
@@ -576,6 +613,13 @@ impl ClusterRunner {
             // element count and operand ranges.
             let site = mapping.math_site_params(&res);
             let decision = cost_model.resolve(config.math.mode, &site);
+            assert!(
+                K::ONPIM_MATH || !decision.placement.is_some_and(|p| p.any_onpim()),
+                "math mode {:?} puts a lane of shard {} on-PIM, but this mapping has no \
+                 on-PIM math streams",
+                config.math.mode,
+                shard.index
+            );
             mapping.set_math_placement(decision.placement);
             let host_cost = decision
                 .placement
@@ -595,11 +639,10 @@ impl ClusterRunner {
             math_host_cost.push(host_cost);
             math_host_ops.push(host_ops);
 
-            // window blocks + 1 shared parking block + 1 LUT block
-            // (+ the math seed-table block when a lane runs on-PIM).
+            // window slots + 1 shared parking slot + the LUT block (+ the
+            // math seed-table block when a lane runs on-PIM).
             assert!(
-                u64::from(window) + u64::from(mapping.extra_blocks())
-                    <= chip_config.capacity.num_blocks(),
+                mapping.blocks_required() as u64 <= chip_config.capacity.num_blocks(),
                 "shard {}: {} resident + {} ghost elements exceed {} blocks",
                 shard.index,
                 res.len(),
@@ -671,7 +714,9 @@ impl ClusterRunner {
                 vec![Default::default(); num_chips];
             for (i, m) in messages.iter().enumerate() {
                 for &e in &m.elements {
-                    by_block[m.dst].insert(mappings[m.dst].block_of(e).0, i);
+                    for b in mappings[m.dst].var_blocks(e) {
+                        by_block[m.dst].insert(b.0, i);
+                    }
                 }
             }
             for (c, map) in by_block.into_iter().enumerate() {
@@ -797,7 +842,8 @@ impl ClusterRunner {
     }
 
     /// Integration patch sites across all chips: instructions the patch
-    /// table rewrites between stages (two per resident element).
+    /// table rewrites between stages (two per variable block of each
+    /// resident element).
     pub fn patch_sites(&self) -> u64 {
         self.programs.iter().map(|p| p.integration.num_patch_sites() as u64).sum()
     }
@@ -860,7 +906,8 @@ impl ClusterRunner {
     /// pre-Flux fence joins the lanes. Everything else — the instruction
     /// streams, their per-chip order, and the accounting — is shared.
     fn run_stage(&mut self, stage: usize) {
-        let nodes = self.mappings[0].nodes();
+        let elem_bytes = self.mappings[0].halo_bytes_per_element();
+        let message_bytes = |m: &HaloMessage| m.elements.len() as u64 * elem_bytes;
         let fenced = self.protocol == ClusterProtocol::Fenced;
         let metrics_on = pim_metrics::enabled();
         // One causal flow id per halo message this stage, shared by the
@@ -969,7 +1016,7 @@ impl ClusterRunner {
         // the fenced schedule charges the outbound side here too,
         // interleaved per message ahead of the ghost landing.
         for (i, m) in self.messages.iter().enumerate() {
-            let bytes = m.bytes(nodes);
+            let bytes = message_bytes(m);
             let flow = flow_base + i as u64;
             if fenced {
                 let d_src =
@@ -1012,7 +1059,7 @@ impl ClusterRunner {
                 let flow = flow_base + i as u64;
                 let d_src = self.chips[m.src].link_transfer_tagged(
                     &self.link,
-                    m.bytes(nodes),
+                    message_bytes(m),
                     0.0,
                     flow,
                     false,
@@ -1186,8 +1233,8 @@ impl ClusterRunner {
 
     /// Merges every chip's resident variables into one global [`State`].
     pub fn state(&mut self) -> State {
-        let nodes = self.mappings[0].nodes();
-        let mut out = State::zeros(self.partition.num_elements(), 4, nodes);
+        let m = &self.mappings[0];
+        let mut out = State::zeros(self.partition.num_elements(), m.num_vars(), m.nodes());
         for c in 0..self.chips.len() {
             self.mappings[c].extract_vars_subset(&mut self.chips[c], &self.residents[c], &mut out);
         }
@@ -1265,5 +1312,17 @@ mod tests {
                 assert_eq!(prog.integration.for_stage(s), &fresh, "chip {c} stage {s}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no on-PIM math streams")]
+    fn four_block_mappings_refuse_onpim_math() {
+        use wave_pim::compiler_elastic::ElasticMapping;
+        use wavesim_dg::ElasticMaterial;
+        let mesh = HexMesh::refinement_level(1, Boundary::Periodic);
+        let initial = State::zeros(mesh.num_elements(), 9, 8);
+        let mapping = ElasticMapping::uniform(mesh, 2, FluxKind::Riemann, ElasticMaterial::UNIT);
+        let config = ClusterConfig::new(2).with_math(MathConfig::on_pim());
+        let _ = ClusterRunner::with_mapping(mapping, &initial, 1e-3, config);
     }
 }

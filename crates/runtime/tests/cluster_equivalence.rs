@@ -100,3 +100,74 @@ fn cluster_time_and_halo_accounting_are_sane() {
         }
     }
 }
+
+/// The row-expanded elastic mapping (`E_r`) on the cluster, over
+/// chips × boundary × protocol × math mode: the merged state must equal
+/// the single-chip [`ElasticMapping`] run bit for bit (the shards execute
+/// the same per-element streams) and track the native elastic solver to
+/// its 1e-11 relative bound.
+#[test]
+fn elastic_cluster_matches_single_chip_bits_and_native_solver() {
+    use pim_math::MathConfig;
+    use pim_sim::{ChipConfig, PimChip};
+    use wave_pim::compiler_elastic::ElasticMapping;
+    use wavesim_dg::{Elastic, ElasticMaterial};
+
+    let n = 2;
+    let dt = 1e-3;
+    let steps = 2;
+    let tau = std::f64::consts::TAU;
+    for boundary in [Boundary::Periodic, Boundary::Wall] {
+        let mesh = HexMesh::refinement_level(2, boundary);
+        // Two solids in slabs that straddle the shard seams, so halo
+        // faces cross an impedance contrast.
+        let materials: Vec<ElasticMaterial> = (0..mesh.num_elements())
+            .map(|e| {
+                if (e / 3) % 2 == 0 {
+                    ElasticMaterial::new(2.0, 1.0, 1.0)
+                } else {
+                    ElasticMaterial::new(4.0, 2.0, 1.5)
+                }
+            })
+            .collect();
+        let mut native =
+            Solver::<Elastic>::new(mesh.clone(), n, FluxKind::Riemann, materials.clone());
+        native.set_initial(|v, x| match v {
+            0..=2 => 0.3 * (tau * (x.x + 0.2 * v as f64)).sin(),
+            _ => 0.1 * (tau * x.y).cos() * (v as f64 - 4.5),
+        });
+        let initial = native.state().clone();
+        native.run(dt, steps);
+        let scale = native.state().max_abs();
+
+        let mapping = ElasticMapping::new(mesh, n, FluxKind::Riemann, materials);
+        let mut chip = PimChip::new(ChipConfig::default_2gb());
+        mapping.preload(&mut chip, &initial, dt);
+        chip.execute(&mapping.compile_lut_setup());
+        let stage_streams = mapping.compile_step();
+        for _ in 0..steps {
+            for s in &stage_streams {
+                chip.execute(s);
+            }
+        }
+        let single = mapping.extract_state(&mut chip);
+        let single_bits: Vec<u64> = single.as_slice().iter().map(|x| x.to_bits()).collect();
+
+        for chips in [2, 4] {
+            for protocol in [ClusterProtocol::Fenced, ClusterProtocol::Pipelined] {
+                for math in [MathConfig::off(), MathConfig::host()] {
+                    let label = format!("{boundary:?}/{chips} chips/{protocol:?}/{:?}", math.mode);
+                    let config = ClusterConfig::new(chips).with_protocol(protocol).with_math(math);
+                    let mut cluster =
+                        ClusterRunner::with_mapping(mapping.clone(), &initial, dt, config);
+                    cluster.run(steps);
+                    let merged = cluster.state();
+                    let bits: Vec<u64> = merged.as_slice().iter().map(|x| x.to_bits()).collect();
+                    assert!(bits == single_bits, "{label}: merged state differs from one chip");
+                    let rel = merged.max_abs_diff(native.state()) / scale;
+                    assert!(rel <= 1e-11, "{label}: diverged from native elastic dG: {rel:e}");
+                }
+            }
+        }
+    }
+}

@@ -8,8 +8,9 @@
 //! ```
 
 use pim_sim::{ChipConfig, PimChip};
-use wave_pim::batched::BatchedAcousticRunner;
+use wave_pim::batched::BatchedRunner;
 use wave_pim::batching::fig7_steps;
+use wave_pim::compiler::AcousticMapping;
 use wavesim_dg::{Acoustic, AcousticMaterial, FluxKind, Solver};
 use wavesim_mesh::{Boundary, HexMesh};
 
@@ -33,8 +34,8 @@ fn main() {
         println!("  ({:2}) {}", s.index, s.description);
     }
 
-    let mut runner =
-        BatchedAcousticRunner::new(mesh, 3, FluxKind::Riemann, material, native.state(), dt, 2, 49);
+    let mapping = AcousticMapping::uniform(mesh, 3, FluxKind::Riemann, material);
+    let mut runner = BatchedRunner::new(mapping, native.state(), dt, 2, 49);
     let mut chip = PimChip::new(ChipConfig::default_2gb());
     for _ in 0..steps {
         runner.step(&mut chip);

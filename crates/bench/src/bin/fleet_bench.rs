@@ -6,9 +6,12 @@
 //!
 //! Exits nonzero if cache-aware placement loses throughput, any latency
 //! field is non-finite, or a fleet job diverges from its solo replay —
-//! the CI regression gate. `--smoke` runs the reduced CI configuration;
-//! `--serve ADDR` additionally exposes the live metrics registry as a
-//! Prometheus pull endpoint for the duration of the run.
+//! the CI regression gate. `--smoke` runs the reduced CI configuration.
+//! The fleet scheduler is metered into one registry (the jobs' chips are
+//! not); `--serve ADDR` exposes it as a Prometheus pull endpoint for the
+//! duration of the run.
+
+use std::sync::Arc;
 
 use wavepim_bench::fleet::{check_fleet, fleet_bench_data, fleet_json, FleetBenchConfig};
 use wavepim_bench::report::Table;
@@ -21,14 +24,16 @@ fn main() {
         .position(|a| a == "--serve")
         .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| "127.0.0.1:0".into()));
 
-    pim_metrics::enable();
+    let registry = Arc::new(pim_metrics::MetricsRegistry::new());
     let server = serve_addr.map(|addr| {
-        let s = pim_metrics::http::serve(addr.as_str()).expect("bind metrics scrape endpoint");
+        let s = pim_metrics::http::serve(addr.as_str(), Arc::clone(&registry))
+            .expect("bind metrics scrape endpoint");
         println!("Serving Prometheus metrics on http://{}/metrics\n", s.local_addr());
         s
     });
 
-    let cfg = if smoke { FleetBenchConfig::smoke() } else { FleetBenchConfig::full() };
+    let mut cfg = if smoke { FleetBenchConfig::smoke() } else { FleetBenchConfig::full() };
+    cfg.metrics = Some(registry);
     let mut r = fleet_bench_data(&cfg);
     // The two arms run identical work; the throughput gate compares
     // wall-clock, so absorb scheduler noise the same way the host bench

@@ -16,7 +16,6 @@ use wavepim_bench::report::Table;
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    pim_metrics::enable();
 
     let cfg = if smoke { MathBenchConfig::smoke() } else { MathBenchConfig::full() };
     let r = math_bench_data(&cfg);

@@ -9,30 +9,33 @@
 //! Exits nonzero if any utilization-like share leaves [0, 1] or any
 //! reconciliation bound fails — the CI regression gate. `--smoke` runs
 //! the reduced CI configuration; `--serve ADDR` additionally exposes
-//! the live metrics registry as a Prometheus pull endpoint for the
-//! duration of the run.
+//! the metered cluster run's registry as a Prometheus pull endpoint for
+//! the duration of the run.
+
+use std::sync::Arc;
 
 use wavepim_bench::metrics_report::{
-    check_report, metrics_json, profile_report_data, MetricsReportConfig,
+    check_report, metrics_json, profile_report_into, MetricsReportConfig,
 };
 use wavepim_bench::report::Table;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
+    let registry = Arc::new(pim_metrics::MetricsRegistry::new());
     let server = args
         .iter()
         .position(|a| a == "--serve")
         .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| "127.0.0.1:0".into()))
         .map(|addr| {
-            pim_metrics::enable();
-            let s = pim_metrics::http::serve(addr.as_str()).expect("bind metrics scrape endpoint");
+            let s = pim_metrics::http::serve(addr.as_str(), Arc::clone(&registry))
+                .expect("bind metrics scrape endpoint");
             println!("Serving Prometheus metrics on http://{}/metrics\n", s.local_addr());
             s
         });
 
     let cfg = if smoke { MetricsReportConfig::smoke() } else { MetricsReportConfig::full() };
-    let r = profile_report_data(&cfg);
+    let r = profile_report_into(&cfg, &registry);
 
     println!(
         "Instrumented 2-chip level-{} run: {} elements, {} steps, \
@@ -118,7 +121,7 @@ fn main() {
         .expect("write BENCH_metrics.json");
     println!("Wrote {}.", path.display());
 
-    let prom = pim_metrics::export::prometheus_text(&pim_metrics::global().snapshot());
+    let prom = pim_metrics::export::prometheus_text(&registry.snapshot());
     let prom_path = wavepim_bench::artifacts::write_artifact("BENCH_metrics.prom", &prom)
         .expect("write BENCH_metrics.prom");
     println!("Wrote {} ({} lines).", prom_path.display(), r.prometheus_lines);

@@ -21,8 +21,10 @@
 //! must hold.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use pim_fleet::{Fleet, FleetConfig, JobSpec, JobState, PlacementPolicy, Workload};
+use pim_metrics::MetricsRegistry;
 use pim_sim::{ChipCapacity, ChipConfig};
 use pim_trace::json::{escape, number};
 
@@ -46,6 +48,9 @@ pub struct FleetBenchConfig {
     /// The schedules are deterministic, so repeats only shed scheduler
     /// noise — they cannot change placements, hits, or states.
     pub repeats: usize,
+    /// The registry every timed drain's scheduler is metered into
+    /// (`None`: unmetered). The jobs' chips are never metered.
+    pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl FleetBenchConfig {
@@ -61,6 +66,7 @@ impl FleetBenchConfig {
             rounds: 6,
             verify_jobs: 4,
             repeats: 2,
+            metrics: None,
         }
     }
 
@@ -73,6 +79,7 @@ impl FleetBenchConfig {
             rounds: 3,
             verify_jobs: 3,
             repeats: 1,
+            metrics: None,
         }
     }
 
@@ -177,7 +184,9 @@ fn run_policy(
     cfg: &FleetBenchConfig,
     policy: PlacementPolicy,
 ) -> (PolicyResult, pim_fleet::FleetReport) {
-    let mut fleet = Fleet::new(FleetConfig::new(cfg.chips()).with_policy(policy));
+    let mut config = FleetConfig::new(cfg.chips()).with_policy(policy);
+    config.metrics = cfg.metrics.clone();
+    let mut fleet = Fleet::new(config);
     for spec in cfg.trace() {
         fleet.submit(spec);
     }

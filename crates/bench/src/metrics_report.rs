@@ -8,13 +8,17 @@
 //! capacity-idle share.
 //!
 //! Everything numeric in [`MetricsReport`] comes out of [`pim_metrics`]
-//! snapshot deltas, not out of the runner's own accessors, so the report
-//! is an end-to-end test of the instrumentation: a counter wired to the
-//! wrong lane or a missed energy charge breaks a reconciliation bound
-//! rather than silently misreporting.
+//! snapshots, not out of the runner's own accessors, so the report is an
+//! end-to-end test of the instrumentation: a counter wired to the wrong
+//! lane or a missed energy charge breaks a reconciliation bound rather
+//! than silently misreporting. Each of the four sub-runs (the metered
+//! cluster run, the roofline pass and the two partition-study sides)
+//! records into its own registry, so no run can see another's series.
+
+use std::sync::Arc;
 
 use pim_cluster::{ClusterConfig, ClusterRunner};
-use pim_metrics::Snapshot;
+use pim_metrics::{MetricsRegistry, Snapshot};
 use pim_sim::{ChipCapacity, ChipConfig};
 use pim_trace::TID_OFFCHIP;
 use wavesim_dg::{Acoustic, AcousticMaterial, FluxKind, Solver};
@@ -172,10 +176,9 @@ pub struct MetricsReport {
     pub unweighted: HeteroSide,
     /// Unweighted minus weighted max capacity-idle share (must be > 0).
     pub idle_drop: f64,
-    /// Lines in the Prometheus text exposition of the final snapshot.
+    /// Lines in the Prometheus text exposition of the metered cluster
+    /// run's registry.
     pub prometheus_lines: usize,
-    /// Gated updates the registry recorded over the whole report.
-    pub updates_recorded: u64,
 }
 
 /// Extracts the value of `label` from a [`pim_metrics::metric_key`]
@@ -227,9 +230,19 @@ fn rel_err(measured: f64, truth: f64) -> f64 {
 }
 
 /// Runs the instrumented 2-chip cluster, the dG roofline pass, and the
-/// mixed-capacity partition study; reads everything back from the
-/// registry. Serializes nothing — call from one thread.
+/// mixed-capacity partition study; reads everything back from their
+/// registries. The tracer is process-global, so concurrent callers must
+/// not trace in between.
 pub fn profile_report_data(cfg: &MetricsReportConfig) -> MetricsReport {
+    profile_report_into(cfg, &Arc::default())
+}
+
+/// [`profile_report_data`] with the metered cluster run recording into
+/// `registry` — one a caller may be serving while the report runs.
+pub fn profile_report_into(
+    cfg: &MetricsReportConfig,
+    registry: &Arc<MetricsRegistry>,
+) -> MetricsReport {
     let material = AcousticMaterial::new(2.0, 1.0);
     let dt = 1e-3;
 
@@ -237,11 +250,8 @@ pub fn profile_report_data(cfg: &MetricsReportConfig) -> MetricsReport {
     let mesh = HexMesh::refinement_level(cfg.level, Boundary::Periodic);
     let mut reference = initial_solver(&mesh, cfg.n, material);
 
-    let updates0 = pim_metrics::updates_recorded();
-    let s0 = pim_metrics::global().snapshot();
     pim_trace::set_ring_capacity(1 << 23);
     let _ = pim_trace::drain();
-    pim_metrics::enable();
     pim_trace::enable();
 
     let mut cluster = ClusterRunner::new(
@@ -251,13 +261,13 @@ pub fn profile_report_data(cfg: &MetricsReportConfig) -> MetricsReport {
         material,
         reference.state(),
         dt,
-        ClusterConfig::new(2),
+        ClusterConfig::new(2).with_metrics(Arc::clone(registry)),
     );
     let mut per_step = Vec::with_capacity(cfg.steps);
-    let mut before = pim_metrics::global().snapshot();
+    let mut before = registry.snapshot();
     for step in 0..cfg.steps {
         cluster.step();
-        let after = pim_metrics::global().snapshot();
+        let after = registry.snapshot();
         let d = after.delta(&before);
         per_step.push(StepRow {
             step,
@@ -275,11 +285,9 @@ pub fn profile_report_data(cfg: &MetricsReportConfig) -> MetricsReport {
     let exposed_runner = cluster.halo_stats().exposed_seconds.clone();
     let reports = cluster.finish_reports();
     pim_trace::disable();
-    pim_metrics::disable();
     let (events, dropped) = pim_trace::drain();
     assert_eq!(dropped, 0, "trace ring must hold the whole instrumented run");
-    let s1 = pim_metrics::global().snapshot();
-    let d = s1.delta(&s0);
+    let d = registry.snapshot();
 
     reference.run(dt, cfg.steps);
     let max_abs_diff_vs_native = merged.max_abs_diff(reference.state());
@@ -383,12 +391,11 @@ pub fn profile_report_data(cfg: &MetricsReportConfig) -> MetricsReport {
         .collect();
 
     // ---- dG roofline pass ------------------------------------------------
-    let s2 = pim_metrics::global().snapshot();
-    pim_metrics::enable();
+    let roofline_registry = MetricsRegistry::new();
     let mut solver = initial_solver(&mesh, cfg.n, material);
+    solver.attach_metrics(&roofline_registry);
     solver.run(dt, cfg.steps.max(1));
-    pim_metrics::disable();
-    let dr = pim_metrics::global().snapshot().delta(&s2);
+    let dr = roofline_registry.snapshot();
     let roofline: Vec<RooflineRow> = ["Volume", "Flux", "Integration"]
         .iter()
         .map(|kernel| {
@@ -426,11 +433,11 @@ pub fn profile_report_data(cfg: &MetricsReportConfig) -> MetricsReport {
             cc.capacity = cap;
             chip_cfgs.push(cc);
         }
-        let mut config = ClusterConfig::heterogeneous(chip_cfgs);
+        let side_registry = Arc::new(MetricsRegistry::new());
+        let mut config =
+            ClusterConfig::heterogeneous(chip_cfgs).with_metrics(Arc::clone(&side_registry));
         config.weighted_partition = weighted;
 
-        let s_before = pim_metrics::global().snapshot();
-        pim_metrics::enable();
         let mut runner = ClusterRunner::new(
             &hetero_mesh,
             cfg.n,
@@ -441,8 +448,7 @@ pub fn profile_report_data(cfg: &MetricsReportConfig) -> MetricsReport {
             config,
         );
         runner.run(cfg.hetero_steps);
-        pim_metrics::disable();
-        let dh = pim_metrics::global().snapshot().delta(&s_before);
+        let dh = side_registry.snapshot();
 
         let slices: Vec<usize> =
             runner.partition().shards().iter().map(|s| s.slice_end - s.slice_begin).collect();
@@ -473,8 +479,7 @@ pub fn profile_report_data(cfg: &MetricsReportConfig) -> MetricsReport {
     let unweighted = hetero_side(false);
     let idle_drop = unweighted.max_capacity_idle_share - weighted.max_capacity_idle_share;
 
-    let final_snapshot = pim_metrics::global().snapshot();
-    let prometheus_lines = pim_metrics::export::prometheus_text(&final_snapshot).lines().count();
+    let prometheus_lines = pim_metrics::export::prometheus_text(&d).lines().count();
 
     MetricsReport {
         level: cfg.level,
@@ -496,7 +501,6 @@ pub fn profile_report_data(cfg: &MetricsReportConfig) -> MetricsReport {
         unweighted,
         idle_drop,
         prometheus_lines,
-        updates_recorded: pim_metrics::updates_recorded() - updates0,
     }
 }
 
@@ -584,9 +588,6 @@ pub fn check_report(r: &MetricsReport) -> Vec<String> {
             r.weighted.max_capacity_idle_share, r.unweighted.max_capacity_idle_share
         ));
     }
-    if r.updates_recorded == 0 {
-        bad.push("registry recorded no gated updates".into());
-    }
     bad
 }
 
@@ -603,7 +604,6 @@ pub fn metrics_json(r: &MetricsReport) -> String {
     let _ = writeln!(out, "  \"steps\": {},", r.steps);
     let _ = writeln!(out, "  \"elements\": {},", r.elements);
     let _ = writeln!(out, "  \"max_abs_diff_vs_native\": {},", number(r.max_abs_diff_vs_native));
-    let _ = writeln!(out, "  \"updates_recorded\": {},", r.updates_recorded);
     let _ = writeln!(out, "  \"prometheus_lines\": {},", r.prometheus_lines);
 
     out.push_str("  \"chips\": [\n");

@@ -407,6 +407,31 @@ fn metrics_artifact_schema_reconciles_and_stays_bounded() {
     assert!(drop > 0.0, "weighted deal must lower the worst capacity-idle share");
     let weighted = hetero.get("weighted").unwrap();
     assert!(weighted.get("weighted").and_then(|x| x.as_bool()).is_some());
+
+    // Reproducible: every sub-run owns its registry, so a second report
+    // renders the same document — except the fused stage's wall-clock
+    // seconds and GFLOP/s — whatever else runs in this process meanwhile.
+    let again = metrics_json(&profile_report_data(&MetricsReportConfig::smoke()));
+    let (first, second) = (mask_wall_clock(&doc), mask_wall_clock(&again));
+    assert_eq!(first.len(), second.len(), "BENCH_metrics.json changed shape between runs");
+    for (i, (a, b)) in first.iter().zip(&second).enumerate() {
+        assert_eq!(a, b, "BENCH_metrics.json line {} differs between two runs", i + 1);
+    }
+}
+
+/// The lines of a `BENCH_metrics.json` document with the `fused_stage`
+/// row reduced to its deterministic fields (stages, FLOPs, bytes).
+fn mask_wall_clock(doc: &str) -> Vec<String> {
+    doc.lines()
+        .map(|line| match line.trim_start().strip_prefix("\"fused_stage\": ") {
+            Some(row) => {
+                let v = pim_trace::json::parse(row.trim_end_matches(',')).unwrap();
+                let f = |k: &str| v.get(k).and_then(|x| x.as_f64()).unwrap();
+                format!("fused_stage {} {} {}", f("stages"), f("flops"), f("bytes"))
+            }
+            None => line.to_string(),
+        })
+        .collect()
 }
 
 #[test]

@@ -24,26 +24,15 @@
 
 use pim_isa::{Instr, InstrStream};
 
-/// Cache-wide counters: replays that reused the already-applied stage vs
-/// stage switches, and how many instruction words the switches patched.
-/// Shared by every [`StageProgram`] in the process; the bench layer's
-/// compile-vs-replay accounting reads these.
+/// Program-cache counters of one metered run: replays that reused the
+/// already-applied stage vs stage switches, and how many instruction
+/// words the switches patched. Every [`StageProgram`] the run attaches
+/// shares them; the bench layer's compile-vs-replay accounting reads
+/// these.
 struct CacheMetrics {
     stage_reuses: pim_metrics::Counter,
     stage_switches: pim_metrics::Counter,
     patched_instrs: pim_metrics::Counter,
-}
-
-fn cache_metrics() -> &'static CacheMetrics {
-    static METRICS: std::sync::OnceLock<CacheMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = pim_metrics::global();
-        CacheMetrics {
-            stage_reuses: reg.counter("program_cache_stage_reuses_total", &[]),
-            stage_switches: reg.counter("program_cache_stage_switches_total", &[]),
-            patched_instrs: reg.counter("program_cache_patched_instrs_total", &[]),
-        }
-    })
 }
 
 /// A kernel program compiled once, replayable for any of its stage
@@ -63,6 +52,8 @@ pub struct StageProgram {
     patches: Vec<Vec<Instr>>,
     /// Which stage the working stream currently encodes.
     applied: usize,
+    /// Set by [`Self::attach_metrics`]; `None` records nothing.
+    metrics: Option<CacheMetrics>,
     /// Debug-build bookkeeping: which stages an issue site has already
     /// verified against a fresh compile (see [`Self::take_verify`]).
     #[cfg(debug_assertions)]
@@ -98,6 +89,7 @@ impl StageProgram {
             sites,
             patches,
             applied: 0,
+            metrics: None,
         };
         #[cfg(debug_assertions)]
         {
@@ -114,6 +106,16 @@ impl StageProgram {
             program.apply(0);
         }
         program
+    }
+
+    /// Meters this program's replays into `registry`'s
+    /// `program_cache_*_total` counters.
+    pub fn attach_metrics(&mut self, registry: &pim_metrics::MetricsRegistry) {
+        self.metrics = Some(CacheMetrics {
+            stage_reuses: registry.counter("program_cache_stage_reuses_total", &[]),
+            stage_switches: registry.counter("program_cache_stage_switches_total", &[]),
+            patched_instrs: registry.counter("program_cache_patched_instrs_total", &[]),
+        });
     }
 
     /// Number of stage variants.
@@ -191,16 +193,15 @@ impl StageProgram {
 
     fn apply(&mut self, stage: usize) {
         if self.applied == stage {
-            if pim_metrics::enabled() {
-                cache_metrics().stage_reuses.inc();
+            if let Some(metrics) = &self.metrics {
+                metrics.stage_reuses.inc();
             }
             return;
         }
         for (k, &i) in self.sites.iter().enumerate() {
             self.working.patch(i, self.patches[stage][k]);
         }
-        if pim_metrics::enabled() {
-            let metrics = cache_metrics();
+        if let Some(metrics) = &self.metrics {
             metrics.stage_switches.inc();
             metrics.patched_instrs.add(self.sites.len() as u64);
         }

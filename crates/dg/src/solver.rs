@@ -18,6 +18,7 @@ use crate::state::State;
 /// per-element model × elements; index 0/1/2 = Volume/Flux/Integration).
 /// They run as the phases of one fused element pass, so the measured wall
 /// seconds are one record per stage pass, not a split across kernels.
+/// Created by [`Solver::attach_metrics`].
 struct SolverMetrics {
     flops: [pim_metrics::Counter; 3],
     bytes: [pim_metrics::Counter; 3],
@@ -27,11 +28,9 @@ struct SolverMetrics {
 
 const DG_KERNELS: [&str; 3] = ["Volume", "Flux", "Integration"];
 
-fn solver_metrics() -> &'static SolverMetrics {
-    static METRICS: std::sync::OnceLock<SolverMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = pim_metrics::global();
-        SolverMetrics {
+impl SolverMetrics {
+    fn new(reg: &pim_metrics::MetricsRegistry) -> Self {
+        Self {
             flops: std::array::from_fn(|i| {
                 reg.counter("dg_kernel_flops_total", &[("kernel", DG_KERNELS[i])])
             }),
@@ -41,7 +40,7 @@ fn solver_metrics() -> &'static SolverMetrics {
             stage_seconds: reg.float_counter("dg_stage_seconds_total", &[]),
             stages: reg.counter("dg_stages_total", &[]),
         }
-    })
+    }
 }
 
 /// Everything an element pass reads besides the solution: the mesh, the
@@ -114,6 +113,7 @@ pub struct Solver<P: Physics> {
     time: f64,
     steps_taken: usize,
     trace_pid: u32,
+    metrics: Option<SolverMetrics>,
 }
 
 impl<P: Physics> Solver<P> {
@@ -143,6 +143,7 @@ impl<P: Physics> Solver<P> {
             time: 0.0,
             steps_taken: 0,
             trace_pid: 0,
+            metrics: None,
         }
     }
 
@@ -154,6 +155,13 @@ impl<P: Physics> Solver<P> {
             self.trace_pid = pim_trace::alloc_pid("dg-solver (native)");
         }
         self.trace_pid
+    }
+
+    /// Meters every later stage pass into `registry`'s roofline counters
+    /// (`dg_kernel_{flops,bytes}_total`, `dg_stage_seconds_total`,
+    /// `dg_stages_total`); an unmetered solver records nothing.
+    pub fn attach_metrics(&mut self, registry: &pim_metrics::MetricsRegistry) {
+        self.metrics = Some(SolverMetrics::new(registry));
     }
 
     /// Builds a solver with one material everywhere.
@@ -281,10 +289,9 @@ impl<P: Physics> Solver<P> {
     /// Publishes one fused stage pass to the roofline counters: each
     /// kernel's analytic FLOPs/bytes for the whole mesh, plus the pass's
     /// measured wall seconds.
-    fn record_stage_metrics(&self, seconds: f64) {
+    fn record_stage_metrics(&self, metrics: &SolverMetrics, seconds: f64) {
         let ne = self.state.num_elements() as u64;
         let workload = self.element_workload();
-        let metrics = solver_metrics();
         for (k, profile) in
             [workload.volume, workload.flux, workload.integration].iter().enumerate()
         {
@@ -316,10 +323,10 @@ impl<P: Physics> Solver<P> {
                 TID_KERNELS,
                 Payload::Kernel { kernel: Kernel::RkStage, stage: s as u8 },
             );
-            let timer = pim_metrics::enabled().then(std::time::Instant::now);
+            let timer = self.metrics.is_some().then(std::time::Instant::now);
             self.fused_stage(s, dt);
-            if let Some(timer) = timer {
-                self.record_stage_metrics(timer.elapsed().as_secs_f64());
+            if let (Some(metrics), Some(timer)) = (&self.metrics, timer) {
+                self.record_stage_metrics(metrics, timer.elapsed().as_secs_f64());
             }
         }
         self.time += dt;

@@ -22,10 +22,12 @@
 //!   chip access, a pooled-runner program cache, and per-job results
 //!   bit-identical to solo runs.
 //!
-//! Observability rides on `pim-metrics`: queue depth, admission and
-//! placement outcomes, per-job wait/compile/run seconds, cache-hit
-//! placements, jobs per hour — scrapeable live via
-//! `pim_metrics::http::serve`.
+//! Observability rides on `pim-metrics`: a fleet handed a registry
+//! ([`scheduler::FleetConfig::metrics`]) publishes queue depth, admission
+//! and placement outcomes, per-job wait/compile/run seconds, cache-hit
+//! placements and jobs per hour there — scrapeable live by passing the
+//! same registry to `pim_metrics::http::serve`. The jobs' chips are not
+//! metered.
 
 pub mod job;
 pub mod placement;

@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use pim_cluster::{ClusterConfig, ClusterRunner};
@@ -53,6 +53,8 @@ pub struct FleetConfig {
     /// program keys (on). Off, every job compiles fresh — the control
     /// arm for measuring what program residency buys.
     pub reuse_runners: bool,
+    /// Where the scheduler (not the jobs' chips) is metered; `None` (default) records nothing.
+    pub metrics: Option<Arc<pim_metrics::MetricsRegistry>>,
 }
 
 impl FleetConfig {
@@ -63,6 +65,7 @@ impl FleetConfig {
             policy: PlacementPolicy::CacheAware,
             weights: ScoreWeights::default(),
             reuse_runners: true,
+            metrics: None,
         }
     }
 
@@ -150,8 +153,7 @@ impl Fleet {
     /// Enqueues a job; ids are submit order.
     pub fn submit(&mut self, spec: JobSpec) -> JobId {
         let id = JobId(self.queue.len() as u64);
-        if pim_metrics::enabled() {
-            let reg = pim_metrics::global();
+        if let Some(reg) = &self.config.metrics {
             reg.counter("fleet_jobs_submitted_total", &[]).inc();
             reg.counter("fleet_job_states_total", &[("state", JobState::Queued.name())]).inc();
             reg.gauge("fleet_queue_depth", &[]).set(self.queue.len() as f64 + 1.0);
@@ -172,8 +174,7 @@ impl Fleet {
         let specs = std::mem::take(&mut self.queue);
         let t0 = Instant::now();
         let plan = plan(&specs, &self.config.chips, self.config.policy, &self.config.weights);
-        if pim_metrics::enabled() {
-            let reg = pim_metrics::global();
+        if let Some(reg) = &self.config.metrics {
             reg.counter("fleet_jobs_rejected_total", &[]).add(plan.rejected.len() as u64);
             reg.gauge("fleet_queue_depth", &[]).set(0.0);
         }
@@ -215,7 +216,7 @@ impl Fleet {
             outcomes[pj.job] = outcome;
         }
         for &j in &plan.rejected {
-            record_state_transition(JobState::Failed);
+            record_state_transition(&self.config, JobState::Failed);
             outcomes[j] = Some(JobOutcome {
                 id: JobId(j as u64),
                 name: specs[j].name.clone(),
@@ -238,8 +239,7 @@ impl Fleet {
         let jobs_per_hour =
             if wall_seconds > 0.0 { done as f64 * 3600.0 / wall_seconds } else { 0.0 };
         let cache_hits = outcomes.iter().filter(|o| o.cache_hit).count();
-        if pim_metrics::enabled() {
-            let reg = pim_metrics::global();
+        if let Some(reg) = &self.config.metrics {
             reg.gauge("fleet_jobs_per_hour", &[("policy", self.config.policy.name())])
                 .set(jobs_per_hour);
         }
@@ -247,9 +247,9 @@ impl Fleet {
     }
 }
 
-fn record_state_transition(state: JobState) {
-    if pim_metrics::enabled() {
-        pim_metrics::global().counter("fleet_job_states_total", &[("state", state.name())]).inc();
+fn record_state_transition(config: &FleetConfig, state: JobState) {
+    if let Some(reg) = &config.metrics {
+        reg.counter("fleet_job_states_total", &[("state", state.name())]).inc();
     }
 }
 
@@ -266,7 +266,7 @@ fn run_planned_job(
 ) -> JobOutcome {
     let pj = &plan.jobs[i];
     let spec = &specs[pj.job];
-    record_state_transition(JobState::Placing);
+    record_state_transition(config, JobState::Placing);
 
     // Wait for the cohort: every chip must have completed exactly the
     // planned predecessors. Predecessors are earlier in plan order and
@@ -292,7 +292,7 @@ fn run_planned_job(
     let caps: Vec<_> = chip_configs.iter().map(|c| c.capacity).collect();
     let key = spec.program_key(&caps);
 
-    record_state_transition(JobState::Compiling);
+    record_state_transition(config, JobState::Compiling);
     let t_compile = Instant::now();
     let pooled = if config.reuse_runners {
         let mut pool = pool.lock().unwrap();
@@ -342,7 +342,7 @@ fn run_planned_job(
     };
     let compile_seconds = if cache_hit { 0.0 } else { t_compile.elapsed().as_secs_f64() };
 
-    record_state_transition(JobState::Running);
+    record_state_transition(config, JobState::Running);
     let t_run = Instant::now();
     let sim_before = runner.elapsed();
     runner.run(spec.steps);
@@ -359,9 +359,8 @@ fn run_planned_job(
         progress[c].fetch_add(1, Ordering::Release);
     }
 
-    record_state_transition(JobState::Done);
-    if pim_metrics::enabled() {
-        let reg = pim_metrics::global();
+    record_state_transition(config, JobState::Done);
+    if let Some(reg) = &config.metrics {
         let outcome = if cache_hit { "cache_hit" } else { "fresh" };
         reg.counter("fleet_placements_total", &[("outcome", outcome)]).inc();
         reg.float_counter("fleet_job_wait_seconds", &[("job", &spec.name)]).add(wait_seconds);

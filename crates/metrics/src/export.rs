@@ -185,8 +185,6 @@ mod tests {
     use crate::MetricsRegistry;
 
     fn sample_snapshot() -> Snapshot {
-        let _guard = crate::test_lock();
-        crate::enable();
         let reg = MetricsRegistry::new();
         reg.counter("pim_ops_total", &[("chip", "0"), ("op", "read")]).add(3);
         reg.counter("pim_ops_total", &[("chip", "1"), ("op", "read")]).add(5);
@@ -196,9 +194,7 @@ mod tests {
         h.observe(0.0005);
         h.observe(0.002);
         h.observe(0.5);
-        let snap = reg.snapshot();
-        crate::disable();
-        snap
+        reg.snapshot()
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The pending Prometheus *pull* endpoint: a minimal, dependency-free
-//! blocking HTTP loop that serves [`crate::export::prometheus_text`] of
-//! the [`crate::global`] registry.
+//! The Prometheus *pull* endpoint: a minimal, dependency-free blocking
+//! HTTP loop that serves [`crate::export::prometheus_text`] of one
+//! [`MetricsRegistry`] — the registry of the run being watched.
 //!
 //! Long-running processes (the fleet scheduler, `profile_report
 //! --serve`) are exactly what a scrape target is for: Prometheus polls
@@ -16,6 +16,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+use crate::MetricsRegistry;
 
 /// A running scrape endpoint. Dropping the handle (or calling
 /// [`ScrapeServer::shutdown`]) stops the accept loop and joins the
@@ -65,9 +67,12 @@ impl Drop for ScrapeServer {
 
 /// Binds `addr` (use port 0 to let the kernel pick) and serves
 /// `GET /metrics` from a background thread until the returned handle is
-/// shut down or dropped. Every response is a fresh snapshot of the
-/// process-global registry in Prometheus text exposition format.
-pub fn serve(addr: impl ToSocketAddrs) -> std::io::Result<ScrapeServer> {
+/// shut down or dropped. Every response is a fresh snapshot of
+/// `registry` in Prometheus text exposition format.
+pub fn serve(
+    addr: impl ToSocketAddrs,
+    registry: Arc<MetricsRegistry>,
+) -> std::io::Result<ScrapeServer> {
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -80,7 +85,7 @@ pub fn serve(addr: impl ToSocketAddrs) -> std::io::Result<ScrapeServer> {
                     break;
                 }
                 if let Ok(stream) = conn {
-                    let _ = handle(stream, &scrapes2);
+                    let _ = handle(stream, &registry, &scrapes2);
                 }
             }
         })?;
@@ -92,7 +97,11 @@ pub fn serve(addr: impl ToSocketAddrs) -> std::io::Result<ScrapeServer> {
 /// scrape counter increments *before* the response bytes go out, so a
 /// client that has read the response always observes its own scrape
 /// counted.
-fn handle(stream: TcpStream, scrapes: &AtomicU64) -> std::io::Result<()> {
+fn handle(
+    stream: TcpStream,
+    registry: &MetricsRegistry,
+    scrapes: &AtomicU64,
+) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_secs(5)))?;
     stream.set_write_timeout(Some(Duration::from_secs(5)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -113,7 +122,7 @@ fn handle(stream: TcpStream, scrapes: &AtomicU64) -> std::io::Result<()> {
 
     let path = request_line.split_whitespace().nth(1).unwrap_or("/");
     let (status, content_type, body) = if path == "/metrics" || path == "/" {
-        let text = crate::export::prometheus_text(&crate::global().snapshot());
+        let text = crate::export::prometheus_text(&registry.snapshot());
         ("200 OK", "text/plain; version=0.0.4; charset=utf-8", text)
     } else {
         ("404 Not Found", "text/plain; charset=utf-8", "not found; scrape /metrics\n".to_string())
@@ -140,14 +149,10 @@ mod tests {
     /// test: bind an ephemeral port, GET /metrics, check the exposition.
     #[test]
     fn serves_one_scrape_over_tcp() {
-        {
-            let _guard = crate::test_lock();
-            crate::enable();
-            crate::global().counter("scrape_smoke_total", &[("src", "test")]).add(3);
-            crate::disable();
-        }
+        let registry = Arc::new(MetricsRegistry::new());
+        registry.counter("scrape_smoke_total", &[("src", "test")]).add(3);
 
-        let server = serve("127.0.0.1:0").expect("bind ephemeral port");
+        let server = serve("127.0.0.1:0", registry).expect("bind ephemeral port");
         let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
         conn.write_all(b"GET /metrics HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
         let mut response = String::new();
@@ -163,7 +168,7 @@ mod tests {
 
     #[test]
     fn unknown_paths_get_a_404() {
-        let server = serve("127.0.0.1:0").unwrap();
+        let server = serve("127.0.0.1:0", Arc::default()).unwrap();
         let mut conn = TcpStream::connect(server.local_addr()).unwrap();
         conn.write_all(b"GET /nope HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
         let mut response = String::new();

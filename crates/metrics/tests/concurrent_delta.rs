@@ -4,24 +4,14 @@
 //! pool (so `RAYON_NUM_THREADS=1` and `=4` CI legs exercise the sequential
 //! and the genuinely concurrent paths), and snapshot deltas taken at quiet
 //! points must equal the analytically known totals *exactly* — integer
-//! counters lose nothing to sharding, float counters stay exact as long as
-//! the increments are exactly representable, and phase deltas compose.
+//! counters lose nothing to concurrent adds, float counters stay exact as
+//! long as the increments are exactly representable, and phase deltas
+//! compose.
 
 use proptest::prelude::*;
 use rayon::prelude::*;
 
-use pim_metrics::{disable, enable, global, Snapshot};
-
-/// The enable/disable switch is process-global; tests that flip it must not
-/// interleave with each other.
-static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn gate() -> std::sync::MutexGuard<'static, ()> {
-    match GATE.lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    }
-}
+use pim_metrics::{MetricsRegistry, Snapshot};
 
 /// (updates per phase, increment modulus, histogram scale)
 fn cases() -> impl Strategy<Value = (usize, u64, f64)> {
@@ -44,7 +34,7 @@ fn run_phase(
         for &i in chunk {
             c.add((phase + i) % modulus);
             // Multiples of 0.25/0.5/1.0 are exact in binary floating point,
-            // so the shard sums and the snapshot delta must match exactly.
+            // so the concurrent sums and the snapshot delta must match exactly.
             f.add(((phase + i) % modulus) as f64 * scale);
             h.observe((i % 5) as f64 * scale);
         }
@@ -77,21 +67,19 @@ proptest! {
 
     #[test]
     fn snapshots_are_delta_exact_under_concurrent_updates(case in cases()) {
-        let _gate = gate();
         let (updates, modulus, scale) = case;
         let key = format!("{updates}_{modulus}_{scale}");
         let labels = [("case", key.as_str())];
-        let c = global().counter("delta_exact_ops_total", &labels);
-        let f = global().float_counter("delta_exact_joules_total", &labels);
-        let h = global().histogram("delta_exact_hist", &labels, &[0.5, 1.5, 3.0]);
+        let reg = MetricsRegistry::new();
+        let c = reg.counter("delta_exact_ops_total", &labels);
+        let f = reg.float_counter("delta_exact_joules_total", &labels);
+        let h = reg.histogram("delta_exact_hist", &labels, &[0.5, 1.5, 3.0]);
 
-        enable();
-        let s0 = global().snapshot();
+        let s0 = reg.snapshot();
         let phase1 = run_phase(1, updates, modulus, scale, &c, &f, &h);
-        let s1 = global().snapshot();
+        let s1 = reg.snapshot();
         let phase2 = run_phase(2, updates / 2 + 1, modulus, scale, &c, &f, &h);
-        let s2 = global().snapshot();
-        disable();
+        let s2 = reg.snapshot();
 
         // Each phase delta is exact, and the two compose to the total.
         expect_delta(&s1, &s0, &key, phase1);
@@ -103,22 +91,4 @@ proptest! {
             (phase1.0 + phase2.0, phase1.1 + phase2.1, phase1.2 + phase2.2),
         );
     }
-}
-
-#[test]
-fn updates_while_disabled_never_leak_into_deltas() {
-    let _gate = gate();
-    let c = global().counter("disabled_leak_total", &[]);
-    disable();
-    let s0 = global().snapshot();
-    let items: Vec<u64> = (0..1000).collect();
-    items.par_chunks(16).for_each(|chunk| {
-        for &i in chunk {
-            c.add(i + 1);
-        }
-    });
-    let s1 = global().snapshot();
-    let d = s1.delta(&s0);
-    assert!(d.counters.is_empty(), "disabled updates leaked: {:?}", d.counters);
-    assert!(d.float_counters.is_empty());
 }

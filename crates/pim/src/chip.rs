@@ -115,17 +115,16 @@ pub struct PimChip {
     elapsed: f64,
     ledger: EnergyLedger,
     trace_pid: u32,
-    metrics_label: String,
     metrics: Option<ChipMetrics>,
     diagnostics: Vec<String>,
 }
 
-/// Cached `pim-metrics` handles for one chip, labeled `chip="<label>"`.
-/// Allocated lazily on the first update while metrics are enabled, so
-/// unmetered runs never touch the registry. The energy counters mirror
-/// every [`EnergyLedger`] charge exactly (published as per-`execute`
-/// deltas, which telescope to the ledger totals), making the
-/// metrics ↔ ledger reconciliation in the bench layer a pure cross-check.
+/// `pim-metrics` handles for one chip, labeled `chip="<label>"`, created
+/// by [`PimChip::attach_metrics`]; an unmetered chip holds none. The
+/// energy counters mirror every [`EnergyLedger`] charge exactly
+/// (published as per-`execute` deltas, which telescope to the ledger
+/// totals), making the metrics ↔ ledger reconciliation in the bench
+/// layer a pure cross-check.
 struct ChipMetrics {
     energy: [pim_metrics::FloatCounter; 6],
     instrs: [pim_metrics::Counter; 10],
@@ -159,8 +158,7 @@ const INSTR_CLASSES: [&str; 10] = [
 ];
 
 impl ChipMetrics {
-    fn new(label: &str) -> Self {
-        let reg = pim_metrics::global();
+    fn new(reg: &pim_metrics::MetricsRegistry, label: &str) -> Self {
         let chip = [("chip", label)];
         Self {
             energy: std::array::from_fn(|i| {
@@ -285,7 +283,6 @@ impl PimChip {
             elapsed: 0.0,
             ledger: EnergyLedger::default(),
             trace_pid: 0,
-            metrics_label: format!("pim-chip {}", config.capacity.name()),
             metrics: None,
             diagnostics: Vec::new(),
         }
@@ -303,26 +300,11 @@ impl PimChip {
         std::mem::take(&mut self.diagnostics)
     }
 
-    /// Labels this chip's metrics `chip="<label>"` instead of the default
-    /// `pim-chip <capacity>`. The cluster runtime assigns stable indices.
-    /// No-op once the first metric has been recorded.
-    pub fn set_metrics_label(&mut self, label: impl Into<String>) {
-        if self.metrics.is_none() {
-            self.metrics_label = label.into();
-        }
-    }
-
-    /// The label this chip's metrics are (or will be) recorded under.
-    pub fn metrics_label(&self) -> &str {
-        &self.metrics_label
-    }
-
-    /// Cached metric handles, allocated on first use.
-    fn metrics(&mut self) -> &ChipMetrics {
-        if self.metrics.is_none() {
-            self.metrics = Some(ChipMetrics::new(&self.metrics_label));
-        }
-        self.metrics.as_ref().expect("just initialized")
+    /// Meters this chip into `registry` under `chip="<label>"`. Attach
+    /// before the first [`Self::execute`] so the energy counters mirror
+    /// the whole ledger; without a registry the chip records no metrics.
+    pub fn attach_metrics(&mut self, registry: &pim_metrics::MetricsRegistry, label: &str) {
+        self.metrics = Some(ChipMetrics::new(registry, label));
     }
 
     /// This chip's trace process id (lazily allocated so untraced runs
@@ -438,12 +420,12 @@ impl PimChip {
     /// halo data — so Volume overlaps the exchange and only Flux pays for
     /// whatever the overlap could not hide. Returns the new elapsed time.
     pub fn fence_offchip(&mut self) -> f64 {
-        if pim_metrics::enabled() {
+        if let Some(metrics) = &self.metrics {
             // The measured exposed off-chip time: how far the off-chip
             // lane ran ahead of compute when something had to wait for it.
             let exposed = (self.offchip_ready - self.elapsed).max(0.0);
             if exposed > 0.0 {
-                self.metrics().exposed_offchip_seconds.add(exposed);
+                metrics.exposed_offchip_seconds.add(exposed);
             }
         }
         self.elapsed = self.elapsed.max(self.offchip_ready);
@@ -477,10 +459,10 @@ impl PimChip {
     /// `fence_offchip` would. Returns the new elapsed time.
     pub fn fence_blocks(&mut self, blocks: &[BlockId]) -> f64 {
         let ready = self.blocks_ready_time(blocks);
-        if pim_metrics::enabled() {
+        if let Some(metrics) = &self.metrics {
             let exposed = (ready - self.elapsed).max(0.0);
             if exposed > 0.0 {
-                self.metrics().exposed_offchip_seconds.add(exposed);
+                metrics.exposed_offchip_seconds.add(exposed);
             }
         }
         self.elapsed = self.elapsed.max(ready);
@@ -596,9 +578,9 @@ impl PimChip {
     pub fn execute(&mut self, stream: &InstrStream) {
         // Metrics are published once per stream from the ledger/clock
         // deltas and the precomputed `StreamStats` — the per-instruction
-        // path stays untouched, so the disabled cost is one relaxed load
-        // per `execute`, not per instruction.
-        let before = pim_metrics::enabled().then_some((self.ledger, self.elapsed));
+        // path stays untouched, so an unmetered chip pays one `Option`
+        // check per `execute`, not per instruction.
+        let before = self.metrics.is_some().then_some((self.ledger, self.elapsed));
         let instrs = stream.instrs();
         let mut spans = Vec::new();
         let mut i = 0;
@@ -636,15 +618,12 @@ impl PimChip {
             dispatch,
             Payload::HostCall { call: "dispatch", count: stream.len() as u64, energy_j: joules },
         );
-        if let Some((ledger_before, elapsed_before)) = before {
-            let ledger_after = self.ledger;
-            let elapsed_after = self.elapsed;
-            let stats = *stream.stats();
+        if let (Some(metrics), Some((ledger_before, elapsed_before))) = (&self.metrics, before) {
+            let stats = stream.stats();
             let rows = stats.row_activations();
-            let metrics = self.metrics();
-            metrics.add_energy_delta(&ledger_before, &ledger_after);
-            metrics.add_opcode_mix(&stats);
-            metrics.compute_seconds.add(elapsed_after - elapsed_before);
+            metrics.add_energy_delta(&ledger_before, &self.ledger);
+            metrics.add_opcode_mix(stats);
+            metrics.compute_seconds.add(self.elapsed - elapsed_before);
             if stats.offchip_bytes > 0 {
                 metrics.dma_bytes.add(stats.offchip_bytes);
                 metrics
@@ -1036,8 +1015,7 @@ impl PimChip {
             finish,
             Payload::Link { bytes, energy_j: joules, flow, inbound },
         );
-        if pim_metrics::enabled() {
-            let metrics = self.metrics();
+        if let Some(metrics) = &self.metrics {
             metrics.energy[4].add(joules); // "offchip"
             metrics.link_bytes.add(bytes);
             metrics.link_messages.inc();
@@ -1052,12 +1030,12 @@ impl PimChip {
     /// runtime uses this to align all chips on a stage boundary before a
     /// halo exchange.
     pub fn advance_barrier(&mut self, at: f64) {
-        if pim_metrics::enabled() {
+        if let Some(metrics) = &self.metrics {
             // How long this chip's compute lane waits at the cluster stage
             // barrier for the stragglers (0 if this chip is the straggler).
             let stall = (at - self.elapsed).max(0.0);
             if stall > 0.0 {
-                self.metrics().barrier_stall_seconds.add(stall);
+                metrics.barrier_stall_seconds.add(stall);
             }
         }
         self.barrier = self.barrier.max(at);
@@ -1070,8 +1048,8 @@ impl PimChip {
     pub fn charge_host_preprocess(&mut self, sqrts: u64, divs: u64) {
         let (seconds, joules) = self.host.preprocess(sqrts, divs);
         self.ledger.host += joules;
-        if pim_metrics::enabled() {
-            self.metrics().energy[5].add(joules); // "host"
+        if let Some(metrics) = &self.metrics {
+            metrics.energy[5].add(joules); // "host"
         }
         let t0 = self.host_ready;
         let t1 = t0 + seconds;
@@ -1098,8 +1076,8 @@ impl PimChip {
     /// trace payload.
     pub fn charge_host_math(&mut self, at: f64, seconds: f64, joules: f64, ops: u64) -> (f64, f64) {
         self.ledger.host += joules;
-        if pim_metrics::enabled() {
-            self.metrics().energy[5].add(joules); // "host"
+        if let Some(metrics) = &self.metrics {
+            metrics.energy[5].add(joules); // "host"
         }
         let t0 = self.host_ready.max(at);
         let t1 = t0 + seconds;
@@ -1593,13 +1571,12 @@ mod tests {
 
     #[test]
     fn metrics_counters_mirror_the_ledger_exactly() {
+        let registry = pim_metrics::MetricsRegistry::new();
         let mut c = chip();
-        c.set_metrics_label("test-mirror");
+        c.attach_metrics(&registry, "test-mirror");
         c.block_mut(BlockId(2)).set(0, 9, 3.0);
         c.block_mut(BlockId(0)).set(100, 4, 9.0);
 
-        let s0 = pim_metrics::global().snapshot();
-        pim_metrics::enable();
         let mut s = InstrStream::new();
         s.push(arith(0, AluOp::Mul, 512));
         s.push(arith(1, AluOp::Add, 16));
@@ -1619,13 +1596,12 @@ mod tests {
         c.execute(&s);
         c.link_transfer(&crate::link::InterChipLink::default(), 2048);
         c.charge_host_preprocess(10, 10);
-        pim_metrics::disable();
-        let delta = pim_metrics::global().snapshot().delta(&s0);
+        let snap = registry.snapshot();
 
         // Energy counters mirror every ledger charge: per-mechanism and in
         // total (unscaled dynamic joules).
         let prefix = "pim_chip_energy_joules_total{chip=\"test-mirror\"";
-        let metered: f64 = delta.float_total(prefix);
+        let metered: f64 = snap.float_total(prefix);
         let ledger = *c.ledger();
         let rel = (metered - ledger.dynamic()).abs() / ledger.dynamic();
         assert!(rel < 1e-12, "metrics {metered} vs ledger {} (rel {rel:.2e})", ledger.dynamic());
@@ -1640,7 +1616,7 @@ mod tests {
             let key = format!(
                 "pim_chip_energy_joules_total{{chip=\"test-mirror\",mechanism=\"{mechanism}\"}}"
             );
-            let got = delta.float_counters.get(&key).copied().unwrap_or(0.0);
+            let got = snap.float_counters.get(&key).copied().unwrap_or(0.0);
             assert!(
                 (got - expected).abs() <= 1e-15 + 1e-12 * expected.abs(),
                 "{mechanism}: metrics {got} vs ledger {expected}"
@@ -1650,8 +1626,7 @@ mod tests {
         // Opcode mix matches the stream stats; DMA bytes and link traffic
         // land in their counters.
         let op = |name: &str| {
-            delta
-                .counters
+            snap.counters
                 .get(&format!("pim_chip_instrs_total{{chip=\"test-mirror\",op=\"{name}\"}}"))
                 .copied()
                 .unwrap_or(0)
@@ -1665,29 +1640,33 @@ mod tests {
         assert_eq!(op("lut"), 1);
         assert_eq!(op("load_offchip"), 1);
         assert_eq!(op("sync"), 1);
-        assert_eq!(delta.counters["pim_chip_dma_bytes_total{chip=\"test-mirror\"}"], 4096);
-        assert_eq!(delta.counters["pim_chip_link_bytes_total{chip=\"test-mirror\"}"], 2048);
+        assert_eq!(snap.counters["pim_chip_dma_bytes_total{chip=\"test-mirror\"}"], 4096);
+        assert_eq!(snap.counters["pim_chip_link_bytes_total{chip=\"test-mirror\"}"], 2048);
         // 512 + 16 arith rows, 1 read, 1 write, 4 broadcast rows, 3 LUT.
         assert_eq!(
-            delta.counters["pim_chip_row_activations_total{chip=\"test-mirror\"}"],
+            snap.counters["pim_chip_row_activations_total{chip=\"test-mirror\"}"],
             512 + 16 + 1 + 1 + 4 + 3
         );
     }
 
     #[test]
     fn disabled_metrics_record_nothing() {
-        pim_metrics::disable();
-        let s0 = pim_metrics::global().snapshot();
-        let mut c = chip();
-        c.set_metrics_label("test-disabled");
+        // A chip without a registry records nothing, even while a metered
+        // chip runs the same stream into its own.
+        let registry = pim_metrics::MetricsRegistry::new();
+        let (mut metered, mut unmetered) = (chip(), chip());
+        metered.attach_metrics(&registry, "metered");
         let mut s = InstrStream::new();
         s.push(arith(0, AluOp::Mul, 64));
-        c.execute(&s);
-        let delta = pim_metrics::global().snapshot().delta(&s0);
+        metered.execute(&s);
+        unmetered.execute(&s);
+        let snap = registry.snapshot();
+        assert!(snap.float_total("pim_chip_energy_joules_total") > 0.0);
+        let keys = snap.counters.keys().chain(snap.float_counters.keys());
         assert!(
-            !delta.float_counters.keys().any(|k| k.contains("test-disabled")),
-            "disabled run leaked metrics: {:?}",
-            delta.float_counters
+            keys.clone().all(|k| k.contains("chip=\"metered\"")),
+            "{:?}",
+            keys.collect::<Vec<_>>()
         );
     }
 

@@ -17,36 +17,10 @@
 //! latencies in [`crate::params`] account for the column-level
 //! optimizations (carry-save, operand reuse) of FloatPIM-class mappings.
 
-/// Global NOR-activity counters: gate activations and scratch-pool
-/// hit/miss rates, shared by every [`NorMachine`] in the process. Gate
-/// counts are published as deltas at composite-op boundaries (not per
-/// gate), so the enabled cost stays one counter update per arithmetic op.
-struct NorMetrics {
-    gates: pim_metrics::Counter,
-    pool_hits: pim_metrics::Counter,
-    pool_misses: pim_metrics::Counter,
-}
-
-fn nor_metrics() -> &'static NorMetrics {
-    static METRICS: std::sync::OnceLock<NorMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = pim_metrics::global();
-        NorMetrics {
-            gates: reg.counter("pim_nor_gates_total", &[]),
-            pool_hits: reg.counter("pim_nor_pool_hits_total", &[]),
-            pool_misses: reg.counter("pim_nor_pool_misses_total", &[]),
-        }
-    })
-}
-
 /// A sequential NOR execution context that counts gates (= cycles).
 #[derive(Debug, Default)]
 pub struct NorMachine {
     gates: u64,
-    /// Gate count already published to the metrics layer; the next
-    /// publish emits only the delta, so nested composite ops (multiply
-    /// calls ripple_add) never double-count.
-    gates_published: u64,
     /// Retired bit buffers, reused by the arithmetic units below instead
     /// of allocating a fresh vector per operation — these run hot under
     /// the executor, and the gate counts are pure arithmetic, so buffer
@@ -66,31 +40,9 @@ impl NorMachine {
 
     /// A cleared bit buffer from the pool (or a fresh one on first use).
     fn take_buf(&mut self) -> Vec<bool> {
-        let mut buf = match self.pool.pop() {
-            Some(buf) => {
-                if pim_metrics::enabled() {
-                    nor_metrics().pool_hits.inc();
-                }
-                buf
-            }
-            None => {
-                if pim_metrics::enabled() {
-                    nor_metrics().pool_misses.inc();
-                }
-                Vec::new()
-            }
-        };
+        let mut buf = self.pool.pop().unwrap_or_default();
         buf.clear();
         buf
-    }
-
-    /// Publishes the gate activations since the last publish. Called at
-    /// composite-op boundaries; the watermark makes nesting safe.
-    fn publish_gates(&mut self) {
-        if pim_metrics::enabled() && self.gates > self.gates_published {
-            nor_metrics().gates.add(self.gates - self.gates_published);
-            self.gates_published = self.gates;
-        }
     }
 
     /// Returns a retired bit buffer (e.g. a consumed `ripple_add` sum)
@@ -158,7 +110,6 @@ impl NorMachine {
             sum.push(s);
             carry = c;
         }
-        self.publish_gates();
         (sum, carry)
     }
 
@@ -182,7 +133,6 @@ impl NorMachine {
             acc = sum;
         }
         self.recycle(partial);
-        self.publish_gates();
         acc
     }
 }
@@ -201,7 +151,6 @@ impl NorMachine {
             diff.push(s);
             carry = c;
         }
-        self.publish_gates();
         (diff, !carry)
     }
 
@@ -389,27 +338,6 @@ mod tests {
             "FP32 add {} outside [{add_lo}, {add_hi}]",
             crate::params::FP32_ADD_CYCLES
         );
-    }
-
-    #[test]
-    fn metrics_count_gates_and_pool_traffic() {
-        // Global counters are shared across concurrently running tests,
-        // so the assertions are lower bounds on the observed deltas.
-        let s0 = pim_metrics::global().snapshot();
-        pim_metrics::enable();
-        let mut m = NorMachine::new();
-        let a = to_bits(13, 8);
-        let b = to_bits(9, 8);
-        let (sum, _) = m.ripple_add(&a, &b); // take_buf misses the empty pool
-        m.recycle(sum);
-        let (diff, _) = m.subtract(&a, &b); // take_buf hits the recycled buffer
-        m.recycle(diff);
-        pim_metrics::disable();
-        let delta = pim_metrics::global().snapshot().delta(&s0);
-        let gates = delta.counters.get("pim_nor_gates_total").copied().unwrap_or(0);
-        assert!(gates >= m.gate_count(), "published {gates} < executed {}", m.gate_count());
-        assert!(delta.counters.get("pim_nor_pool_misses_total").copied().unwrap_or(0) >= 1);
-        assert!(delta.counters.get("pim_nor_pool_hits_total").copied().unwrap_or(0) >= 1);
     }
 
     #[test]

@@ -61,9 +61,11 @@
 
 use pim_isa::{BlockId, InstrStream};
 use pim_math::{CostModel, MathConfig, MathDecision, MathPlacement, OpCost};
+use pim_metrics::MetricsRegistry;
 use pim_sim::{ChipConfig, ExecReport, InterChipLink, PimChip};
 use pim_trace::Kernel;
 use rayon::prelude::*;
+use std::sync::Arc;
 use wave_pim::compiler::{AcousticMapping, NaiveAcoustic};
 use wave_pim::mapping::{ElementKernels, Mapping};
 use wave_pim::program_cache::StageProgram;
@@ -118,6 +120,10 @@ pub struct ClusterConfig {
     /// Bit-identical state either way; only simulated-time placement
     /// differs.
     pub protocol: ClusterProtocol,
+    /// The registry this run is metered into (default `None`: the run
+    /// records no metrics). Every chip, the program cache and the
+    /// cluster-level series (labeled `chip="<index>"`) publish here.
+    pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl ClusterConfig {
@@ -141,6 +147,7 @@ impl ClusterConfig {
             weighted_partition: true,
             math: MathConfig::default(),
             protocol: ClusterProtocol::default(),
+            metrics: None,
         }
     }
 
@@ -153,6 +160,12 @@ impl ClusterConfig {
     /// Returns the config with the given per-stage schedule.
     pub fn with_protocol(mut self, protocol: ClusterProtocol) -> Self {
         self.protocol = protocol;
+        self
+    }
+
+    /// Returns the config metered into `registry`.
+    pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
+        self.metrics = Some(registry);
         self
     }
 
@@ -264,16 +277,21 @@ impl MathStats {
 /// per-(chip, kernel) cluster counters. `busy_before`/`energy_before`
 /// are the lane time and dynamic energy captured when the window
 /// opened; the busy time lives on the compute lane, except the halo
-/// exchange's, which lives on the *off-chip* lane. Gated, and called
-/// once per kernel per stage, so the registry lookup cost is irrelevant
-/// next to simulating the kernel.
-fn record_cluster_kernel(chip: &PimChip, kernel: &str, busy_before: f64, energy_before: f64) {
-    if !pim_metrics::enabled() {
-        return;
-    }
+/// exchange's, which lives on the *off-chip* lane. A no-op for an
+/// unmetered run; called once per kernel per stage, so the registry
+/// lookup cost is irrelevant next to simulating the kernel.
+fn record_cluster_kernel(
+    reg: Option<&MetricsRegistry>,
+    c: usize,
+    chip: &PimChip,
+    kernel: &str,
+    busy_before: f64,
+    energy_before: f64,
+) {
+    let Some(reg) = reg else { return };
     let busy = if kernel == "HaloExchange" { chip.offchip_time() } else { chip.elapsed() };
-    let reg = pim_metrics::global();
-    let labels = [("chip", chip.metrics_label()), ("kernel", kernel)];
+    let c = c.to_string();
+    let labels = [("chip", c.as_str()), ("kernel", kernel)];
     reg.float_counter("cluster_kernel_busy_seconds_total", &labels)
         .add((busy - busy_before).max(0.0));
     reg.float_counter("cluster_kernel_energy_joules_total", &labels)
@@ -283,11 +301,7 @@ fn record_cluster_kernel(chip: &PimChip, kernel: &str, busy_before: f64, energy_
 /// Publishes one cached kernel program's opcode mix to the
 /// per-(chip, kernel, op) counters — the compiler-level instruction
 /// breakdown of what each replayed kernel executes.
-fn record_program_mix(chip: &PimChip, kernel: &str, stats: &pim_isa::StreamStats) {
-    if !pim_metrics::enabled() {
-        return;
-    }
-    let reg = pim_metrics::global();
+fn record_program_mix(reg: &MetricsRegistry, c: &str, kernel: &str, stats: &pim_isa::StreamStats) {
     let classes = [
         ("read", stats.reads),
         ("write", stats.writes),
@@ -304,7 +318,7 @@ fn record_program_mix(chip: &PimChip, kernel: &str, stats: &pim_isa::StreamStats
         if n > 0 {
             reg.counter(
                 "cluster_program_instrs_total",
-                &[("chip", chip.metrics_label()), ("kernel", kernel), ("op", op)],
+                &[("chip", c), ("kernel", kernel), ("op", op)],
             )
             .add(n);
         }
@@ -312,14 +326,19 @@ fn record_program_mix(chip: &PimChip, kernel: &str, stats: &pim_isa::StreamStats
 }
 
 /// The chip's `(compute elapsed, dynamic energy)` pair — the opening
-/// snapshot for [`record_cluster_kernel`] — or zeros when metrics are
-/// off (the close side is gated too, so the zeros are never published).
-fn kernel_window_open(chip: &PimChip) -> (f64, f64) {
-    if pim_metrics::enabled() {
+/// snapshot for [`record_cluster_kernel`] — or zeros for an unmetered
+/// run (whose close side publishes nothing).
+fn kernel_window_open(reg: Option<&MetricsRegistry>, chip: &PimChip) -> (f64, f64) {
+    if reg.is_some() {
         (chip.elapsed(), chip.ledger().dynamic())
     } else {
         (0.0, 0.0)
     }
+}
+
+/// The `f64` counter `name{chip="<c>"}`.
+fn chip_float(reg: &MetricsRegistry, name: &str, c: usize) -> pim_metrics::FloatCounter {
+    reg.float_counter(name, &[("chip", &c.to_string())])
 }
 
 /// Histogram bounds for the per-stage pipelined skew: log-spaced from
@@ -530,6 +549,8 @@ pub struct ClusterRunner<K: ElementKernels = NaiveAcoustic> {
     programs: Vec<ChipPrograms>,
     /// Host seconds spent compiling the program cache at construction.
     compile_seconds: f64,
+    /// The registry this run is metered into ([`ClusterConfig::metrics`]).
+    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl ClusterRunner {
@@ -656,7 +677,9 @@ impl<K: ElementKernels> ClusterRunner<K> {
                 shard.index,
                 chip_config.capacity.name()
             ));
-            chip.set_metrics_label(format!("{}", shard.index));
+            if let Some(reg) = &config.metrics {
+                chip.attach_metrics(reg, &shard.index.to_string());
+            }
             // Residents get their full static + dynamic image; ghosts
             // only ever serve variable reads, so variables suffice.
             mapping.preload_static_subset(&mut chip, dt, &res);
@@ -676,7 +699,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
             // Everything up to here — preload DMA + LUT resolution — is
             // the chip's one-time setup; the per-kernel ledgers start
             // from this baseline.
-            record_cluster_kernel(&chip, "Setup", 0.0, 0.0);
+            record_cluster_kernel(config.metrics.as_deref(), shard.index, &chip, "Setup", 0.0, 0.0);
 
             mappings.push(mapping);
             chips.push(chip);
@@ -703,7 +726,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
                 ));
             });
         }
-        let programs: Vec<ChipPrograms> = programs.into_iter().map(Option::unwrap).collect();
+        let mut programs: Vec<ChipPrograms> = programs.into_iter().map(Option::unwrap).collect();
         let compile_seconds = t0.elapsed().as_secs_f64();
 
         // The causal map behind the fence/arrival trace spans: which
@@ -726,15 +749,16 @@ impl<K: ElementKernels> ClusterRunner<K> {
 
         // The static opcode mix of every cached kernel program, per
         // chip — the compiler-level breakdown the profiling report
-        // scales by replay counts.
-        if pim_metrics::enabled() {
-            for (c, prog) in programs.iter().enumerate() {
-                let chip = &chips[c];
-                record_program_mix(chip, "HaloStore", prog.halo_store.stats());
-                record_program_mix(chip, "HaloLoad", prog.halo_load.stats());
-                record_program_mix(chip, "Volume", prog.volume.stats());
-                record_program_mix(chip, "Flux", prog.flux.stats());
-                record_program_mix(chip, "Integration", prog.integration.stats());
+        // scales by replay counts — and the replay counters.
+        if let Some(reg) = &config.metrics {
+            for (c, prog) in programs.iter_mut().enumerate() {
+                let c = c.to_string();
+                record_program_mix(reg, &c, "HaloStore", prog.halo_store.stats());
+                record_program_mix(reg, &c, "HaloLoad", prog.halo_load.stats());
+                record_program_mix(reg, &c, "Volume", prog.volume.stats());
+                record_program_mix(reg, &c, "Flux", prog.flux.stats());
+                record_program_mix(reg, &c, "Integration", prog.integration.stats());
+                prog.integration.attach_metrics(reg);
             }
         }
 
@@ -774,6 +798,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
             },
             programs,
             compile_seconds,
+            metrics: config.metrics,
         }
     }
 
@@ -909,7 +934,8 @@ impl<K: ElementKernels> ClusterRunner<K> {
         let elem_bytes = self.mappings[0].halo_bytes_per_element();
         let message_bytes = |m: &HaloMessage| m.elements.len() as u64 * elem_bytes;
         let fenced = self.protocol == ClusterProtocol::Fenced;
-        let metrics_on = pim_metrics::enabled();
+        let registry = self.metrics.clone();
+        let metrics = registry.as_deref();
         // One causal flow id per halo message this stage, shared by the
         // message's link endpoints, ghost arrivals and fence release so a
         // trace consumer can walk the dependency edge (and, for the
@@ -948,12 +974,10 @@ impl<K: ElementKernels> ClusterRunner<K> {
             - starts.iter().fold(f64::INFINITY, |m, &s| m.min(s));
         let spread = spread.max(0.0);
         self.halo.max_skew_seconds = self.halo.max_skew_seconds.max(spread);
-        if metrics_on {
+        if let Some(reg) = metrics {
             // Fixed-bucket histogram so a scrape sees the whole skew
             // distribution across stages, not just the last sample.
-            pim_metrics::global()
-                .histogram("cluster_stage_skew_seconds", &[], SKEW_BUCKETS)
-                .observe(spread);
+            reg.histogram("cluster_stage_skew_seconds", &[], SKEW_BUCKETS).observe(spread);
         }
         for (c, chip) in self.chips.iter_mut().enumerate() {
             chip.advance_barrier(starts[c]);
@@ -976,11 +1000,9 @@ impl<K: ElementKernels> ClusterRunner<K> {
             end_kernel_span_at(chip, Kernel::HostPreprocess, stage as u8, t0, t1);
             self.math.host_seconds[c] += t1 - t0;
             self.math.exposed_seconds[c] += (t1 - starts[c]).max(0.0);
-            if metrics_on {
-                let reg = pim_metrics::global();
-                let labels = [("chip", chip.metrics_label())];
-                reg.float_counter("cluster_math_host_seconds_total", &labels).add(t1 - t0);
-                reg.float_counter("cluster_math_exposed_seconds_total", &labels)
+            if let Some(reg) = metrics {
+                chip_float(reg, "cluster_math_host_seconds_total", c).add(t1 - t0);
+                chip_float(reg, "cluster_math_exposed_seconds_total", c)
                     .add((t1 - starts[c]).max(0.0));
             }
         }
@@ -988,7 +1010,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
         // The halo window (2a–2d) rides the off-chip lane; snapshot each
         // chip's lane time and energy here so its close can publish the
         // deltas.
-        let halo_open: Vec<(f64, f64)> = if metrics_on {
+        let halo_open: Vec<(f64, f64)> = if metrics.is_some() {
             self.chips.iter().map(|c| (c.offchip_time(), c.ledger().dynamic())).collect()
         } else {
             Vec::new()
@@ -1070,8 +1092,9 @@ impl<K: ElementKernels> ClusterRunner<K> {
         for (c, chip) in self.chips.iter_mut().enumerate() {
             let t1 = chip.offchip_time();
             end_kernel_span_at(chip, Kernel::HaloExchange, stage as u8, starts[c], t1);
-            if metrics_on {
-                record_cluster_kernel(chip, "HaloExchange", halo_open[c].0, halo_open[c].1);
+            if metrics.is_some() {
+                let (busy0, energy0) = halo_open[c];
+                record_cluster_kernel(metrics, c, chip, "HaloExchange", busy0, energy0);
             }
         }
 
@@ -1096,26 +1119,22 @@ impl<K: ElementKernels> ClusterRunner<K> {
                 // Volume is about to broadcast.
                 if let Some(math) = &programs[c].math {
                     let t0 = begin_kernel_span(chip);
-                    let (busy0, energy0) = kernel_window_open(chip);
+                    let (busy0, energy0) = kernel_window_open(metrics, chip);
                     let before = chip.elapsed();
                     chip.execute(math);
                     onpim[0] += chip.elapsed() - before;
                     end_kernel_span(chip, Kernel::MathRefine, stage as u8, t0);
-                    record_cluster_kernel(chip, "MathRefine", busy0, energy0);
-                    if metrics_on {
-                        pim_metrics::global()
-                            .float_counter(
-                                "cluster_math_onpim_seconds_total",
-                                &[("chip", chip.metrics_label())],
-                            )
+                    record_cluster_kernel(metrics, c, chip, "MathRefine", busy0, energy0);
+                    if let Some(reg) = metrics {
+                        chip_float(reg, "cluster_math_onpim_seconds_total", c)
                             .add((chip.elapsed() - before).max(0.0));
                     }
                     vol_t0 = chip.elapsed();
                 }
-                let (busy0, energy0) = kernel_window_open(chip);
+                let (busy0, energy0) = kernel_window_open(metrics, chip);
                 chip.execute(&programs[c].volume);
                 end_kernel_span(chip, Kernel::Volume, stage as u8, vol_t0);
-                record_cluster_kernel(chip, "Volume", busy0, energy0);
+                record_cluster_kernel(metrics, c, chip, "Volume", busy0, energy0);
             },
         );
 
@@ -1142,13 +1161,8 @@ impl<K: ElementKernels> ClusterRunner<K> {
                 let exposed = chip.elapsed() - before;
                 self.halo.exposed_seconds[c] += exposed;
                 record_fence_wait(chip, kind, &self.ghost_block_msgs[c], flow_base, before);
-                if metrics_on {
-                    pim_metrics::global()
-                        .float_counter(
-                            "cluster_exposed_halo_seconds_total",
-                            &[("chip", chip.metrics_label())],
-                        )
-                        .add(exposed.max(0.0));
+                if let Some(reg) = metrics {
+                    chip_float(reg, "cluster_exposed_halo_seconds_total", c).add(exposed.max(0.0));
                 }
             }
         }
@@ -1165,13 +1179,13 @@ impl<K: ElementKernels> ClusterRunner<K> {
                 let prog = &mut progs[0];
 
                 let t0 = begin_kernel_span(chip);
-                let (busy0, energy0) = kernel_window_open(chip);
+                let (busy0, energy0) = kernel_window_open(metrics, chip);
                 chip.execute(&prog.flux);
                 end_kernel_span(chip, Kernel::Flux, stage as u8, t0);
-                record_cluster_kernel(chip, "Flux", busy0, energy0);
+                record_cluster_kernel(metrics, c, chip, "Flux", busy0, energy0);
 
                 let t0 = begin_kernel_span(chip);
-                let (busy0, energy0) = kernel_window_open(chip);
+                let (busy0, energy0) = kernel_window_open(metrics, chip);
                 #[cfg(debug_assertions)]
                 let verify = prog.integration.take_verify(stage);
                 let stream = prog.integration.for_stage(stage);
@@ -1189,7 +1203,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
                 }
                 chip.execute(stream);
                 end_kernel_span(chip, Kernel::Integration, stage as u8, t0);
-                record_cluster_kernel(chip, "Integration", busy0, energy0);
+                record_cluster_kernel(metrics, c, chip, "Integration", busy0, energy0);
 
                 end_kernel_span(chip, Kernel::RkStage, stage as u8, starts_ref[c]);
             },
@@ -1199,8 +1213,8 @@ impl<K: ElementKernels> ClusterRunner<K> {
         self.stage_makespans.push(self.elapsed());
         self.halo.stages += 1;
         self.math.stages += 1;
-        if metrics_on {
-            pim_metrics::global().counter("cluster_stages_total", &[]).inc();
+        if let Some(reg) = metrics {
+            reg.counter("cluster_stages_total", &[]).inc();
         }
     }
 
@@ -1209,11 +1223,11 @@ impl<K: ElementKernels> ClusterRunner<K> {
     /// block capacity — everything the capacity-idle share
     /// `1 - block_busy / (num_blocks * elapsed)` needs, measured.
     fn publish_step_gauges(&self) {
-        if pim_metrics::enabled() {
-            let reg = pim_metrics::global();
+        if let Some(reg) = &self.metrics {
             reg.counter("cluster_steps_total", &[]).inc();
-            for chip in &self.chips {
-                let labels = [("chip", chip.metrics_label())];
+            for (c, chip) in self.chips.iter().enumerate() {
+                let c = c.to_string();
+                let labels = [("chip", c.as_str())];
                 reg.gauge("cluster_chip_num_blocks", &labels)
                     .set(chip.config().capacity.num_blocks() as f64);
                 reg.gauge("cluster_chip_elapsed_seconds", &labels)

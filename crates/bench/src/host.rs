@@ -1,7 +1,7 @@
 //! The host-performance study behind `BENCH_host.json`: the host
-//! wall-clock of the functional cluster runner, which compiles every
-//! kernel program once at construction and replays each step with only
-//! the Integration patch table applied.
+//! wall-clock of the functional cluster runner, which compiles and
+//! lowers every kernel program once at construction and replays the
+//! tapes each step.
 //!
 //! One run is timed end to end — construction (including the program
 //! compile), then cached-replay steps — and checked against the native

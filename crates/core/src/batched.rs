@@ -21,33 +21,26 @@
 //! between kernel passes, exactly the extra DRAM traffic the paper's
 //! batching overhead model charges.
 
-use pim_isa::InstrStream;
-use pim_sim::PimChip;
+use pim_sim::{ChipConfig, PimChip, Tape};
 use wavesim_dg::{Lsrk5, State};
 
 use crate::mapping::{ElementKernels, Mapping};
 use crate::program_cache::StageProgram;
 
-/// One batch's kernel programs, compiled once at construction against
-/// that batch's (deterministic) slot map and replayed every pass. The
+/// One batch's kernel programs, compiled once against that batch's
+/// (deterministic) slot map, lowered, and replayed every pass. The
 /// per-pass `install_map` still runs — the host-side data movers need
-/// the placement — but the streams themselves never recompile; debug
-/// builds assert each replay against a fresh compile.
+/// the placement — and it installs exactly the map the programs were
+/// compiled under (the same method builds both).
 struct BatchPrograms {
     /// Volume under the batch-only map (no boundary slices resident).
-    volume: InstrStream,
+    volume: Tape,
     /// LUT setup under the batch + boundary map.
-    lut: InstrStream,
+    lut: Tape,
     /// Flux under the batch + boundary map.
-    flux: InstrStream,
-    /// Integration under the batch-only map, with the per-stage `A`/`B`
-    /// patch table.
+    flux: Tape,
+    /// Integration under the batch-only map, one tape per stage.
     integration: StageProgram,
-    /// Debug builds verify the stage-invariant streams against a fresh
-    /// compile once (they are immutable afterwards, so re-checking every
-    /// step would only re-pay the compilation the cache removes).
-    #[cfg(debug_assertions)]
-    verified_invariant: bool,
 }
 
 /// A batched simulation runner over any element mapping.
@@ -58,8 +51,11 @@ pub struct BatchedRunner<K: ElementKernels> {
     /// Per batch: the out-of-batch boundary elements whose variables
     /// must be resident during the batch's Flux pass.
     boundary: Vec<Vec<usize>>,
-    /// Per batch: the compile-once kernel programs.
-    programs: Vec<BatchPrograms>,
+    /// Per batch: the compile-once kernel programs, lowered for the
+    /// configuration of the chip the runner steps. Built on the first
+    /// step (a tape is specific to a chip configuration), rebuilt only
+    /// if a later step hands in a chip of another configuration.
+    programs: Option<(ChipConfig, Vec<BatchPrograms>)>,
     dt: f64,
     /// Off-chip state (the host-side HBM2 image).
     vars: State,
@@ -96,7 +92,7 @@ impl<K: ElementKernels> BatchedRunner<K> {
     /// Panics if the slice count is not divisible by `num_batches`, or a
     /// batch plus its boundary slices would not fit `capacity_blocks`.
     pub fn new(
-        mut mapping: Mapping<K>,
+        mapping: Mapping<K>,
         initial: &State,
         dt: f64,
         num_batches: usize,
@@ -150,36 +146,13 @@ impl<K: ElementKernels> BatchedRunner<K> {
             boundary.push(extra);
         }
 
-        // Compile-once program cache: each batch's maps are a pure
-        // function of the partition, so every kernel stream of every
-        // pass is known here, before the time loop.
         let total = initial.num_elements();
-        let mut programs = Vec::with_capacity(num_batches);
-        for (residents, extras) in batches.iter().zip(&boundary) {
-            mapping.set_slot_map(batch_map(total, residents, &[]));
-            let volume = mapping.compile_volume_for(residents);
-            let integration = StageProgram::new(
-                (0..Lsrk5::STAGES).map(|s| mapping.compile_integration_for(residents, s)).collect(),
-            );
-            mapping.set_slot_map(batch_map(total, residents, extras));
-            let lut = mapping.compile_lut_setup_for(residents);
-            let flux = mapping.compile_flux_for(residents);
-            programs.push(BatchPrograms {
-                volume,
-                lut,
-                flux,
-                integration,
-                #[cfg(debug_assertions)]
-                verified_invariant: false,
-            });
-        }
-
         let (vars, nodes) = (mapping.num_vars(), initial.nodes_per_element());
         Self {
             mapping,
             batches,
             boundary,
-            programs,
+            programs: None,
             dt,
             vars: initial.clone(),
             aux: State::zeros(total, vars, nodes),
@@ -207,6 +180,30 @@ impl<K: ElementKernels> BatchedRunner<K> {
         (residents, extras)
     }
 
+    /// The compile-once program cache: each batch's maps are a pure
+    /// function of the partition, so every kernel stream of every pass
+    /// is known before the time loop. Each is lowered for `chip` as soon
+    /// as it is compiled.
+    fn compile(&mut self, chip: &PimChip) -> Vec<BatchPrograms> {
+        let lower = |s: &_| chip.lower(s).expect("compiled streams are well-formed");
+        (0..self.num_batches())
+            .map(|b| {
+                let (residents, _) = self.install_map(b, false);
+                let volume = lower(&self.mapping.compile_volume_for(&residents));
+                let integration = StageProgram::new(
+                    (0..Lsrk5::STAGES)
+                        .map(|s| self.mapping.compile_integration_for(&residents, s))
+                        .collect(),
+                    lower,
+                );
+                let (residents, _) = self.install_map(b, true);
+                let lut = lower(&self.mapping.compile_lut_setup_for(&residents));
+                let flux = lower(&self.mapping.compile_flux_for(&residents));
+                BatchPrograms { volume, lut, flux, integration }
+            })
+            .collect()
+    }
+
     /// Advances one time-step: five LSRK stages, each as three batched
     /// kernel passes with off-chip swaps.
     ///
@@ -218,26 +215,22 @@ impl<K: ElementKernels> BatchedRunner<K> {
         use crate::tracehooks::{begin_kernel_span, end_kernel_span};
         use pim_trace::Kernel;
 
+        let mut programs = match self.programs.take() {
+            Some((config, programs)) if config == chip.config() => programs,
+            _ => self.compile(chip),
+        };
         for stage in 0..Lsrk5::STAGES {
             let stage_t0 = begin_kernel_span(chip);
 
             // --- Volume pass (Fig. 6): per batch, load → compute → store.
-            // The streams replay from the program cache; `install_map`
+            // The tapes replay from the program cache; `install_map`
             // still places the batch for the host-side data movers.
             let t0 = begin_kernel_span(chip);
-            for b in 0..self.num_batches() {
+            for (b, program) in programs.iter().enumerate() {
                 let (residents, _) = self.install_map(b, false);
                 self.mapping.preload_static_subset(chip, self.dt, &residents);
                 self.mapping.load_vars_subset(chip, &self.vars, &residents);
-                #[cfg(debug_assertions)]
-                if !self.programs[b].verified_invariant {
-                    assert_eq!(
-                        &self.programs[b].volume,
-                        &self.mapping.compile_volume_for(&residents),
-                        "cached Volume replay diverged from a fresh compile"
-                    );
-                }
-                chip.execute(&self.programs[b].volume);
+                chip.replay(&program.volume);
                 self.mapping.extract_contribs_subset(chip, &residents, &mut self.contribs);
             }
             end_kernel_span(chip, Kernel::Volume, stage as u8, t0);
@@ -245,7 +238,7 @@ impl<K: ElementKernels> BatchedRunner<K> {
             // --- Flux pass (Fig. 7): per batch, load batch + boundary
             // slices, accumulate flux into the stored contributions.
             let t0 = begin_kernel_span(chip);
-            for b in 0..self.num_batches() {
+            for (b, program) in programs.iter().enumerate() {
                 let (residents, extras) = self.install_map(b, true);
                 let mut all = residents.clone();
                 all.extend_from_slice(&extras);
@@ -254,49 +247,21 @@ impl<K: ElementKernels> BatchedRunner<K> {
                 self.mapping.load_vars_subset(chip, &self.vars, &all);
                 // Resume the residents' contributions from off-chip.
                 self.mapping.load_contribs_subset(chip, &self.contribs, &residents);
-                // The stage-invariant streams are byte-checked against a
-                // fresh compile once per batch (Volume saw this flag in
-                // its pass above), then replayed unverified.
-                #[cfg(debug_assertions)]
-                if !self.programs[b].verified_invariant {
-                    assert_eq!(
-                        &self.programs[b].lut,
-                        &self.mapping.compile_lut_setup_for(&residents),
-                        "cached LUT-setup replay diverged from a fresh compile"
-                    );
-                    assert_eq!(
-                        &self.programs[b].flux,
-                        &self.mapping.compile_flux_for(&residents),
-                        "cached Flux replay diverged from a fresh compile"
-                    );
-                    self.programs[b].verified_invariant = true;
-                }
-                chip.execute(&self.programs[b].lut);
-                chip.execute(&self.programs[b].flux);
+                chip.replay(&program.lut);
+                chip.replay(&program.flux);
                 self.mapping.extract_contribs_subset(chip, &residents, &mut self.contribs);
             }
             end_kernel_span(chip, Kernel::Flux, stage as u8, t0);
 
             // --- Integration pass (Fig. 6): per batch, with aux state.
             let t0 = begin_kernel_span(chip);
-            for b in 0..self.num_batches() {
+            for (b, program) in programs.iter_mut().enumerate() {
                 let (residents, _) = self.install_map(b, false);
                 self.mapping.preload_static_subset(chip, self.dt, &residents);
                 self.mapping.load_vars_subset(chip, &self.vars, &residents);
                 self.mapping.load_aux_subset(chip, &self.aux, &residents);
                 self.mapping.load_contribs_subset(chip, &self.contribs, &residents);
-                #[cfg(debug_assertions)]
-                let verify = self.programs[b].integration.take_verify(stage);
-                let stream = self.programs[b].integration.for_stage(stage);
-                #[cfg(debug_assertions)]
-                if verify {
-                    assert_eq!(
-                        stream,
-                        &self.mapping.compile_integration_for(&residents, stage),
-                        "patched Integration replay diverged from a fresh compile"
-                    );
-                }
-                chip.execute(stream);
+                chip.replay(program.integration.for_stage(stage));
                 self.mapping.extract_vars_subset(chip, &residents, &mut self.vars);
                 self.mapping.extract_aux_subset(chip, &residents, &mut self.aux);
             }
@@ -304,6 +269,7 @@ impl<K: ElementKernels> BatchedRunner<K> {
 
             end_kernel_span(chip, Kernel::RkStage, stage as u8, stage_t0);
         }
+        self.programs = Some((chip.config(), programs));
     }
 }
 

@@ -26,9 +26,9 @@
 //!   mapping: a model larger than the chip runs in resident batches with
 //!   off-chip swaps,
 //! * [`expansion`] — the Fig. 8/9 four-block element mappings,
-//! * [`program_cache`] — compile-once kernel programs with per-stage
-//!   patch tables, replayed by the batched and cluster runners instead
-//!   of recompiling every stage,
+//! * [`program_cache`] — compile-once kernel programs, lowered to one
+//!   tape per stage variant and replayed by the batched and cluster
+//!   runners instead of recompiling every stage,
 //! * [`pipeline`] — the Fig. 10/13 stage-overlap model,
 //! * [`estimate`] — end-to-end time & energy for every (benchmark, chip,
 //!   interconnect, pipelining) point of Figs. 11/12/14.

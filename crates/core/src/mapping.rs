@@ -696,24 +696,39 @@ impl<K: ElementKernels> Mapping<K> {
 
     /// Volume kernel for a subset of elements.
     pub fn compile_volume_for(&self, elems: &[usize]) -> InstrStream {
-        let mut s = InstrStream::new();
+        collect(|sink| self.compile_volume_into(elems, sink))
+    }
+
+    /// [`Self::compile_volume_for`] handed to `sink` in consecutive
+    /// pieces, so a consumer (the chip's lowering) never holds the whole
+    /// stream.
+    pub fn compile_volume_into(&self, elems: &[usize], sink: &mut PieceSink) {
+        let mut p = Pieces::new(sink);
         for &e in elems {
-            K::emit_volume(self, &mut s, e);
+            K::emit_volume(self, &mut p.buf, e);
+            p.handoff();
         }
-        s.push(Instr::Sync);
-        s
+        p.buf.push(Instr::Sync);
+        p.finish();
     }
 
     /// Flux kernel for a subset, element by element (the neighbors'
     /// blocks must hold pre-stage variables — the batched runner loads the
     /// boundary slices of §6.1.2 alongside).
     pub fn compile_flux_for(&self, elems: &[usize]) -> InstrStream {
-        let mut s = InstrStream::new();
+        collect(|sink| self.compile_flux_into(elems, sink))
+    }
+
+    /// [`Self::compile_flux_for`] in pieces (see
+    /// [`Self::compile_volume_into`]).
+    pub fn compile_flux_into(&self, elems: &[usize], sink: &mut PieceSink) {
+        let mut p = Pieces::new(sink);
         for &e in elems {
-            self.emit_flux(&mut s, e);
+            self.emit_flux(&mut p.buf, e);
+            p.handoff();
         }
-        s.push(Instr::Sync);
-        s
+        p.buf.push(Instr::Sync);
+        p.finish();
     }
 
     /// Flux kernel for a subset with the §6.3 *phased* schedule: for each
@@ -725,34 +740,50 @@ impl<K: ElementKernels> Mapping<K> {
     /// ±-direction split of Fig. 10. Per element the operations are those
     /// of [`Self::compile_flux_for`], so the numerics are identical.
     pub fn compile_flux_phased_for(&self, elems: &[usize]) -> InstrStream {
-        let mut s = InstrStream::new();
+        collect(|sink| self.compile_flux_phased_into(elems, sink))
+    }
+
+    /// [`Self::compile_flux_phased_for`] in pieces (see
+    /// [`Self::compile_volume_into`]).
+    pub fn compile_flux_phased_into(&self, elems: &[usize], sink: &mut PieceSink) {
+        let mut p = Pieces::new(sink);
         for &e in elems {
-            K::emit_flux_prologue(self, &mut s, e);
+            K::emit_flux_prologue(self, &mut p.buf, e);
+            p.handoff();
         }
         for face in Face::ALL {
             for &e in elems {
-                K::emit_ghost_fetch(self, &mut s, e, face);
+                K::emit_ghost_fetch(self, &mut p.buf, e, face);
+                p.handoff();
             }
-            s.push(Instr::Sync);
+            p.buf.push(Instr::Sync);
             for &e in elems {
-                K::emit_face_flux(self, &mut s, e, face);
+                K::emit_face_flux(self, &mut p.buf, e, face);
+                p.handoff();
             }
-            s.push(Instr::Sync);
+            p.buf.push(Instr::Sync);
         }
         for &e in elems {
-            K::emit_flux_epilogue(self, &mut s, e);
+            K::emit_flux_epilogue(self, &mut p.buf, e);
+            p.handoff();
         }
-        s
+        p.finish();
     }
 
     /// Flux for a subset as the runners issue it: phased when the mapping
     /// opts in ([`ElementKernels::PHASED_FLUX`]), element by element
     /// otherwise.
     pub fn compile_flux_schedule_for(&self, elems: &[usize]) -> InstrStream {
+        collect(|sink| self.compile_flux_schedule_into(elems, sink))
+    }
+
+    /// [`Self::compile_flux_schedule_for`] in pieces (see
+    /// [`Self::compile_volume_into`]).
+    pub fn compile_flux_schedule_into(&self, elems: &[usize], sink: &mut PieceSink) {
         if K::PHASED_FLUX {
-            self.compile_flux_phased_for(elems)
+            self.compile_flux_phased_into(elems, sink)
         } else {
-            self.compile_flux_for(elems)
+            self.compile_flux_into(elems, sink)
         }
     }
 
@@ -1003,6 +1034,47 @@ impl<K: ElementKernels> Mapping<K> {
             self.arith(s, block, AluOp::Mac, deriv_col, K::VALUE, K::COEFF);
         }
     }
+}
+
+/// Where a piecewise compile (`compile_*_into`) hands each piece.
+pub type PieceSink<'a> = dyn FnMut(&InstrStream) + 'a;
+
+/// Instructions a piece holds before it is handed on: small enough to
+/// stay in cache while its consumer reads it back.
+const PIECE: usize = 1 << 14;
+
+/// A kernel stream emitted in pieces: emitters push into `buf`, and each
+/// time it holds a piece's worth at an element boundary it goes to the
+/// sink and starts over. The pieces concatenate to the whole stream.
+struct Pieces<'a, 'b> {
+    buf: InstrStream,
+    sink: &'a mut PieceSink<'b>,
+}
+
+impl<'a, 'b> Pieces<'a, 'b> {
+    fn new(sink: &'a mut PieceSink<'b>) -> Self {
+        Self { buf: InstrStream::new(), sink }
+    }
+
+    fn handoff(&mut self) {
+        if self.buf.len() >= PIECE {
+            (self.sink)(&self.buf);
+            self.buf.clear();
+        }
+    }
+
+    fn finish(self) {
+        if !self.buf.is_empty() {
+            (self.sink)(&self.buf);
+        }
+    }
+}
+
+/// The whole stream a piecewise compile hands out.
+fn collect(compile: impl FnOnce(&mut PieceSink)) -> InstrStream {
+    let mut s = InstrStream::new();
+    compile(&mut |piece| s.extend_from(piece));
+    s
 }
 
 /// The block offsets of a `K` element that hold state variables, each

@@ -181,30 +181,6 @@ impl InstrStream {
         self.stats.merge(&other.stats);
     }
 
-    /// Replaces the instruction at `index` with a *stats-neutral*
-    /// substitute: same instruction class, same cost-relevant payload
-    /// (rows covered, words moved, add-like vs mul-like, off-chip
-    /// bytes). This is the primitive behind cached-program patch tables
-    /// — a replayed stream only ever retargets addresses/offsets, never
-    /// changes its cost shape, so the running statistics stay exact
-    /// without a rescan.
-    ///
-    /// # Panics
-    /// Panics if `index` is out of bounds or the replacement would
-    /// change the stream statistics.
-    pub fn patch(&mut self, index: usize, instr: Instr) {
-        let mut old = StreamStats::default();
-        old.record(&self.instrs[index]);
-        let mut new = StreamStats::default();
-        new.record(&instr);
-        assert_eq!(
-            old, new,
-            "patch at {index} must be stats-neutral: {:?} -> {instr:?}",
-            self.instrs[index]
-        );
-        self.instrs[index] = instr;
-    }
-
     /// Folds every instruction's 64-bit encoding into `seed` with the
     /// FNV-1a mix — a stable content hash of the stream. Two streams
     /// hash equal exactly when they encode the same program, so a cache
@@ -232,6 +208,13 @@ impl InstrStream {
     /// True when no instructions have been pushed.
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
+    }
+
+    /// Removes every instruction and resets the statistics, keeping the
+    /// allocation (a buffer a compiler refills piece by piece).
+    pub fn clear(&mut self) {
+        self.instrs.clear();
+        self.stats = StreamStats::default();
     }
 }
 
@@ -363,22 +346,12 @@ mod tests {
     }
 
     #[test]
-    fn patch_replaces_without_touching_stats() {
+    fn clear_empties_the_stream_and_its_stats() {
         let mut s = InstrStream::new();
-        s.push(Instr::Read { block: BlockId(0), row: 9, offset: 10, words: 1 });
-        s.push(Instr::Sync);
-        let before = *s.stats();
-        s.patch(0, Instr::Read { block: BlockId(0), row: 9, offset: 11, words: 1 });
-        assert_eq!(*s.stats(), before);
-        assert_eq!(s.instrs()[0], Instr::Read { block: BlockId(0), row: 9, offset: 11, words: 1 });
-    }
-
-    #[test]
-    #[should_panic(expected = "stats-neutral")]
-    fn patch_rejects_class_changes() {
-        let mut s = InstrStream::new();
-        s.push(Instr::Sync);
-        s.patch(0, Instr::Read { block: BlockId(0), row: 0, offset: 0, words: 1 });
+        s.push(Instr::Read { block: BlockId(1), row: 1, offset: 0, words: 1 });
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(*s.stats(), StreamStats::default());
     }
 
     #[test]

@@ -53,6 +53,43 @@ pub struct OpCost {
     pub joules: f64,
 }
 
+impl OpCost {
+    /// `Read`: one search.
+    pub(crate) fn read() -> Self {
+        OpCost { seconds: params::T_SEARCH, joules: params::E_SEARCH }
+    }
+
+    /// `Write` of `words` words: one set plus one reset phase, each bit
+    /// paying the average of set and reset energy.
+    pub(crate) fn write(words: usize) -> Self {
+        let bits = (words * 32) as f64;
+        OpCost {
+            seconds: 2.0 * params::T_SEARCH,
+            joules: bits * 0.5 * (params::E_SET + params::E_RESET),
+        }
+    }
+
+    /// `Broadcast` of `words` words into `rows` rows: every destination
+    /// row pays a write.
+    pub(crate) fn broadcast(rows: usize, words: usize) -> Self {
+        let rows = rows as f64;
+        let bits = (words * 32) as f64;
+        OpCost {
+            seconds: rows * 2.0 * params::T_SEARCH,
+            joules: rows * bits * 0.5 * (params::E_SET + params::E_RESET),
+        }
+    }
+
+    /// Row-parallel `Arith` over `rows` rows: one bit-serial pass in
+    /// time, energy per row.
+    pub(crate) fn arith(op: AluOp, rows: u64) -> Self {
+        OpCost {
+            seconds: params::nor_seconds(params::alu_cycles(op)),
+            joules: params::alu_energy(op, rows),
+        }
+    }
+}
+
 /// Rows per storage tile: one 64-byte line of `f64` per column.
 const TILE_ROWS: usize = 8;
 
@@ -141,6 +178,22 @@ impl MemBlock {
     /// `Read`: cells → row buffer. One search per read.
     pub fn read_to_buffer(&mut self, row: usize, offset: usize, words: usize) -> OpCost {
         assert!(offset + words <= WORDS_PER_ROW, "read crosses the row edge");
+        self.read_cells(row, offset, words);
+        OpCost::read()
+    }
+
+    /// `Write`: row buffer → cells. Each bit pays the average of set and
+    /// reset energy; the write takes one set plus one reset phase.
+    pub fn write_from_buffer(&mut self, row: usize, offset: usize, words: usize) -> OpCost {
+        assert!(offset + words <= WORDS_PER_ROW, "write crosses the row edge");
+        self.write_cells(row, offset, words);
+        OpCost::write(words)
+    }
+
+    /// The `Read` data pass, for callers that have checked the bounds
+    /// (the chip checks them once, when it lowers a stream).
+    #[inline]
+    pub(crate) fn read_cells(&mut self, row: usize, offset: usize, words: usize) {
         let dst = &mut self.row_buffer[..words];
         match self.tiles[row / TILE_ROWS].as_deref() {
             Some(t) => {
@@ -150,21 +203,14 @@ impl MemBlock {
             }
             None => dst.fill(0.0),
         }
-        OpCost { seconds: params::T_SEARCH, joules: params::E_SEARCH }
     }
 
-    /// `Write`: row buffer → cells. Each bit pays the average of set and
-    /// reset energy; the write takes one set plus one reset phase.
-    pub fn write_from_buffer(&mut self, row: usize, offset: usize, words: usize) -> OpCost {
-        assert!(offset + words <= WORDS_PER_ROW, "write crosses the row edge");
+    /// The `Write` data pass (bounds checked by the caller).
+    #[inline]
+    pub(crate) fn write_cells(&mut self, row: usize, offset: usize, words: usize) {
         let t = self.tiles[row / TILE_ROWS].get_or_insert_with(Tile::zeroed);
         for (w, &value) in self.row_buffer[..words].iter().enumerate() {
             t.0[cell(row, offset + w)] = value;
-        }
-        let bits = (words * 32) as f64;
-        OpCost {
-            seconds: 2.0 * params::T_SEARCH,
-            joules: bits * 0.5 * (params::E_SET + params::E_RESET),
         }
     }
 
@@ -184,18 +230,25 @@ impl MemBlock {
     ) -> OpCost {
         assert!(dst_first <= dst_last && dst_last < BLOCK_ROWS, "bad broadcast range");
         assert!(offset + words <= WORDS_PER_ROW, "broadcast crosses the row edge");
+        self.broadcast_cells(dst_first, dst_last, offset, words);
+        OpCost::broadcast(dst_last - dst_first + 1, words)
+    }
+
+    /// The `Broadcast` data pass (bounds checked by the caller).
+    #[inline]
+    pub(crate) fn broadcast_cells(
+        &mut self,
+        dst_first: usize,
+        dst_last: usize,
+        offset: usize,
+        words: usize,
+    ) {
         for (t, lo, hi) in tile_spans(dst_first, dst_last) {
             let tile = self.tiles[t].get_or_insert_with(Tile::zeroed);
             for (w, &value) in self.row_buffer[..words].iter().enumerate() {
                 let base = (offset + w) * TILE_ROWS;
                 tile.0[base + lo..base + hi].fill(value);
             }
-        }
-        let rows = (dst_last - dst_first + 1) as f64;
-        let bits = (words * 32) as f64;
-        OpCost {
-            seconds: rows * 2.0 * params::T_SEARCH,
-            joules: rows * bits * 0.5 * (params::E_SET + params::E_RESET),
         }
     }
 
@@ -215,16 +268,12 @@ impl MemBlock {
         assert!(first_row <= last_row && last_row < BLOCK_ROWS, "bad row range");
         assert!(dst < WORDS_PER_ROW && a < WORDS_PER_ROW && b < WORDS_PER_ROW);
         self.arith_cells(op, first_row, last_row, dst, a, b);
-        let rows = (last_row - first_row + 1) as u64;
-        OpCost {
-            seconds: params::nor_seconds(params::alu_cycles(op)),
-            joules: params::alu_energy(op, rows),
-        }
+        OpCost::arith(op, (last_row - first_row + 1) as u64)
     }
 
     /// The row-parallel data pass: one monomorphized tile kernel per
-    /// [`AluOp`].
-    fn arith_cells(
+    /// [`AluOp`] (bounds checked by the caller).
+    pub(crate) fn arith_cells(
         &mut self,
         op: AluOp,
         first_row: usize,

@@ -9,6 +9,43 @@
 //! broadcast costs and off-chip batching transfers all surface in the
 //! reported time and energy.
 //!
+//! # Lowering and the two tapes
+//!
+//! `execute` is [`PimChip::lower`] followed by [`PimChip::replay`].
+//! Everything about a stream's cost that does not depend on the data is
+//! worked out once, at lowering, into a [`Tape`] (see [`crate::tape`]):
+//! - every bound is checked: block ids against the chip, rows against
+//!   the block, columns against the row. A malformed stream is a
+//!   [`LowerError`] naming the instruction index and the bound, and
+//!   `execute` panics with it *before* any instruction has run, so a
+//!   rejected stream leaves the chip untouched;
+//! - each block-local op is resolved to its block: consecutive ops on
+//!   one block become one run of the timing tape, and one `Block` op of
+//!   the functional tape selects the block for all of them;
+//! - every `Copy` and `Lut` is routed once, to the dense resource slots
+//!   of its path;
+//! - every op's seconds and joules go into a small per-tape cost table,
+//!   so a timing op is a 1-byte cost id.
+//!
+//! Replay runs the functional tape, then the timing tape, each in issue
+//! order, so every f64 accumulation (ledger fields, block busy and ready
+//! clocks, `elapsed`, resource clocks) happens in the order the
+//! instruction-by-instruction interpreter used, and every observable
+//! comes out bit-identical to it (`tests/replay_golden.rs`). The one
+//! data-dependent timing fact is a `Lut`'s fault: the functional pass
+//! records whether each index word faulted (and its diagnostic), and
+//! the timing pass charges the fault path — index read only, both
+//! blocks released at the fault — for exactly those lookups. The
+//! functional pass also fuses a same-block `Read`→`Write` pair into one
+//! `Move` that leaves the row buffer as the pair would. Whether to trace
+//! is decided once per replay; traced, the timing pass records the same
+//! spans and payloads the interpreter did.
+//!
+//! A tape costs 8 bytes per functional op and 1 byte per timing op,
+//! plus one 16-byte step per block run, transfer, DMA or barrier and the
+//! routes' slots, against 16 bytes per instruction for the stream; the
+//! runners keep tapes and drop the streams.
+//!
 //! # The two lanes
 //!
 //! The timeline is **dual-lane**. Compute work (block ops, interconnect
@@ -26,16 +63,19 @@
 //! [`PimChip::finish`] fences implicitly so no off-chip time is ever
 //! dropped from the report.
 
-use pim_isa::{AluOp, BlockId, Instr, InstrStream, StreamStats, BLOCK_ROWS, WORDS_PER_ROW};
+use std::ops::Range;
+
+use pim_isa::{BlockId, Instr, InstrStream, StreamStats, BLOCK_ROWS, WORDS_PER_ROW};
 use pim_trace::{Payload, TID_HOST, TID_INTERCONNECT, TID_OFFCHIP};
 
-use crate::block::MemBlock;
+use crate::block::{MemBlock, OpCost};
 use crate::energy::EnergyLedger;
 use crate::host::HostModel;
 use crate::interconnect::{
     BusNetwork, HTreeNetwork, Interconnect, InterconnectKind, Resource, Transfer,
 };
 use crate::params::{self, ChipCapacity, ProcessNode};
+use crate::tape::{Charge, Cost, FKind, LowerError, RunIds, Step, Tape, TapeBuilder, Violation};
 
 /// Chip configuration: capacity (Table 2), interconnect (§4.2), process
 /// node (§7.3).
@@ -106,8 +146,6 @@ pub struct PimChip {
     touched_blocks: usize,
     /// Dense per-resource timeline; see [`Self::resource_index`].
     resource_ready: Vec<f64>,
-    /// Reusable scratch for routed paths; see [`Self::take_route`].
-    route_scratch: Vec<Resource>,
     resource_slots_per_tile: usize,
     offchip_ready: f64,
     host_ready: f64,
@@ -220,37 +258,6 @@ impl ChipMetrics {
     }
 }
 
-/// The single block a purely block-local instruction occupies, or `None`
-/// for instructions that touch the interconnect, the off-chip channel,
-/// the barrier, or more than one block. Consecutive instructions that
-/// agree on `Some(block)` are fused into one [`PimChip::execute_block_run`].
-#[inline]
-fn block_local(instr: &Instr) -> Option<BlockId> {
-    match *instr {
-        Instr::Read { block, .. }
-        | Instr::Write { block, .. }
-        | Instr::Broadcast { block, .. }
-        | Instr::Arith { block, .. } => Some(block),
-        Instr::Copy { .. }
-        | Instr::Lut { .. }
-        | Instr::Sync
-        | Instr::LoadOffchip { .. }
-        | Instr::StoreOffchip { .. } => None,
-    }
-}
-
-/// Static op name for trace payloads.
-fn alu_name(op: AluOp) -> &'static str {
-    match op {
-        AluOp::Add => "add",
-        AluOp::Sub => "sub",
-        AluOp::Mul => "mul",
-        AluOp::Mac => "mac",
-        AluOp::Neg => "neg",
-        AluOp::Mov => "mov",
-    }
-}
-
 impl PimChip {
     pub fn new(config: ChipConfig) -> Self {
         let htree = HTreeNetwork::new();
@@ -275,7 +282,6 @@ impl PimChip {
             block_touched: vec![false; num_blocks],
             touched_blocks: 0,
             resource_ready: vec![0.0; 1 + num_tiles * resource_slots_per_tile],
-            route_scratch: Vec::new(),
             resource_slots_per_tile,
             offchip_ready: 0.0,
             host_ready: 0.0,
@@ -487,22 +493,12 @@ impl PimChip {
         self.block_busy.iter().sum::<f64>() / (self.touched_blocks as f64 * self.elapsed)
     }
 
-    /// Routes `src → dst` into the chip's reusable scratch path and
-    /// returns it (the caller hands it back via [`Self::put_route`]).
-    /// Taking the vector out keeps the borrow checker happy while the
-    /// caller goes on to mutate timelines, and reuses one allocation
-    /// across every `Copy`/`Lut` of a stream.
-    fn take_route(&mut self, src: BlockId, dst: BlockId) -> Vec<Resource> {
-        let mut path = std::mem::take(&mut self.route_scratch);
+    /// Routes `src → dst` into `path` on the chip's interconnect.
+    fn route_into(&self, src: BlockId, dst: BlockId, path: &mut Vec<Resource>) {
         match self.config.interconnect {
-            InterconnectKind::HTree => self.htree.route_into(src, dst, &mut path),
-            InterconnectKind::Bus => self.bus.route_into(src, dst, &mut path),
+            InterconnectKind::HTree => self.htree.route_into(src, dst, path),
+            InterconnectKind::Bus => self.bus.route_into(src, dst, path),
         }
-        path
-    }
-
-    fn put_route(&mut self, path: Vec<Resource>) {
-        self.route_scratch = path;
     }
 
     /// Transfer duration and energy, with the hop count taken from the
@@ -541,14 +537,16 @@ impl PimChip {
         }
     }
 
-    fn block_start(&self, id: BlockId) -> f64 {
-        self.check_block(id); // keeps the capacity panic message, not an index panic
-        self.block_ready[id.0 as usize].max(self.barrier)
+    /// When an op on block `idx` may start: after the block's last op
+    /// and the barrier.
+    #[inline]
+    fn block_start(&self, idx: usize) -> f64 {
+        self.block_ready[idx].max(self.barrier)
     }
 
-    fn finish_block(&mut self, id: BlockId, at: f64) {
-        let idx = id.0 as usize;
-        let start = self.block_ready[idx].max(self.barrier);
+    #[inline]
+    fn finish_block(&mut self, idx: usize, at: f64) {
+        let start = self.block_start(idx);
         self.mark_touched(idx);
         self.block_busy[idx] += (at - start).max(0.0);
         self.block_ready[idx] = at;
@@ -559,51 +557,74 @@ impl PimChip {
     /// block (so dependent compute waits for the data) but does *not*
     /// advance `elapsed` — the transfer rides the off-chip lane until
     /// something depends on it.
-    fn finish_block_offchip(&mut self, id: BlockId, start: f64, at: f64) {
-        let idx = id.0 as usize;
+    fn finish_block_offchip(&mut self, idx: usize, start: f64, at: f64) {
         self.mark_touched(idx);
         self.block_busy[idx] += (at - start).max(0.0);
         self.block_ready[idx] = at;
     }
 
-    /// Executes a stream. Instructions issue in order; execution overlaps
-    /// wherever the resources (blocks, switches, off-chip channel) are
-    /// disjoint. `Sync` is a full barrier.
+    /// Executes a stream: [`Self::lower`] then [`Self::replay`].
+    /// Instructions issue in order; execution overlaps wherever the
+    /// resources (blocks, switches, off-chip channel) are disjoint.
+    /// `Sync` is a full barrier.
     ///
-    /// Runs of consecutive instructions on the *same* block — the
-    /// compiler's dominant shape, since each element's kernel is a burst
-    /// of row-parallel ops on its home block — take a batched fast path
-    /// ([`Self::execute_block_run`]) that looks the block up once and
-    /// replays the per-op bookkeeping in one pass.
+    /// # Panics
+    /// Panics with the [`LowerError`] if the stream breaks a bound of
+    /// this chip, before any instruction has run.
     pub fn execute(&mut self, stream: &InstrStream) {
-        // Metrics are published once per stream from the ledger/clock
-        // deltas and the precomputed `StreamStats` — the per-instruction
-        // path stays untouched, so an unmetered chip pays one `Option`
-        // check per `execute`, not per instruction.
-        let before = self.metrics.is_some().then_some((self.ledger, self.elapsed));
-        let instrs = stream.instrs();
-        let mut spans = Vec::new();
-        let mut i = 0;
-        while i < instrs.len() {
-            let Some(block) = block_local(&instrs[i]) else {
-                self.execute_one(&instrs[i]);
-                i += 1;
-                continue;
-            };
-            let mut j = i + 1;
-            while j < instrs.len() && block_local(&instrs[j]) == Some(block) {
-                j += 1;
-            }
-            if j - i >= 2 {
-                self.execute_block_run(block, &instrs[i..j], &mut spans);
-            } else {
-                self.execute_one(&instrs[i]);
-            }
-            i = j;
+        let tape = self.lower(stream).unwrap_or_else(|e| panic!("{e}"));
+        self.replay(&tape);
+    }
+
+    /// Lowers `stream` for this chip's configuration: checks every
+    /// bound, resolves each block-local op into a block run, routes
+    /// every `Copy` and `Lut` to its resource slots, and prices every op
+    /// (module docs). Nothing about the chip's state changes.
+    ///
+    /// # Errors
+    /// The first instruction that breaks a bound, with its index.
+    pub fn lower(&self, stream: &InstrStream) -> Result<Tape, LowerError> {
+        let mut lowering = self.lowering();
+        lowering.push(stream)?;
+        Ok(lowering.finish())
+    }
+
+    /// Starts lowering a stream that arrives in pieces (a compiler that
+    /// hands out its output as it goes, so the whole stream never
+    /// exists); see [`Lowering`].
+    pub fn lowering(&self) -> Lowering<'_> {
+        Lowering {
+            chip: self,
+            tape: TapeBuilder::new(self.config),
+            path: Vec::new(),
+            slots: Vec::new(),
+            routed: None,
+            template: Run::default(),
+            started: None,
         }
+    }
+
+    /// Replays a tape lowered by [`Self::lower`]: the functional pass,
+    /// then the timing pass, each in issue order, then the host-dispatch
+    /// charge. Every clock, ledger field and trace span comes out
+    /// exactly as instruction-by-instruction execution leaves it.
+    ///
+    /// # Panics
+    /// Panics if the tape was lowered for another chip configuration.
+    pub fn replay(&mut self, tape: &Tape) {
+        assert_eq!(
+            tape.config, self.config,
+            "a tape replays only on the configuration it was lowered for"
+        );
+        // Metrics are published once per tape from the ledger/clock
+        // deltas and the stream's `StreamStats`, so an unmetered chip
+        // pays one `Option` check per replay, not per instruction.
+        let before = self.metrics.is_some().then_some((self.ledger, self.elapsed));
+        let faults = self.replay_functional(tape);
+        self.replay_timing(tape, &faults);
         // Host dispatch of the whole stream is a lower bound on elapsed
         // time: the chip cannot outrun its instruction feed.
-        let dispatch = self.host.dispatch_time(stream.len() as u64);
+        let dispatch = self.host.dispatch_time(tape.len() as u64);
         let joules = dispatch * self.host.power();
         self.ledger.host += joules;
         self.elapsed = self.elapsed.max(dispatch);
@@ -616,10 +637,10 @@ impl PimChip {
             TID_HOST,
             0.0,
             dispatch,
-            Payload::HostCall { call: "dispatch", count: stream.len() as u64, energy_j: joules },
+            Payload::HostCall { call: "dispatch", count: tape.len() as u64, energy_j: joules },
         );
         if let (Some(metrics), Some((ledger_before, elapsed_before))) = (&self.metrics, before) {
-            let stats = stream.stats();
+            let stats = tape.stats();
             let rows = stats.row_activations();
             metrics.add_energy_delta(&ledger_before, &self.ledger);
             metrics.add_opcode_mix(stats);
@@ -636,330 +657,309 @@ impl PimChip {
         }
     }
 
-    /// Batched fast path for a run of ≥2 consecutive block-local
-    /// instructions (Read/Write/Broadcast/Arith) on one block: one
-    /// capacity check and one block-map lookup for the whole run, with
-    /// the per-op ledger charges, busy/ready clock updates and trace
-    /// spans replayed in exactly the order the one-at-a-time path
-    /// produces. Within a run every op starts when the previous one
-    /// finishes (same block ⇒ fully serialized), so the clock chain is
-    /// a running `t` rather than repeated timeline lookups; the f64
-    /// accumulation order of every observable (ledger joules, busy
-    /// seconds, elapsed) is preserved bit for bit.
-    ///
-    /// `spans` is caller-owned scratch (drained before returning) so a
-    /// traced run reuses one allocation across the stream.
-    fn execute_block_run(
-        &mut self,
-        block: BlockId,
-        run: &[Instr],
-        spans: &mut Vec<(f64, f64, Payload)>,
-    ) {
-        self.check_block(block);
-        let idx = block.0 as usize;
-        self.mark_touched(idx);
-        let tracing = pim_trace::enabled();
-        let mut t = self.block_ready[idx].max(self.barrier);
-        let mut busy = self.block_busy[idx];
-        let b = self.blocks[idx].get_or_insert_with(Box::default);
-        for instr in run {
-            let (cost, payload) = match *instr {
-                Instr::Read { row, offset, words, .. } => {
-                    let cost = b.read_to_buffer(row as usize, offset as usize, words as usize);
-                    self.ledger.reads += cost.joules;
-                    (cost, Payload::BlockOp { op: "read", nor_cycles: 0, energy_j: cost.joules })
-                }
-                Instr::Write { row, offset, words, .. } => {
-                    let cost = b.write_from_buffer(row as usize, offset as usize, words as usize);
-                    self.ledger.writes += cost.joules;
-                    (cost, Payload::BlockOp { op: "write", nor_cycles: 0, energy_j: cost.joules })
-                }
-                Instr::Broadcast { dst_first, dst_last, offset, words, .. } => {
-                    let cost = b.broadcast(
-                        dst_first as usize,
-                        dst_last as usize,
-                        offset as usize,
-                        words as usize,
-                    );
-                    self.ledger.writes += cost.joules;
-                    (
-                        cost,
-                        Payload::BlockOp { op: "broadcast", nor_cycles: 0, energy_j: cost.joules },
-                    )
-                }
-                Instr::Arith { op, first_row, last_row, dst, a, b: rhs, .. } => {
-                    let cost = b.arith(
-                        op,
-                        first_row as usize,
-                        last_row as usize,
-                        dst as usize,
-                        a as usize,
-                        rhs as usize,
-                    );
-                    self.ledger.compute += cost.joules;
-                    (
-                        cost,
-                        Payload::BlockOp {
-                            op: alu_name(op),
-                            nor_cycles: params::alu_cycles(op),
-                            energy_j: cost.joules,
-                        },
-                    )
-                }
-                _ => unreachable!("execute_block_run only fuses block-local instructions"),
-            };
-            // Identical to finish_block op by op: the previous op's
-            // finish time is ≥ the barrier, so `.max(barrier)` would
-            // return it unchanged.
-            let t1 = t + cost.seconds;
-            busy += (t1 - t).max(0.0);
-            if tracing {
-                spans.push((t, t1, payload));
-            }
-            t = t1;
-        }
-        self.block_busy[idx] = busy;
-        self.block_ready[idx] = t;
-        self.elapsed = self.elapsed.max(t);
-        for (t0, t1, payload) in spans.drain(..) {
-            self.trace(block.0, t0, t1, payload);
-        }
+    /// Block `idx`, allocated on first use.
+    #[inline]
+    fn block_at(&mut self, idx: usize) -> &mut MemBlock {
+        self.blocks[idx].get_or_insert_with(Box::default)
     }
 
-    fn execute_one(&mut self, instr: &Instr) {
-        match *instr {
-            Instr::Sync => {
+    /// The functional pass: cell data and row buffers. Returns each
+    /// `Lut`'s fault outcome, in issue order, for the timing pass.
+    fn replay_functional(&mut self, tape: &Tape) -> Vec<bool> {
+        let mut faults = Vec::new();
+        let (fops, mut i, mut current) = (&tape.fops[..], 0, 0);
+        while let Some(op) = fops.get(i) {
+            i += 1;
+            match op.kind {
+                FKind::Block => current = op.wide(),
+                FKind::Copy => {
+                    let buf = *self.block_at(current).row_buffer();
+                    current = op.wide();
+                    self.block_at(current).load_row_buffer(&buf[..op.c[0] as usize]);
+                }
+                FKind::Lut => faults.push(self.lut_cells(&tape.luts[op.wide()])),
+                _ => {
+                    // Block-local ops run on the current block until the
+                    // next op that is not one.
+                    let b = self.block_at(current);
+                    let mut op = op;
+                    loop {
+                        let [c0, c1, c2] = op.c.map(usize::from);
+                        let [r0, r1] = op.r.map(usize::from);
+                        match op.kind {
+                            FKind::Read => b.read_cells(r0, c0, c1),
+                            FKind::Write => b.write_cells(r0, c0, c1),
+                            FKind::Move => {
+                                b.read_cells(r0, c0, c2);
+                                b.write_cells(r1, c1, c2);
+                            }
+                            FKind::Broadcast => b.broadcast_cells(r0, r1, c0, c1),
+                            FKind::Arith(alu) => b.arith_cells(alu, r0, r1, c0, c1, c2),
+                            FKind::Block | FKind::Copy | FKind::Lut => {
+                                i -= 1;
+                                break;
+                            }
+                        }
+                        match fops.get(i) {
+                            Some(next) => (op, i) = (next, i + 1),
+                            None => break,
+                        }
+                    }
+                }
+            }
+        }
+        faults
+    }
+
+    /// Algorithm 1's data movement: read the index, fetch the content
+    /// from the LUT block, write it back — "a special case of
+    /// inter-block data transmission" (§4.3). Returns whether the index
+    /// word faulted.
+    fn lut_cells(&mut self, instr: &Instr) -> bool {
+        let Instr::Lut { row, offset_s, lut_block, offset_d } = *instr else {
+            unreachable!("the tape's lookups are Lut instructions")
+        };
+        let holder = row as usize / BLOCK_ROWS;
+        let row_in_block = row as usize % BLOCK_ROWS;
+        let raw = {
+            let b = self.block_at(holder);
+            b.read_cells(row_in_block, offset_s as usize, 1);
+            b.row_buffer()[0]
+        };
+        // Validate the raw word (negative and NaN words would silently
+        // cast to index 0), then route the rounded index through the
+        // fallible expansion so a malformed program (index past the
+        // table block) becomes a diagnostic, not a crash or a bogus
+        // entry-0 fetch: the index read that physically happened stays
+        // charged, the content fetch and write-back are skipped.
+        let checked = pim_isa::lut::try_index_word(raw)
+            .and_then(|index| pim_isa::lut::try_expand(instr, index).map(|_| index));
+        let index = match checked {
+            Ok(index) => index as usize,
+            Err(e) => {
+                self.diagnostics.push(format!(
+                    "skipped Lut at row {row} offset_s {offset_s}: {e} \
+                     (index word read as {raw})"
+                ));
+                return true;
+            }
+        };
+        let content = {
+            let b = self.block_at(lut_block as usize);
+            b.read_cells(index / WORDS_PER_ROW, index % WORDS_PER_ROW, 1);
+            b.row_buffer()[0]
+        };
+        let b = self.block_at(holder);
+        b.load_row_buffer(&[content]);
+        b.write_cells(row_in_block, offset_d as usize, 1);
+        false
+    }
+
+    /// The timing pass: clocks, resource slots, ledger and trace spans,
+    /// in issue order. Whether to trace is decided once per tape.
+    fn replay_timing(&mut self, tape: &Tape, faults: &[bool]) {
+        let pid = pim_trace::enabled().then(|| self.trace_pid());
+        let (mut id, mut lut) = (0, 0);
+        let (mut routes, mut route): (&[u32], &[u32]) = (&tape.routes, &[]);
+        let mut reroute = |rerouted: bool| {
+            if rerouted {
+                let (len, rest) = routes.split_first().expect("the tape holds every route");
+                (route, routes) = rest.split_at(*len as usize);
+            }
+            route
+        };
+        for step in &tape.steps {
+            match *step {
+                Step::Run { block, len } => {
+                    let ids = id..id + len as usize;
+                    match &tape.run_ids {
+                        RunIds::Narrow(v) => self.time_run(block, &v[ids], &tape.op_costs, pid),
+                        RunIds::Wide(v) => self.time_run(block, &v[ids], &tape.op_costs, pid),
+                    }
+                    id += len as usize;
+                }
+                Step::Copy { src, dst, cost, rerouted } => {
+                    let cost = &tape.xfer_costs[cost as usize];
+                    self.time_copy(src as usize, dst as usize, reroute(rerouted), cost, pid);
+                }
+                Step::Lut { holder, lut: table, cost, rerouted } => {
+                    let cost = &tape.xfer_costs[cost as usize];
+                    let slots = reroute(rerouted);
+                    let faulted = faults[lut];
+                    lut += 1;
+                    self.time_lut(holder as usize, table as usize, slots, cost, faulted, pid);
+                }
+                Step::Dma { block, cost } => {
+                    self.time_dma(block as usize, &tape.xfer_costs[cost as usize], pid)
+                }
                 // Monotone: a Sync must never *lower* an externally
                 // advanced barrier (the cluster aligns chips with
                 // `advance_barrier` at times the local clock has not
                 // reached yet).
-                self.barrier = self.barrier.max(self.elapsed);
+                Step::Sync => self.barrier = self.barrier.max(self.elapsed),
             }
-            Instr::Read { block, row, offset, words } => {
-                let start = self.block_start(block);
-                let cost = self.block_mut(block).read_to_buffer(
-                    row as usize,
-                    offset as usize,
-                    words as usize,
-                );
-                self.ledger.reads += cost.joules;
-                self.finish_block(block, start + cost.seconds);
-                self.trace(
-                    block.0,
-                    start,
-                    start + cost.seconds,
-                    Payload::BlockOp { op: "read", nor_cycles: 0, energy_j: cost.joules },
-                );
-            }
-            Instr::Write { block, row, offset, words } => {
-                let start = self.block_start(block);
-                let cost = self.block_mut(block).write_from_buffer(
-                    row as usize,
-                    offset as usize,
-                    words as usize,
-                );
-                self.ledger.writes += cost.joules;
-                self.finish_block(block, start + cost.seconds);
-                self.trace(
-                    block.0,
-                    start,
-                    start + cost.seconds,
-                    Payload::BlockOp { op: "write", nor_cycles: 0, energy_j: cost.joules },
-                );
-            }
-            Instr::Broadcast { block, dst_first, dst_last, offset, words } => {
-                let start = self.block_start(block);
-                let cost = self.block_mut(block).broadcast(
-                    dst_first as usize,
-                    dst_last as usize,
-                    offset as usize,
-                    words as usize,
-                );
-                self.ledger.writes += cost.joules;
-                self.finish_block(block, start + cost.seconds);
-                self.trace(
-                    block.0,
-                    start,
-                    start + cost.seconds,
-                    Payload::BlockOp { op: "broadcast", nor_cycles: 0, energy_j: cost.joules },
-                );
-            }
-            Instr::Arith { block, op, first_row, last_row, dst, a, b } => {
-                let start = self.block_start(block);
-                let cost = self.block_mut(block).arith(
-                    op,
-                    first_row as usize,
-                    last_row as usize,
-                    dst as usize,
-                    a as usize,
-                    b as usize,
-                );
-                self.ledger.compute += cost.joules;
-                self.finish_block(block, start + cost.seconds);
-                self.trace(
-                    block.0,
-                    start,
-                    start + cost.seconds,
-                    Payload::BlockOp {
-                        op: alu_name(op),
-                        nor_cycles: params::alu_cycles(op),
-                        energy_j: cost.joules,
-                    },
-                );
-            }
-            Instr::Copy { src, dst, words } => {
-                let t = Transfer { src, dst, words: words as u32 };
-                let path = self.take_route(src, dst);
-                let (dur, joules) = self.transfer_cost(&t, path.len());
-                let mut start = self.block_start(src).max(self.block_start(dst));
-                for r in &path {
-                    start = start.max(self.resource_ready[self.resource_index(r)]);
-                }
-                let finish = start + dur;
-                for r in &path {
-                    let slot = self.resource_index(r);
-                    self.resource_ready[slot] = finish;
-                }
-                self.put_route(path);
-                // Move the data: source row buffer → destination buffer.
-                let buf = *self.block(src).row_buffer();
-                self.block_mut(dst).load_row_buffer(&buf[..(words as usize).min(WORDS_PER_ROW)]);
-                self.ledger.interconnect += joules;
-                self.finish_block(src, finish);
-                self.finish_block(dst, finish);
-                self.trace(
-                    TID_INTERCONNECT,
-                    start,
-                    finish,
-                    Payload::Transfer { bytes: words as u64 * 4, energy_j: joules },
-                );
-            }
-            Instr::Lut { row, offset_s, lut_block, offset_d } => {
-                // Algorithm 1: read the index, fetch the content from the
-                // LUT block, write it back — "a special case of
-                // inter-block data transmission" (§4.3).
-                let holder = BlockId(row / BLOCK_ROWS as u32);
-                let row_in_block = (row as usize) % BLOCK_ROWS;
-                let lut = BlockId(lut_block);
+        }
+    }
 
-                let start = self.block_start(holder).max(self.block_start(lut));
+    /// Adds `cost`'s joules to its ledger field.
+    #[inline]
+    fn charge(&mut self, cost: &Cost) {
+        let field = match cost.charge {
+            Charge::Read => &mut self.ledger.reads,
+            Charge::Write | Charge::Broadcast => &mut self.ledger.writes,
+            Charge::Arith(_) => &mut self.ledger.compute,
+            Charge::Transfer { .. } => &mut self.ledger.interconnect,
+            Charge::Offchip { .. } => &mut self.ledger.offchip,
+        };
+        *field += cost.joules;
+    }
 
-                let (raw, read1_joules) = {
-                    let b = self.block_mut(holder);
-                    let cost = b.read_to_buffer(row_in_block, offset_s as usize, 1);
-                    (b.row_buffer()[0], cost.joules)
-                };
-                self.ledger.reads += read1_joules;
-                // Validate the raw word (negative and NaN words would
-                // silently cast to index 0), then route the rounded index
-                // through the fallible expansion so a malformed program
-                // (index past the table block) becomes a diagnostic, not a
-                // crash or a bogus entry-0 fetch: the index read that
-                // physically happened stays charged, the content fetch and
-                // write-back are skipped.
-                let checked = pim_isa::lut::try_index_word(raw)
-                    .and_then(|index| pim_isa::lut::try_expand(instr, index).map(|_| index));
-                let index = match checked {
-                    Ok(index) => index as usize,
-                    Err(e) => {
-                        self.diagnostics.push(format!(
-                            "skipped Lut at row {row} offset_s {offset_s}: {e} \
-                             (index word read as {raw})"
-                        ));
-                        // The skip's timeline matches the normal path's
-                        // shape: both blocks the instruction reserved are
-                        // released at the point the failure was detected,
-                        // and the span that physically happened is traced
-                        // through the same self-gating `trace` as every
-                        // other instruction.
-                        self.finish_block(holder, start + params::T_SEARCH);
-                        self.finish_block(lut, start + params::T_SEARCH);
-                        self.trace(
-                            holder.0,
-                            start,
-                            start + params::T_SEARCH,
-                            Payload::BlockOp { op: "read", nor_cycles: 0, energy_j: read1_joules },
-                        );
-                        return;
-                    }
-                };
-                let (content, read2_joules) = {
-                    let b = self.block_mut(lut);
-                    let cost = b.read_to_buffer(index / WORDS_PER_ROW, index % WORDS_PER_ROW, 1);
-                    (b.row_buffer()[0], cost.joules)
-                };
-                self.ledger.reads += read2_joules;
-
-                let t = Transfer { src: lut, dst: holder, words: 1 };
-                let path = self.take_route(lut, holder);
-                let (dur, joules) = self.transfer_cost(&t, path.len());
-                let mut xfer_start = start + 2.0 * params::T_SEARCH;
-                for r in &path {
-                    xfer_start = xfer_start.max(self.resource_ready[self.resource_index(r)]);
-                }
-                let xfer_finish = xfer_start + dur;
-                for r in &path {
-                    let slot = self.resource_index(r);
-                    self.resource_ready[slot] = xfer_finish;
-                }
-                self.put_route(path);
-                self.ledger.interconnect += joules;
-
-                let b = self.block_mut(holder);
-                b.load_row_buffer(&[content]);
-                let wcost = b.write_from_buffer(row_in_block, offset_d as usize, 1);
-                self.ledger.writes += wcost.joules;
-                let finish = xfer_finish + wcost.seconds;
-                self.finish_block(holder, finish);
-                self.finish_block(lut, finish);
-                if pim_trace::enabled() {
-                    // Algorithm 1 decomposed on the timeline: index read,
-                    // LUT content read, switch transfer, result write.
-                    self.trace(
-                        holder.0,
-                        start,
-                        start + params::T_SEARCH,
-                        Payload::BlockOp { op: "read", nor_cycles: 0, energy_j: read1_joules },
-                    );
-                    self.trace(
-                        lut.0,
-                        start + params::T_SEARCH,
-                        start + 2.0 * params::T_SEARCH,
-                        Payload::BlockOp { op: "read", nor_cycles: 0, energy_j: read2_joules },
-                    );
-                    self.trace(
-                        TID_INTERCONNECT,
-                        xfer_start,
-                        xfer_finish,
-                        Payload::Transfer { bytes: 4, energy_j: joules },
-                    );
-                    self.trace(
-                        holder.0,
-                        xfer_finish,
-                        finish,
-                        Payload::BlockOp { op: "write", nor_cycles: 0, energy_j: wcost.joules },
-                    );
+    /// A run of block-local ops on one block: each starts when the
+    /// previous one finishes (same block ⇒ fully serialized), so the
+    /// clock chain is a running `t`. The first op starts after the
+    /// block's last op and the barrier; later ones start at or after it,
+    /// so re-applying the barrier would change nothing. Each ledger
+    /// field takes its ops' joules in issue order, so the sums equal
+    /// charging op by op.
+    fn time_run<I: Copy + Into<usize>>(
+        &mut self,
+        block: u32,
+        ids: &[I],
+        costs: &[Cost],
+        pid: Option<u32>,
+    ) {
+        let idx = block as usize;
+        self.mark_touched(idx);
+        let mut t = self.block_start(idx);
+        let mut busy = self.block_busy[idx];
+        let l = &self.ledger;
+        let (mut reads, mut writes, mut compute) = (l.reads, l.writes, l.compute);
+        for &id in ids {
+            let cost = &costs[id.into()];
+            match cost.charge {
+                Charge::Read => reads += cost.joules,
+                Charge::Write | Charge::Broadcast => writes += cost.joules,
+                Charge::Arith(_) => compute += cost.joules,
+                Charge::Transfer { .. } | Charge::Offchip { .. } => {
+                    unreachable!("runs hold block-local ops only")
                 }
             }
-            Instr::LoadOffchip { block, bytes } | Instr::StoreOffchip { block, bytes } => {
-                let dur = bytes as f64 / params::OFFCHIP_BANDWIDTH;
-                // A DMA is clamped to the stage barrier like every other
-                // instruction — explicitly, so the invariant no longer
-                // hinges on `block_start` happening to fold the barrier
-                // in. `link_transfer` clamps the same way.
-                let start = self.block_start(block).max(self.offchip_ready).max(self.barrier);
-                let finish = start + dur;
-                self.offchip_ready = finish;
-                let joules = bytes as f64 * (params::OFFCHIP_POWER / params::OFFCHIP_BANDWIDTH);
-                self.ledger.offchip += joules;
-                self.finish_block_offchip(block, start, finish);
-                self.trace(
-                    TID_OFFCHIP,
+            let t1 = t + cost.seconds;
+            busy += (t1 - t).max(0.0);
+            if let Some(pid) = pid {
+                pim_trace::record_span(pid, block, t, t1, cost.payload());
+            }
+            t = t1;
+        }
+        (self.ledger.reads, self.ledger.writes, self.ledger.compute) = (reads, writes, compute);
+        self.block_busy[idx] = busy;
+        self.block_ready[idx] = t;
+        self.elapsed = self.elapsed.max(t);
+    }
+
+    /// An interconnect copy: it starts when both blocks and every
+    /// resource on its route are free, and holds them all until done.
+    fn time_copy(&mut self, src: usize, dst: usize, slots: &[u32], cost: &Cost, pid: Option<u32>) {
+        let mut start = self.block_start(src).max(self.block_start(dst));
+        for &slot in slots {
+            start = start.max(self.resource_ready[slot as usize]);
+        }
+        let finish = start + cost.seconds;
+        for &slot in slots {
+            self.resource_ready[slot as usize] = finish;
+        }
+        self.charge(cost);
+        self.finish_block(src, finish);
+        self.finish_block(dst, finish);
+        if let Some(pid) = pid {
+            pim_trace::record_span(pid, TID_INTERCONNECT, start, finish, cost.payload());
+        }
+    }
+
+    /// Algorithm 1 on the timeline: index read, LUT content read, switch
+    /// transfer, result write. A faulted lookup stops after the index
+    /// read, and both blocks it reserved are released there.
+    fn time_lut(
+        &mut self,
+        holder: usize,
+        lut: usize,
+        slots: &[u32],
+        xfer: &Cost,
+        faulted: bool,
+        pid: Option<u32>,
+    ) {
+        let start = self.block_start(holder).max(self.block_start(lut));
+        let read = OpCost::read();
+        let block_op = |op, energy_j| Payload::BlockOp { op, nor_cycles: 0, energy_j };
+        self.ledger.reads += read.joules;
+        if faulted {
+            let at = start + params::T_SEARCH;
+            self.finish_block(holder, at);
+            self.finish_block(lut, at);
+            if let Some(pid) = pid {
+                pim_trace::record_span(
+                    pid,
+                    holder as u32,
                     start,
-                    finish,
-                    Payload::Offchip { bytes: bytes as u64, energy_j: joules },
+                    at,
+                    block_op("read", read.joules),
                 );
             }
+            return;
+        }
+        self.ledger.reads += read.joules;
+        let mut xfer_start = start + 2.0 * params::T_SEARCH;
+        for &slot in slots {
+            xfer_start = xfer_start.max(self.resource_ready[slot as usize]);
+        }
+        let xfer_finish = xfer_start + xfer.seconds;
+        for &slot in slots {
+            self.resource_ready[slot as usize] = xfer_finish;
+        }
+        self.charge(xfer);
+        let write = OpCost::write(1);
+        self.ledger.writes += write.joules;
+        let finish = xfer_finish + write.seconds;
+        self.finish_block(holder, finish);
+        self.finish_block(lut, finish);
+        if let Some(pid) = pid {
+            let (searched, fetched) = (start + params::T_SEARCH, start + 2.0 * params::T_SEARCH);
+            pim_trace::record_span(
+                pid,
+                holder as u32,
+                start,
+                searched,
+                block_op("read", read.joules),
+            );
+            pim_trace::record_span(
+                pid,
+                lut as u32,
+                searched,
+                fetched,
+                block_op("read", read.joules),
+            );
+            pim_trace::record_span(pid, TID_INTERCONNECT, xfer_start, xfer_finish, xfer.payload());
+            pim_trace::record_span(
+                pid,
+                holder as u32,
+                xfer_finish,
+                finish,
+                block_op("write", write.joules),
+            );
+        }
+    }
+
+    /// An off-chip DMA: it serializes on the off-chip lane and occupies
+    /// its block, clamped to the stage barrier like every other
+    /// instruction (`link_transfer` clamps the same way).
+    fn time_dma(&mut self, block: usize, cost: &Cost, pid: Option<u32>) {
+        let start = self.block_start(block).max(self.offchip_ready).max(self.barrier);
+        let finish = start + cost.seconds;
+        self.offchip_ready = finish;
+        self.charge(cost);
+        self.finish_block_offchip(block, start, finish);
+        if let Some(pid) = pid {
+            pim_trace::record_span(pid, TID_OFFCHIP, start, finish, cost.payload());
         }
     }
 
@@ -1104,6 +1104,217 @@ impl PimChip {
     }
 }
 
+/// The bounds lowering checks on a chip of `.0` blocks.
+struct Bounds(u64);
+
+impl Bounds {
+    #[inline]
+    fn block(&self, block: u32) -> Result<(), Violation> {
+        if block as u64 >= self.0 {
+            return Err(Violation::Block { block, num_blocks: self.0 });
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn rows(&self, first: u16, last: u16) -> Result<(), Violation> {
+        if first > last || last as usize >= BLOCK_ROWS {
+            return Err(Violation::Rows { first: first as u32, last: last as u32 });
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn cols(&self, offset: u8, words: u8) -> Result<(), Violation> {
+        if offset as usize + words as usize > WORDS_PER_ROW {
+            return Err(Violation::Columns { offset: offset as u32, words: words as u32 });
+        }
+        Ok(())
+    }
+}
+
+/// A lowering in progress: [`PimChip::lowering`] starts one, the
+/// consecutive pieces of one stream go through [`Self::push`], and
+/// [`Self::finish`] returns the tape [`PimChip::lower`] makes of their
+/// concatenation.
+pub struct Lowering<'a> {
+    chip: &'a PimChip,
+    tape: TapeBuilder,
+    path: Vec<Resource>,
+    slots: Vec<u32>,
+    /// The block pair `path` and `slots` route: Flux moves several words
+    /// over one pair in a row.
+    routed: Option<(BlockId, BlockId)>,
+    /// The last run of at least [`TEMPLATE_OPS`] block-local ops
+    /// lowered op by op. A kernel repeats one run per element on each
+    /// element's block, so a run whose ops equal the template's but for
+    /// the block copies the template's entries instead.
+    template: Run,
+    /// Where the run being lowered op by op started in this piece, and
+    /// its first functional op and run id.
+    started: Option<(usize, usize, usize)>,
+}
+
+/// The shortest run worth keeping as a template: shorter ones cost
+/// about as much to match as to lower.
+const TEMPLATE_OPS: usize = 4;
+
+/// A run of block-local ops: its instructions with the block zeroed, and
+/// the ranges of functional ops and run ids it lowered to.
+#[derive(Default)]
+struct Run {
+    instrs: Vec<Instr>,
+    fops: Range<usize>,
+    ids: Range<usize>,
+}
+
+/// A block-local instruction split into its block and the instruction
+/// with the block zeroed, the form runs are compared in; `None` for
+/// transfers, DMAs and barriers.
+fn block_form(instr: &Instr) -> Option<(BlockId, Instr)> {
+    let mut zeroed = *instr;
+    match &mut zeroed {
+        Instr::Read { block, .. }
+        | Instr::Write { block, .. }
+        | Instr::Broadcast { block, .. }
+        | Instr::Arith { block, .. } => Some((std::mem::replace(block, BlockId(0)), zeroed)),
+        _ => None,
+    }
+}
+
+impl Run {
+    /// Whether `instrs` opens with this run's ops on block `on`.
+    fn repeats(&self, instrs: &[Instr], on: BlockId) -> bool {
+        !self.instrs.is_empty()
+            && instrs.len() >= self.instrs.len()
+            && self.instrs.iter().zip(instrs).all(|(t, i)| block_form(i) == Some((on, *t)))
+    }
+}
+
+impl Lowering<'_> {
+    /// Lowers the next piece of the stream.
+    ///
+    /// # Errors
+    /// The first instruction that breaks a bound, indexed from the start
+    /// of the whole stream. The lowering is of no further use then.
+    pub fn push(&mut self, piece: &InstrStream) -> Result<(), LowerError> {
+        let (chip, tape) = (self.chip, &mut self.tape);
+        let first = tape.add_piece(piece.len(), piece.stats());
+        let bounds = Bounds(chip.config.capacity.num_blocks());
+        let instrs = piece.instrs();
+        let mut i = 0;
+        while i < instrs.len() {
+            let instr = &instrs[i];
+            let at = |violation| LowerError { index: first + i, instr: *instr, violation };
+            let local = block_form(instr);
+            let extends = local.is_some_and(|(block, _)| Some(block.0) == tape.open_run());
+            if !extends {
+                // The run lowered op by op ends here; a long one is the
+                // new template.
+                if let Some((start, fops, ids)) = self.started.take() {
+                    if i - start >= TEMPLATE_OPS {
+                        let (fops_end, ids_end) = tape.marks();
+                        let t = &mut self.template;
+                        t.instrs.clear();
+                        t.instrs
+                            .extend(instrs[start..i].iter().filter_map(block_form).map(|(_, z)| z));
+                        (t.fops, t.ids) = (fops..fops_end, ids..ids_end);
+                    }
+                }
+                if let Some((block, _)) = local {
+                    if self.template.repeats(&instrs[i..], block) {
+                        bounds.block(block.0).map_err(at)?;
+                        let t = &self.template;
+                        tape.repeat_run(block.0, t.fops.clone(), t.ids.clone());
+                        i += t.instrs.len();
+                        continue;
+                    }
+                }
+            }
+            let mut route = |src: BlockId, dst: BlockId, words: u16| {
+                if self.routed != Some((src, dst)) {
+                    chip.route_into(src, dst, &mut self.path);
+                    self.slots.clear();
+                    self.slots.extend(self.path.iter().map(|r| chip.resource_index(r) as u32));
+                    self.routed = Some((src, dst));
+                }
+                chip.transfer_cost(&Transfer { src, dst, words: words as u32 }, self.path.len())
+            };
+            match *instr {
+                Instr::Read { block, row, offset, words } => {
+                    bounds
+                        .block(block.0)
+                        .and(bounds.rows(row, row))
+                        .and(bounds.cols(offset, words))
+                        .map_err(at)?;
+                    tape.read(block.0, row, offset, words)
+                }
+                Instr::Write { block, row, offset, words } => {
+                    bounds
+                        .block(block.0)
+                        .and(bounds.rows(row, row))
+                        .and(bounds.cols(offset, words))
+                        .map_err(at)?;
+                    tape.write(block.0, row, offset, words)
+                }
+                Instr::Broadcast { block, dst_first, dst_last, offset, words } => {
+                    bounds
+                        .block(block.0)
+                        .and(bounds.rows(dst_first, dst_last))
+                        .and(bounds.cols(offset, words))
+                        .map_err(at)?;
+                    tape.broadcast(block.0, dst_first, dst_last, offset, words)
+                }
+                Instr::Arith { block, op, first_row, last_row, dst, a, b } => {
+                    bounds
+                        .block(block.0)
+                        .and(bounds.rows(first_row, last_row))
+                        .and(bounds.cols(dst.max(a).max(b), 1))
+                        .map_err(at)?;
+                    tape.arith(block.0, op, (first_row, last_row), [dst, a, b])
+                }
+                Instr::Copy { src, dst, words } => {
+                    bounds.block(src.0).and(bounds.block(dst.0)).map_err(at)?;
+                    let cost = route(src, dst, words);
+                    tape.copy((src.0, dst.0, words), &self.slots, cost);
+                }
+                Instr::Lut { row, offset_s, lut_block, offset_d } => {
+                    // Algorithm 1's content transfer runs LUT → holder.
+                    let holder = row / BLOCK_ROWS as u32;
+                    bounds
+                        .block(holder)
+                        .and(bounds.block(lut_block))
+                        .and(bounds.cols(offset_s.max(offset_d), 1))
+                        .map_err(at)?;
+                    let cost = route(BlockId(lut_block), BlockId(holder), 1);
+                    tape.lut(*instr, (holder, lut_block), &self.slots, cost);
+                }
+                Instr::LoadOffchip { block, bytes } | Instr::StoreOffchip { block, bytes } => {
+                    bounds.block(block.0).map_err(at)?;
+                    tape.dma(block.0, bytes)
+                }
+                Instr::Sync => tape.sync(),
+            }
+            if local.is_some() && !extends {
+                // A run's first op went to the tape as exactly one
+                // functional op (it never fuses) and one run id.
+                let (fops, ids) = tape.marks();
+                self.started = Some((i, fops - 1, ids - 1));
+            }
+            i += 1;
+        }
+        // A run still open may go on in the next piece, where its start
+        // is out of reach: it does not become a template.
+        self.started = None;
+        Ok(())
+    }
+
+    /// The finished tape.
+    pub fn finish(self) -> Tape {
+        self.tape.finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1156,12 +1367,14 @@ mod tests {
 
     #[test]
     fn fused_block_runs_are_bit_identical_to_the_one_at_a_time_path() {
-        // The batched fast path fuses runs of same-block instructions;
-        // every observable — cell contents, ledger joules, busy/ready
-        // clocks, elapsed — must come out bit-identical to driving
-        // `execute_one` per instruction.
+        // A tape runs same-block ops as one run and fuses a same-block
+        // Read→Write into one Move; every observable — cell contents,
+        // row buffers, ledger joules, busy/ready clocks, elapsed — must
+        // come out bit-identical to running each instruction as a
+        // stream of its own.
         let instrs = [
             Instr::Read { block: BlockId(0), row: 3, offset: 0, words: 4 },
+            Instr::Write { block: BlockId(0), row: 9, offset: 20, words: 4 },
             Instr::Broadcast {
                 block: BlockId(0),
                 dst_first: 0,
@@ -1188,26 +1401,24 @@ mod tests {
         for i in &instrs {
             s.push(*i);
         }
-        fused.execute(&s);
+        let tape = fused.lower(&s).unwrap();
+        assert!(tape.fops.iter().any(|op| op.kind == FKind::Move), "the Read→Write pair fuses");
+        fused.replay(&tape);
 
         let mut single = chip();
         preload(&mut single);
         for i in &instrs {
-            single.execute_one(i);
+            let mut one = InstrStream::new();
+            one.push(*i);
+            single.execute(&one);
         }
-        // Replicate execute()'s dispatch epilogue so the two chips saw
-        // the same total work.
-        let dispatch = single.host.dispatch_time(instrs.len() as u64);
-        single.ledger.host += dispatch * single.host.power();
-        single.elapsed = single.elapsed.max(dispatch);
-        single.host_ready = single.host_ready.max(dispatch);
 
+        // Host dispatch is charged per stream, so only its energy differs.
         assert_eq!(fused.elapsed.to_bits(), single.elapsed.to_bits(), "elapsed");
         for (name, f, s) in [
             ("compute", fused.ledger.compute, single.ledger.compute),
             ("reads", fused.ledger.reads, single.ledger.reads),
             ("writes", fused.ledger.writes, single.ledger.writes),
-            ("host", fused.ledger.host, single.ledger.host),
         ] {
             assert_eq!(f.to_bits(), s.to_bits(), "ledger.{name}");
         }
@@ -1224,8 +1435,106 @@ mod tests {
                     assert_eq!(f.to_bits(), s.to_bits(), "block {id} ({row},{col})");
                 }
             }
+            let (f, s) =
+                (*fused.block(BlockId(id)).row_buffer(), *single.block(BlockId(id)).row_buffer());
+            assert_eq!(f.map(f64::to_bits), s.map(f64::to_bits), "block {id} row buffer");
         }
         assert_eq!(fused.touched_blocks, single.touched_blocks);
+    }
+
+    #[test]
+    fn malformed_streams_are_rejected_before_they_run() {
+        let mut c = chip();
+        c.block_mut(BlockId(0)).set(3, 0, 1.5);
+        let mut s = InstrStream::new();
+        s.push(Instr::Read { block: BlockId(0), row: 3, offset: 0, words: 1 });
+        s.push(Instr::Write { block: BlockId(1), row: 7, offset: 0, words: 1 });
+        s.push(arith(0, AluOp::Add, 512)); // fine so far...
+        let mut bad = s.clone();
+        bad.push(Instr::Read { block: BlockId(0), row: 1024, offset: 0, words: 1 });
+        // ...the third instruction here is out of range:
+        let mut third = InstrStream::new();
+        for i in [s.instrs()[0], s.instrs()[1], bad.instrs()[3], s.instrs()[2]] {
+            third.push(i);
+        }
+        let err = c.lower(&third).unwrap_err();
+        assert_eq!(err.index, 2);
+        assert_eq!(err.violation, Violation::Rows { first: 1024, last: 1024 });
+        assert!(err.to_string().contains("instruction 2"), "{err}");
+
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.execute(&third)));
+        let message = outcome.expect_err("execute must reject the stream");
+        let message = message.downcast_ref::<String>().expect("a formatted panic");
+        assert!(message.contains("instruction 2"), "{message}");
+        // Nothing ran: not the two valid instructions ahead of the bad one.
+        assert_eq!(c.ledger().dynamic(), 0.0);
+        assert_eq!(c.elapsed(), 0.0);
+        assert_eq!(c.total_block_busy_seconds(), 0.0);
+        assert_eq!(c.block(BlockId(0)).row_buffer()[0], 0.0);
+        assert_eq!(c.block(BlockId(1)).get(7, 0), 0.0);
+        assert_eq!(c.block(BlockId(0)).get(3, 0), 1.5);
+    }
+
+    #[test]
+    fn lowering_names_every_violated_bound() {
+        let c = PimChip::new(ChipConfig {
+            capacity: ChipCapacity::Mb512,
+            interconnect: InterconnectKind::HTree,
+            node: ProcessNode::Nm28,
+        });
+        let num_blocks = ChipCapacity::Mb512.num_blocks();
+        let past = num_blocks as u32;
+        let cases = [
+            (
+                Instr::Copy { src: BlockId(0), dst: BlockId(past), words: 1 },
+                Violation::Block { block: past, num_blocks },
+            ),
+            (
+                Instr::Lut {
+                    row: past * BLOCK_ROWS as u32,
+                    offset_s: 0,
+                    lut_block: 1,
+                    offset_d: 1,
+                },
+                Violation::Block { block: past, num_blocks },
+            ),
+            (
+                Instr::Broadcast {
+                    block: BlockId(0),
+                    dst_first: 9,
+                    dst_last: 4,
+                    offset: 0,
+                    words: 1,
+                },
+                Violation::Rows { first: 9, last: 4 },
+            ),
+            (
+                Instr::Write { block: BlockId(0), row: 0, offset: 31, words: 2 },
+                Violation::Columns { offset: 31, words: 2 },
+            ),
+            (
+                Instr::Arith {
+                    block: BlockId(0),
+                    op: AluOp::Add,
+                    first_row: 0,
+                    last_row: 0,
+                    dst: 0,
+                    a: 32,
+                    b: 1,
+                },
+                Violation::Columns { offset: 32, words: 1 },
+            ),
+            (
+                Instr::LoadOffchip { block: BlockId(past), bytes: 64 },
+                Violation::Block { block: past, num_blocks },
+            ),
+        ];
+        for (instr, violation) in cases {
+            let mut s = InstrStream::new();
+            s.push(Instr::Sync);
+            s.push(instr);
+            assert_eq!(c.lower(&s), Err(LowerError { index: 1, instr, violation }));
+        }
     }
 
     #[test]

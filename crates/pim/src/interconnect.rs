@@ -63,9 +63,9 @@ pub struct Schedule {
 /// Common behavior of the two interconnects.
 pub trait Interconnect {
     /// The resources (switches) a transfer occupies, written into `out`
-    /// (cleared first) in path order. The interpreter's hot path reuses
-    /// one scratch vector across millions of transfers instead of
-    /// allocating a fresh path per `Copy`/`Lut`.
+    /// (cleared first) in path order. Lowering reuses one scratch vector
+    /// across a stream's transfers instead of allocating a fresh path
+    /// per `Copy`/`Lut`.
     fn route_into(&self, src: BlockId, dst: BlockId, out: &mut Vec<Resource>);
 
     /// Path length of a transfer, without materializing the path.
@@ -131,6 +131,11 @@ pub trait Interconnect {
 pub struct HTreeNetwork {
     fanout: u32,
     levels: u8,
+    /// `log2(fanout)`: every fanout that tiles 256 blocks into whole
+    /// levels is a power of two, so walking up a level is a shift.
+    shift: u32,
+    /// First dense slot of each level (see [`Self::switch_slot`]).
+    level_base: [u32; 8],
 }
 
 impl HTreeNetwork {
@@ -149,14 +154,21 @@ impl HTreeNetwork {
         let mut remaining = BLOCKS_PER_TILE as u32;
         let mut levels = 0u8;
         while remaining > 1 {
+            // A fanout of 1 divides everything and would never finish.
             assert!(
-                remaining.is_multiple_of(fanout),
+                fanout > 1 && remaining.is_multiple_of(fanout),
                 "fanout {fanout} does not evenly tile {BLOCKS_PER_TILE} blocks"
             );
             remaining /= fanout;
             levels += 1;
         }
-        Self { fanout, levels }
+        let mut level_base = [0; 8];
+        let mut nodes = BLOCKS_PER_TILE as u32;
+        for l in 1..levels as usize {
+            nodes /= fanout;
+            level_base[l] = level_base[l - 1] + nodes;
+        }
+        Self { fanout, levels, shift: fanout.trailing_zeros(), level_base }
     }
 
     /// Switch levels per tile.
@@ -177,7 +189,7 @@ impl HTreeNetwork {
 
     /// The level-`l` switch above a block (level 0 = nearest switches).
     fn switch_above(&self, within_tile: u32, level: u8) -> u32 {
-        within_tile / self.fanout.pow(level as u32 + 1)
+        within_tile >> (self.shift * (level as u32 + 1))
     }
 
     /// Dense within-tile slot of the level-`level` switch `index`:
@@ -187,14 +199,8 @@ impl HTreeNetwork {
     /// array instead of a hash map.
     pub fn switch_slot(&self, level: u8, index: u32) -> u32 {
         debug_assert!(level < self.levels);
-        let mut base = 0;
-        let mut nodes = BLOCKS_PER_TILE as u32;
-        for _ in 0..level {
-            nodes /= self.fanout;
-            base += nodes;
-        }
-        debug_assert!(index < nodes / self.fanout);
-        base + index
+        debug_assert!(index < BLOCKS_PER_TILE as u32 >> (self.shift * (level as u32 + 1)));
+        self.level_base[level as usize] + index
     }
 }
 
@@ -349,6 +355,12 @@ mod tests {
     #[should_panic(expected = "does not evenly tile")]
     fn htree_rejects_bad_fanout() {
         let _ = HTreeNetwork::with_fanout(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not evenly tile")]
+    fn htree_rejects_fanout_one() {
+        let _ = HTreeNetwork::with_fanout(1);
     }
 
     #[test]

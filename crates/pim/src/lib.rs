@@ -19,6 +19,8 @@
 //!   precomputes sqrt/inverse for the look-up tables,
 //! * [`chip`] — the assembled chip: tiles of 256 blocks, central
 //!   controller, functional execution of `pim-isa` instruction streams,
+//! * [`tape`] — a stream lowered once into a functional tape and a
+//!   timing tape, the form the chip replays,
 //! * [`link`] — the point-to-point inter-chip link the cluster runtime
 //!   charges halo-exchange traffic against.
 
@@ -30,10 +32,12 @@ pub mod interconnect;
 pub mod link;
 pub mod nor;
 pub mod params;
+pub mod tape;
 
 pub use block::MemBlock;
-pub use chip::{ChipConfig, ExecReport, PimChip};
+pub use chip::{ChipConfig, ExecReport, Lowering, PimChip};
 pub use energy::EnergyLedger;
 pub use interconnect::{BusNetwork, HTreeNetwork, Interconnect, InterconnectKind, Transfer};
 pub use link::InterChipLink;
 pub use params::{ChipCapacity, ProcessNode};
+pub use tape::{LowerError, Tape, Violation};

@@ -62,12 +62,12 @@
 use pim_isa::{BlockId, InstrStream};
 use pim_math::{CostModel, MathConfig, MathDecision, MathPlacement, OpCost};
 use pim_metrics::MetricsRegistry;
-use pim_sim::{ChipConfig, ExecReport, InterChipLink, PimChip};
+use pim_sim::{ChipConfig, ExecReport, InterChipLink, PimChip, Tape};
 use pim_trace::Kernel;
 use rayon::prelude::*;
 use std::sync::Arc;
 use wave_pim::compiler::{AcousticMapping, NaiveAcoustic};
-use wave_pim::mapping::{ElementKernels, Mapping};
+use wave_pim::mapping::{ElementKernels, Mapping, PieceSink};
 use wave_pim::program_cache::StageProgram;
 use wave_pim::tracehooks::{begin_kernel_span, end_kernel_span, end_kernel_span_at};
 use wavesim_dg::{AcousticMaterial, FluxKind, Lsrk5, State};
@@ -409,53 +409,59 @@ fn record_fence_wait(
     );
 }
 
-/// One chip's kernel programs, compiled once at construction and
-/// replayed every step (the compile-once program cache). The mesh
-/// topology, shard placement, and kernel structure are fixed for the
-/// run, so only Integration varies across LSRK stages — and only in the
-/// two staged-coefficient `Read` offsets per variable block that its
-/// [`StageProgram`] patch table carries.
+/// One chip's kernel programs, compiled once at construction, lowered
+/// for the chip, and replayed every step (the compile-once program
+/// cache). The mesh topology, shard placement, and kernel structure are
+/// fixed for the run, so only Integration varies across LSRK stages —
+/// and only in the two staged-coefficient `Read` offsets per variable
+/// block; its [`StageProgram`] holds one tape per stage.
 struct ChipPrograms {
     /// Halo send snapshot (`StoreOffchip` per variable block of each
     /// boundary element).
-    halo_store: InstrStream,
+    halo_store: Tape,
     /// Ghost landing (`LoadOffchip` per variable block of each ghost).
-    halo_load: InstrStream,
-    volume: InstrStream,
+    halo_load: Tape,
+    volume: Tape,
     /// The mapping's runner Flux schedule (phased for one-block
     /// acoustic).
-    flux: InstrStream,
-    /// Integration with the per-stage `A`/`B` patch table.
+    flux: Tape,
     integration: StageProgram,
-    /// The per-stage on-PIM math refinement stream (`None` without an
-    /// on-PIM lane).
-    math: Option<InstrStream>,
-    /// [`MathPlacement::key`] of the installed placement (0 when the
-    /// legacy no-math path is active), folded into the content key so
-    /// differently placed programs never collide while the legacy keys
-    /// stay bit-identical.
-    math_key: u64,
+    /// The per-stage on-PIM math refinement (`None` without an on-PIM
+    /// lane).
+    math: Option<Tape>,
 }
 
 impl ChipPrograms {
+    /// Compiles every kernel of one shard and lowers each stream for
+    /// `chip` as it is compiled: Volume and Flux, the big two, piece by
+    /// piece, so their whole streams never exist.
     fn compile<K: ElementKernels>(
         m: &Mapping<K>,
+        chip: &PimChip,
         res: &[usize],
         ghosts: &[usize],
         sends: &[usize],
     ) -> Self {
-        let math =
-            m.math_placement().filter(|p| p.any_onpim()).map(|_| m.compile_math_stage_for(res));
+        const WELL_FORMED: &str = "compiled streams are well-formed";
+        let lower = |s: &InstrStream| chip.lower(s).expect(WELL_FORMED);
+        let lower_pieces = |compile: &dyn Fn(&mut PieceSink)| {
+            let mut lowering = chip.lowering();
+            compile(&mut |piece| lowering.push(piece).expect(WELL_FORMED));
+            lowering.finish()
+        };
         Self {
-            halo_store: m.compile_halo_store_for(sends),
-            halo_load: m.compile_halo_load_for(ghosts),
-            volume: m.compile_volume_for(res),
-            flux: m.compile_flux_schedule_for(res),
+            halo_store: lower(&m.compile_halo_store_for(sends)),
+            halo_load: lower(&m.compile_halo_load_for(ghosts)),
+            volume: lower_pieces(&|sink| m.compile_volume_into(res, sink)),
+            flux: lower_pieces(&|sink| m.compile_flux_schedule_into(res, sink)),
             integration: StageProgram::new(
                 (0..Lsrk5::STAGES).map(|s| m.compile_integration_for(res, s)).collect(),
+                lower,
             ),
-            math,
-            math_key: m.math_placement().map(|p| p.key()).unwrap_or(0),
+            math: m
+                .math_placement()
+                .filter(|p| p.any_onpim())
+                .map(|_| lower(&m.compile_math_stage_for(res))),
         }
     }
 
@@ -466,18 +472,27 @@ impl ChipPrograms {
     /// byte-identical. An installed math placement (and its refinement
     /// stream, when on-PIM) folds in after, so host-math, on-PIM and
     /// legacy programs are always distinguishable.
-    fn content_key(&self) -> u64 {
+    ///
+    /// The tapes keep no streams, so the kernels are compiled again from
+    /// the shard's mapping, which is unchanged since construction.
+    fn content_key<K: ElementKernels>(
+        &self,
+        m: &Mapping<K>,
+        res: &[usize],
+        ghosts: &[usize],
+        sends: &[usize],
+    ) -> u64 {
         let mut h = pim_isa::FNV_OFFSET;
-        h = self.halo_store.content_hash(h);
-        h = self.halo_load.content_hash(h);
-        h = self.volume.content_hash(h);
-        h = self.flux.content_hash(h);
+        h = m.compile_halo_store_for(sends).content_hash(h);
+        h = m.compile_halo_load_for(ghosts).content_hash(h);
+        h = m.compile_volume_for(res).content_hash(h);
+        h = m.compile_flux_schedule_for(res).content_hash(h);
         h = pim_isa::fnv1a(h, self.integration.content_key());
-        if let Some(math) = &self.math {
-            h = math.content_hash(h);
+        if self.math.is_some() {
+            h = m.compile_math_stage_for(res).content_hash(h);
         }
-        if self.math_key != 0 {
-            h = pim_isa::fnv1a(h, self.math_key);
+        if let Some(p) = m.math_placement() {
+            h = pim_isa::fnv1a(h, p.key());
         }
         h
     }
@@ -489,7 +504,7 @@ impl ChipPrograms {
             + self.volume.len()
             + self.flux.len()
             + self.integration.len()
-            + self.math.as_ref().map_or(0, InstrStream::len)) as u64
+            + self.math.as_ref().map_or(0, Tape::len)) as u64
     }
 }
 
@@ -600,12 +615,13 @@ impl<K: ElementKernels> ClusterRunner<K> {
         let partition = SlicePartition::new_weighted(mesh, &config.partition_weights());
         let messages = halo_messages(&partition);
 
-        let mut mappings = Vec::with_capacity(num_chips);
+        // 1. In shard order: each shard's element sets and math decision,
+        // and its chip with the trace pid allocated and the metrics
+        // attached — so pids and series never depend on the pool width.
         let mut chips = Vec::with_capacity(num_chips);
         let mut residents = Vec::with_capacity(num_chips);
         let mut ghosts = Vec::with_capacity(num_chips);
         let mut send_sets = Vec::with_capacity(num_chips);
-        let mut ghost_blocks = Vec::with_capacity(num_chips);
         let mut math_decisions = Vec::with_capacity(num_chips);
         let mut math_host_cost = Vec::with_capacity(num_chips);
         let mut math_host_ops = Vec::with_capacity(num_chips);
@@ -618,21 +634,10 @@ impl<K: ElementKernels> ClusterRunner<K> {
             let snd: Vec<usize> =
                 shard.boundary_elements(&partition).iter().map(|e| e.index()).collect();
 
-            let mut mapping = template.clone();
-            mapping.install_shard_map(&res, &gho);
-
-            // The chip blocks this shard's ghosts land in, deduplicated
-            // in block order — the pipelined protocol's pre-Flux fence
-            // set (Flux is the only ghost reader).
-            let mut gblocks: Vec<BlockId> =
-                gho.iter().flat_map(|&e| mapping.var_blocks(e)).collect();
-            gblocks.sort_unstable_by_key(|b| b.0);
-            gblocks.dedup();
-
             // Per-shard math placement: the cost model prices the host
             // refresh against the on-PIM fragment for *this* shard's
             // element count and operand ranges.
-            let site = mapping.math_site_params(&res);
+            let site = template.math_site_params(&res);
             let decision = cost_model.resolve(config.math.mode, &site);
             assert!(
                 K::ONPIM_MATH || !decision.placement.is_some_and(|p| p.any_onpim()),
@@ -641,35 +646,17 @@ impl<K: ElementKernels> ClusterRunner<K> {
                 config.math.mode,
                 shard.index
             );
-            mapping.set_math_placement(decision.placement);
             let host_cost = decision
                 .placement
                 .map(|p| cost_model.host_stage_cost(p, &site))
                 .unwrap_or(OpCost::ZERO);
             let host_ops = decision
                 .placement
-                .map(|p| {
-                    let mut ops = 0u64;
-                    if p.any_host() {
-                        ops = (site.sqrts_per_elem + site.divs_per_elem) * site.elems as u64;
-                    }
-                    ops
-                })
-                .unwrap_or(0);
+                .filter(|p| p.any_host())
+                .map_or(0, |_| (site.sqrts_per_elem + site.divs_per_elem) * site.elems as u64);
             math_decisions.push(decision);
             math_host_cost.push(host_cost);
             math_host_ops.push(host_ops);
-
-            // window slots + 1 shared parking slot + the LUT block (+ the
-            // math seed-table block when a lane runs on-PIM).
-            assert!(
-                mapping.blocks_required() as u64 <= chip_config.capacity.num_blocks(),
-                "shard {}: {} resident + {} ghost elements exceed {} blocks",
-                shard.index,
-                res.len(),
-                gho.len(),
-                chip_config.capacity.num_blocks()
-            );
 
             let mut chip = PimChip::new(chip_config);
             chip.set_trace_label(format!(
@@ -680,54 +667,71 @@ impl<K: ElementKernels> ClusterRunner<K> {
             if let Some(reg) = &config.metrics {
                 chip.attach_metrics(reg, &shard.index.to_string());
             }
-            // Residents get their full static + dynamic image; ghosts
-            // only ever serve variable reads, so variables suffice.
-            mapping.preload_static_subset(&mut chip, dt, &res);
-            mapping.load_vars_subset(&mut chip, initial, &res);
-            mapping.load_vars_subset(&mut chip, initial, &gho);
-            mapping.zero_dynamic_subset(&mut chip, &res);
-            // The block map is static for the whole run, so the LUT
-            // constants are resolved once here, not per stage.
-            chip.execute(&mapping.compile_lut_setup_for(&res));
-            // On-PIM math setup (range reduction + seed fetch), once;
-            // absent without an on-PIM lane (not even an empty dispatch,
-            // so the legacy trace stays untouched).
-            let math_setup = mapping.compile_math_setup_for(&res);
-            if !math_setup.instrs().is_empty() {
-                chip.execute(&math_setup);
-            }
-            // Everything up to here — preload DMA + LUT resolution — is
-            // the chip's one-time setup; the per-kernel ledgers start
-            // from this baseline.
-            record_cluster_kernel(config.metrics.as_deref(), shard.index, &chip, "Setup", 0.0, 0.0);
-
-            mappings.push(mapping);
             chips.push(chip);
             residents.push(res);
             ghosts.push(gho);
             send_sets.push(snd);
-            ghost_blocks.push(gblocks);
         }
 
-        // The compile-once program cache: every kernel stream of every
-        // chip, compiled here and only here. Compilation is independent
-        // per chip, so it rides the same pool as execution.
+        // 2. On the pool: each shard's mapping, and the compile-once
+        // program cache — every kernel of every chip, compiled and
+        // lowered here and only here. The passes run before the preload
+        // so the chips' block storage reuses the memory the transient
+        // streams freed.
         let t0 = std::time::Instant::now();
-        let mut programs: Vec<Option<ChipPrograms>> = (0..num_chips).map(|_| None).collect();
+        let mut compiled: Vec<Result<(Mapping<K>, ChipPrograms), String>> =
+            (0..num_chips).map(|_| Err(String::new())).collect();
         {
-            let (mappings, residents, ghosts, send_sets) =
-                (&mappings, &residents, &ghosts, &send_sets);
-            programs.par_chunks_mut(1).enumerate().for_each(|(c, slot)| {
-                slot[0] = Some(ChipPrograms::compile(
-                    &mappings[c],
-                    &residents[c],
-                    &ghosts[c],
-                    &send_sets[c],
-                ));
+            let (chips, residents, ghosts, send_sets) = (&chips, &residents, &ghosts, &send_sets);
+            let (template, decisions) = (&template, &math_decisions);
+            compiled.par_chunks_mut(1).enumerate().for_each(|(c, slot)| {
+                let (res, gho) = (&residents[c], &ghosts[c]);
+                slot[0] = Self::place_shard(template, &chips[c], res, gho, decisions[c].placement)
+                    .map(|m| {
+                        let programs =
+                            ChipPrograms::compile(&m, &chips[c], res, gho, &send_sets[c]);
+                        (m, programs)
+                    })
+                    .map_err(|e| format!("shard {c}: {e}"));
             });
         }
-        let mut programs: Vec<ChipPrograms> = programs.into_iter().map(Option::unwrap).collect();
+        let (mappings, mut programs): (Vec<Mapping<K>>, Vec<ChipPrograms>) =
+            compiled.into_iter().map(|r| r.unwrap_or_else(|e| panic!("{e}"))).unzip();
         let compile_seconds = t0.elapsed().as_secs_f64();
+
+        // 3. On the pool: each chip's one-time set-up — preload DMA, LUT
+        // resolution and on-PIM math setup.
+        {
+            let (mappings, residents, ghosts) = (&mappings, &residents, &ghosts);
+            chips.par_chunks_mut(1).enumerate().for_each(|(c, chip)| {
+                Self::set_up_shard(
+                    &mappings[c],
+                    &mut chip[0],
+                    (&residents[c], &ghosts[c]),
+                    dt,
+                    initial,
+                );
+            });
+        }
+        for (c, chip) in chips.iter().enumerate() {
+            // Everything up to here is the chip's one-time setup; the
+            // per-kernel ledgers start from this baseline.
+            record_cluster_kernel(config.metrics.as_deref(), c, chip, "Setup", 0.0, 0.0);
+        }
+
+        // The chip blocks each shard's ghosts land in, deduplicated in
+        // block order — the pipelined protocol's pre-Flux fence set (Flux
+        // is the only ghost reader).
+        let ghost_blocks: Vec<Vec<BlockId>> = mappings
+            .iter()
+            .zip(&ghosts)
+            .map(|(m, gho)| {
+                let mut blocks: Vec<BlockId> = gho.iter().flat_map(|&e| m.var_blocks(e)).collect();
+                blocks.sort_unstable_by_key(|b| b.0);
+                blocks.dedup();
+                blocks
+            })
+            .collect();
 
         // The causal map behind the fence/arrival trace spans: which
         // inbound message lands in which ghost block of which chip.
@@ -799,6 +803,62 @@ impl<K: ElementKernels> ClusterRunner<K> {
             programs,
             compile_seconds,
             metrics: config.metrics,
+        }
+    }
+
+    /// One shard's mapping: `template` with the shard map and math
+    /// placement installed.
+    ///
+    /// # Errors
+    /// The shard (residents + ghosts + parking + LUT) does not fit the
+    /// chip.
+    fn place_shard(
+        template: &Mapping<K>,
+        chip: &PimChip,
+        res: &[usize],
+        gho: &[usize],
+        placement: Option<MathPlacement>,
+    ) -> Result<Mapping<K>, String> {
+        let mut mapping = template.clone();
+        mapping.install_shard_map(res, gho);
+        mapping.set_math_placement(placement);
+        // window slots + 1 shared parking slot + the LUT block (+ the
+        // math seed-table block when a lane runs on-PIM).
+        let capacity = chip.config().capacity.num_blocks();
+        if mapping.blocks_required() as u64 > capacity {
+            return Err(format!(
+                "{} resident + {} ghost elements exceed {capacity} blocks",
+                res.len(),
+                gho.len()
+            ));
+        }
+        Ok(mapping)
+    }
+
+    /// Preloads one shard's chip and runs its one-time LUT and on-PIM
+    /// math setup.
+    fn set_up_shard(
+        mapping: &Mapping<K>,
+        chip: &mut PimChip,
+        (res, gho): (&[usize], &[usize]),
+        dt: f64,
+        initial: &State,
+    ) {
+        // Residents get their full static + dynamic image; ghosts only
+        // ever serve variable reads, so variables suffice.
+        mapping.preload_static_subset(chip, dt, res);
+        mapping.load_vars_subset(chip, initial, res);
+        mapping.load_vars_subset(chip, initial, gho);
+        mapping.zero_dynamic_subset(chip, res);
+        // The block map is static for the whole run, so the LUT
+        // constants are resolved once here, not per stage.
+        chip.execute(&mapping.compile_lut_setup_for(res));
+        // On-PIM math setup (range reduction + seed fetch), once; absent
+        // without an on-PIM lane (not even an empty dispatch, so the
+        // legacy trace stays untouched).
+        let math_setup = mapping.compile_math_setup_for(res);
+        if !math_setup.is_empty() {
+            chip.execute(&math_setup);
         }
     }
 
@@ -874,13 +934,20 @@ impl<K: ElementKernels> ClusterRunner<K> {
     }
 
     /// Stable content key of the cluster's entire compiled program set:
-    /// each chip's kernel streams and Integration patch table, chained
-    /// in chip order. Two runners key equal exactly when every compiled
-    /// instruction of every chip is byte-identical — which is what lets
-    /// a fleet-level scheduler treat a key hit as "this runner already
-    /// holds my program" and skip recompilation (see [`Self::reset_state`]).
+    /// each chip's kernel streams and Integration stage variants,
+    /// chained in chip order. Two runners key equal exactly when every
+    /// compiled instruction of every chip is byte-identical — which is
+    /// what lets a fleet-level scheduler treat a key hit as "this runner
+    /// already holds my program" and skip recompilation (see
+    /// [`Self::reset_state`]). The runner holds tapes, not streams, so
+    /// this compiles the kernels again to hash them: it costs about as
+    /// much as the compile pass of construction, which in turn pays
+    /// nothing for a key nobody asks for.
     pub fn program_content_key(&self) -> u64 {
-        self.programs.iter().fold(pim_isa::FNV_OFFSET, |h, p| pim_isa::fnv1a(h, p.content_key()))
+        self.programs.iter().enumerate().fold(pim_isa::FNV_OFFSET, |h, (c, p)| {
+            let (m, res) = (&self.mappings[c], &self.residents[c]);
+            pim_isa::fnv1a(h, p.content_key(m, res, &self.ghosts[c], &self.send_sets[c]))
+        })
     }
 
     /// Rewinds the cluster to a fresh simulation from `initial` without
@@ -1023,7 +1090,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
         // off-chip lane.
         for (s, sends) in self.send_sets.iter().enumerate() {
             self.mappings[s].extract_vars_subset(&mut self.chips[s], sends, &mut self.staging);
-            self.chips[s].execute(&self.programs[s].halo_store);
+            self.chips[s].replay(&self.programs[s].halo_store);
         }
 
         // 2b. The link transfers stream while Volume computes: each
@@ -1067,7 +1134,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
         self.chips.par_chunks_mut(1).enumerate().for_each(|(c, chunk)| {
             let chip = &mut chunk[0];
             mappings[c].load_vars_subset(chip, staging, &ghosts[c]);
-            chip.execute(&programs[c].halo_load);
+            chip.replay(&programs[c].halo_load);
             record_block_arrivals(chip, &ghost_block_msgs[c], flow_base);
         });
 
@@ -1121,7 +1188,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
                     let t0 = begin_kernel_span(chip);
                     let (busy0, energy0) = kernel_window_open(metrics, chip);
                     let before = chip.elapsed();
-                    chip.execute(math);
+                    chip.replay(math);
                     onpim[0] += chip.elapsed() - before;
                     end_kernel_span(chip, Kernel::MathRefine, stage as u8, t0);
                     record_cluster_kernel(metrics, c, chip, "MathRefine", busy0, energy0);
@@ -1132,7 +1199,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
                     vol_t0 = chip.elapsed();
                 }
                 let (busy0, energy0) = kernel_window_open(metrics, chip);
-                chip.execute(&programs[c].volume);
+                chip.replay(&programs[c].volume);
                 end_kernel_span(chip, Kernel::Volume, stage as u8, vol_t0);
                 record_cluster_kernel(metrics, c, chip, "Volume", busy0, energy0);
             },
@@ -1168,11 +1235,8 @@ impl<K: ElementKernels> ClusterRunner<K> {
         }
 
         // 4. Flux → Integration on the compute lane. Integration is the
-        // one per-stage-varying stream: its cached program is patched to
-        // this stage's A/B coefficients in place, and debug builds verify
-        // the patched replay against a fresh compile byte for byte.
-        #[cfg(debug_assertions)]
-        let (mappings, residents) = (&self.mappings, &self.residents);
+        // one per-stage-varying program: its cache holds one tape per
+        // stage.
         self.chips.par_chunks_mut(1).zip(self.programs.par_chunks_mut(1)).enumerate().for_each(
             |(c, (chunk, progs))| {
                 let chip = &mut chunk[0];
@@ -1180,28 +1244,13 @@ impl<K: ElementKernels> ClusterRunner<K> {
 
                 let t0 = begin_kernel_span(chip);
                 let (busy0, energy0) = kernel_window_open(metrics, chip);
-                chip.execute(&prog.flux);
+                chip.replay(&prog.flux);
                 end_kernel_span(chip, Kernel::Flux, stage as u8, t0);
                 record_cluster_kernel(metrics, c, chip, "Flux", busy0, energy0);
 
                 let t0 = begin_kernel_span(chip);
                 let (busy0, energy0) = kernel_window_open(metrics, chip);
-                #[cfg(debug_assertions)]
-                let verify = prog.integration.take_verify(stage);
-                let stream = prog.integration.for_stage(stage);
-                // Byte-identity with a fresh compile, proven once per
-                // (chip, stage) — the program is immutable after that,
-                // so re-checking every step would just re-pay
-                // compilation in debug builds.
-                #[cfg(debug_assertions)]
-                if verify {
-                    assert_eq!(
-                        stream,
-                        &mappings[c].compile_integration_for(&residents[c], stage),
-                        "patched Integration replay diverged from a fresh compile"
-                    );
-                }
-                chip.execute(stream);
+                chip.replay(prog.integration.for_stage(stage));
                 end_kernel_span(chip, Kernel::Integration, stage as u8, t0);
                 record_cluster_kernel(metrics, c, chip, "Integration", busy0, energy0);
 
@@ -1303,9 +1352,9 @@ mod tests {
     use super::*;
     use wavesim_mesh::Boundary;
 
-    /// The compile-once cache, instruction for instruction, against
-    /// fresh compiles from each chip's mapping — Integration's in-place
-    /// patching included, with stages visited out of order and revisited.
+    /// The compile-once cache, op for op, against fresh compiles from
+    /// each chip's mapping lowered for the same chip — every stage of
+    /// Integration included, visited out of order and revisited.
     #[test]
     fn cached_programs_equal_fresh_compiles() {
         let mesh = HexMesh::refinement_level(2, Boundary::Periodic);
@@ -1315,15 +1364,50 @@ mod tests {
         let mut r =
             ClusterRunner::new(&mesh, 2, FluxKind::Riemann, material, &initial, 1e-3, config);
         for (c, prog) in r.programs.iter_mut().enumerate() {
-            let (m, res) = (&r.mappings[c], &r.residents[c]);
-            assert_eq!(prog.halo_store, m.compile_halo_store_for(&r.send_sets[c]), "chip {c}");
-            assert_eq!(prog.halo_load, m.compile_halo_load_for(&r.ghosts[c]), "chip {c}");
-            assert_eq!(prog.volume, m.compile_volume_for(res), "chip {c}");
-            assert_eq!(prog.flux, m.compile_flux_phased_for(res), "chip {c}");
-            assert_eq!(prog.math.as_ref(), Some(&m.compile_math_stage_for(res)), "chip {c}");
+            let (m, res, chip) = (&r.mappings[c], &r.residents[c], &r.chips[c]);
+            let fresh = |s: InstrStream| chip.lower(&s).unwrap();
+            assert_eq!(
+                prog.halo_store,
+                fresh(m.compile_halo_store_for(&r.send_sets[c])),
+                "chip {c}"
+            );
+            assert_eq!(prog.halo_load, fresh(m.compile_halo_load_for(&r.ghosts[c])), "chip {c}");
+            assert_eq!(prog.volume, fresh(m.compile_volume_for(res)), "chip {c}");
+            assert_eq!(prog.flux, fresh(m.compile_flux_phased_for(res)), "chip {c}");
+            assert_eq!(prog.math, Some(fresh(m.compile_math_stage_for(res))), "chip {c}");
             for s in [4, 0, 3, 1, 2, 4] {
-                let fresh = m.compile_integration_for(res, s);
-                assert_eq!(prog.integration.for_stage(s), &fresh, "chip {c} stage {s}");
+                let stage = fresh(m.compile_integration_for(res, s));
+                assert_eq!(prog.integration.for_stage(s), &stage, "chip {c} stage {s}");
+            }
+        }
+    }
+
+    /// The runner keeps tapes instead of streams so the program cache
+    /// shrinks: a kernel's tape takes fewer bytes than its stream's
+    /// 16-byte instructions.
+    #[test]
+    fn tapes_take_less_memory_than_their_streams() {
+        let mesh = HexMesh::refinement_level(2, Boundary::Periodic);
+        let initial = State::zeros(mesh.num_elements(), 4, 8);
+        let material = AcousticMaterial::new(2.0, 1.0);
+        let r = ClusterRunner::new(
+            &mesh,
+            2,
+            FluxKind::Riemann,
+            material,
+            &initial,
+            1e-3,
+            ClusterConfig::new(2),
+        );
+        let stream_bytes = |t: &Tape| t.len() * std::mem::size_of::<pim_isa::Instr>();
+        for prog in &r.programs {
+            for tape in [&prog.volume, &prog.flux] {
+                assert!(
+                    tape.heap_bytes() < stream_bytes(tape),
+                    "{} tape bytes for a {}-byte stream",
+                    tape.heap_bytes(),
+                    stream_bytes(tape)
+                );
             }
         }
     }

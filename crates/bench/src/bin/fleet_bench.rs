@@ -36,8 +36,8 @@ fn main() {
     cfg.metrics = Some(registry);
     let mut r = fleet_bench_data(&cfg);
     // The two arms run identical work; the throughput gate compares
-    // wall-clock, so absorb scheduler noise the same way the host bench
-    // does: remeasure rather than fail on a scheduling hiccup.
+    // wall-clock, so absorb scheduler noise: remeasure rather than
+    // fail on a scheduling hiccup.
     for _ in 0..2 {
         if r.throughput_ratio >= 1.0 {
             break;

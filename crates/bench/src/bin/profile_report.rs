@@ -87,11 +87,6 @@ fn main() {
         f.stages, f.seconds, f.gflops
     );
 
-    println!(
-        "\nProgram cache: {} stage reuses, {} switches, {} patched instruction words",
-        r.stage_reuses, r.stage_switches, r.patched_instrs
-    );
-
     let mut t = Table::new(
         format!(
             "Mixed {}+{} cluster at level {}: capacity-weighted vs unweighted slice deal",

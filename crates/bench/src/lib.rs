@@ -9,7 +9,6 @@ pub mod artifacts;
 pub mod cluster;
 pub mod figures;
 pub mod fleet;
-pub mod host;
 pub mod lens;
 pub mod math;
 pub mod metrics_report;

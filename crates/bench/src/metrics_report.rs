@@ -165,9 +165,6 @@ pub struct MetricsReport {
     pub chips: Vec<ChipReport>,
     pub per_step: Vec<StepRow>,
     pub program_mix: Vec<ProgramMixRow>,
-    pub stage_reuses: u64,
-    pub stage_switches: u64,
-    pub patched_instrs: u64,
     pub roofline: Vec<RooflineRow>,
     pub fused_stage: FusedStageRow,
     pub hetero_level: u32,
@@ -490,9 +487,6 @@ pub fn profile_report_into(
         chips,
         per_step,
         program_mix,
-        stage_reuses: cget(&d, "program_cache_stage_reuses_total", &[]),
-        stage_switches: cget(&d, "program_cache_stage_switches_total", &[]),
-        patched_instrs: cget(&d, "program_cache_patched_instrs_total", &[]),
         roofline,
         fused_stage,
         hetero_level: cfg.hetero_level,
@@ -562,9 +556,6 @@ pub fn check_report(r: &MetricsReport) -> Vec<String> {
         if s.busy_seconds <= 0.0 || s.energy_joules <= 0.0 {
             bad.push(format!("step {}: empty per-step delta", s.step));
         }
-    }
-    if r.stage_switches == 0 || r.patched_instrs == 0 {
-        bad.push("program cache recorded no stage switches/patches".into());
     }
     if r.program_mix.is_empty() {
         bad.push("no cached-program opcode mix recorded".into());
@@ -676,13 +667,6 @@ pub fn metrics_json(r: &MetricsReport) -> String {
         out.push_str(if i + 1 < r.per_step.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ],\n");
-
-    let _ = writeln!(
-        out,
-        "  \"program_cache\": {{\"stage_reuses\": {}, \"stage_switches\": {}, \
-         \"patched_instrs\": {}}},",
-        r.stage_reuses, r.stage_switches, r.patched_instrs
-    );
 
     out.push_str("  \"program_mix\": [\n");
     for (i, m) in r.program_mix.iter().enumerate() {

@@ -215,7 +215,7 @@ impl<K: ElementKernels> BatchedRunner<K> {
         use crate::tracehooks::{begin_kernel_span, end_kernel_span};
         use pim_trace::Kernel;
 
-        let mut programs = match self.programs.take() {
+        let programs = match self.programs.take() {
             Some((config, programs)) if config == chip.config() => programs,
             _ => self.compile(chip),
         };
@@ -255,7 +255,7 @@ impl<K: ElementKernels> BatchedRunner<K> {
 
             // --- Integration pass (Fig. 6): per batch, with aux state.
             let t0 = begin_kernel_span(chip);
-            for (b, program) in programs.iter_mut().enumerate() {
+            for (b, program) in programs.iter().enumerate() {
                 let (residents, _) = self.install_map(b, false);
                 self.mapping.preload_static_subset(chip, self.dt, &residents);
                 self.mapping.load_vars_subset(chip, &self.vars, &residents);

@@ -23,17 +23,6 @@
 use pim_isa::{InstrStream, StreamStats};
 use pim_sim::Tape;
 
-/// Program-cache counters of one metered run: replays that reused the
-/// stage replayed last vs stage switches, and how many instructions
-/// the switches changed (the patch sites). Every [`StageProgram`] the
-/// run attaches shares them; the bench layer's compile-vs-replay
-/// accounting reads these.
-struct CacheMetrics {
-    stage_reuses: pim_metrics::Counter,
-    stage_switches: pim_metrics::Counter,
-    patched_instrs: pim_metrics::Counter,
-}
-
 /// A kernel program compiled once for every stage variant and lowered
 /// to one tape per variant.
 ///
@@ -46,10 +35,6 @@ pub struct StageProgram {
     sites: usize,
     /// See [`Self::content_key`].
     key: u64,
-    /// The stage replayed last.
-    applied: usize,
-    /// Set by [`Self::attach_metrics`]; `None` records nothing.
-    metrics: Option<CacheMetrics>,
 }
 
 impl StageProgram {
@@ -74,19 +59,7 @@ impl StageProgram {
             key: content_key(&variants, &sites),
             sites: sites.len(),
             tapes: variants.iter().map(lower).collect(),
-            applied: 0,
-            metrics: None,
         }
-    }
-
-    /// Meters this program's replays into `registry`'s
-    /// `program_cache_*_total` counters.
-    pub fn attach_metrics(&mut self, registry: &pim_metrics::MetricsRegistry) {
-        self.metrics = Some(CacheMetrics {
-            stage_reuses: registry.counter("program_cache_stage_reuses_total", &[]),
-            stage_switches: registry.counter("program_cache_stage_switches_total", &[]),
-            patched_instrs: registry.counter("program_cache_patched_instrs_total", &[]),
-        });
     }
 
     /// Number of stage variants.
@@ -130,17 +103,8 @@ impl StageProgram {
     ///
     /// # Panics
     /// Panics if `stage` is out of range.
-    pub fn for_stage(&mut self, stage: usize) -> &Tape {
+    pub fn for_stage(&self, stage: usize) -> &Tape {
         assert!(stage < self.tapes.len(), "stage {stage} out of range");
-        if let Some(metrics) = &self.metrics {
-            if self.applied == stage {
-                metrics.stage_reuses.inc();
-            } else {
-                metrics.stage_switches.inc();
-                metrics.patched_instrs.add(self.sites as u64);
-            }
-        }
-        self.applied = stage;
         &self.tapes[stage]
     }
 }
@@ -191,7 +155,7 @@ mod tests {
             (0..5).map(|s| variant([10 + s as u8, 15 + s as u8])).collect();
         let chip = PimChip::new(ChipConfig::default_2gb());
         let fresh: Vec<Tape> = variants.iter().map(|v| chip.lower(v).unwrap()).collect();
-        let mut prog = program(variants);
+        let prog = program(variants);
         assert_eq!(prog.num_stages(), 5);
         assert_eq!(prog.num_patch_sites(), 2);
         // Out-of-order access must still land exactly on each variant.
@@ -203,7 +167,7 @@ mod tests {
     #[test]
     fn identical_variants_need_no_patch_sites() {
         let variants = vec![variant([1, 2]), variant([1, 2])];
-        let mut prog = program(variants);
+        let prog = program(variants);
         assert_eq!(prog.num_patch_sites(), 0);
         let a = prog.for_stage(1).clone();
         assert_eq!(&a, prog.for_stage(0));
@@ -213,8 +177,8 @@ mod tests {
     fn content_key_is_stable_across_applied_stages() {
         let variants: Vec<InstrStream> =
             (0..5).map(|s| variant([10 + s as u8, 15 + s as u8])).collect();
-        let mut a = program(variants.clone());
-        let mut b = program(variants);
+        let a = program(variants.clone());
+        let b = program(variants);
         let key = a.content_key();
         // Replaying a different stage on each must not move the key: it
         // names the program, not the stage replayed last.

@@ -49,10 +49,6 @@ pub struct FleetConfig {
     pub policy: PlacementPolicy,
     /// Placement score weights.
     pub weights: ScoreWeights,
-    /// Pool compiled runners for reuse across jobs with matching
-    /// program keys (on). Off, every job compiles fresh — the control
-    /// arm for measuring what program residency buys.
-    pub reuse_runners: bool,
     /// Where the scheduler (not the jobs' chips) is metered; `None` (default) records nothing.
     pub metrics: Option<Arc<pim_metrics::MetricsRegistry>>,
 }
@@ -64,7 +60,6 @@ impl FleetConfig {
             chips,
             policy: PlacementPolicy::CacheAware,
             weights: ScoreWeights::default(),
-            reuse_runners: true,
             metrics: None,
         }
     }
@@ -294,7 +289,7 @@ fn run_planned_job(
 
     record_state_transition(config, JobState::Compiling);
     let t_compile = Instant::now();
-    let pooled = if config.reuse_runners {
+    let pooled = {
         let mut pool = pool.lock().unwrap();
         match pool.remove(&pj.chips) {
             Some(p) if p.program_key == key => Some(p),
@@ -306,15 +301,12 @@ fn run_planned_job(
             }
             None => None,
         }
-    } else {
-        None
     };
     let cache_hit = pooled.is_some();
     // The executor's reuse decision must mirror the planner's residency
     // model — that agreement is what the plan's hit count promises.
     debug_assert_eq!(
-        cache_hit,
-        pj.cache_hit && config.reuse_runners,
+        cache_hit, pj.cache_hit,
         "job {}: executor reuse diverged from the plan",
         spec.name
     );
@@ -352,9 +344,7 @@ fn run_planned_job(
 
     // Hand the runner back *before* releasing the cohort, so the next
     // job on these chips sees the pooled program.
-    if config.reuse_runners {
-        pool.lock().unwrap().insert(pj.chips.clone(), PooledRunner { program_key: key, runner });
-    }
+    pool.lock().unwrap().insert(pj.chips.clone(), PooledRunner { program_key: key, runner });
     for &c in &pj.chips {
         progress[c].fetch_add(1, Ordering::Release);
     }

@@ -971,31 +971,16 @@ impl PimChip {
     /// running until [`Self::fence_offchip`] (or a dependent block op)
     /// joins the lanes. Returns the seconds this chip spent on the
     /// message.
-    pub fn link_transfer(&mut self, link: &crate::link::InterChipLink, bytes: u64) -> f64 {
-        self.link_transfer_tagged(link, bytes, 0.0, 0, false)
-    }
-
-    /// Like [`Self::link_transfer`], but the transfer additionally
-    /// cannot start before `available_at` — the sender-side causality
-    /// floor the pipelined cluster protocol puts under receive-side
-    /// charges, so a chip running ahead of its neighbor cannot take
-    /// delivery of a payload before that neighbor even entered the
-    /// stage that produces it.
-    pub fn link_transfer_from(
-        &mut self,
-        link: &crate::link::InterChipLink,
-        bytes: u64,
-        available_at: f64,
-    ) -> f64 {
-        self.link_transfer_tagged(link, bytes, available_at, 0, true)
-    }
-
-    /// The fully-annotated link charge: [`Self::link_transfer_from`]
-    /// plus the causal tags the trace carries — `flow` is the
-    /// cluster-unique id both endpoints of one halo message share
-    /// (0 = untagged) and `inbound` marks the receive side. Timing,
-    /// energy and metrics are identical to the untagged variants.
-    pub fn link_transfer_tagged(
+    ///
+    /// The transfer cannot start before `available_at` — the
+    /// sender-side causality floor the pipelined cluster protocol puts
+    /// under receive-side charges, so a chip running ahead of its
+    /// neighbor cannot take delivery of a payload before that neighbor
+    /// even entered the stage that produces it (0.0 = no floor). `flow`
+    /// is the cluster-unique id both endpoints of one halo message share
+    /// in the trace (0 = untagged) and `inbound` marks the receive side;
+    /// neither tag changes timing, energy or metrics.
+    pub fn link_transfer(
         &mut self,
         link: &crate::link::InterChipLink,
         bytes: u64,
@@ -1662,8 +1647,8 @@ mod tests {
         use crate::link::InterChipLink;
         let mut c = chip();
         let link = InterChipLink::default();
-        let d1 = c.link_transfer(&link, 1 << 20);
-        let d2 = c.link_transfer(&link, 1 << 20);
+        let d1 = c.link_transfer(&link, 1 << 20, 0.0, 0, false);
+        let d2 = c.link_transfer(&link, 1 << 20, 0.0, 0, false);
         assert!((d1 - d2).abs() < 1e-18);
         assert!((d1 - link.duration(1 << 20)).abs() < 1e-18);
         assert!((c.offchip_time() - 2.0 * d1).abs() < 1e-15, "link shares the off-chip channel");
@@ -1679,7 +1664,7 @@ mod tests {
         let mut c = chip();
         c.advance_barrier(1.0e-3);
         let link = InterChipLink::default();
-        c.link_transfer(&link, 1024);
+        c.link_transfer(&link, 1024, 0.0, 0, false);
         c.fence_offchip();
         assert!(c.elapsed() >= 1.0e-3 + link.duration(1024) - 1e-15);
     }
@@ -1903,7 +1888,7 @@ mod tests {
         s.push(Instr::LoadOffchip { block: BlockId(3), bytes: 4096 });
         s.push(Instr::Sync);
         c.execute(&s);
-        c.link_transfer(&crate::link::InterChipLink::default(), 2048);
+        c.link_transfer(&crate::link::InterChipLink::default(), 2048, 0.0, 0, false);
         c.charge_host_preprocess(10, 10);
         let snap = registry.snapshot();
 
@@ -2003,7 +1988,7 @@ mod tests {
             let mut s = InstrStream::new();
             s.push(Instr::LoadOffchip { block: BlockId(3), bytes: 1 << 16 });
             c.execute(&s);
-            c.link_transfer(&link, 1 << 22);
+            c.link_transfer(&link, 1 << 22, 0.0, 0, false);
             c
         };
         let mut partial = build();
@@ -2030,15 +2015,15 @@ mod tests {
         use crate::link::InterChipLink;
         let link = InterChipLink::default();
         let mut plain = chip();
-        let d = plain.link_transfer(&link, 4096);
+        let d = plain.link_transfer(&link, 4096, 0.0, 0, false);
         let mut zero_floor = chip();
-        let d0 = zero_floor.link_transfer_from(&link, 4096, 0.0);
+        let d0 = zero_floor.link_transfer(&link, 4096, 0.0, 0, true);
         assert_eq!(d.to_bits(), d0.to_bits());
         assert_eq!(plain.offchip_time().to_bits(), zero_floor.offchip_time().to_bits());
 
         let mut floored = chip();
         let floor = 0.125;
-        let df = floored.link_transfer_from(&link, 4096, floor);
+        let df = floored.link_transfer(&link, 4096, floor, 0, true);
         assert_eq!(df.to_bits(), d.to_bits(), "the floor shifts the span, not its duration");
         assert!((floored.offchip_time() - (floor + d)).abs() < 1e-15);
         assert!(floored.elapsed() < floor, "a floored transfer must not advance compute");

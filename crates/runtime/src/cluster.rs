@@ -42,7 +42,7 @@
 //! | pre-Flux fence | [`pim_sim::PimChip::fence_offchip`] (whole lane) | [`pim_sim::PimChip::fence_blocks`] (ghost blocks) |
 //!
 //! Inbound charges are floored at the *sender's* stage entry
-//! ([`pim_sim::PimChip::link_transfer_tagged`]) under both — a no-op at
+//! ([`pim_sim::PimChip::link_transfer`]) under both — a no-op at
 //! the fenced barrier. Under `Pipelined` that floor bounds the skew (a
 //! chip's next stage cannot open before every in-neighbor opened this
 //! one; asserted each stage), and it keeps the schedule **never slower,
@@ -695,7 +695,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
                     .map_err(|e| format!("shard {c}: {e}"));
             });
         }
-        let (mappings, mut programs): (Vec<Mapping<K>>, Vec<ChipPrograms>) =
+        let (mappings, programs): (Vec<Mapping<K>>, Vec<ChipPrograms>) =
             compiled.into_iter().map(|r| r.unwrap_or_else(|e| panic!("{e}"))).unzip();
         let compile_seconds = t0.elapsed().as_secs_f64();
 
@@ -753,16 +753,15 @@ impl<K: ElementKernels> ClusterRunner<K> {
 
         // The static opcode mix of every cached kernel program, per
         // chip — the compiler-level breakdown the profiling report
-        // scales by replay counts — and the replay counters.
+        // scales by replay counts.
         if let Some(reg) = &config.metrics {
-            for (c, prog) in programs.iter_mut().enumerate() {
+            for (c, prog) in programs.iter().enumerate() {
                 let c = c.to_string();
                 record_program_mix(reg, &c, "HaloStore", prog.halo_store.stats());
                 record_program_mix(reg, &c, "HaloLoad", prog.halo_load.stats());
                 record_program_mix(reg, &c, "Volume", prog.volume.stats());
                 record_program_mix(reg, &c, "Flux", prog.flux.stats());
                 record_program_mix(reg, &c, "Integration", prog.integration.stats());
-                prog.integration.attach_metrics(reg);
             }
         }
 
@@ -1108,17 +1107,11 @@ impl<K: ElementKernels> ClusterRunner<K> {
             let bytes = message_bytes(m);
             let flow = flow_base + i as u64;
             if fenced {
-                let d_src =
-                    self.chips[m.src].link_transfer_tagged(&self.link, bytes, 0.0, flow, false);
+                let d_src = self.chips[m.src].link_transfer(&self.link, bytes, 0.0, flow, false);
                 self.halo.link_seconds[m.src] += d_src;
             }
-            let d_dst = self.chips[m.dst].link_transfer_tagged(
-                &self.link,
-                bytes,
-                starts[m.src],
-                flow,
-                true,
-            );
+            let d_dst =
+                self.chips[m.dst].link_transfer(&self.link, bytes, starts[m.src], flow, true);
             self.halo.link_seconds[m.dst] += d_dst;
             self.halo.messages += 1;
             self.halo.payload_bytes += bytes;
@@ -1146,13 +1139,8 @@ impl<K: ElementKernels> ClusterRunner<K> {
         if !fenced {
             for (i, m) in self.messages.iter().enumerate() {
                 let flow = flow_base + i as u64;
-                let d_src = self.chips[m.src].link_transfer_tagged(
-                    &self.link,
-                    message_bytes(m),
-                    0.0,
-                    flow,
-                    false,
-                );
+                let d_src =
+                    self.chips[m.src].link_transfer(&self.link, message_bytes(m), 0.0, flow, false);
                 self.halo.link_seconds[m.src] += d_src;
             }
         }
@@ -1237,10 +1225,10 @@ impl<K: ElementKernels> ClusterRunner<K> {
         // 4. Flux → Integration on the compute lane. Integration is the
         // one per-stage-varying program: its cache holds one tape per
         // stage.
-        self.chips.par_chunks_mut(1).zip(self.programs.par_chunks_mut(1)).enumerate().for_each(
+        self.chips.par_chunks_mut(1).zip(self.programs.par_chunks(1)).enumerate().for_each(
             |(c, (chunk, progs))| {
                 let chip = &mut chunk[0];
-                let prog = &mut progs[0];
+                let prog = &progs[0];
 
                 let t0 = begin_kernel_span(chip);
                 let (busy0, energy0) = kernel_window_open(metrics, chip);
@@ -1361,9 +1349,8 @@ mod tests {
         let initial = State::zeros(mesh.num_elements(), 4, 8);
         let config = ClusterConfig::new(2).with_math(MathConfig::on_pim());
         let material = AcousticMaterial::new(2.0, 1.0);
-        let mut r =
-            ClusterRunner::new(&mesh, 2, FluxKind::Riemann, material, &initial, 1e-3, config);
-        for (c, prog) in r.programs.iter_mut().enumerate() {
+        let r = ClusterRunner::new(&mesh, 2, FluxKind::Riemann, material, &initial, 1e-3, config);
+        for (c, prog) in r.programs.iter().enumerate() {
             let (m, res, chip) = (&r.mappings[c], &r.residents[c], &r.chips[c]);
             let fresh = |s: InstrStream| chip.lower(&s).unwrap();
             assert_eq!(

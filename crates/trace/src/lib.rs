@@ -25,9 +25,7 @@
 //! function is one `load(Relaxed)` of an [`AtomicBool`] and a predictable
 //! branch — measured at well under 1% of a dG time-step (see
 //! `benches/trace_overhead.rs` in `wavepim-bench` and the
-//! `disabled_record_overhead_is_negligible` test). Building with the
-//! `compiled-off` feature turns `enabled()` into a constant `false`, so
-//! the calls fold away entirely.
+//! `disabled_record_overhead_is_negligible` test).
 //!
 //! ## Exporters
 //!
@@ -64,20 +62,13 @@ static NEXT_PID: AtomicU32 = AtomicU32::new(1);
 static CAPACITY: AtomicUsize = AtomicUsize::new(ring::DEFAULT_CAPACITY);
 
 /// Is tracing currently recording? This is the hot-path gate: a relaxed
-/// atomic load, or a constant `false` under the `compiled-off` feature.
+/// atomic load.
 #[inline(always)]
 pub fn enabled() -> bool {
-    #[cfg(feature = "compiled-off")]
-    {
-        false
-    }
-    #[cfg(not(feature = "compiled-off"))]
-    {
-        ENABLED.load(Ordering::Relaxed)
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Starts recording. No-op under `compiled-off`.
+/// Starts recording.
 pub fn enable() {
     ENABLED.store(true, Ordering::SeqCst);
 }
@@ -241,7 +232,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "compiled-off", ignore = "recording is compiled out")]
     fn enabled_roundtrip_preserves_order_and_payload() {
         let _g = test_lock();
         clear();
@@ -259,7 +249,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "compiled-off", ignore = "recording is compiled out")]
     fn summary_lanes_only_drops_block_and_interconnect_events() {
         let _g = test_lock();
         clear();
@@ -307,7 +296,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(feature = "compiled-off", ignore = "recording is compiled out")]
     fn wall_span_measures_nonnegative_duration() {
         let _g = test_lock();
         clear();

@@ -2,9 +2,10 @@
 //!
 //! With tracing disabled every probe in the hot path reduces to one
 //! relaxed atomic load. This bench measures (a) the native dG step with
-//! tracing disabled, (b) the cost of the disabled probe itself, and (c)
-//! the number of probe sites one step actually passes (by running one
-//! traced step and counting its events). The asserted bound is
+//! tracing disabled, (b) the cost of one disabled `record_span` call,
+//! and (c) the number of probe sites one step actually passes (by
+//! running one traced step and counting its events). The asserted bound
+//! is
 //!
 //!     probe_cost × probe_sites / step_time  <  1%
 //!
@@ -40,7 +41,15 @@ fn bench_overhead(c: &mut Criterion) {
 
     let mut probe_cost = 0.0;
     g.bench_function("disabled_probe", |b| {
-        b.iter(|| black_box(pim_trace::enabled()));
+        b.iter(|| {
+            pim_trace::record_span(
+                black_box(1),
+                0,
+                0.0,
+                0.0,
+                pim_trace::Payload::Counter { name: "ovh", value: 0.0 },
+            )
+        });
         probe_cost = b.mean_seconds();
     });
 

@@ -1,12 +1,14 @@
 //! The fleet-scheduler acceptance binary: replays a synthetic mixed-job
 //! trace (sharded + deadline prologue, then pair-swapped repeated
 //! program keys) through the fleet under cache-aware and
-//! cache-oblivious placement, prints the throughput/latency comparison,
-//! and writes `BENCH_fleet.json`.
+//! cache-oblivious placement, prints the plan and throughput/latency
+//! comparison, and writes `BENCH_fleet.json`.
 //!
-//! Exits nonzero if cache-aware placement loses throughput, any latency
-//! field is non-finite, or a fleet job diverges from its solo replay —
-//! the CI regression gate. `--smoke` runs the reduced CI configuration.
+//! Exits nonzero unless the cache-aware plan has strictly more cache
+//! hits and a strictly shorter virtual makespan than the oblivious one,
+//! or if a fleet job diverges from its solo replay — the CI regression
+//! gate. Wall-clock figures are printed, not gated. `--smoke` runs the
+//! reduced CI configuration.
 //! The fleet scheduler is metered into one registry (the jobs' chips are
 //! not); `--serve ADDR` exposes it as a Prometheus pull endpoint for the
 //! duration of the run.
@@ -34,16 +36,7 @@ fn main() {
 
     let mut cfg = if smoke { FleetBenchConfig::smoke() } else { FleetBenchConfig::full() };
     cfg.metrics = Some(registry);
-    let mut r = fleet_bench_data(&cfg);
-    // The two arms run identical work; the throughput gate compares
-    // wall-clock, so absorb scheduler noise: remeasure rather than
-    // fail on a scheduling hiccup.
-    for _ in 0..2 {
-        if r.throughput_ratio >= 1.0 {
-            break;
-        }
-        r = fleet_bench_data(&cfg);
-    }
+    let r = fleet_bench_data(&cfg);
 
     println!(
         "Fleet of {:?}: {} level-{} jobs, {} steps each ({} replayed solo for equivalence)\n",
@@ -52,13 +45,23 @@ fn main() {
 
     let mut t = Table::new(
         "Placement policy comparison",
-        &["Policy", "Done", "Hits", "Jobs/hour", "p50 (s)", "p99 (s)", "Worst idle"],
+        &[
+            "Policy",
+            "Done",
+            "Hits",
+            "Plan makespan",
+            "Jobs/hour",
+            "p50 (s)",
+            "p99 (s)",
+            "Worst idle",
+        ],
     );
     for p in [&r.aware, &r.oblivious] {
         t.row(vec![
             p.policy.into(),
             format!("{}/{}", p.done, p.jobs),
             p.cache_hits.to_string(),
+            format!("{}", p.plan_makespan),
             format!("{:.1}", p.jobs_per_hour),
             format!("{:.4}", p.p50_latency_seconds),
             format!("{:.4}", p.p99_latency_seconds),
@@ -67,11 +70,13 @@ fn main() {
     }
     t.print();
     println!(
-        "\nCache-aware placement: {:.2}x throughput, {} hits vs {}, \
-         max |solo diff| {:.1e}, max |native diff| {:.1e}",
-        r.throughput_ratio,
+        "\nCache-aware placement: {} hits vs {}, plan makespan {} vs {}, \
+         {:.2}x throughput, max |solo diff| {:.1e}, max |native diff| {:.1e}",
         r.aware.cache_hits,
         r.oblivious.cache_hits,
+        r.aware.plan_makespan,
+        r.oblivious.plan_makespan,
+        r.throughput_ratio,
         r.max_solo_diff,
         r.max_native_diff
     );
@@ -91,5 +96,5 @@ fn main() {
         eprintln!("CHECK FAILED: {e}");
         std::process::exit(1);
     }
-    println!("Cache-aware placement never loses; all fleet invariants hold.");
+    println!("The cache-aware plan hits more and finishes sooner; all fleet invariants hold.");
 }

@@ -225,7 +225,7 @@ fn single_op_site(sqrts: u64, divs: u64) -> SiteParams {
 /// The per-op cost table: analytic host alternative vs the measured
 /// chip fragments, one row per transcendental.
 pub fn per_op_table() -> Vec<OpCostRow> {
-    let model = CostModel::default();
+    let model = CostModel;
     let sqrt_only = MathPlacement { sqrt: Placement::OnPim, reciprocal: Placement::Host };
     let recip_only = MathPlacement { sqrt: Placement::Host, reciprocal: Placement::OnPim };
 

@@ -454,20 +454,13 @@ fn artifact_writer_honors_the_directory_override() {
 fn fleet_artifact_schema_shows_cache_aware_placement_never_losing() {
     // Same schema and gates the `fleet_bench` binary writes CI on, at
     // the smoke configuration: both policy arms account for every job,
-    // latency percentiles are finite and ordered, the pair-swapped
-    // trace makes cache-aware placement hit where the oblivious control
-    // cannot, and the sampled jobs replay bit-identically solo.
+    // the pair-swapped trace makes the cache-aware plan hit where the
+    // oblivious control cannot and finish sooner, and the sampled jobs
+    // replay bit-identically solo. Only deterministic quantities are
+    // compared; the wall-clock fields are checked for presence.
     use wavepim_bench::fleet::{check_fleet, fleet_bench_data, fleet_json, FleetBenchConfig};
     let cfg = FleetBenchConfig::smoke();
-    // The throughput ratio is a wall-clock measurement: re-measure
-    // before declaring the cache beaten by scheduler noise.
-    let mut r = fleet_bench_data(&cfg);
-    for _ in 0..2 {
-        if r.throughput_ratio >= 1.0 {
-            break;
-        }
-        r = fleet_bench_data(&cfg);
-    }
+    let r = fleet_bench_data(&cfg);
     check_fleet(&r).expect("fleet bench invariants");
 
     let doc = fleet_json(&r);
@@ -488,8 +481,9 @@ fn fleet_artifact_schema_shows_cache_aware_placement_never_losing() {
     let oblivious = v.get("cache_oblivious").unwrap();
     for arm in [aware, oblivious] {
         assert_eq!(field(arm, "done") + field(arm, "rejected"), field(arm, "jobs"));
-        assert!(field(arm, "jobs_per_hour") > 0.0);
-        assert!(field(arm, "p50_latency_seconds") <= field(arm, "p99_latency_seconds"));
+        for k in ["wall_seconds", "jobs_per_hour", "p50_latency_seconds", "p99_latency_seconds"] {
+            field(arm, k);
+        }
         assert!((0.0..=1.0).contains(&field(arm, "worst_idle_share")));
         assert_eq!(field(arm, "deadline_misses"), 0.0);
     }
@@ -499,11 +493,14 @@ fn fleet_artifact_schema_shows_cache_aware_placement_never_losing() {
     // The structural cache story: every post-prologue round repeats
     // both program keys, so the aware arm must keep hitting residents,
     // while the swapped submission order starves the oblivious
-    // tie-break of every hit. Plans are deterministic, so these are
-    // exact properties of the trace, not wall-clock luck.
-    assert!(field(aware, "cache_hits") >= cfg.rounds as f64 - 1.0);
+    // tie-break of every hit, and each hit skips a compile on the
+    // virtual timeline. Plans are deterministic, so these are exact
+    // properties of the trace, not wall-clock luck.
+    assert_eq!(field(aware, "cache_hits"), 3.0);
     assert_eq!(field(oblivious, "cache_hits"), 0.0);
-    assert!(field(&v, "throughput_ratio") >= 1.0);
+    assert_eq!(field(aware, "plan_makespan"), 688.0);
+    assert_eq!(field(oblivious, "plan_makespan"), 720.0);
+    field(&v, "throughput_ratio");
 
     // Equivalence sample: covered at least one pooled-runner reuse and
     // agreed exactly.
@@ -517,13 +514,11 @@ fn fleet_artifact_schema_shows_cache_aware_placement_never_losing() {
     for j in jobs {
         let chips = j.get("chips").and_then(|x| x.as_array()).unwrap();
         assert!(!chips.is_empty() && chips.len() <= fleet.len());
-        assert!(field(j, "wait_seconds") >= 0.0);
-        assert!(field(j, "run_seconds") > 0.0);
-        let hit = j.get("cache_hit").and_then(|x| x.as_bool()).unwrap();
-        if hit {
-            assert_eq!(field(j, "compile_seconds"), 0.0, "a cache hit pays no compile");
-        } else {
-            assert!(field(j, "compile_seconds") > 0.0);
+        field(j, "wait_seconds");
+        field(j, "run_seconds");
+        let compile = field(j, "compile_seconds");
+        if j.get("cache_hit").and_then(|x| x.as_bool()).unwrap() {
+            assert_eq!(compile, 0.0, "a cache hit pays no compile");
         }
     }
 }

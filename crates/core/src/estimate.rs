@@ -14,7 +14,7 @@
 //!   the batch plan (Figs. 6–7) and the pipeline model (Figs. 10, 13).
 
 use pim_isa::BlockId;
-use pim_sim::host::HostModel;
+use pim_sim::host;
 use pim_sim::params as prm;
 use pim_sim::{
     BusNetwork, ChipCapacity, EnergyLedger, HTreeNetwork, Interconnect, InterconnectKind,
@@ -321,7 +321,6 @@ pub fn estimate_with_technique(
     let exp = ExpansionModel::for_technique(&technique);
     let physics = benchmark.physics();
     let flux = benchmark.flux();
-    let host = HostModel::default();
 
     let resident_elements = batch_plan.elements_per_batch;
     let bpe = technique.blocks_per_element();
@@ -377,8 +376,10 @@ pub fn estimate_with_technique(
 
     // ---- Host preprocessing (per stage, per resident batch) ----
     let w = benchmark.element_workload();
-    let (host_preprocess, host_pre_j_round) = host
-        .preprocess(w.flux.host_sqrts * resident_elements, w.flux.host_divs * resident_elements);
+    let (host_preprocess, host_pre_j_round) = host::preprocess(
+        w.flux.host_sqrts * resident_elements,
+        w.flux.host_divs * resident_elements,
+    );
 
     let breakdown =
         StageBreakdown { volume, flux_fetch, flux_compute, integration, host_preprocess };

@@ -121,94 +121,6 @@ pub fn pipelined_timeline(b: &StageBreakdown) -> StageTimeline {
     }
 }
 
-/// Per-stage transcendental work under a math placement (the pim-math
-/// subsystem). Zero in both fields reproduces the legacy Fig. 13 picture
-/// exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct MathStageBreakdown {
-    /// Residual host math plus the constants-refresh DMA. This *gates*
-    /// the stage: the refreshed staged constants are Volume inputs, so
-    /// no chip-lane work starts before it completes (the cluster runtime
-    /// advances its stage barrier past this window).
-    pub host_math: f64,
-    /// On-PIM LUT + Newton refinement inside the element blocks. Shares
-    /// bitlines with Volume (the §6.3 hardware hazard), so it serializes
-    /// ahead of Volume in the same lane — but overlaps the neighbor
-    /// fetch, which touches other columns.
-    pub onpim_math: f64,
-}
-
-/// Builds the placement-parameterized stage timeline: Fig. 13 with the
-/// transcendental work drawn where the placement actually runs it. With
-/// a zero [`MathStageBreakdown`] this is segment-for-segment identical
-/// to [`pipelined_timeline`].
-pub fn placed_timeline(b: &StageBreakdown, m: &MathStageBreakdown) -> StageTimeline {
-    let half_fetch = 0.5 * b.flux_fetch;
-    let half_compute = 0.5 * b.flux_compute;
-    let gate = m.host_math;
-    let refine_end = gate + m.onpim_math;
-
-    let mut segments = Vec::new();
-    if m.host_math > 0.0 {
-        segments.push(Segment { lane: "CPU Host", label: "math (host)", start: 0.0, end: gate });
-    }
-    let host = Segment {
-        lane: "CPU Host",
-        label: "sqrt / inverse",
-        start: gate,
-        end: gate + b.host_preprocess,
-    };
-    segments.push(host.clone());
-    if m.onpim_math > 0.0 {
-        segments.push(Segment {
-            lane: "Volume",
-            label: "math refine",
-            start: gate,
-            end: refine_end,
-        });
-    }
-    let volume =
-        Segment { lane: "Volume", label: "compute", start: refine_end, end: refine_end + b.volume };
-    let fetch_minus =
-        Segment { lane: "Flux (-1)", label: "data fetch", start: gate, end: gate + half_fetch };
-    segments.push(volume.clone());
-    segments.push(fetch_minus.clone());
-
-    let cm_start = volume.end.max(fetch_minus.end).max(host.end);
-    let compute_minus = Segment {
-        lane: "Flux (-1)",
-        label: "compute",
-        start: cm_start,
-        end: cm_start + half_compute,
-    };
-    let fetch_plus = Segment {
-        lane: "Flux (+1)",
-        label: "data fetch",
-        start: cm_start,
-        end: cm_start + half_fetch,
-    };
-    let cp_start = compute_minus.end.max(fetch_plus.end);
-    let compute_plus = Segment {
-        lane: "Flux (+1)",
-        label: "compute",
-        start: cp_start,
-        end: cp_start + half_compute,
-    };
-    let integ_start = compute_plus.end;
-    let integration = Segment {
-        lane: "Integration",
-        label: "update",
-        start: integ_start,
-        end: integ_start + b.integration,
-    };
-    let makespan = integration.end;
-    segments.push(compute_minus);
-    segments.push(fetch_plus);
-    segments.push(compute_plus);
-    segments.push(integration);
-    StageTimeline { segments, makespan }
-}
-
 /// Builds the serial (unpipelined) timeline for comparison.
 pub fn serial_timeline(b: &StageBreakdown) -> StageTimeline {
     let mut t = 0.0;
@@ -298,64 +210,6 @@ mod tests {
             }
             assert_eq!(timeline.segments.len(), 7);
         }
-    }
-
-    #[test]
-    fn zero_math_breakdown_reproduces_the_legacy_timeline_exactly() {
-        let b = example();
-        assert_eq!(
-            placed_timeline(&b, &MathStageBreakdown::default()),
-            pipelined_timeline(&b),
-            "placement-parameterized timeline must degrade to Fig. 13"
-        );
-    }
-
-    #[test]
-    fn host_math_gates_the_whole_stage() {
-        let b = example();
-        let gate = 25e-6;
-        let t = placed_timeline(&b, &MathStageBreakdown { host_math: gate, onpim_math: 0.0 });
-        // Refreshed constants are Volume inputs: nothing but the host
-        // math segment may start before the gate closes.
-        for s in &t.segments {
-            if s.label != "math (host)" {
-                assert!(s.start >= gate, "{s:?} started inside the host-math window");
-            }
-        }
-        assert!((t.makespan - (gate + pipelined_timeline(&b).makespan)).abs() < 1e-18);
-    }
-
-    #[test]
-    fn onpim_refine_runs_in_the_chip_lane_before_volume() {
-        let b = example();
-        let m = MathStageBreakdown { host_math: 0.0, onpim_math: 8e-6 };
-        let t = placed_timeline(&b, &m);
-        let refine = t.segments.iter().find(|s| s.label == "math refine").unwrap();
-        let volume =
-            t.segments.iter().find(|s| s.label == "compute" && s.lane == "Volume").unwrap();
-        let fetch =
-            t.segments.iter().find(|s| s.label == "data fetch" && s.lane == "Flux (-1)").unwrap();
-        assert_eq!(refine.lane, "Volume", "refine shares the element blocks");
-        assert!(volume.start >= refine.end, "bitline hazard: refine serializes before Volume");
-        assert_eq!(fetch.start, 0.0, "neighbor fetch overlaps the refine");
-        // Volume dominates the example, so the refine extends the
-        // critical path by exactly its own length.
-        assert!((t.makespan - (m.onpim_math + pipelined_timeline(&b).makespan)).abs() < 1e-18);
-    }
-
-    #[test]
-    fn short_onpim_refine_beats_a_long_host_gate() {
-        // The Fig. 13 argument for the placement: a host gate serializes
-        // with everything, an on-PIM refine only with Volume.
-        let b = example();
-        let host = placed_timeline(&b, &MathStageBreakdown { host_math: 30e-6, onpim_math: 0.0 });
-        let pim = placed_timeline(&b, &MathStageBreakdown { host_math: 0.0, onpim_math: 30e-6 });
-        assert_eq!(
-            host.makespan, pim.makespan,
-            "equal durations cost the same when Volume dominates either way"
-        );
-        let shorter = placed_timeline(&b, &MathStageBreakdown { host_math: 0.0, onpim_math: 5e-6 });
-        assert!(shorter.makespan < host.makespan);
     }
 
     #[test]

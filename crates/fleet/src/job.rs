@@ -5,11 +5,11 @@
 //! Everything the placement engine needs to reason about a job without
 //! building it — block demand per chip, feasibility on a chip subset,
 //! the compile/replay content keys, virtual cost estimates — lives here
-//! as closed-form arithmetic over the spec. The demand model mirrors
-//! [`wavesim_mesh::SlicePartition::new_weighted`]'s largest-remainder
-//! slice deal exactly for residents and bounds ghosts from above, so a
-//! subset the planner accepts always fits the real
-//! [`pim_cluster::ClusterRunner`] shard map.
+//! as closed-form arithmetic over the spec. The demand model deals
+//! residents with [`wavesim_mesh::slice_deal`], the same deal
+//! [`wavesim_mesh::SlicePartition::new_weighted`] shards by, and bounds
+//! ghosts from above, so a subset the planner accepts always fits the
+//! real [`pim_cluster::ClusterRunner`] shard map.
 
 use pim_sim::ChipCapacity;
 use wavesim_dg::{AcousticMaterial, FluxKind};
@@ -186,36 +186,9 @@ impl JobSpec {
         1usize << (2 * self.level)
     }
 
-    /// The largest-remainder slice deal over `weights`, mirroring
-    /// [`wavesim_mesh::SlicePartition::new_weighted`] exactly: every
-    /// shard gets one slice, the rest go by `extra·w/W` with remainders
-    /// broken toward lower index.
-    ///
-    /// # Panics
-    /// Panics if `weights` is empty or longer than the slice count.
-    pub fn slice_deal(&self, weights: &[u64]) -> Vec<usize> {
-        let slices = self.num_slices();
-        assert!(!weights.is_empty() && weights.len() <= slices);
-        let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
-        let extra = (slices - weights.len()) as u128;
-        let mut counts: Vec<usize> = Vec::with_capacity(weights.len());
-        let mut remainders: Vec<(usize, u128)> = Vec::with_capacity(weights.len());
-        for (i, &w) in weights.iter().enumerate() {
-            let scaled = extra * u128::from(w);
-            counts.push(1 + (scaled / total) as usize);
-            remainders.push((i, scaled % total));
-        }
-        let dealt: usize = counts.iter().sum();
-        remainders.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        for &(shard, _) in remainders.iter().take(slices - dealt) {
-            counts[shard] += 1;
-        }
-        counts
-    }
-
     /// Per-chip block demand when sharded over chips of the given
-    /// capacities: residents (one block per element, exact mirror of
-    /// the weighted deal) + ghosts (bounded above by the two boundary
+    /// capacities: residents (one block per element, dealt by the
+    /// weighted partition's own slice deal) + ghosts (bounded above by the two boundary
     /// layers) + the parking and LUT blocks. The bound is conservative
     /// in the safe direction — a subset this model accepts always fits
     /// the real shard map.
@@ -227,7 +200,7 @@ impl JobSpec {
             return None;
         }
         let weights: Vec<u64> = caps.iter().map(|c| c.num_blocks()).collect();
-        let counts = self.slice_deal(&weights);
+        let counts = wavesim_mesh::slice_deal(self.num_slices(), &weights);
         let per_slice = self.elements_per_slice() as u64;
         let ghosts = if caps.len() > 1 { 2 * per_slice } else { 0 };
         Some(counts.iter().map(|&n| n as u64 * per_slice + ghosts + 2).collect())
@@ -303,8 +276,9 @@ mod tests {
 
     #[test]
     fn slice_deal_mirrors_the_weighted_partition() {
-        // The demand model must agree with the real partitioner on the
-        // resident counts for every shape the fleet places.
+        // The demand model's deal over the spec's slice count must agree
+        // with the real partitioner's shards for every shape the fleet
+        // places.
         for (level, weights) in [
             (3u32, vec![16384u64, 65536]),
             (3, vec![1, 1, 1]),
@@ -313,7 +287,7 @@ mod tests {
             (2, vec![7]),
         ] {
             let spec = JobSpec::new("t", level, Workload::Pulse, 1);
-            let counts = spec.slice_deal(&weights);
+            let counts = wavesim_mesh::slice_deal(spec.num_slices(), &weights);
             let mesh = HexMesh::refinement_level(level, Boundary::Periodic);
             let p = SlicePartition::new_weighted(&mesh, &weights);
             let real: Vec<usize> = p.shards().iter().map(|s| s.slice_end - s.slice_begin).collect();

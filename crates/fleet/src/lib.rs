@@ -10,8 +10,8 @@
 //! The moving parts:
 //!
 //! * [`job`] — the [`job::JobSpec`] model: lifecycle states, a
-//!   closed-form per-chip block-demand model mirroring the weighted
-//!   slice deal, and the program/replay content keys that make cache
+//!   closed-form per-chip block-demand model over the weighted
+//!   partition's slice deal, and the program/replay content keys that make cache
 //!   affinity sound.
 //! * [`placement`] — the deterministic placement engine: a virtual
 //!   timeline, a score trading cache affinity against capacity balance
@@ -34,5 +34,5 @@ pub mod placement;
 pub mod scheduler;
 
 pub use job::{JobId, JobSpec, JobState, Workload};
-pub use placement::{plan, PlacementPolicy, PlannedJob, SchedulePlan, ScoreWeights};
+pub use placement::{plan, PlacementPolicy, PlannedJob, SchedulePlan};
 pub use scheduler::{Fleet, FleetConfig, FleetReport, JobOutcome};

@@ -4,10 +4,10 @@
 //! Planning runs on a *virtual* timeline (costs proportional to
 //! step-by-element work) rather than reacting to wall-clock completion
 //! events, which makes the plan a pure function of (queue, fleet,
-//! policy, weights): the same inputs always produce the same
-//! placements, no matter how many worker threads later execute them or
-//! how their real finish times jitter. The executor then follows the
-//! plan's per-chip job order exactly (see `scheduler`), so the schedule
+//! policy): the same inputs always produce the same placements, no
+//! matter how many worker threads later execute them or how their real
+//! finish times jitter. The executor then follows the plan's per-chip
+//! job order and cache hits exactly (see `scheduler`), so the schedule
 //! the user can reason about is the schedule that runs.
 //!
 //! Three policies:
@@ -56,35 +56,22 @@ impl PlacementPolicy {
     }
 }
 
-/// Weights of the placement score
-/// `affinity·hit + age·(t − arrival)·urgency − balance·waste`.
-#[derive(Debug, Clone, Copy)]
-pub struct ScoreWeights {
-    /// Reward for landing on a cohort whose resident program matches.
-    pub affinity: f64,
-    /// Reward per virtual second of queue wait (starvation guard);
-    /// multiplied by [`ScoreWeights::DEADLINE_URGENCY`] for jobs with
-    /// deadlines.
-    pub age: f64,
-    /// Penalty per unit of wasted capacity fraction (idle blocks of
-    /// the chosen cohort).
-    pub balance: f64,
-}
+// The placement score is
+// `AFFINITY·hit + AGE·(t − arrival)·urgency − BALANCE·waste`. Affinity
+// dominates (a hit saves the whole compile), waste is bounded by 1, and
+// age is a slow tie-breaker over virtual seconds (which are in
+// step·element units, hence the small weight).
 
-impl ScoreWeights {
-    /// Age multiplier for jobs with a deadline.
-    pub const DEADLINE_URGENCY: f64 = 100.0;
-}
-
-impl Default for ScoreWeights {
-    fn default() -> Self {
-        // Affinity dominates (a hit saves the whole compile), waste is
-        // bounded by 1, and age is a slow tie-breaker over virtual
-        // seconds (which are in step·element units, hence the small
-        // weight).
-        Self { affinity: 4.0, age: 1e-6, balance: 1.0 }
-    }
-}
+/// Reward for landing on a cohort whose resident program matches.
+const AFFINITY: f64 = 4.0;
+/// Reward per virtual second of queue wait (starvation guard);
+/// multiplied by [`DEADLINE_URGENCY`] for jobs with deadlines.
+const AGE: f64 = 1e-6;
+/// Penalty per unit of wasted capacity fraction (idle blocks of the
+/// chosen cohort).
+const BALANCE: f64 = 1.0;
+/// Age multiplier for jobs with a deadline.
+const DEADLINE_URGENCY: f64 = 100.0;
 
 /// One placed job in the plan.
 #[derive(Debug, Clone)]
@@ -292,12 +279,7 @@ fn take_better(best: &mut Option<Candidate>, cand: Candidate) {
 
 /// Plans the whole queue. Jobs that fit no subset of the fleet land in
 /// [`SchedulePlan::rejected`]; everything else is placed exactly once.
-pub fn plan(
-    specs: &[JobSpec],
-    chips: &[ChipConfig],
-    policy: PlacementPolicy,
-    weights: &ScoreWeights,
-) -> SchedulePlan {
+pub fn plan(specs: &[JobSpec], chips: &[ChipConfig], policy: PlacementPolicy) -> SchedulePlan {
     assert!(!chips.is_empty(), "a fleet needs at least one chip");
     let mut planner = Planner::new(specs, chips);
     let rejected: Vec<usize> =
@@ -307,7 +289,7 @@ pub fn plan(
 
     match policy {
         PlacementPolicy::RoundRobin => plan_round_robin(&mut planner, &admitted),
-        _ => plan_scored(&mut planner, &admitted, policy, weights),
+        _ => plan_scored(&mut planner, &admitted, policy),
     }
     planner.into_plan(rejected)
 }
@@ -317,14 +299,9 @@ pub fn plan(
 /// then advance to the next chip-free or arrival event. Deferred
 /// candidates are force-placed only when the fleet has gone fully idle
 /// with nothing arriving — the livelock escape.
-fn plan_scored(
-    planner: &mut Planner<'_>,
-    admitted: &[usize],
-    policy: PlacementPolicy,
-    weights: &ScoreWeights,
-) {
+fn plan_scored(planner: &mut Planner<'_>, admitted: &[usize], policy: PlacementPolicy) {
     let affinity = match policy {
-        PlacementPolicy::CacheAware => weights.affinity,
+        PlacementPolicy::CacheAware => AFFINITY,
         _ => 0.0,
     };
     let mut pending: Vec<usize> = admitted.to_vec();
@@ -338,8 +315,7 @@ fn plan_scored(
             let mut best_deferred: Option<Candidate> = None;
             for &j in &arrived {
                 let spec = &planner.specs[j];
-                let urgency =
-                    if spec.deadline.is_some() { ScoreWeights::DEADLINE_URGENCY } else { 1.0 };
+                let urgency = if spec.deadline.is_some() { DEADLINE_URGENCY } else { 1.0 };
                 for cohort in &planner.feasible[j] {
                     if !cohort.iter().all(|c| avail.contains(c)) {
                         continue;
@@ -347,8 +323,8 @@ fn plan_scored(
                     let key = spec.program_key(&subset_caps(&planner.caps, cohort));
                     let hit = planner.is_hit(cohort, key);
                     let score = affinity * f64::from(u8::from(hit))
-                        + weights.age * (t - spec.arrival) * urgency
-                        - weights.balance * planner.waste(j, cohort);
+                        + AGE * (t - spec.arrival) * urgency
+                        - BALANCE * planner.waste(j, cohort);
                     let cand = Candidate { score, job: j, cohort: cohort.clone(), hit };
                     if !hit && planner.is_deferred(j, cohort, &arrived) {
                         take_better(&mut best_deferred, cand);
@@ -483,7 +459,6 @@ mod tests {
             &specs,
             &fleet(&[ChipCapacity::Gb2, ChipCapacity::Gb2]),
             PlacementPolicy::CacheAware,
-            &ScoreWeights::default(),
         );
         assert_eq!(plan.rejected, vec![0]);
         assert_eq!(plan.jobs.len(), 1);
@@ -503,7 +478,6 @@ mod tests {
             &specs,
             &fleet(&[ChipCapacity::Gb2, ChipCapacity::Gb8]),
             PlacementPolicy::CacheAware,
-            &ScoreWeights::default(),
         );
         let big = plan.jobs.iter().find(|p| p.job == 2).unwrap();
         assert_eq!(big.chips, vec![1]);
@@ -519,12 +493,7 @@ mod tests {
         // hit the resident program.
         let specs: Vec<JobSpec> =
             (0..4).map(|i| JobSpec::new(format!("j{i}"), 2, Workload::Pulse, 2)).collect();
-        let plan = plan(
-            &specs,
-            &fleet(&[ChipCapacity::Gb2]),
-            PlacementPolicy::CacheAware,
-            &ScoreWeights::default(),
-        );
+        let plan = plan(&specs, &fleet(&[ChipCapacity::Gb2]), PlacementPolicy::CacheAware);
         assert_eq!(plan.cache_hits, 3);
         assert!(!plan.jobs[0].cache_hit);
         assert!(plan.jobs[1..].iter().all(|p| p.cache_hit));
@@ -543,12 +512,7 @@ mod tests {
         urgent.arrival = 2.0;
         urgent.deadline = Some(1e6);
         let specs = vec![filler, relaxed, urgent];
-        let plan = plan(
-            &specs,
-            &fleet(&[ChipCapacity::Gb2]),
-            PlacementPolicy::CacheOblivious,
-            &ScoreWeights::default(),
-        );
+        let plan = plan(&specs, &fleet(&[ChipCapacity::Gb2]), PlacementPolicy::CacheOblivious);
         let order: Vec<usize> = plan.jobs.iter().map(|p| p.job).collect();
         assert_eq!(order[0], 0, "filler takes the chip first");
         assert_eq!(order[1], 2, "the deadline job jumps the older relaxed job");

@@ -18,13 +18,13 @@
 //! the same spec on the same chip cohort no matter what else the fleet
 //! executes concurrently.
 //!
-//! Compiled runners are pooled per chip cohort. A planned cache hit
-//! takes the pooled runner (matching program key), resets its dynamic
-//! state, and skips the whole compile + preload phase; a fresh
-//! placement evicts pooled runners overlapping its cohort — exactly
-//! mirroring the planner's residency model, which is what keeps the
-//! plan's hit predictions and the executor's reuse counters in
-//! agreement.
+//! Compiled runners are pooled per chip cohort, and the plan decides
+//! every reuse: a planned cache hit takes the cohort's pooled runner
+//! (asserting its program key matches), resets its dynamic state, and
+//! skips the whole compile + preload phase; a planned fresh placement
+//! evicts pooled runners overlapping its cohort and compiles. The
+//! executor keeps no residency model of its own, so its hits are the
+//! plan's hits.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -38,7 +38,7 @@ use wavesim_dg::{Acoustic, Solver, State};
 use wavesim_mesh::{Boundary, HexMesh};
 
 use crate::job::{JobId, JobSpec, JobState};
-use crate::placement::{plan, PlacementPolicy, SchedulePlan, ScoreWeights};
+use crate::placement::{plan, PlacementPolicy, SchedulePlan};
 
 /// Fleet shape and scheduling policy.
 #[derive(Debug, Clone)]
@@ -47,21 +47,14 @@ pub struct FleetConfig {
     pub chips: Vec<ChipConfig>,
     /// Placement policy.
     pub policy: PlacementPolicy,
-    /// Placement score weights.
-    pub weights: ScoreWeights,
     /// Where the scheduler (not the jobs' chips) is metered; `None` (default) records nothing.
     pub metrics: Option<Arc<pim_metrics::MetricsRegistry>>,
 }
 
 impl FleetConfig {
-    /// Cache-aware scheduling with default weights and runner reuse.
+    /// Cache-aware scheduling, unmetered.
     pub fn new(chips: Vec<ChipConfig>) -> Self {
-        Self {
-            chips,
-            policy: PlacementPolicy::CacheAware,
-            weights: ScoreWeights::default(),
-            metrics: None,
-        }
+        Self { chips, policy: PlacementPolicy::CacheAware, metrics: None }
     }
 
     /// Same fleet, different policy.
@@ -117,7 +110,8 @@ pub struct FleetReport {
     pub wall_seconds: f64,
     /// Completed jobs per wall hour.
     pub jobs_per_hour: f64,
-    /// Placements that reused a pooled runner.
+    /// Placements that reused a pooled runner: the plan's
+    /// [`SchedulePlan::cache_hits`].
     pub cache_hits: usize,
 }
 
@@ -168,7 +162,7 @@ impl Fleet {
     pub fn drain(&mut self) -> FleetReport {
         let specs = std::mem::take(&mut self.queue);
         let t0 = Instant::now();
-        let plan = plan(&specs, &self.config.chips, self.config.policy, &self.config.weights);
+        let plan = plan(&specs, &self.config.chips, self.config.policy);
         if let Some(reg) = &self.config.metrics {
             reg.counter("fleet_jobs_rejected_total", &[]).add(plan.rejected.len() as u64);
             reg.gauge("fleet_queue_depth", &[]).set(0.0);
@@ -233,7 +227,7 @@ impl Fleet {
         let done = outcomes.iter().filter(|o| o.state == JobState::Done).count();
         let jobs_per_hour =
             if wall_seconds > 0.0 { done as f64 * 3600.0 / wall_seconds } else { 0.0 };
-        let cache_hits = outcomes.iter().filter(|o| o.cache_hit).count();
+        let cache_hits = plan.cache_hits;
         if let Some(reg) = &self.config.metrics {
             reg.gauge("fleet_jobs_per_hour", &[("policy", self.config.policy.name())])
                 .set(jobs_per_hour);
@@ -289,48 +283,26 @@ fn run_planned_job(
 
     record_state_transition(config, JobState::Compiling);
     let t_compile = Instant::now();
-    let pooled = {
-        let mut pool = pool.lock().unwrap();
-        match pool.remove(&pj.chips) {
-            Some(p) if p.program_key == key => Some(p),
-            Some(stale) => {
-                // Wrong program resident on this cohort: put it back so
-                // the eviction below accounts for it uniformly.
-                pool.insert(pj.chips.clone(), stale);
-                None
-            }
-            None => None,
-        }
-    };
-    let cache_hit = pooled.is_some();
-    // The executor's reuse decision must mirror the planner's residency
-    // model — that agreement is what the plan's hit count promises.
-    debug_assert_eq!(
-        cache_hit, pj.cache_hit,
-        "job {}: executor reuse diverged from the plan",
-        spec.name
-    );
-    let mut runner = match pooled {
-        Some(p) => {
-            let mut runner = p.runner;
-            runner.reset_state(&initial);
-            runner
-        }
-        None => {
-            // A fresh program lands on these chips: runners overlapping
-            // the cohort no longer describe what is resident.
-            pool.lock().unwrap().retain(|cohort, _| cohort.iter().all(|c| !pj.chips.contains(c)));
-            let cluster = ClusterConfig::heterogeneous(chip_configs.clone());
-            ClusterRunner::new(
-                &mesh,
-                spec.order,
-                spec.flux,
-                spec.material,
-                &initial,
-                spec.dt,
-                cluster,
-            )
-        }
+    let cache_hit = pj.cache_hit;
+    let mut runner = if cache_hit {
+        // The plan promised this cohort still holds the job's program.
+        let p = pool.lock().unwrap().remove(&pj.chips);
+        let p =
+            p.unwrap_or_else(|| panic!("job {}: planned hit found no pooled runner", spec.name));
+        assert_eq!(
+            p.program_key, key,
+            "job {}: planned hit found another program resident",
+            spec.name
+        );
+        let mut runner = p.runner;
+        runner.reset_state(&initial);
+        runner
+    } else {
+        // A fresh program lands on these chips: runners overlapping the
+        // cohort no longer describe what is resident.
+        pool.lock().unwrap().retain(|cohort, _| cohort.iter().all(|c| !pj.chips.contains(c)));
+        let cluster = ClusterConfig::heterogeneous(chip_configs.clone());
+        ClusterRunner::new(&mesh, spec.order, spec.flux, spec.material, &initial, spec.dt, cluster)
     };
     let compile_seconds = if cache_hit { 0.0 } else { t_compile.elapsed().as_secs_f64() };
 

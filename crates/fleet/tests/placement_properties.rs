@@ -4,13 +4,13 @@
 //!   capacity under the demand model, no two jobs overlap in time on
 //!   the same chip, and rejected jobs are exactly the infeasible ones.
 //! * **Determinism**: the plan is a pure function of (queue, fleet,
-//!   policy, weights) — replanning the same inputs reproduces every
+//!   policy) — replanning the same inputs reproduces every
 //!   placement bit-for-bit.
 //! * **Quality**: on a mixed 2 GB + 8 GB fleet the weighted scorer
 //!   strictly beats the round-robin baseline on the worst chip's idle
 //!   share of the makespan.
 
-use pim_fleet::{plan, JobSpec, PlacementPolicy, ScoreWeights, Workload};
+use pim_fleet::{plan, JobSpec, PlacementPolicy, Workload};
 use pim_sim::{ChipCapacity, ChipConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -67,7 +67,7 @@ proptest! {
             ChipCapacity::Gb2,
             ChipCapacity::Gb16,
         ]);
-        let p = plan(&specs, &chips, policy, &ScoreWeights::default());
+        let p = plan(&specs, &chips, policy);
 
         // Every job is placed once or rejected once.
         let mut seen = vec![0usize; specs.len()];
@@ -137,8 +137,8 @@ proptest! {
     fn plans_are_deterministic(case in (jobs(), policies())) {
         let (specs, policy) = case;
         let chips = fleet(&[ChipCapacity::Gb2, ChipCapacity::Gb8, ChipCapacity::Gb2]);
-        let a = plan(&specs, &chips, policy, &ScoreWeights::default());
-        let b = plan(&specs, &chips, policy, &ScoreWeights::default());
+        let a = plan(&specs, &chips, policy);
+        let b = plan(&specs, &chips, policy);
         prop_assert_eq!(a.jobs.len(), b.jobs.len());
         prop_assert_eq!(&a.rejected, &b.rejected);
         prop_assert_eq!(a.cache_hits, b.cache_hits);
@@ -174,9 +174,8 @@ proptest! {
             specs.push(s);
         }
         let chips = fleet(&[ChipCapacity::Gb2, ChipCapacity::Gb8]);
-        let weights = ScoreWeights::default();
-        let weighted = plan(&specs, &chips, PlacementPolicy::CacheAware, &weights);
-        let rr = plan(&specs, &chips, PlacementPolicy::RoundRobin, &weights);
+        let weighted = plan(&specs, &chips, PlacementPolicy::CacheAware);
+        let rr = plan(&specs, &chips, PlacementPolicy::RoundRobin);
         prop_assert!(weighted.rejected.is_empty());
         prop_assert!(rr.rejected.is_empty());
         let (wi, ri) = (weighted.worst_idle_share(), rr.worst_idle_share());

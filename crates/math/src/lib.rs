@@ -1,7 +1,7 @@
 //! # pim-math — on-PIM fixed-point transcendentals
 //!
 //! Every RK stage of the seed system escaped to the host CPU for the
-//! sqrt/inverse preprocessing that feeds the Riemann flux (`HostModel`,
+//! sqrt/inverse preprocessing that feeds the Riemann flux (`pim_sim::host`,
 //! the "CPU Host: sqrt / inverse" lane of Fig. 13). This crate keeps
 //! those operations inside the chip, TransPimLib-style:
 //!

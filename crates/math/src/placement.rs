@@ -1,6 +1,6 @@
 //! The per-op host-vs-PIM placement cost model.
 //!
-//! Host offload costs `HostModel::preprocess` cycles **per element**
+//! Host offload costs `host::preprocess` cycles **per element**
 //! plus the per-stage DMA that refreshes the staged constants, so it
 //! scales linearly with the shard size. The on-PIM sequence is pure
 //! row-parallel intra-block arithmetic: every element block runs it
@@ -12,7 +12,7 @@
 //! leave the table's supported range.
 
 use pim_isa::{BlockId, Instr, InstrStream};
-use pim_sim::host::HostModel;
+use pim_sim::host;
 use pim_sim::params;
 
 use crate::seq::{MathSite, RecipDest, SqrtDest};
@@ -167,10 +167,8 @@ pub struct MathDecision {
 }
 
 /// Prices the two alternatives from the chip's timing/energy params.
-#[derive(Debug, Clone, Default)]
-pub struct CostModel {
-    pub host: HostModel,
-}
+#[derive(Debug, Clone, Copy)]
+pub struct CostModel;
 
 impl CostModel {
     /// Staged constants the host refreshes per element for its ops:
@@ -198,7 +196,7 @@ impl CostModel {
         if sqrts == 0 && divs == 0 {
             return OpCost::ZERO;
         }
-        let (secs, joules) = self.host.preprocess(sqrts, divs);
+        let (secs, joules) = host::preprocess(sqrts, divs);
         let bytes = Self::refresh_bytes(p, site.elems) as f64;
         OpCost {
             seconds: secs + bytes / params::OFFCHIP_BANDWIDTH,
@@ -317,7 +315,7 @@ mod tests {
 
     #[test]
     fn host_cost_is_linear_and_pim_cost_is_flat_in_elements() {
-        let m = CostModel::default();
+        let m = CostModel;
         let p = MathPlacement::all_onpim();
         let h1 = m.host_stage_cost(MathPlacement::all_host(), &site(1000));
         let h4 = m.host_stage_cost(MathPlacement::all_host(), &site(4000));
@@ -330,7 +328,7 @@ mod tests {
 
     #[test]
     fn auto_crosses_over_from_host_to_pim_with_scale() {
-        let m = CostModel::default();
+        let m = CostModel;
         let small = m.resolve(MathMode::Auto, &site(64));
         assert_eq!(small.placement, Some(MathPlacement::all_host()), "tiny shard stays on host");
         let large = m.resolve(MathMode::Auto, &site(8192));
@@ -341,7 +339,7 @@ mod tests {
 
     #[test]
     fn out_of_range_operands_pin_an_op_to_the_host() {
-        let m = CostModel::default();
+        let m = CostModel;
         let mut s = site(8192);
         s.sqrt_operands = (0.001, 4.0); // below OPERAND_LO
         let d = m.resolve(MathMode::OnPim, &s);
@@ -353,7 +351,7 @@ mod tests {
 
     #[test]
     fn off_mode_and_central_flux_produce_no_placement() {
-        let m = CostModel::default();
+        let m = CostModel;
         assert!(m.resolve(MathMode::Off, &site(4096)).placement.is_none());
         let central = SiteParams { sqrts_per_elem: 0, divs_per_elem: 0, ..site(4096) };
         assert!(m.resolve(MathMode::Auto, &central).placement.is_none());

@@ -24,4 +24,4 @@ pub mod partition;
 pub use face::{Face, Neighbor};
 pub use geometry::ElementGeometry;
 pub use hexmesh::{Boundary, ElemId, HexMesh};
-pub use partition::{HaloFace, Shard, SlicePartition};
+pub use partition::{slice_deal, HaloFace, Shard, SlicePartition};

@@ -81,6 +81,33 @@ pub struct SlicePartition {
     shard_of: Vec<usize>,
 }
 
+/// The largest-remainder deal of `slices` y-slices over `weights`: every
+/// shard starts with one slice, the rest are dealt by largest remainder
+/// of `extra·w/W` (ties broken toward lower index), so the counts are
+/// deterministic and sum exactly to `slices`. This is the deal
+/// [`SlicePartition::new_weighted`] builds its shards from.
+///
+/// # Panics
+/// Panics if `weights` is empty or longer than `slices`.
+pub fn slice_deal(slices: usize, weights: &[u64]) -> Vec<usize> {
+    assert!(!weights.is_empty() && weights.len() <= slices);
+    let total_weight: u128 = weights.iter().map(|&w| u128::from(w)).sum();
+    let extra = (slices - weights.len()) as u128;
+    let mut counts: Vec<usize> = Vec::with_capacity(weights.len());
+    let mut remainders: Vec<(usize, u128)> = Vec::with_capacity(weights.len());
+    for (i, &w) in weights.iter().enumerate() {
+        let scaled = extra * u128::from(w);
+        counts.push(1 + (scaled / total_weight) as usize);
+        remainders.push((i, scaled % total_weight));
+    }
+    let dealt: usize = counts.iter().sum();
+    remainders.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    for &(shard, _) in remainders.iter().take(slices - dealt) {
+        counts[shard] += 1;
+    }
+    counts
+}
+
 impl SlicePartition {
     /// Splits `mesh` into `num_shards` contiguous groups of y-slices.
     ///
@@ -119,23 +146,7 @@ impl SlicePartition {
             num_shards <= slices,
             "{num_shards} shards need at least as many y-slices, got {slices}"
         );
-        // Every shard starts with one slice; the rest are dealt by largest
-        // remainder of `extra * w / W` (ties broken toward lower index), so
-        // counts are deterministic and sum exactly to `slices`.
-        let total_weight: u128 = weights.iter().map(|&w| u128::from(w)).sum();
-        let extra = (slices - num_shards) as u128;
-        let mut counts: Vec<usize> = Vec::with_capacity(num_shards);
-        let mut remainders: Vec<(usize, u128)> = Vec::with_capacity(num_shards);
-        for (i, &w) in weights.iter().enumerate() {
-            let scaled = extra * u128::from(w);
-            counts.push(1 + (scaled / total_weight) as usize);
-            remainders.push((i, scaled % total_weight));
-        }
-        let dealt: usize = counts.iter().sum();
-        remainders.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        for &(shard, _) in remainders.iter().take(slices - dealt) {
-            counts[shard] += 1;
-        }
+        let counts = slice_deal(slices, weights);
         debug_assert_eq!(counts.iter().sum::<usize>(), slices);
         Self::from_slice_counts(mesh, &counts)
     }

@@ -70,7 +70,7 @@ use pim_trace::{Payload, TID_HOST, TID_INTERCONNECT, TID_OFFCHIP};
 
 use crate::block::{MemBlock, OpCost};
 use crate::energy::EnergyLedger;
-use crate::host::HostModel;
+use crate::host;
 use crate::interconnect::{
     BusNetwork, HTreeNetwork, Interconnect, InterconnectKind, Resource, Transfer,
 };
@@ -128,7 +128,6 @@ pub struct PimChip {
     config: ChipConfig,
     htree: HTreeNetwork,
     bus: BusNetwork,
-    host: HostModel,
     /// Block contents, indexed by `BlockId.0`. Allocation is lazy at
     /// two levels: an untouched block is `None` (a Gb16 chip has 131K
     /// blocks), and a materialized block allocates only the row tiles
@@ -271,7 +270,6 @@ impl PimChip {
             config,
             htree,
             bus: BusNetwork::new(),
-            host: HostModel::default(),
             blocks: {
                 let mut v = Vec::new();
                 v.resize_with(num_blocks, || None);
@@ -365,10 +363,6 @@ impl PimChip {
     /// block-seconds.
     pub fn total_block_busy_seconds(&self) -> f64 {
         self.block_busy.iter().sum()
-    }
-
-    pub fn host(&self) -> &HostModel {
-        &self.host
     }
 
     /// Read access to a block's storage (allocating it zeroed if new).
@@ -624,8 +618,8 @@ impl PimChip {
         self.replay_timing(tape, &faults);
         // Host dispatch of the whole stream is a lower bound on elapsed
         // time: the chip cannot outrun its instruction feed.
-        let dispatch = self.host.dispatch_time(tape.len() as u64);
-        let joules = dispatch * self.host.power();
+        let dispatch = host::dispatch_time(tape.len() as u64);
+        let joules = dispatch * host::power();
         self.ledger.host += joules;
         self.elapsed = self.elapsed.max(dispatch);
         // The host lane has been busy at least this long; a later
@@ -1031,7 +1025,7 @@ impl PimChip {
     /// queues after the host work already booked instead of double-booking
     /// t = 0 and overlapping prior spans.
     pub fn charge_host_preprocess(&mut self, sqrts: u64, divs: u64) {
-        let (seconds, joules) = self.host.preprocess(sqrts, divs);
+        let (seconds, joules) = host::preprocess(sqrts, divs);
         self.ledger.host += joules;
         if let Some(metrics) = &self.metrics {
             metrics.energy[5].add(joules); // "host"
@@ -1759,10 +1753,10 @@ mod tests {
             })
             .collect();
         assert_eq!(spans.len(), 2);
-        let (per, _) = c.host().preprocess(100, 100);
+        let (per, _) = crate::host::preprocess(100, 100);
         // The first call queues after the dispatch work already booked;
         // the second queues after the first — no double-booked t = 0.
-        let dispatch = c.host().dispatch_time(1);
+        let dispatch = crate::host::dispatch_time(1);
         assert!((spans[0].t0 - dispatch).abs() < 1e-18, "span 0 starts at {}", spans[0].t0);
         assert!((spans[0].t1 - (dispatch + per)).abs() < 1e-15);
         assert!(
@@ -1973,7 +1967,7 @@ mod tests {
             s.push(Instr::Sync);
         }
         c.execute(&s);
-        assert!(c.elapsed() >= c.host().dispatch_time(1000));
+        assert!(c.elapsed() >= crate::host::dispatch_time(1000));
     }
 
     #[test]

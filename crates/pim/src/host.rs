@@ -9,43 +9,33 @@
 
 use crate::params::HOST_POWER;
 
-/// ARM Cortex-A72 timing model.
-#[derive(Debug, Clone, Copy)]
-pub struct HostModel {
-    /// Core clock, Hz.
-    pub clock_hz: f64,
-    /// FP square-root latency, cycles (A72 FSQRT: ~17).
-    pub sqrt_cycles: u64,
-    /// FP divide latency, cycles (A72 FDIV: ~18).
-    pub div_cycles: u64,
-    /// Sustained PIM-instruction dispatch rate, instructions per cycle.
-    pub dispatch_per_cycle: f64,
+// ARM Cortex-A72 timing model.
+
+/// Core clock, Hz.
+const CLOCK_HZ: f64 = 1.5e9;
+/// FP square-root latency, cycles (A72 FSQRT: ~17).
+const SQRT_CYCLES: u64 = 17;
+/// FP divide latency, cycles (A72 FDIV: ~18).
+const DIV_CYCLES: u64 = 18;
+/// Sustained PIM-instruction dispatch rate, instructions per cycle.
+const DISPATCH_PER_CYCLE: f64 = 1.0;
+
+/// Seconds and joules to precompute `sqrts` square roots and `divs`
+/// inverses for the LUT contents.
+pub fn preprocess(sqrts: u64, divs: u64) -> (f64, f64) {
+    let cycles = sqrts * SQRT_CYCLES + divs * DIV_CYCLES;
+    let seconds = cycles as f64 / CLOCK_HZ;
+    (seconds, seconds * HOST_POWER)
 }
 
-impl Default for HostModel {
-    fn default() -> Self {
-        Self { clock_hz: 1.5e9, sqrt_cycles: 17, div_cycles: 18, dispatch_per_cycle: 1.0 }
-    }
+/// Seconds to dispatch `count` PIM instructions to the chip.
+pub fn dispatch_time(count: u64) -> f64 {
+    count as f64 / (DISPATCH_PER_CYCLE * CLOCK_HZ)
 }
 
-impl HostModel {
-    /// Seconds and joules to precompute `sqrts` square roots and `divs`
-    /// inverses for the LUT contents.
-    pub fn preprocess(&self, sqrts: u64, divs: u64) -> (f64, f64) {
-        let cycles = sqrts * self.sqrt_cycles + divs * self.div_cycles;
-        let seconds = cycles as f64 / self.clock_hz;
-        (seconds, seconds * HOST_POWER)
-    }
-
-    /// Seconds to dispatch `count` PIM instructions to the chip.
-    pub fn dispatch_time(&self, count: u64) -> f64 {
-        count as f64 / (self.dispatch_per_cycle * self.clock_hz)
-    }
-
-    /// Host power draw, watts.
-    pub fn power(&self) -> f64 {
-        HOST_POWER
-    }
+/// Host power draw, watts.
+pub fn power() -> f64 {
+    HOST_POWER
 }
 
 #[cfg(test)]
@@ -54,24 +44,22 @@ mod tests {
 
     #[test]
     fn preprocess_scales_with_work() {
-        let h = HostModel::default();
-        let (t1, e1) = h.preprocess(100, 0);
-        let (t2, e2) = h.preprocess(200, 0);
+        let (t1, e1) = preprocess(100, 0);
+        let (t2, e2) = preprocess(200, 0);
         assert!((t2 / t1 - 2.0).abs() < 1e-12);
         assert!((e2 / e1 - 2.0).abs() < 1e-12);
-        let (t3, _) = h.preprocess(0, 100);
+        let (t3, _) = preprocess(0, 100);
         assert!(t3 > t1, "divides are slower than roots on the A72");
     }
 
     #[test]
     fn dispatch_is_one_per_cycle_by_default() {
-        let h = HostModel::default();
-        assert!((h.dispatch_time(1_500_000_000) - 1.0).abs() < 1e-12);
-        assert_eq!(h.dispatch_time(0), 0.0);
+        assert!((dispatch_time(1_500_000_000) - 1.0).abs() < 1e-12);
+        assert_eq!(dispatch_time(0), 0.0);
     }
 
     #[test]
     fn power_comes_from_table_3() {
-        assert!((HostModel::default().power() - 3.06).abs() < 1e-12);
+        assert!((power() - 3.06).abs() < 1e-12);
     }
 }

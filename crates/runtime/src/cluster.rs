@@ -625,7 +625,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
         let mut math_decisions = Vec::with_capacity(num_chips);
         let mut math_host_cost = Vec::with_capacity(num_chips);
         let mut math_host_ops = Vec::with_capacity(num_chips);
-        let cost_model = CostModel::default();
+        let cost_model = CostModel;
 
         for shard in partition.shards() {
             let chip_config = config.chips[shard.index];

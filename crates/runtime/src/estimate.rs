@@ -45,7 +45,7 @@
 //! port time — which is what pushes the halo wall (the chip count where
 //! exposed halo first gates the stage) outward.
 
-use pim_sim::host::HostModel;
+use pim_sim::host;
 use pim_sim::params as prm;
 use pim_sim::{ChipConfig, EnergyLedger, InterChipLink, InterconnectKind, PimChip};
 use wave_pim::compiler::AcousticMapping;
@@ -208,14 +208,13 @@ pub struct ClusterEstimate {
 /// Per-stage (compute, swap) seconds and the batch count for `resident`
 /// elements sharing a chip with `ghost` extra resident blocks.
 fn stage_compute(probe: &KernelProbe, resident: u64, ghost: u64) -> (f64, f64, u64) {
-    let host = HostModel::default();
     // Window blocks + 1 shared parking block + 1 LUT block must fit.
     let avail = probe.chip.capacity.num_blocks().saturating_sub(2).max(1);
     let window = resident + ghost;
     let batches = window.div_ceil(avail).max(1);
     let per_batch = resident.div_ceil(batches);
     let dispatch =
-        host.dispatch_time((probe.instrs_per_element_per_stage * per_batch as f64).ceil() as u64);
+        host::dispatch_time((probe.instrs_per_element_per_stage * per_batch as f64).ceil() as u64);
     let compute = batches as f64 * probe.seconds_per_stage_path.max(dispatch);
     let swap = if batches > 1 {
         let bytes = SWAP_PASSES_PER_ELEMENT * resident as f64 * (probe.nodes * 4 * 4) as f64;

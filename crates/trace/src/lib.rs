@@ -310,24 +310,4 @@ mod tests {
         let span = events.iter().find(|e| e.pid == pid).expect("span recorded");
         assert!(span.t1 >= span.t0);
     }
-
-    #[test]
-    fn disabled_record_overhead_is_negligible() {
-        // The structural <1% claim: a disabled record call is a relaxed
-        // load + branch. Budget: even at 1000 record sites per dG step
-        // (a real step has a handful of kernel spans), the disabled cost
-        // must stay under 1% of a ~100 us step, i.e. <1 ns per call give
-        // or take timer noise. Assert a generous 50 ns bound so the test
-        // is immune to CI jitter while still catching any accidental
-        // allocation/lock on the disabled path.
-        let _g = test_lock();
-        disable();
-        let n = 1_000_000u64;
-        let t0 = Instant::now();
-        for i in 0..n {
-            record_span(1, 0, i as f64, i as f64, Payload::Counter { name: "ovh", value: 0.0 });
-        }
-        let per_call = t0.elapsed().as_secs_f64() / n as f64;
-        assert!(per_call < 50e-9, "disabled record path costs {:.1} ns/call", per_call * 1e9);
-    }
 }

@@ -208,7 +208,7 @@ fn run_policy(
         jobs: report.outcomes.len(),
         done,
         rejected: report.plan.rejected.len(),
-        cache_hits: report.cache_hits,
+        cache_hits: report.plan.cache_hits,
         plan_makespan: report.plan.makespan,
         wall_seconds: report.wall_seconds,
         jobs_per_hour: report.jobs_per_hour,

@@ -151,8 +151,8 @@ mod tests {
     fn headline_numbers_are_in_the_paper_regime() {
         // Paper §8: 41.98× average speedup and 12.66× energy savings
         // against the three GPUs. Our independently-built models must land
-        // in the same order of magnitude (factors recorded precisely in
-        // EXPERIMENTS.md).
+        // in the same order of magnitude (the exact factors are pinned by
+        // tests/paper_golden.rs).
         let s = headline();
         assert!(
             (5.0..300.0).contains(&s.headline_speedup),

@@ -110,9 +110,6 @@ pub struct FleetReport {
     pub wall_seconds: f64,
     /// Completed jobs per wall hour.
     pub jobs_per_hour: f64,
-    /// Placements that reused a pooled runner: the plan's
-    /// [`SchedulePlan::cache_hits`].
-    pub cache_hits: usize,
 }
 
 /// A compiled runner resident on a chip cohort.
@@ -227,12 +224,11 @@ impl Fleet {
         let done = outcomes.iter().filter(|o| o.state == JobState::Done).count();
         let jobs_per_hour =
             if wall_seconds > 0.0 { done as f64 * 3600.0 / wall_seconds } else { 0.0 };
-        let cache_hits = plan.cache_hits;
         if let Some(reg) = &self.config.metrics {
             reg.gauge("fleet_jobs_per_hour", &[("policy", self.config.policy.name())])
                 .set(jobs_per_hour);
         }
-        FleetReport { outcomes, plan, wall_seconds, jobs_per_hour, cache_hits }
+        FleetReport { outcomes, plan, wall_seconds, jobs_per_hour }
     }
 }
 

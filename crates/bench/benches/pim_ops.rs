@@ -31,12 +31,12 @@ fn bench_block(c: &mut Criterion) {
     let mut g = c.benchmark_group("mem_block");
     g.bench_function("row_parallel_mac_512", |b| {
         let mut blk = MemBlock::new();
-        b.iter(|| blk.arith(AluOp::Mac, 0, 511, 2, 0, 1));
+        b.iter(|| blk.arith_cells(AluOp::Mac, 0, 511, 2, 0, 1));
     });
     g.bench_function("broadcast_512", |b| {
         let mut blk = MemBlock::new();
         blk.load_row_buffer(&[1.0, 2.0]);
-        b.iter(|| blk.broadcast(0, 511, 0, 2));
+        b.iter(|| blk.broadcast_cells(0, 511, 0, 2));
     });
     g.finish();
 }

@@ -80,7 +80,7 @@ fn main() {
             c.name().into(),
             format!("{:.2}s", h.total_seconds),
             format!("{:.2}s", bus.total_seconds),
-            format!("{:.2}x", bus.inter_element_seconds / h.inter_element_seconds),
+            format!("{:.2}x", bus.breakdown.flux_fetch / h.breakdown.flux_fetch),
         ]);
     }
     t3.print();

@@ -1,9 +1,14 @@
 //! Data assembly for Figures 11–14.
+//!
+//! [`PricedPoints::paper`] prices every (benchmark, PIM setup) point the
+//! figures and the summary read, once each; the figure functions and
+//! [`crate::summary::headline`] only look those estimates up.
 
+use gpu_model::energy::benchmark_joules;
 use gpu_model::{benchmark_seconds, GpuImpl, GpuModel};
 use pim_sim::{ChipCapacity, InterconnectKind, ProcessNode};
-use wave_pim::estimate::{estimate, PimSetup};
-use wave_pim::pipeline::{pipelined_timeline, StageTimeline};
+use wave_pim::estimate::{estimate, Estimate, PimSetup};
+use wave_pim::pipeline::{pipelined_timeline, serial_timeline, StageTimeline};
 use wavesim_dg::opcount::Benchmark;
 
 /// One column of Figs. 11/12: a platform/configuration under evaluation.
@@ -46,28 +51,24 @@ impl EvalColumn {
         }
     }
 
-    /// Wall-clock seconds for a benchmark on this column.
-    pub fn seconds(&self, b: Benchmark) -> f64 {
-        match self {
-            EvalColumn::Gpu(g, v) => benchmark_seconds(b, *g, *v),
-            EvalColumn::Pim(c, n) => estimate(b, PimSetup::new(*c, *n)).total_seconds,
+    /// The PIM setup this column evaluates; `None` for a GPU.
+    fn setup(&self) -> Option<PimSetup> {
+        match *self {
+            EvalColumn::Gpu(..) => None,
+            EvalColumn::Pim(c, n) => Some(PimSetup::new(c, n)),
             EvalColumn::PimNoPipeline(c, n) => {
-                let mut s = PimSetup::new(*c, *n);
-                s.pipelined = false;
-                estimate(b, s).total_seconds
+                Some(PimSetup { pipelined: false, ..PimSetup::new(c, n) })
             }
         }
     }
 
-    /// Energy in joules for a benchmark on this column.
-    pub fn joules(&self, b: Benchmark) -> f64 {
-        match self {
-            EvalColumn::Gpu(g, v) => gpu_model::energy::benchmark_joules(b, *g, *v),
-            EvalColumn::Pim(c, n) => estimate(b, PimSetup::new(*c, *n)).total_joules(),
-            EvalColumn::PimNoPipeline(c, n) => {
-                let mut s = PimSetup::new(*c, *n);
-                s.pipelined = false;
-                estimate(b, s).total_joules()
+    /// Wall-clock seconds and joules for a benchmark on this column.
+    fn cost(&self, b: Benchmark, points: &PricedPoints) -> (f64, f64) {
+        match (*self, self.setup()) {
+            (EvalColumn::Gpu(g, v), _) => (benchmark_seconds(b, g, v), benchmark_joules(b, g, v)),
+            (_, setup) => {
+                let e = points.get(b, setup.expect("every non-GPU column is a PIM setup"));
+                (e.total_seconds, e.total_joules())
             }
         }
     }
@@ -79,41 +80,92 @@ pub fn baseline() -> EvalColumn {
     EvalColumn::Gpu(GpuModel::Gtx1080Ti, GpuImpl::Unfused)
 }
 
-/// Fig. 11: per benchmark, (column label, time normalized to the
-/// unfused 1080Ti).
-pub fn fig11_data() -> Vec<(Benchmark, Vec<(String, f64)>)> {
+/// The four case studies of Fig. 14 (§7.6).
+const FIG14_CASES: [(Benchmark, ChipCapacity); 4] = [
+    (Benchmark::Acoustic4, ChipCapacity::Mb512),
+    (Benchmark::Acoustic4, ChipCapacity::Gb2),
+    (Benchmark::ElasticCentral4, ChipCapacity::Gb2),
+    (Benchmark::ElasticCentral4, ChipCapacity::Gb8),
+];
+
+/// A Fig. 14 point: unpipelined at 28 nm on interconnect `ic`.
+fn fig14_setup(c: ChipCapacity, ic: InterconnectKind) -> PimSetup {
+    PimSetup { interconnect: ic, pipelined: false, ..PimSetup::new(c, ProcessNode::Nm28) }
+}
+
+/// Every (benchmark, PIM setup) point of the paper's evaluation, each
+/// priced once by [`estimate`].
+#[derive(Debug)]
+pub struct PricedPoints(Vec<Estimate>);
+
+impl PricedPoints {
+    /// Prices each benchmark on every PIM column of Figs. 11/12 and on
+    /// every capacity at 28 nm (the §7.4 energy savings), plus the
+    /// Fig. 14 cases on both interconnects.
+    pub fn paper() -> Self {
+        let columns = EvalColumn::all().iter().filter_map(EvalColumn::setup).collect::<Vec<_>>();
+        let energy = ChipCapacity::ALL.map(|c| PimSetup::new(c, ProcessNode::Nm28));
+        let figures = Benchmark::ALL
+            .iter()
+            .flat_map(|&b| columns.iter().chain(&energy).map(move |&s| (b, s)));
+        let fig14 = FIG14_CASES.iter().flat_map(|&(b, c)| {
+            [InterconnectKind::HTree, InterconnectKind::Bus].map(|ic| (b, fig14_setup(c, ic)))
+        });
+        let mut points: Vec<(Benchmark, PimSetup)> = Vec::new();
+        for point in figures.chain(fig14) {
+            if !points.contains(&point) {
+                points.push(point);
+            }
+        }
+        Self(points.into_iter().map(|(b, s)| estimate(b, s)).collect())
+    }
+
+    /// The estimate of one point.
+    ///
+    /// # Panics
+    /// Panics if the point was not priced.
+    pub fn get(&self, b: Benchmark, setup: PimSetup) -> &Estimate {
+        let found = self.0.iter().find(|e| e.benchmark == b && e.setup == setup);
+        found.unwrap_or_else(|| panic!("{} on {setup:?} was not priced", b.name()))
+    }
+}
+
+/// Per benchmark, (column label, `metric` of the column's
+/// `(seconds, joules)` normalized to the unfused 1080Ti).
+fn normalized(
+    points: &PricedPoints,
+    metric: fn((f64, f64)) -> f64,
+) -> Vec<(Benchmark, Vec<(String, f64)>)> {
     let cols = EvalColumn::all();
     Benchmark::ALL
         .iter()
         .map(|&b| {
-            let base = baseline().seconds(b);
-            let row = cols.iter().map(|c| (c.label(), c.seconds(b) / base)).collect::<Vec<_>>();
+            let base = metric(baseline().cost(b, points));
+            let row = cols.iter().map(|c| (c.label(), metric(c.cost(b, points)) / base)).collect();
             (b, row)
         })
         .collect()
+}
+
+/// Fig. 11: per benchmark, (column label, time normalized to the
+/// unfused 1080Ti).
+pub fn fig11_data(points: &PricedPoints) -> Vec<(Benchmark, Vec<(String, f64)>)> {
+    normalized(points, |(seconds, _)| seconds)
 }
 
 /// Fig. 12: per benchmark, (column label, energy normalized to the
 /// unfused 1080Ti).
-pub fn fig12_data() -> Vec<(Benchmark, Vec<(String, f64)>)> {
-    let cols = EvalColumn::all();
-    Benchmark::ALL
-        .iter()
-        .map(|&b| {
-            let base = baseline().joules(b);
-            let row = cols.iter().map(|c| (c.label(), c.joules(b) / base)).collect::<Vec<_>>();
-            (b, row)
-        })
-        .collect()
+pub fn fig12_data(points: &PricedPoints) -> Vec<(Benchmark, Vec<(String, f64)>)> {
+    normalized(points, |(_, joules)| joules)
 }
 
 /// Fig. 13: the pipelined stage timeline of Acoustic_4 on the 2 GB chip,
 /// plus the serial/pipelined throughput ratio (§7.5's 0.77×).
-pub fn fig13_data() -> (StageTimeline, f64) {
-    let e = estimate(Benchmark::Acoustic4, PimSetup::new(ChipCapacity::Gb2, ProcessNode::Nm28));
-    let timeline = pipelined_timeline(&e.breakdown);
-    let serial = e.breakdown.serial();
-    let throughput_without_pipelining = timeline.makespan / serial;
+pub fn fig13_data(points: &PricedPoints) -> (StageTimeline, f64) {
+    let setup = PimSetup::new(ChipCapacity::Gb2, ProcessNode::Nm28);
+    let breakdown = &points.get(Benchmark::Acoustic4, setup).breakdown;
+    let timeline = pipelined_timeline(breakdown);
+    let throughput_without_pipelining = timeline.makespan / serial_timeline(breakdown).makespan;
     (timeline, throughput_without_pipelining)
 }
 
@@ -212,23 +264,16 @@ pub struct Fig14Case {
     pub bus: (f64, f64),
 }
 
-/// Fig. 14: the four case studies of §7.6.
-pub fn fig14_data() -> Vec<Fig14Case> {
-    let cases = [
-        (Benchmark::Acoustic4, ChipCapacity::Mb512),
-        (Benchmark::Acoustic4, ChipCapacity::Gb2),
-        (Benchmark::ElasticCentral4, ChipCapacity::Gb2),
-        (Benchmark::ElasticCentral4, ChipCapacity::Gb8),
-    ];
-    cases
+/// Fig. 14: the four case studies of §7.6. Intra-element time is the
+/// element-local kernels (Volume, Flux compute, Integration) of one
+/// unpipelined stage; inter-element time is its neighbor fetch.
+pub fn fig14_data(points: &PricedPoints) -> Vec<Fig14Case> {
+    FIG14_CASES
         .iter()
         .map(|&(b, c)| {
-            let run = |ic: InterconnectKind| {
-                let mut s = PimSetup::new(c, ProcessNode::Nm28);
-                s.interconnect = ic;
-                s.pipelined = false;
-                let e = estimate(b, s);
-                (e.intra_element_seconds, e.inter_element_seconds)
+            let run = |ic| {
+                let s = &points.get(b, fig14_setup(c, ic)).breakdown;
+                (s.volume + s.flux_compute + s.integration, s.flux_fetch)
             };
             let technique = wave_pim::planner::plan(b, c);
             Fig14Case {
@@ -241,9 +286,28 @@ pub fn fig14_data() -> Vec<Fig14Case> {
         .collect()
 }
 
+/// The paper's points, priced once per test process.
+#[cfg(test)]
+pub(crate) fn test_points() -> &'static PricedPoints {
+    static POINTS: std::sync::OnceLock<PricedPoints> = std::sync::OnceLock::new();
+    POINTS.get_or_init(PricedPoints::paper)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn each_distinct_point_is_priced_once() {
+        // 6 PIM setups of Figs. 11/12 and 3 more 28 nm capacities per
+        // benchmark, and 4 Fig. 14 cases on 2 interconnects.
+        let points = &test_points().0;
+        assert_eq!(points.len(), 6 * 9 + 4 * 2);
+        for (i, e) in points.iter().enumerate() {
+            let twin = points[..i].iter().any(|o| o.benchmark == e.benchmark && o.setup == e.setup);
+            assert!(!twin, "{} on {:?} priced twice", e.benchmark.name(), e.setup);
+        }
+    }
 
     #[test]
     fn columns_have_unique_labels() {
@@ -258,7 +322,7 @@ mod tests {
 
     #[test]
     fn baseline_normalizes_to_one() {
-        let data = fig11_data();
+        let data = fig11_data(test_points());
         for (b, row) in &data {
             let base = row.iter().find(|(l, _)| l == "Unfused-GTX1080Ti").unwrap();
             assert!((base.1 - 1.0).abs() < 1e-12, "{}", b.name());
@@ -269,7 +333,7 @@ mod tests {
     fn pim_beats_every_gpu_everywhere_in_fig11() {
         // The paper's headline: all PIM configurations outperform all GPU
         // configurations on all six benchmarks.
-        for (b, row) in fig11_data() {
+        for (b, row) in fig11_data(test_points()) {
             let worst_pim = row
                 .iter()
                 .filter(|(l, _)| l.starts_with("PIM") && !l.ends_with("nopipe"))
@@ -290,7 +354,7 @@ mod tests {
 
     #[test]
     fn fig12_pim_energy_is_far_below_gpu_energy() {
-        for (b, row) in fig12_data() {
+        for (b, row) in fig12_data(test_points()) {
             for (label, v) in &row {
                 if label.starts_with("PIM") {
                     assert!(*v < 0.5, "{}: {label} normalized energy {v}", b.name());
@@ -303,14 +367,14 @@ mod tests {
     fn fig13_ratio_is_near_the_paper_value() {
         // §7.5: without pipelining only 0.77× throughput, i.e. the
         // pipelined stage is ~77% of the serial stage length.
-        let (timeline, ratio) = fig13_data();
+        let (timeline, ratio) = fig13_data(test_points());
         assert!((0.55..0.95).contains(&ratio), "ratio {ratio}");
         assert!(!timeline.segments.is_empty());
     }
 
     #[test]
     fn fig14_htree_always_wins_and_expansion_raises_inter_share() {
-        let cases = fig14_data();
+        let cases = fig14_data(test_points());
         assert_eq!(cases.len(), 4);
         for c in &cases {
             assert!(c.htree.1 < c.bus.1, "{}: H-tree must fetch faster", c.name);

@@ -17,6 +17,3 @@ pub mod metrics_report;
 pub mod paper;
 pub mod report;
 pub mod summary;
-
-pub use figures::{fig11_data, fig12_data, fig13_data, fig14_data, EvalColumn};
-pub use summary::{headline, Summary};

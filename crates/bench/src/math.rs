@@ -32,7 +32,7 @@ use pim_math::{
     eval, table, ulp, CostModel, MathConfig, MathPlacement, MathSite, Placement, RecipDest,
     SiteParams, SqrtDest, CLUSTER_MATH_BOUND, OPERAND_HI, OPERAND_LO, TABLE_ENTRIES, ULP_BOUND,
 };
-use pim_sim::{ChipConfig, PimChip};
+use pim_sim::{ChipConfig, OpCost, PimChip};
 use pim_trace::json::number;
 use wavesim_dg::{Acoustic, AcousticMaterial, FluxKind, Solver};
 use wavesim_mesh::{Boundary, HexMesh};
@@ -77,24 +77,17 @@ pub struct UlpRow {
     pub recip_mean: f64,
 }
 
-/// A per-stage latency/energy pair for one op-site alternative.
-#[derive(Debug, Clone, Copy)]
-pub struct PerOpCost {
-    pub seconds: f64,
-    pub joules: f64,
-}
-
 /// One op's cost row: host model vs measured chip fragments.
 #[derive(Debug, Clone, Copy)]
 pub struct OpCostRow {
     pub op: &'static str,
     /// Host preprocess + constants-refresh DMA, per stage (analytic).
-    pub host: PerOpCost,
+    pub host: OpCost,
     /// The one-time range-reduction + `Lut` seed fetch fragment
     /// (measured on a simulated chip).
-    pub lut_only: PerOpCost,
+    pub lut_only: OpCost,
     /// The per-stage Newton refinement + finalize fragment (measured).
-    pub lut_newton: PerOpCost,
+    pub lut_newton: OpCost,
 }
 
 /// One cluster run's measurements under a math mode.
@@ -171,8 +164,9 @@ pub fn ulp_table(samples: usize) -> Vec<UlpRow> {
 // ---- section 2: per-op fragment costs ----
 
 /// Executes one op-site's setup and stage fragments on a real simulated
-/// chip and returns their measured `(seconds, joules)` pairs.
-fn measured_fragments(p: MathPlacement) -> (PerOpCost, PerOpCost) {
+/// chip and returns, per fragment, its measured elapsed seconds and
+/// dynamic joules, and the host-dispatch joules those include.
+fn measured_fragments(p: MathPlacement) -> [(OpCost, f64); 2] {
     let mut chip = PimChip::new(ChipConfig::default_2gb());
     let math_block = BlockId(1);
     for i in 0..TABLE_ENTRIES {
@@ -187,9 +181,10 @@ fn measured_fragments(p: MathPlacement) -> (PerOpCost, PerOpCost) {
     let mut setup = InstrStream::new();
     site.emit_setup(&mut setup, p);
     setup.push(Instr::Sync);
-    let (t0, e0) = (chip.elapsed(), chip.ledger().dynamic());
+    let snapshot = |chip: &PimChip| (chip.elapsed(), chip.ledger().dynamic(), chip.ledger().host);
+    let s0 = snapshot(&chip);
     chip.execute(&setup);
-    let (t1, e1) = (chip.elapsed(), chip.ledger().dynamic());
+    let s1 = snapshot(&chip);
 
     let mut stage = InstrStream::new();
     site.emit_stage(
@@ -204,12 +199,12 @@ fn measured_fragments(p: MathPlacement) -> (PerOpCost, PerOpCost) {
     );
     stage.push(Instr::Sync);
     chip.execute(&stage);
-    let (t2, e2) = (chip.elapsed(), chip.ledger().dynamic());
+    let s2 = snapshot(&chip);
 
-    (
-        PerOpCost { seconds: t1 - t0, joules: e1 - e0 },
-        PerOpCost { seconds: t2 - t1, joules: e2 - e1 },
-    )
+    let delta = |(t0, e0, h0): (f64, f64, f64), (t1, e1, h1): (f64, f64, f64)| {
+        (OpCost { seconds: t1 - t0, joules: e1 - e0 }, h1 - h0)
+    };
+    [delta(s0, s1), delta(s1, s2)]
 }
 
 fn single_op_site(sqrts: u64, divs: u64) -> SiteParams {
@@ -234,18 +229,13 @@ pub fn per_op_table() -> Vec<OpCostRow> {
     let host_sqrt = model.host_stage_cost(recip_only, &single_op_site(1, 0));
     let host_recip = model.host_stage_cost(sqrt_only, &single_op_site(0, 1));
 
-    let (sqrt_setup, sqrt_stage) = measured_fragments(sqrt_only);
-    let (recip_setup, recip_stage) = measured_fragments(recip_only);
+    let [(sqrt_setup, _), (sqrt_stage, _)] = measured_fragments(sqrt_only);
+    let [(recip_setup, _), (recip_stage, _)] = measured_fragments(recip_only);
     vec![
-        OpCostRow {
-            op: "sqrt",
-            host: PerOpCost { seconds: host_sqrt.seconds, joules: host_sqrt.joules },
-            lut_only: sqrt_setup,
-            lut_newton: sqrt_stage,
-        },
+        OpCostRow { op: "sqrt", host: host_sqrt, lut_only: sqrt_setup, lut_newton: sqrt_stage },
         OpCostRow {
             op: "reciprocal",
-            host: PerOpCost { seconds: host_recip.seconds, joules: host_recip.joules },
+            host: host_recip,
             lut_only: recip_setup,
             lut_newton: recip_stage,
         },
@@ -513,4 +503,39 @@ pub fn check_math(r: &MathBenchResult) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cost_model_prices_the_stage_fragment_the_chip_executes() {
+        // One element's analytic fragment against the same fragment run
+        // on a chip. The host-dispatch lane is left out: the fragment
+        // price covers the block ops only.
+        let placements = [
+            MathPlacement { sqrt: Placement::OnPim, reciprocal: Placement::Host },
+            MathPlacement { sqrt: Placement::Host, reciprocal: Placement::OnPim },
+            MathPlacement::all_onpim(),
+        ];
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * a.abs().max(b.abs());
+        for p in placements {
+            let analytic = CostModel.onpim_stage_cost(p, &single_op_site(1, 1));
+            let [_, (stage, host_j)] = measured_fragments(p);
+            let executed = OpCost { joules: stage.joules - host_j, ..stage };
+            assert!(
+                close(analytic.seconds, executed.seconds),
+                "{p:?}: {} s analytic vs {} s executed",
+                analytic.seconds,
+                executed.seconds
+            );
+            assert!(
+                close(analytic.joules, executed.joules),
+                "{p:?}: {} J analytic vs {} J executed",
+                analytic.joules,
+                executed.joules
+            );
+        }
+    }
 }

@@ -19,7 +19,9 @@ use wavesim_dg::opcount::Benchmark;
 use wavesim_dg::{Acoustic, AcousticMaterial, FluxKind, Solver};
 use wavesim_mesh::{Boundary, HexMesh};
 
-use crate::figures::{fig11_data, fig12_data, fig13_data, fig13_observed, fig14_data};
+use crate::figures::{
+    fig11_data, fig12_data, fig13_data, fig13_observed, fig14_data, PricedPoints,
+};
 use crate::summary::headline;
 
 /// A JSON value whose objects keep insertion order, so the document
@@ -138,6 +140,7 @@ Refinement Level n | (2^n)^3 elements | mesh::HexMesh::refinement_level";
 /// overlap probe record on the process-global tracer, so no other
 /// traced run may share the process's rings while this runs.
 pub fn paper() -> Json {
+    let points = PricedPoints::paper();
     let normalized = |data: Vec<(Benchmark, Vec<(String, f64)>)>| {
         keyed(data.into_iter().map(|(b, row)| (b.name(), keyed(row))))
     };
@@ -195,15 +198,15 @@ pub fn paper() -> Json {
             (b.name(), row)
         })),
         // Figs. 11/12: per benchmark, each column normalized to the unfused GTX 1080Ti.
-        "fig11" => normalized(fig11_data()),
-        "fig12" => normalized(fig12_data()),
-        "fig13" => fig13(),
-        "fig14" => keyed(fig14_data().into_iter().map(|c| {
+        "fig11" => normalized(fig11_data(&points)),
+        "fig12" => normalized(fig12_data(&points)),
+        "fig13" => fig13(&points),
+        "fig14" => keyed(fig14_data(&points).into_iter().map(|c| {
             let times = |(intra, inter): (f64, f64)| obj!["intra" => intra, "inter" => inter];
             let (htree, bus) = (times(c.htree), times(c.bus));
             (c.name, obj!["expansion" => Json::Bool(c.expansion), "htree" => htree, "bus" => bus])
         })),
-        "summary" => summary(),
+        "summary" => summary(&points),
     ]
 }
 
@@ -259,8 +262,8 @@ fn table3() -> Json {
 
 /// Fig. 13: the analytic pipelined stage (Acoustic_4 on 2 GB) and the
 /// stage picture observed in a traced functional run.
-fn fig13() -> Json {
-    let (timeline, ratio) = fig13_data();
+fn fig13(points: &PricedPoints) -> Json {
+    let (timeline, ratio) = fig13_data(points);
     let analytic = timeline
         .segments
         .iter()
@@ -293,10 +296,10 @@ fn fig13() -> Json {
     ]
 }
 
-/// §7.3/§7.4/§8: the [`crate::Summary`] fields plus the measured
-/// DMA ∩ Volume overlap.
-fn summary() -> Json {
-    let s = headline();
+/// §7.3/§7.4/§8: the [`crate::summary::Summary`] fields plus the
+/// measured DMA ∩ Volume overlap.
+fn summary(points: &PricedPoints) -> Json {
+    let s = headline(points);
     let by_capacity =
         |rows: &[(ChipCapacity, f64)]| keyed(rows.iter().map(|&(c, v)| (c.name(), v)));
     let by_gpu = |rows: &[(GpuModel, f64)]| keyed(rows.iter().map(|&(g, v)| (g.name(), v)));

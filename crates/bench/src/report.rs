@@ -66,18 +66,6 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
-
-    /// Renders as CSV (for plotting).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Formats a ratio like "41.98x".
@@ -130,13 +118,6 @@ mod tests {
     fn rejects_ragged_rows() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut t = Table::new("demo", &["x", "y"]);
-        t.row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "x,y\n1,2\n");
     }
 
     #[test]

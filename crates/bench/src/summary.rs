@@ -1,9 +1,12 @@
 //! Aggregate metrics: the paper's headline numbers (§7.3, §7.4, §8).
 
+use gpu_model::energy::benchmark_joules;
 use gpu_model::{benchmark_seconds, GpuImpl, GpuModel};
-use pim_sim::{ChipCapacity, InterconnectKind, ProcessNode};
-use wave_pim::estimate::{estimate, PimSetup};
+use pim_sim::{ChipCapacity, ProcessNode};
+use wave_pim::estimate::PimSetup;
 use wavesim_dg::opcount::Benchmark;
+
+use crate::figures::{fig14_data, PricedPoints};
 
 /// Arithmetic mean over the six benchmarks of `f`'s per-benchmark ratio
 /// (the paper's "average … speedups on the six benchmarks" convention).
@@ -39,79 +42,38 @@ pub struct Summary {
     pub htree_over_bus: f64,
 }
 
-/// Computes the full summary.
-pub fn headline() -> Summary {
-    let pim_time = |c: ChipCapacity, n: ProcessNode, b: Benchmark| -> f64 {
-        estimate(b, PimSetup::new(c, n)).total_seconds
+/// Computes the full summary from the priced points.
+pub fn headline(points: &PricedPoints) -> Summary {
+    let pim = |b: Benchmark, c: ChipCapacity, n: ProcessNode| points.get(b, PimSetup::new(c, n));
+    let seconds = |b, c| pim(b, c, ProcessNode::Nm12).total_seconds;
+    let joules = |b, c| pim(b, c, ProcessNode::Nm28).total_joules();
+    let per_capacity = |ratio: &dyn Fn(Benchmark, ChipCapacity) -> f64| {
+        ChipCapacity::ALL.map(|c| (c, mean_over_benchmarks(|b| ratio(b, c)))).to_vec()
     };
-    let pim_energy = |c: ChipCapacity, n: ProcessNode, b: Benchmark| -> f64 {
-        estimate(b, PimSetup::new(c, n)).total_joules()
+    let per_gpu = |ratio: &dyn Fn(Benchmark, GpuModel) -> f64| {
+        GpuModel::ALL.map(|g| (g, mean_over_benchmarks(|b| ratio(b, g)))).to_vec()
     };
+    let unfused_seconds = |b, g| benchmark_seconds(b, g, GpuImpl::Unfused);
+    let unfused_joules = |b, g| benchmark_joules(b, g, GpuImpl::Unfused);
 
-    let speedup_vs_unfused_1080ti = ChipCapacity::ALL
-        .iter()
-        .map(|&c| {
-            let s = mean_over_benchmarks(|b| {
-                benchmark_seconds(b, GpuModel::Gtx1080Ti, GpuImpl::Unfused)
-                    / pim_time(c, ProcessNode::Nm12, b)
-            });
-            (c, s)
-        })
-        .collect();
-
-    let speedup_vs_fused_v100 = ChipCapacity::ALL
-        .iter()
-        .map(|&c| {
-            let s = mean_over_benchmarks(|b| {
-                benchmark_seconds(b, GpuModel::TeslaV100, GpuImpl::Fused)
-                    / pim_time(c, ProcessNode::Nm12, b)
-            });
-            (c, s)
-        })
-        .collect();
-
-    let energy_vs_unfused_1080ti = ChipCapacity::ALL
-        .iter()
-        .map(|&c| {
-            let s = mean_over_benchmarks(|b| {
-                gpu_model::energy::benchmark_joules(b, GpuModel::Gtx1080Ti, GpuImpl::Unfused)
-                    / pim_energy(c, ProcessNode::Nm28, b)
-            });
-            (c, s)
-        })
-        .collect();
-
-    let speedup_vs_each_gpu: Vec<(GpuModel, f64)> = GpuModel::ALL
-        .iter()
-        .map(|&g| {
-            let s = mean_over_benchmarks(|b| {
-                benchmark_seconds(b, g, GpuImpl::Unfused)
-                    / pim_time(ChipCapacity::Gb16, ProcessNode::Nm12, b)
-            });
-            (g, s)
-        })
-        .collect();
-
-    let energy_vs_each_gpu: Vec<(GpuModel, f64)> = GpuModel::ALL
-        .iter()
-        .map(|&g| {
-            let s = mean_over_benchmarks(|b| {
-                gpu_model::energy::benchmark_joules(b, g, GpuImpl::Unfused)
-                    / pim_energy(ChipCapacity::Gb16, ProcessNode::Nm28, b)
-            });
-            (g, s)
-        })
-        .collect();
+    let speedup_vs_unfused_1080ti =
+        per_capacity(&|b, c| unfused_seconds(b, GpuModel::Gtx1080Ti) / seconds(b, c));
+    let speedup_vs_fused_v100 = per_capacity(&|b, c| {
+        benchmark_seconds(b, GpuModel::TeslaV100, GpuImpl::Fused) / seconds(b, c)
+    });
+    let energy_vs_unfused_1080ti =
+        per_capacity(&|b, c| unfused_joules(b, GpuModel::Gtx1080Ti) / joules(b, c));
+    let speedup_vs_each_gpu =
+        per_gpu(&|b, g| unfused_seconds(b, g) / seconds(b, ChipCapacity::Gb16));
+    let energy_vs_each_gpu = per_gpu(&|b, g| unfused_joules(b, g) / joules(b, ChipCapacity::Gb16));
 
     let headline_speedup = speedup_vs_each_gpu.iter().map(|(_, s)| s).sum::<f64>() / 3.0;
     let headline_energy = energy_vs_each_gpu.iter().map(|(_, s)| s).sum::<f64>() / 3.0;
 
     // H-tree vs bus on the fetch-dominated phases of the Fig. 14 cases.
-    let fig14 = crate::figures::fig14_data();
+    let fig14 = fig14_data(points);
     let htree_over_bus =
         fig14.iter().map(|c| c.bus.1 / c.htree.1).sum::<f64>() / fig14.len() as f64;
-
-    let _ = InterconnectKind::HTree; // summary always uses the H-tree design point
 
     Summary {
         speedup_vs_unfused_1080ti,
@@ -128,10 +90,11 @@ pub fn headline() -> Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::test_points;
 
     #[test]
     fn speedups_grow_with_capacity() {
-        let s = headline();
+        let s = headline(test_points());
         let v: Vec<f64> = s.speedup_vs_unfused_1080ti.iter().map(|(_, x)| *x).collect();
         for w in v.windows(2) {
             assert!(w[1] >= w[0] * 0.999, "capacity scaling broke: {v:?}");
@@ -141,7 +104,7 @@ mod tests {
 
     #[test]
     fn fused_v100_is_the_hardest_baseline() {
-        let s = headline();
+        let s = headline(test_points());
         for ((_, a), (_, b)) in s.speedup_vs_unfused_1080ti.iter().zip(&s.speedup_vs_fused_v100) {
             assert!(b < a, "fused V100 must be harder to beat: {a} vs {b}");
         }
@@ -153,7 +116,7 @@ mod tests {
         // against the three GPUs. Our independently-built models must land
         // in the same order of magnitude (the exact factors are pinned by
         // tests/paper_golden.rs).
-        let s = headline();
+        let s = headline(test_points());
         assert!(
             (5.0..300.0).contains(&s.headline_speedup),
             "headline speedup {}",
@@ -166,7 +129,7 @@ mod tests {
     fn gpu_ordering_matches_the_paper() {
         // Paper §1: speedups 45.31× (1080Ti) > 34.52× (P100) > 15.89×
         // (V100): the faster the GPU, the smaller the PIM margin.
-        let s = headline();
+        let s = headline(test_points());
         let v: Vec<f64> = s.speedup_vs_each_gpu.iter().map(|(_, x)| *x).collect();
         assert!(v[0] > v[1] && v[1] > v[2], "{v:?}");
         let e: Vec<f64> = s.energy_vs_each_gpu.iter().map(|(_, x)| *x).collect();
@@ -177,7 +140,7 @@ mod tests {
     fn htree_saving_is_near_2x() {
         // Paper §1: "the H-tree results in approximately 2.16× time
         // savings in comparison to a bus architecture".
-        let s = headline();
+        let s = headline(test_points());
         assert!((1.3..6.0).contains(&s.htree_over_bus), "{}", s.htree_over_bus);
     }
 }

@@ -6,14 +6,20 @@ use pim_sim::{ChipCapacity, ProcessNode};
 use wave_pim::estimate::{estimate, PimSetup};
 use wave_pim::planner::plan;
 use wavepim_bench::cluster::{cluster_json, cluster_scaling_data};
-use wavepim_bench::figures::{fig11_data, fig12_data, EvalColumn};
+use wavepim_bench::figures::{fig11_data, fig12_data, EvalColumn, PricedPoints};
 use wavesim_dg::opcount::Benchmark;
+
+/// The paper's points, priced once for every test in this file.
+fn points() -> &'static PricedPoints {
+    static POINTS: std::sync::OnceLock<PricedPoints> = std::sync::OnceLock::new();
+    POINTS.get_or_init(PricedPoints::paper)
+}
 
 #[test]
 fn fig11_times_are_reciprocal_consistent_with_raw_models() {
     // The normalized figure must equal the raw model ratio for a spot
     // check on every benchmark.
-    for (b, row) in fig11_data() {
+    for (b, row) in fig11_data(points()) {
         let baseline = benchmark_seconds(b, GpuModel::Gtx1080Ti, GpuImpl::Unfused);
         let v100 = benchmark_seconds(b, GpuModel::TeslaV100, GpuImpl::Unfused);
         let cell = row.iter().find(|(l, _)| l == "Unfused-TeslaV100").map(|(_, v)| *v).unwrap();
@@ -78,8 +84,8 @@ fn energy_and_time_figures_share_the_pim_ranking_per_benchmark() {
 #[test]
 fn fig12_normalization_is_consistent_with_fig11_columns() {
     // Same column set, same order.
-    let t = fig11_data();
-    let e = fig12_data();
+    let t = fig11_data(points());
+    let e = fig12_data(points());
     for ((b1, r1), (b2, r2)) in t.iter().zip(&e) {
         assert_eq!(b1.name(), b2.name());
         let l1: Vec<&String> = r1.iter().map(|(l, _)| l).collect();
@@ -90,7 +96,7 @@ fn fig12_normalization_is_consistent_with_fig11_columns() {
 
 #[test]
 fn nopipeline_column_is_slower_than_its_pipelined_twin() {
-    for (b, row) in fig11_data() {
+    for (b, row) in fig11_data(points()) {
         let piped = row.iter().find(|(l, _)| l == "PIM-2GB-12nm").unwrap().1;
         let nopipe = row.iter().find(|(l, _)| l == "PIM-2GB-12nm-nopipe").unwrap().1;
         assert!(nopipe > piped, "{}: {nopipe} vs {piped}", b.name());

@@ -6,18 +6,18 @@
 //! copies, broadcasts — but costs them analytically at paper scale
 //! (4,096–32,768 elements × 5 stages × 1,024 time-steps), using:
 //!
-//! * the circuit constants of `pim_sim::params` (Tables 3–4),
+//! * the chip's own price list, `pim_sim::OpCost` (Table 4), for every
+//!   read, write, broadcast, row-parallel op and DMA,
 //! * the *real* interconnect scheduler on a representative tile for the
 //!   neighbor-fetch makespans (so H-tree/Bus contention is measured, not
 //!   assumed),
 //! * the planner's technique (Table 5), the expansion model (Figs. 8–9),
 //!   the batch plan (Figs. 6–7) and the pipeline model (Figs. 10, 13).
 
-use pim_isa::BlockId;
+use pim_isa::{AluOp, BlockId};
 use pim_sim::host;
-use pim_sim::params as prm;
 use pim_sim::{
-    BusNetwork, ChipCapacity, EnergyLedger, HTreeNetwork, Interconnect, InterconnectKind,
+    BusNetwork, ChipCapacity, EnergyLedger, HTreeNetwork, Interconnect, InterconnectKind, OpCost,
     ProcessNode, Transfer,
 };
 use serde::{Deserialize, Serialize};
@@ -26,7 +26,7 @@ use wavesim_dg::FluxKind;
 
 use crate::batching::BatchPlan;
 use crate::expansion::ExpansionModel;
-use crate::pipeline::{stage_seconds, StageBreakdown};
+use crate::pipeline::{pipelined_timeline, serial_timeline, StageBreakdown};
 use crate::planner::{plan, Technique};
 
 /// Simulated time-steps per benchmark run (§3.1: "with 1024 time-steps").
@@ -71,10 +71,6 @@ pub struct Estimate {
     pub total_seconds: f64,
     /// Whole-simulation energy (node-scaled, incl. static).
     pub energy: EnergyLedger,
-    /// Fig. 14 split (per unpipelined stage, 28 nm): element-local time…
-    pub intra_element_seconds: f64,
-    /// …vs inter-element (neighbor fetch) time.
-    pub inter_element_seconds: f64,
 }
 
 impl Estimate {
@@ -86,39 +82,16 @@ impl Estimate {
 
 // ---- primitive costs ----
 
-fn read_s() -> f64 {
-    prm::T_SEARCH
+/// An intra-block gather: read each source row once, write one word
+/// into every destination row.
+fn gather(sources: u64, dests: u64) -> OpCost {
+    OpCost::read() * sources as f64 + OpCost::write(1) * dests as f64
 }
 
-fn write_s() -> f64 {
-    2.0 * prm::T_SEARCH
-}
-
-/// An intra-block gather: read each source row once, write every
-/// destination row.
-fn gather_s(sources: u64, dests: u64) -> f64 {
-    sources as f64 * read_s() + dests as f64 * write_s()
-}
-
-fn gather_j(sources: u64, dests: u64, words: u64) -> f64 {
-    sources as f64 * prm::E_SEARCH
-        + dests as f64 * (words * 32) as f64 * 0.5 * (prm::E_SET + prm::E_RESET)
-}
-
-fn arith_s(cycles: u64) -> f64 {
-    cycles as f64 * prm::T_NOR
-}
-
-fn arith_j(cycles: u64, rows: u64) -> f64 {
-    cycles as f64 * prm::CELLS_PER_NOR_STEP * prm::E_NOR * rows as f64
-}
-
-fn broadcast_s() -> f64 {
-    read_s() + NODES as f64 * write_s()
-}
-
-fn broadcast_j() -> f64 {
-    prm::E_SEARCH + NODES as f64 * 32.0 * 0.5 * (prm::E_SET + prm::E_RESET)
+/// A constants broadcast: one search, then one word into every compute
+/// row.
+fn broadcast() -> OpCost {
+    OpCost::read() + OpCost::broadcast(NODES as usize, 1)
 }
 
 // ---- per-kernel models ----
@@ -156,19 +129,11 @@ fn volume_shape(physics: PhysicsKind, technique: &Technique) -> (u64, u64, u64, 
     }
 }
 
-/// Duration of one full derivative pass (zero + n × (coefficient gather,
-/// value gather, row-parallel MAC)).
-fn derivative_pass_s() -> f64 {
-    arith_s(prm::FP32_ADD_CYCLES)
-        + N as f64 * (gather_s(N, NODES) + gather_s(N * N, NODES) + arith_s(prm::FP32_MAC_CYCLES))
-}
-
-fn derivative_pass_j() -> f64 {
-    arith_j(prm::FP32_ADD_CYCLES, NODES)
-        + N as f64
-            * (gather_j(N, NODES, 1)
-                + gather_j(N * N, NODES, 1)
-                + arith_j(prm::FP32_MAC_CYCLES, NODES))
+/// One full derivative pass: zero, then n × (coefficient gather, value
+/// gather, row-parallel MAC).
+fn derivative_pass() -> OpCost {
+    let mac = OpCost::arith(AluOp::Mac, NODES);
+    OpCost::arith(AluOp::Add, NODES) + (gather(N, NODES) + gather(N * N, NODES) + mac) * N as f64
 }
 
 // ---- fetch scheduling on a representative tile ----
@@ -331,12 +296,15 @@ pub fn estimate_with_technique(
     let sibling_copy = Transfer { src: BlockId(0), dst: BlockId(1), words: ghost_words };
     let sibling_dur = HTreeNetwork::new().duration(&sibling_copy);
     let zeros = physics.num_vars() as u64 + derivs;
-    let volume = 2.0 * broadcast_s()
-        + zeros as f64 * arith_s(prm::FP32_ADD_CYCLES)
-        + derivs as f64 * derivative_pass_s()
-        + pointwise as f64 * arith_s(prm::FP32_MUL_CYCLES)
-        + exch_copies as f64 * (read_s() + sibling_dur + write_s())
-        + exch_adds as f64 * arith_s(prm::FP32_ADD_CYCLES);
+    let (add, mul) = (OpCost::arith(AluOp::Add, NODES), OpCost::arith(AluOp::Mul, NODES));
+    let (read, write, bcast, deriv) =
+        (OpCost::read(), OpCost::write(1), broadcast(), derivative_pass());
+    let volume = 2.0 * bcast.seconds
+        + zeros as f64 * add.seconds
+        + derivs as f64 * deriv.seconds
+        + pointwise as f64 * mul.seconds
+        + exch_copies as f64 * (read.seconds + sibling_dur + write.seconds)
+        + exch_adds as f64 * add.seconds;
 
     // ---- Flux fetch ----
     // Two phases (±1) per axis; a phase's makespan comes from the real
@@ -354,7 +322,7 @@ pub fn estimate_with_technique(
     flux_fetch *= exp.fetch_traffic_factor;
     // Each fetched trace costs its Read at the source and Write at home.
     let fetch_rw_per_element = 6 * FACE_NODES;
-    let fetch_rw_s = fetch_rw_per_element as f64 * (read_s() + write_s());
+    let fetch_rw_s = fetch_rw_per_element as f64 * (read.seconds + write.seconds);
     // Reads/writes happen block-parallel across the tile; they add to the
     // per-element serial path only.
     let flux_fetch = flux_fetch + fetch_rw_s;
@@ -362,17 +330,15 @@ pub fn estimate_with_technique(
     // ---- Flux compute ----
     let (fmul, fadd) = flux_face_ops(physics, flux);
     let row_split = if technique.row_expansion { 2.5 } else { 1.0 };
-    let flux_compute = 6.0
-        * (fmul as f64 * arith_s(prm::FP32_MUL_CYCLES)
-            + fadd as f64 * arith_s(prm::FP32_ADD_CYCLES))
+    let flux_compute = 6.0 * (fmul as f64 * mul.seconds + fadd as f64 * add.seconds)
         / (row_split * exp.flux_compute_speedup)
-        + 6.0 * broadcast_s();
+        + 6.0 * bcast.seconds;
 
     // ---- Integration ----
     let integ_ops = physics.num_vars() as u64;
     let integration = (integ_ops as f64 / exp.integration_speedup)
-        * (3.0 * arith_s(prm::FP32_MUL_CYCLES) + 2.0 * arith_s(prm::FP32_ADD_CYCLES))
-        + 3.0 * broadcast_s();
+        * (3.0 * mul.seconds + 2.0 * add.seconds)
+        + 3.0 * bcast.seconds;
 
     // ---- Host preprocessing (per stage, per resident batch) ----
     let w = benchmark.element_workload();
@@ -385,8 +351,13 @@ pub fn estimate_with_technique(
         StageBreakdown { volume, flux_fetch, flux_compute, integration, host_preprocess };
 
     // ---- Batching ----
-    let offchip_per_stage = batch_plan.offchip_bytes_per_stage() as f64 / prm::OFFCHIP_BANDWIDTH;
-    let round = stage_seconds(&breakdown, setup.pipelined);
+    let swap = OpCost::dma(batch_plan.offchip_bytes_per_stage());
+    let offchip_per_stage = swap.seconds;
+    let round = if setup.pipelined {
+        pipelined_timeline(&breakdown).makespan
+    } else {
+        serial_timeline(&breakdown).makespan
+    };
     let stage = batch_plan.batches as f64 * round + offchip_per_stage;
 
     let launches = (TIME_STEPS * STAGES_PER_STEP) as f64;
@@ -396,18 +367,14 @@ pub fn estimate_with_technique(
     // ---- Energy (dynamic, per stage, all elements) ----
     let elements = benchmark.num_elements();
     let vars = physics.num_vars() as u64;
-    let per_elem_compute_j = derivs as f64 * derivative_pass_j()
-        + (zeros + exch_adds) as f64 * arith_j(prm::FP32_ADD_CYCLES, NODES)
-        + pointwise as f64 * arith_j(prm::FP32_MUL_CYCLES, NODES)
-        + 6.0
-            * (fmul as f64 * arith_j(prm::FP32_MUL_CYCLES, NODES)
-                + fadd as f64 * arith_j(prm::FP32_ADD_CYCLES, NODES))
-        + integ_ops as f64
-            * (3.0 * arith_j(prm::FP32_MUL_CYCLES, NODES)
-                + 2.0 * arith_j(prm::FP32_ADD_CYCLES, NODES));
+    let per_elem_compute_j = derivs as f64 * deriv.joules
+        + (zeros + exch_adds) as f64 * add.joules
+        + pointwise as f64 * mul.joules
+        + 6.0 * (fmul as f64 * mul.joules + fadd as f64 * add.joules)
+        + integ_ops as f64 * (3.0 * mul.joules + 2.0 * add.joules);
     let per_elem_rw_j = fetch_rw_per_element as f64
-        * (prm::E_SEARCH + (vars * 32) as f64 * 0.5 * (prm::E_SET + prm::E_RESET))
-        + 11.0 * broadcast_j();
+        * (read.joules + OpCost::write(vars as usize).joules)
+        + 11.0 * bcast.joules;
 
     let tiles_active = (resident_elements * bpe).div_ceil(256);
     let fetch_j_per_stage = fetch_energy_per_tile * tiles_active as f64 * batch_plan.batches as f64;
@@ -416,8 +383,7 @@ pub fn estimate_with_technique(
         compute: per_elem_compute_j * elements as f64 * exp.energy_overhead,
         writes: per_elem_rw_j * elements as f64,
         interconnect: fetch_j_per_stage * exp.fetch_traffic_factor,
-        offchip: batch_plan.offchip_bytes_per_stage() as f64
-            * (prm::OFFCHIP_POWER / prm::OFFCHIP_BANDWIDTH),
+        offchip: swap.joules,
         host: host_pre_j_round * batch_plan.batches as f64,
         ..Default::default()
     };
@@ -429,10 +395,6 @@ pub fn estimate_with_technique(
         total_seconds,
     );
 
-    // ---- Fig. 14 split (unpipelined, 28 nm, per stage) ----
-    let intra_element_seconds = volume + flux_compute + integration;
-    let inter_element_seconds = flux_fetch;
-
     Estimate {
         benchmark,
         setup,
@@ -443,8 +405,6 @@ pub fn estimate_with_technique(
         stage_seconds: stage,
         total_seconds,
         energy,
-        intra_element_seconds,
-        inter_element_seconds,
     }
 }
 
@@ -524,10 +484,10 @@ mod tests {
         s.interconnect = InterconnectKind::Bus;
         let bus = estimate(b, s);
         assert!(
-            bus.inter_element_seconds > h.inter_element_seconds,
+            bus.breakdown.flux_fetch > h.breakdown.flux_fetch,
             "bus fetch {} must exceed H-tree {}",
-            bus.inter_element_seconds,
-            h.inter_element_seconds
+            bus.breakdown.flux_fetch,
+            h.breakdown.flux_fetch
         );
     }
 

@@ -35,13 +35,6 @@ pub struct StageBreakdown {
     pub host_preprocess: f64,
 }
 
-impl StageBreakdown {
-    /// Serial (unpipelined) stage duration.
-    pub fn serial(&self) -> f64 {
-        self.host_preprocess + self.volume + self.flux_fetch + self.flux_compute + self.integration
-    }
-}
-
 /// One bar of the Fig. 13 timeline.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Segment {
@@ -139,15 +132,6 @@ pub fn serial_timeline(b: &StageBreakdown) -> StageTimeline {
     StageTimeline { segments, makespan: t }
 }
 
-/// Stage duration under the chosen pipelining mode.
-pub fn stage_seconds(b: &StageBreakdown, pipelined: bool) -> f64 {
-    if pipelined {
-        pipelined_timeline(b).makespan
-    } else {
-        serial_timeline(b).makespan
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +164,8 @@ mod tests {
     #[test]
     fn serial_makespan_is_the_component_sum() {
         let b = example();
-        assert!((serial_timeline(&b).makespan - b.serial()).abs() < 1e-18);
+        let sum = b.host_preprocess + b.volume + b.flux_fetch + b.flux_compute + b.integration;
+        assert!((serial_timeline(&b).makespan - sum).abs() < 1e-18);
     }
 
     #[test]

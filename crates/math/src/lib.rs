@@ -38,7 +38,7 @@ pub mod table;
 pub mod ulp;
 
 pub use placement::{
-    CostModel, MathConfig, MathDecision, MathMode, MathPlacement, OpCost, Placement, SiteParams,
+    CostModel, MathConfig, MathDecision, MathMode, MathPlacement, Placement, SiteParams,
 };
 pub use seq::{MathSite, RecipDest, SqrtDest, ITERS_PER_STAGE};
 pub use table::{OPERAND_HI, OPERAND_LO, TABLE_ENTRIES};

@@ -9,11 +9,12 @@
 //! elements per chip with the default parameters; [`CostModel::resolve`]
 //! finds it from the chip's own timing constants rather than a tuned
 //! threshold, and falls back to the host for any op whose operands
-//! leave the table's supported range.
+//! leave the table's supported range. Both alternatives are priced
+//! through [`pim_sim::OpCost`], the price list the chip itself charges,
+//! so an on-PIM fragment costs here what it costs when it runs.
 
 use pim_isa::{BlockId, Instr, InstrStream};
-use pim_sim::host;
-use pim_sim::params;
+use pim_sim::{host, OpCost};
 
 use crate::seq::{MathSite, RecipDest, SqrtDest};
 use crate::table;
@@ -107,21 +108,6 @@ impl MathConfig {
     }
 }
 
-/// A latency/energy pair for one per-stage alternative.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpCost {
-    pub seconds: f64,
-    pub joules: f64,
-}
-
-impl OpCost {
-    pub const ZERO: OpCost = OpCost { seconds: 0.0, joules: 0.0 };
-
-    fn add(self, o: OpCost) -> OpCost {
-        OpCost { seconds: self.seconds + o.seconds, joules: self.joules + o.joules }
-    }
-}
-
 /// One shard's math op-sites, as the compiler sees them.
 #[derive(Debug, Clone, Copy)]
 pub struct SiteParams {
@@ -194,14 +180,10 @@ impl CostModel {
             0
         };
         if sqrts == 0 && divs == 0 {
-            return OpCost::ZERO;
+            return OpCost::default();
         }
-        let (secs, joules) = host::preprocess(sqrts, divs);
-        let bytes = Self::refresh_bytes(p, site.elems) as f64;
-        OpCost {
-            seconds: secs + bytes / params::OFFCHIP_BANDWIDTH,
-            joules: joules + bytes * (params::OFFCHIP_POWER / params::OFFCHIP_BANDWIDTH),
-        }
+        let (seconds, joules) = host::preprocess(sqrts, divs);
+        OpCost { seconds, joules } + OpCost::dma(Self::refresh_bytes(p, site.elems))
     }
 
     /// Per-stage cost of the on-PIM fragment `p` selects: the latency of
@@ -209,7 +191,7 @@ impl CostModel {
     /// energy of all of them.
     pub fn onpim_stage_cost(&self, p: MathPlacement, site: &SiteParams) -> OpCost {
         if !p.any_onpim() {
-            return OpCost::ZERO;
+            return OpCost::default();
         }
         let probe = MathSite { block: BlockId(0), row: 514, aux_row: 515, math_block: 1 };
         let mut s = InstrStream::new();
@@ -223,26 +205,25 @@ impl CostModel {
                 neg_col: 1,
             }),
         );
-        let mut c = OpCost::ZERO;
+        let mut c = OpCost::default();
         for i in s.instrs() {
-            let (secs, joules_per_elem) = match *i {
+            let op = match *i {
                 Instr::Arith { op, first_row, last_row, .. } => {
-                    let rows = (last_row - first_row + 1) as u64;
-                    (params::nor_seconds(params::alu_cycles(op)), params::alu_energy(op, rows))
+                    OpCost::arith(op, (last_row - first_row + 1) as u64)
                 }
-                Instr::Read { .. } => (params::T_SEARCH, params::E_SEARCH),
-                Instr::Write { .. } => (2.0 * params::T_SEARCH, params::E_SEARCH),
-                _ => (0.0, 0.0),
+                Instr::Read { .. } => OpCost::read(),
+                Instr::Write { words, .. } => OpCost::write(words as usize),
+                _ => OpCost::default(),
             };
-            c.seconds += secs;
-            c.joules += joules_per_elem * site.elems as f64;
+            c.seconds += op.seconds;
+            c.joules += op.joules * site.elems as f64;
         }
         c
     }
 
     /// Total per-stage cost of a placement: host remainder + fragment.
     pub fn stage_cost(&self, p: MathPlacement, site: &SiteParams) -> OpCost {
-        self.host_stage_cost(p, site).add(self.onpim_stage_cost(p, site))
+        self.host_stage_cost(p, site) + self.onpim_stage_cost(p, site)
     }
 
     /// Resolves `mode` for one shard's op-sites.
@@ -261,7 +242,7 @@ impl CostModel {
             return MathDecision {
                 placement: None,
                 host_stage,
-                chosen_stage: OpCost::ZERO,
+                chosen_stage: OpCost::default(),
                 sqrt_supported,
                 recip_supported,
             };

@@ -4,8 +4,9 @@
 //! Functionally, a block is 1,024 rows of 32 words plus a row buffer;
 //! row-parallel arithmetic applies one bit-serial operation to every row
 //! of a range simultaneously (§4.1: "computations are performed inside
-//! memristor cells in a row-parallel way"). Costs (time and energy) come
-//! from [`crate::params`].
+//! memristor cells in a row-parallel way"). A block only computes cells;
+//! what an operation costs (time and energy) is [`OpCost`], the one
+//! price list every layer reads.
 //!
 //! # Storage layout: sparse row tiles
 //!
@@ -30,9 +31,9 @@
 //! 8 rows go through fixed-length arrays that LLVM vectorizes.
 //!
 //! The row-at-a-time loops are retained, test-only, as
-//! `MemBlock::arith_scalar` and `MemBlock::broadcast_scalar` — the
-//! bit-exactness oracle the kernel proptests compare against, op by op
-//! and over random op sequences.
+//! `MemBlock::arith_cells_scalar` and `MemBlock::broadcast_cells_scalar`
+//! — the bit-exactness oracle the kernel proptests compare against, op
+//! by op and over random op sequences.
 //!
 //! Note on precision: the functional model stores `f64` so the PIM
 //! execution can be compared bit-for-bit against the native `f64` dG
@@ -46,7 +47,10 @@ use pim_isa::{AluOp, BLOCK_ROWS, WORDS_PER_ROW};
 
 use crate::params;
 
-/// Time and energy charged by one block operation.
+/// Time and energy of one block op or DMA: the chip's one price list.
+/// The chip's lowering, both analytic estimators and the math placement
+/// model price through these constructors; no crate outside pim-sim
+/// prices anything with the Table 4 constants behind them.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OpCost {
     pub seconds: f64,
@@ -55,13 +59,13 @@ pub struct OpCost {
 
 impl OpCost {
     /// `Read`: one search.
-    pub(crate) fn read() -> Self {
+    pub fn read() -> Self {
         OpCost { seconds: params::T_SEARCH, joules: params::E_SEARCH }
     }
 
     /// `Write` of `words` words: one set plus one reset phase, each bit
     /// paying the average of set and reset energy.
-    pub(crate) fn write(words: usize) -> Self {
+    pub fn write(words: usize) -> Self {
         let bits = (words * 32) as f64;
         OpCost {
             seconds: 2.0 * params::T_SEARCH,
@@ -71,7 +75,7 @@ impl OpCost {
 
     /// `Broadcast` of `words` words into `rows` rows: every destination
     /// row pays a write.
-    pub(crate) fn broadcast(rows: usize, words: usize) -> Self {
+    pub fn broadcast(rows: usize, words: usize) -> Self {
         let rows = rows as f64;
         let bits = (words * 32) as f64;
         OpCost {
@@ -82,11 +86,37 @@ impl OpCost {
 
     /// Row-parallel `Arith` over `rows` rows: one bit-serial pass in
     /// time, energy per row.
-    pub(crate) fn arith(op: AluOp, rows: u64) -> Self {
+    pub fn arith(op: AluOp, rows: u64) -> Self {
         OpCost {
             seconds: params::nor_seconds(params::alu_cycles(op)),
             joules: params::alu_energy(op, rows),
         }
+    }
+
+    /// An HBM2 DMA of `bytes` bytes over the chip's off-chip port.
+    pub fn dma(bytes: u64) -> Self {
+        let bytes = bytes as f64;
+        OpCost {
+            seconds: bytes / params::OFFCHIP_BANDWIDTH,
+            joules: bytes * (params::OFFCHIP_POWER / params::OFFCHIP_BANDWIDTH),
+        }
+    }
+}
+
+impl std::ops::Add for OpCost {
+    type Output = OpCost;
+
+    fn add(self, o: OpCost) -> OpCost {
+        OpCost { seconds: self.seconds + o.seconds, joules: self.joules + o.joules }
+    }
+}
+
+impl std::ops::Mul<f64> for OpCost {
+    type Output = OpCost;
+
+    /// `k` back-to-back repetitions.
+    fn mul(self, k: f64) -> OpCost {
+        OpCost { seconds: self.seconds * k, joules: self.joules * k }
     }
 }
 
@@ -175,25 +205,12 @@ impl MemBlock {
         self.row_buffer[..values.len()].copy_from_slice(values);
     }
 
-    /// `Read`: cells → row buffer. One search per read.
-    pub fn read_to_buffer(&mut self, row: usize, offset: usize, words: usize) -> OpCost {
-        assert!(offset + words <= WORDS_PER_ROW, "read crosses the row edge");
-        self.read_cells(row, offset, words);
-        OpCost::read()
-    }
-
-    /// `Write`: row buffer → cells. Each bit pays the average of set and
-    /// reset energy; the write takes one set plus one reset phase.
-    pub fn write_from_buffer(&mut self, row: usize, offset: usize, words: usize) -> OpCost {
-        assert!(offset + words <= WORDS_PER_ROW, "write crosses the row edge");
-        self.write_cells(row, offset, words);
-        OpCost::write(words)
-    }
-
-    /// The `Read` data pass, for callers that have checked the bounds
-    /// (the chip checks them once, when it lowers a stream).
+    /// The `Read` data pass. The chip rejects an out-of-bounds stream as
+    /// a typed error when it lowers it; the block asserts its own bounds
+    /// too, in every build, so a bad call never silently reads zeros.
     #[inline]
     pub(crate) fn read_cells(&mut self, row: usize, offset: usize, words: usize) {
+        assert!(offset + words <= WORDS_PER_ROW, "read crosses the row edge");
         let dst = &mut self.row_buffer[..words];
         match self.tiles[row / TILE_ROWS].as_deref() {
             Some(t) => {
@@ -205,9 +222,10 @@ impl MemBlock {
         }
     }
 
-    /// The `Write` data pass (bounds checked by the caller).
+    /// The `Write` data pass.
     #[inline]
     pub(crate) fn write_cells(&mut self, row: usize, offset: usize, words: usize) {
+        assert!(offset + words <= WORDS_PER_ROW, "write crosses the row edge");
         let t = self.tiles[row / TILE_ROWS].get_or_insert_with(Tile::zeroed);
         for (w, &value) in self.row_buffer[..words].iter().enumerate() {
             t.0[cell(row, offset + w)] = value;
@@ -218,31 +236,17 @@ impl MemBlock {
     /// `dst_first..=dst_last` at `offset` — the constants distribution of
     /// the paper's Fig. 5 ("constants need to be copied to the scratchpad
     /// and broadcast to the first 512 rows before the computation
-    /// begins"). Every destination row pays a write.
-    ///
-    /// Each destination word is one `fill` per covered tile.
-    pub fn broadcast(
-        &mut self,
-        dst_first: usize,
-        dst_last: usize,
-        offset: usize,
-        words: usize,
-    ) -> OpCost {
-        assert!(dst_first <= dst_last && dst_last < BLOCK_ROWS, "bad broadcast range");
-        assert!(offset + words <= WORDS_PER_ROW, "broadcast crosses the row edge");
-        self.broadcast_cells(dst_first, dst_last, offset, words);
-        OpCost::broadcast(dst_last - dst_first + 1, words)
-    }
-
-    /// The `Broadcast` data pass (bounds checked by the caller).
+    /// begins"). Each destination word is one `fill` per covered tile.
     #[inline]
-    pub(crate) fn broadcast_cells(
+    pub fn broadcast_cells(
         &mut self,
         dst_first: usize,
         dst_last: usize,
         offset: usize,
         words: usize,
     ) {
+        assert!(dst_first <= dst_last && dst_last < BLOCK_ROWS, "bad broadcast range");
+        assert!(offset + words <= WORDS_PER_ROW, "broadcast crosses the row edge");
         for (t, lo, hi) in tile_spans(dst_first, dst_last) {
             let tile = self.tiles[t].get_or_insert_with(Tile::zeroed);
             for (w, &value) in self.row_buffer[..words].iter().enumerate() {
@@ -252,28 +256,11 @@ impl MemBlock {
         }
     }
 
-    /// `Arith`: row-parallel `dst ← a op b` over `first_row..=last_row`.
-    /// Every selected row computes simultaneously, so the *time* is one
-    /// bit-serial pass regardless of the row count — that is the PIM's
-    /// parallelism — while the *energy* scales with the rows touched.
-    pub fn arith(
-        &mut self,
-        op: AluOp,
-        first_row: usize,
-        last_row: usize,
-        dst: usize,
-        a: usize,
-        b: usize,
-    ) -> OpCost {
-        assert!(first_row <= last_row && last_row < BLOCK_ROWS, "bad row range");
-        assert!(dst < WORDS_PER_ROW && a < WORDS_PER_ROW && b < WORDS_PER_ROW);
-        self.arith_cells(op, first_row, last_row, dst, a, b);
-        OpCost::arith(op, (last_row - first_row + 1) as u64)
-    }
-
-    /// The row-parallel data pass: one monomorphized tile kernel per
-    /// [`AluOp`] (bounds checked by the caller).
-    pub(crate) fn arith_cells(
+    /// `Arith`: row-parallel `dst ← a op b` over `first_row..=last_row`,
+    /// one monomorphized tile kernel per [`AluOp`]. Every selected row
+    /// computes simultaneously on the chip, which [`OpCost::arith`]
+    /// prices: one bit-serial pass in time, energy per row.
+    pub fn arith_cells(
         &mut self,
         op: AluOp,
         first_row: usize,
@@ -282,6 +269,8 @@ impl MemBlock {
         a: usize,
         b: usize,
     ) {
+        assert!(first_row <= last_row && last_row < BLOCK_ROWS, "bad row range");
+        assert!(dst < WORDS_PER_ROW && a < WORDS_PER_ROW && b < WORDS_PER_ROW);
         let rows = (first_row, last_row);
         match op {
             AluOp::Add => self.map_rows(rows, dst, a, b, |x, y, _| x + y),
@@ -368,50 +357,6 @@ impl MemBlock {
             }
         }
     }
-
-    /// `Arith` through the retained scalar loop, with the same cost
-    /// accounting as [`Self::arith`] — the oracle the tile kernel is
-    /// proptested bit-identical against.
-    #[cfg(test)]
-    pub fn arith_scalar(
-        &mut self,
-        op: AluOp,
-        first_row: usize,
-        last_row: usize,
-        dst: usize,
-        a: usize,
-        b: usize,
-    ) -> OpCost {
-        assert!(first_row <= last_row && last_row < BLOCK_ROWS, "bad row range");
-        assert!(dst < WORDS_PER_ROW && a < WORDS_PER_ROW && b < WORDS_PER_ROW);
-        self.arith_cells_scalar(op, first_row, last_row, dst, a, b);
-        let rows = (last_row - first_row + 1) as u64;
-        OpCost {
-            seconds: params::nor_seconds(params::alu_cycles(op)),
-            joules: params::alu_energy(op, rows),
-        }
-    }
-
-    /// `Broadcast` through the retained scalar loop (oracle twin of
-    /// [`Self::broadcast`]).
-    #[cfg(test)]
-    pub fn broadcast_scalar(
-        &mut self,
-        dst_first: usize,
-        dst_last: usize,
-        offset: usize,
-        words: usize,
-    ) -> OpCost {
-        assert!(dst_first <= dst_last && dst_last < BLOCK_ROWS, "bad broadcast range");
-        assert!(offset + words <= WORDS_PER_ROW, "broadcast crosses the row edge");
-        self.broadcast_cells_scalar(dst_first, dst_last, offset, words);
-        let rows = (dst_last - dst_first + 1) as f64;
-        let bits = (words * 32) as f64;
-        OpCost {
-            seconds: rows * 2.0 * params::T_SEARCH,
-            joules: rows * bits * 0.5 * (params::E_SET + params::E_RESET),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -423,28 +368,30 @@ mod tests {
         let mut b = MemBlock::new();
         b.set(3, 5, 1.25);
         b.set(3, 6, -2.5);
-        let c1 = b.read_to_buffer(3, 5, 2);
+        b.read_cells(3, 5, 2);
         assert_eq!(b.row_buffer()[0], 1.25);
         assert_eq!(b.row_buffer()[1], -2.5);
-        let c2 = b.write_from_buffer(10, 0, 2);
+        b.write_cells(10, 0, 2);
         assert_eq!(b.get(10, 0), 1.25);
         assert_eq!(b.get(10, 1), -2.5);
-        assert!(c1.seconds > 0.0 && c1.joules > 0.0);
-        assert!(c2.seconds > c1.seconds, "writes are slower than reads");
+        let (read, write) = (OpCost::read(), OpCost::write(2));
+        assert!(read.seconds > 0.0 && read.joules > 0.0);
+        assert!(write.seconds > read.seconds, "writes are slower than reads");
     }
 
     #[test]
     fn broadcast_replicates_and_charges_per_row() {
         let mut b = MemBlock::new();
         b.load_row_buffer(&[7.0, 8.0]);
-        let c = b.broadcast(0, 511, 30, 2);
+        b.broadcast_cells(0, 511, 30, 2);
         for row in 0..512 {
             assert_eq!(b.get(row, 30), 7.0);
             assert_eq!(b.get(row, 31), 8.0);
         }
         assert_eq!(b.get(512, 30), 0.0, "rows beyond the range untouched");
-        let single = b.broadcast(0, 0, 0, 2);
-        assert!((c.joules / single.joules - 512.0).abs() < 1e-9);
+        let (all, single) = (OpCost::broadcast(512, 2), OpCost::broadcast(1, 2));
+        assert!((all.joules / single.joules - 512.0).abs() < 1e-9);
+        assert_eq!(single, OpCost::write(2), "one destination row pays one write");
     }
 
     #[test]
@@ -454,12 +401,11 @@ mod tests {
             b.set(row, 0, row as f64);
             b.set(row, 1, 2.0);
         }
-        let many = b.arith(AluOp::Mul, 0, 511, 2, 0, 1);
+        b.arith_cells(AluOp::Mul, 0, 511, 2, 0, 1);
         for row in 0..512 {
             assert_eq!(b.get(row, 2), row as f64 * 2.0);
         }
-        let mut b2 = MemBlock::new();
-        let one = b2.arith(AluOp::Mul, 0, 0, 2, 0, 1);
+        let (many, one) = (OpCost::arith(AluOp::Mul, 512), OpCost::arith(AluOp::Mul, 1));
         assert_eq!(many.seconds, one.seconds, "time independent of rows");
         assert!((many.joules / one.joules - 512.0).abs() < 1e-9, "energy scales with rows");
     }
@@ -470,17 +416,17 @@ mod tests {
         b.set(0, 0, 6.0);
         b.set(0, 1, -2.0);
         b.set(0, 2, 10.0); // pre-existing dst for MAC
-        b.arith(AluOp::Add, 0, 0, 3, 0, 1);
+        b.arith_cells(AluOp::Add, 0, 0, 3, 0, 1);
         assert_eq!(b.get(0, 3), 4.0);
-        b.arith(AluOp::Sub, 0, 0, 3, 0, 1);
+        b.arith_cells(AluOp::Sub, 0, 0, 3, 0, 1);
         assert_eq!(b.get(0, 3), 8.0);
-        b.arith(AluOp::Mul, 0, 0, 3, 0, 1);
+        b.arith_cells(AluOp::Mul, 0, 0, 3, 0, 1);
         assert_eq!(b.get(0, 3), -12.0);
-        b.arith(AluOp::Mac, 0, 0, 2, 0, 1);
+        b.arith_cells(AluOp::Mac, 0, 0, 2, 0, 1);
         assert_eq!(b.get(0, 2), -2.0); // 10 + 6·(−2)
-        b.arith(AluOp::Neg, 0, 0, 3, 0, 1);
+        b.arith_cells(AluOp::Neg, 0, 0, 3, 0, 1);
         assert_eq!(b.get(0, 3), -6.0);
-        b.arith(AluOp::Mov, 0, 0, 3, 1, 0);
+        b.arith_cells(AluOp::Mov, 0, 0, 3, 1, 0);
         assert_eq!(b.get(0, 3), -2.0);
     }
 
@@ -493,15 +439,15 @@ mod tests {
             b.set(row, 0, row as f64 + 1.0);
             b.set(row, 1, 3.0);
         }
-        b.arith(AluOp::Mul, 0, 7, 0, 0, 1); // dst == a
+        b.arith_cells(AluOp::Mul, 0, 7, 0, 0, 1); // dst == a
         for row in 0..8 {
             assert_eq!(b.get(row, 0), (row as f64 + 1.0) * 3.0);
         }
-        b.arith(AluOp::Add, 0, 7, 1, 0, 1); // dst == b
+        b.arith_cells(AluOp::Add, 0, 7, 1, 0, 1); // dst == b
         for row in 0..8 {
             assert_eq!(b.get(row, 1), (row as f64 + 1.0) * 3.0 + 3.0);
         }
-        b.arith(AluOp::Mac, 0, 7, 1, 1, 1); // dst == a == b
+        b.arith_cells(AluOp::Mac, 0, 7, 1, 1, 1); // dst == a == b
         for row in 0..8 {
             let v = (row as f64 + 1.0) * 3.0 + 3.0;
             assert_eq!(b.get(row, 1), v * v + v);
@@ -510,10 +456,7 @@ mod tests {
 
     #[test]
     fn mul_costs_more_time_than_add() {
-        let mut b = MemBlock::new();
-        let add = b.arith(AluOp::Add, 0, 0, 2, 0, 1);
-        let mul = b.arith(AluOp::Mul, 0, 0, 2, 0, 1);
-        let mac = b.arith(AluOp::Mac, 0, 0, 2, 0, 1);
+        let [add, mul, mac] = [AluOp::Add, AluOp::Mul, AluOp::Mac].map(|op| OpCost::arith(op, 1));
         assert!(mul.seconds > add.seconds);
         assert!(mac.seconds > mul.seconds);
     }
@@ -522,14 +465,14 @@ mod tests {
     #[should_panic(expected = "crosses the row edge")]
     fn read_past_row_edge_panics() {
         let mut b = MemBlock::new();
-        let _ = b.read_to_buffer(0, 31, 2);
+        b.read_cells(0, 31, 2);
     }
 
     #[test]
     #[should_panic(expected = "bad row range")]
     fn arith_bad_range_panics() {
         let mut b = MemBlock::new();
-        let _ = b.arith(AluOp::Add, 5, 4, 0, 1, 2);
+        b.arith_cells(AluOp::Add, 5, 4, 0, 1, 2);
     }
 
     #[test]
@@ -537,7 +480,7 @@ mod tests {
         let mut b = MemBlock::new();
         assert_eq!(b.get(700, 3), 0.0);
         b.load_row_buffer(&[9.0; WORDS_PER_ROW]);
-        b.read_to_buffer(700, 0, WORDS_PER_ROW);
+        b.read_cells(700, 0, WORDS_PER_ROW);
         assert!(b.row_buffer().iter().all(|&v| v.to_bits() == 0));
         assert_eq!(b.resident_tiles(), 0, "reads must not allocate");
         b.set(3, 0, 1.0);
@@ -548,7 +491,7 @@ mod tests {
     #[test]
     fn neg_over_an_unwritten_row_stores_negative_zero() {
         let mut b = MemBlock::new();
-        b.arith(AluOp::Neg, 600, 600, 1, 0, 0);
+        b.arith_cells(AluOp::Neg, 600, 600, 1, 0, 0);
         assert_eq!(b.get(600, 1).to_bits(), (-0.0f64).to_bits());
         assert_eq!(b.get(600, 0).to_bits(), 0.0f64.to_bits());
         assert_eq!(b.resident_tiles(), 1);
@@ -561,9 +504,12 @@ mod oracle_tests {
     //! every [`AluOp`], arbitrary row ranges, arbitrary (including
     //! aliased) column triples, and payloads spanning NaNs, ±inf,
     //! denormals and negative zero, the two engines must agree *bit for
-    //! bit* — same cell contents, same cost.
+    //! bit*; through the chip, the op must also cost what [`OpCost`]
+    //! prices.
 
     use super::*;
+    use crate::chip::{ChipConfig, PimChip};
+    use pim_isa::{BlockId, Instr, InstrStream};
     use proptest::collection::vec as prop_vec;
     use proptest::prelude::*;
 
@@ -638,16 +584,25 @@ mod oracle_tests {
             len in 0usize..64,
             payload in prop_vec(arb_payload(), 16),
         ) {
+            // The public entry to `Arith` is the chip: it lowers the
+            // instruction, prices it through `OpCost` and replays the
+            // tile kernel.
             let r1 = (r0 + len).min(BLOCK_ROWS - 1);
-            let mut vec_b = MemBlock::new();
+            let mut chip = PimChip::new(ChipConfig::default_2gb());
+            let mut oracle = MemBlock::new();
             for (i, &v) in payload.iter().enumerate() {
-                vec_b.set((r0 + i) % BLOCK_ROWS, i % WORDS_PER_ROW, v);
+                chip.block_mut(BlockId(0)).set((r0 + i) % BLOCK_ROWS, i % WORDS_PER_ROW, v);
+                oracle.set((r0 + i) % BLOCK_ROWS, i % WORDS_PER_ROW, v);
             }
-            let mut sca_b = vec_b.clone();
-            let cv = vec_b.arith(op, r0, r1, 5, 0, 1);
-            let cs = sca_b.arith_scalar(op, r0, r1, 5, 0, 1);
-            prop_assert_eq!(cv, cs, "cost model must not depend on the engine");
-            assert_blocks_bit_identical(&vec_b, &sca_b);
+            let mut s = InstrStream::new();
+            let (first_row, last_row) = (r0 as u16, r1 as u16);
+            s.push(Instr::Arith { block: BlockId(0), op, first_row, last_row, dst: 5, a: 0, b: 1 });
+            chip.execute(&s);
+            oracle.arith_cells_scalar(op, r0, r1, 5, 0, 1);
+            let cost = OpCost::arith(op, (r1 - r0 + 1) as u64);
+            prop_assert_eq!(chip.elapsed(), cost.seconds, "one bit-serial pass");
+            prop_assert_eq!(chip.ledger().compute, cost.joules);
+            assert_blocks_bit_identical(chip.block(BlockId(0)), &oracle);
         }
 
         #[test]
@@ -663,9 +618,8 @@ mod oracle_tests {
             let mut vec_b = MemBlock::new();
             vec_b.load_row_buffer(&buffer);
             let mut sca_b = vec_b.clone();
-            let cv = vec_b.broadcast(r0, r1, offset, words);
-            let cs = sca_b.broadcast_scalar(r0, r1, offset, words);
-            prop_assert_eq!(cv, cs);
+            vec_b.broadcast_cells(r0, r1, offset, words);
+            sca_b.broadcast_cells_scalar(r0, r1, offset, words);
             assert_blocks_bit_identical(&vec_b, &sca_b);
         }
     }
@@ -675,7 +629,8 @@ mod oracle_tests {
 mod storage_tests {
     //! Random `Read`/`Write`/`Broadcast`/`Arith` sequences against two
     //! references: a dense row-major 1024 × 32 crossbar (every cell, the
-    //! row buffer and every operation's cost must match bit for bit,
+    //! row buffer and every operation's [`OpCost`] price against the
+    //! dense reference's written-out prices must match bit for bit,
     //! whatever tiles the sparse storage did or did not allocate along
     //! the way), and the retained scalar loops replayed op by op on a
     //! second block — the end-to-end engine cross-check.
@@ -764,31 +719,38 @@ mod storage_tests {
         }
     }
 
-    fn apply(block: &mut MemBlock, op: Op) -> OpCost {
+    /// One op's cell pass on `block`, priced through [`OpCost`]; with
+    /// `scalar`, `Arith` and `Broadcast` run through the scalar oracle.
+    fn apply(block: &mut MemBlock, op: Op, scalar: bool) -> OpCost {
         match op {
             Op::Set { row, col, value } => {
                 block.set(row, col, value);
                 OpCost::default()
             }
-            Op::Read { row, offset, words } => block.read_to_buffer(row, offset, words),
-            Op::Write { row, offset, words } => block.write_from_buffer(row, offset, words),
-            Op::Broadcast { first, last, offset, words } => {
-                block.broadcast(first, last, offset, words)
+            Op::Read { row, offset, words } => {
+                block.read_cells(row, offset, words);
+                OpCost::read()
             }
-            Op::Arith { op, first, last, dst, a, b } => block.arith(op, first, last, dst, a, b),
-        }
-    }
-
-    /// [`apply`] with `Arith` and `Broadcast` through the scalar oracle.
-    fn apply_scalar(block: &mut MemBlock, op: Op) -> OpCost {
-        match op {
+            Op::Write { row, offset, words } => {
+                block.write_cells(row, offset, words);
+                OpCost::write(words)
+            }
             Op::Broadcast { first, last, offset, words } => {
-                block.broadcast_scalar(first, last, offset, words)
+                if scalar {
+                    block.broadcast_cells_scalar(first, last, offset, words);
+                } else {
+                    block.broadcast_cells(first, last, offset, words);
+                }
+                OpCost::broadcast(last - first + 1, words)
             }
             Op::Arith { op, first, last, dst, a, b } => {
-                block.arith_scalar(op, first, last, dst, a, b)
+                if scalar {
+                    block.arith_cells_scalar(op, first, last, dst, a, b);
+                } else {
+                    block.arith_cells(op, first, last, dst, a, b);
+                }
+                OpCost::arith(op, (last - first + 1) as u64)
             }
-            _ => apply(block, op),
         }
     }
 
@@ -866,7 +828,7 @@ mod storage_tests {
             let mut block = MemBlock::new();
             let mut dense = Dense::new();
             for &op in &ops {
-                let (got, want) = (apply(&mut block, op), dense.apply(op));
+                let (got, want) = (apply(&mut block, op, false), dense.apply(op));
                 prop_assert_eq!(got, want, "cost of {:?}", op);
             }
             for row in 0..BLOCK_ROWS {
@@ -887,8 +849,8 @@ mod storage_tests {
         fn op_sequences_match_the_scalar_oracle_after_every_op(ops in prop_vec(arb_op(), 64)) {
             let (mut engine, mut oracle) = (MemBlock::new(), MemBlock::new());
             for (i, &op) in ops.iter().enumerate() {
-                let (got, want) = (apply(&mut engine, op), apply_scalar(&mut oracle, op));
-                prop_assert_eq!(got, want, "cost of op {} {:?}", i, op);
+                apply(&mut engine, op, false);
+                apply(&mut oracle, op, true);
                 prop_assert!(
                     same_bits(&engine, &oracle),
                     "engine and scalar oracle diverged at op {} {:?} of {:?}", i, op, ops

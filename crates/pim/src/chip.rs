@@ -74,7 +74,7 @@ use crate::host;
 use crate::interconnect::{
     BusNetwork, HTreeNetwork, Interconnect, InterconnectKind, Resource, Transfer,
 };
-use crate::params::{self, ChipCapacity, ProcessNode};
+use crate::params::{ChipCapacity, ProcessNode};
 use crate::tape::{Charge, Cost, FKind, LowerError, RunIds, Step, Tape, TapeBuilder, Violation};
 
 /// Chip configuration: capacity (Table 2), interconnect (§4.2), process
@@ -641,9 +641,7 @@ impl PimChip {
             metrics.compute_seconds.add(self.elapsed - elapsed_before);
             if stats.offchip_bytes > 0 {
                 metrics.dma_bytes.add(stats.offchip_bytes);
-                metrics
-                    .offchip_busy_seconds
-                    .add(stats.offchip_bytes as f64 / params::OFFCHIP_BANDWIDTH);
+                metrics.offchip_busy_seconds.add(OpCost::dma(stats.offchip_bytes).seconds);
             }
             if rows > 0 {
                 metrics.row_activations.add(rows);
@@ -887,7 +885,7 @@ impl PimChip {
         let block_op = |op, energy_j| Payload::BlockOp { op, nor_cycles: 0, energy_j };
         self.ledger.reads += read.joules;
         if faulted {
-            let at = start + params::T_SEARCH;
+            let at = start + read.seconds;
             self.finish_block(holder, at);
             self.finish_block(lut, at);
             if let Some(pid) = pid {
@@ -902,7 +900,7 @@ impl PimChip {
             return;
         }
         self.ledger.reads += read.joules;
-        let mut xfer_start = start + 2.0 * params::T_SEARCH;
+        let mut xfer_start = start + 2.0 * read.seconds;
         for &slot in slots {
             xfer_start = xfer_start.max(self.resource_ready[slot as usize]);
         }
@@ -917,7 +915,7 @@ impl PimChip {
         self.finish_block(holder, finish);
         self.finish_block(lut, finish);
         if let Some(pid) = pid {
-            let (searched, fetched) = (start + params::T_SEARCH, start + 2.0 * params::T_SEARCH);
+            let (searched, fetched) = (start + read.seconds, start + 2.0 * read.seconds);
             pim_trace::record_span(
                 pid,
                 holder as u32,
@@ -1297,6 +1295,7 @@ impl Lowering<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params;
     use pim_isa::AluOp;
 
     fn chip() -> PimChip {
@@ -1488,8 +1487,24 @@ mod tests {
                 Violation::Rows { first: 9, last: 4 },
             ),
             (
+                Instr::Read { block: BlockId(0), row: 0, offset: 31, words: 2 },
+                Violation::Columns { offset: 31, words: 2 },
+            ),
+            (
                 Instr::Write { block: BlockId(0), row: 0, offset: 31, words: 2 },
                 Violation::Columns { offset: 31, words: 2 },
+            ),
+            (
+                Instr::Arith {
+                    block: BlockId(0),
+                    op: AluOp::Add,
+                    first_row: 5,
+                    last_row: 4,
+                    dst: 0,
+                    a: 1,
+                    b: 2,
+                },
+                Violation::Rows { first: 5, last: 4 },
             ),
             (
                 Instr::Arith {

@@ -11,7 +11,8 @@
 //!   multiplication are achieved by performing NOR operations
 //!   sequentially"),
 //! * [`block`] — the memory block: 1K×1K memristor crossbar with row
-//!   buffer, row-parallel bit-serial arithmetic and energy metering,
+//!   buffer and row-parallel bit-serial arithmetic, and [`OpCost`], the
+//!   one price list of block ops and DMAs,
 //! * [`interconnect`] — the H-tree and Bus inter-block networks of §4.2,
 //!   with routing, conflict-aware scheduling and energy accounting,
 //! * [`energy`] — the dynamic + static energy ledger,
@@ -34,7 +35,7 @@ pub mod nor;
 pub mod params;
 pub mod tape;
 
-pub use block::MemBlock;
+pub use block::{MemBlock, OpCost};
 pub use chip::{ChipConfig, ExecReport, Lowering, PimChip};
 pub use energy::EnergyLedger;
 pub use interconnect::{BusNetwork, HTreeNetwork, Interconnect, InterconnectKind, Transfer};

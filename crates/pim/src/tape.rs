@@ -240,7 +240,7 @@ pub(crate) enum Charge {
 }
 
 impl Cost {
-    fn block(cost: OpCost, charge: Charge) -> Self {
+    fn new(cost: OpCost, charge: Charge) -> Self {
         Self { seconds: cost.seconds, joules: cost.joules, charge }
     }
 
@@ -469,7 +469,7 @@ impl TapeBuilder {
 
     #[inline]
     pub(crate) fn read(&mut self, block: u32, row: u16, offset: u8, words: u8) {
-        self.extend_run(block, READ_KEY, || Cost::block(OpCost::read(), Charge::Read));
+        self.extend_run(block, READ_KEY, || Cost::new(OpCost::read(), Charge::Read));
         self.fops.push(FOp::new(FKind::Read, [offset, words, 0], [row, 0]));
     }
 
@@ -477,7 +477,7 @@ impl TapeBuilder {
     /// fuses with it into one `Move`.
     #[inline]
     pub(crate) fn write(&mut self, block: u32, row: u16, offset: u8, words: u8) {
-        let cost = || Cost::block(OpCost::write(words as usize), Charge::Write);
+        let cost = || Cost::new(OpCost::write(words as usize), Charge::Write);
         let continued = self.extend_run(block, WRITE_KEYS + words as usize, cost);
         match self.fops.last_mut() {
             Some(read) if continued && read.kind == FKind::Read && read.c[1] == words => {
@@ -490,7 +490,7 @@ impl TapeBuilder {
     #[inline]
     pub(crate) fn broadcast(&mut self, block: u32, first: u16, last: u16, offset: u8, words: u8) {
         let rows = (last - first + 1) as usize;
-        let cost = || Cost::block(OpCost::broadcast(rows, words as usize), Charge::Broadcast);
+        let cost = || Cost::new(OpCost::broadcast(rows, words as usize), Charge::Broadcast);
         let key = BROADCAST_KEYS + (rows - 1) * (WORDS_PER_ROW + 1) + words as usize;
         self.extend_run(block, key, cost);
         self.fops.push(FOp::new(FKind::Broadcast, [offset, words, 0], [first, last]));
@@ -499,7 +499,7 @@ impl TapeBuilder {
     #[inline]
     pub(crate) fn arith(&mut self, block: u32, alu: AluOp, rows: (u16, u16), cols: [u8; 3]) {
         let n = (rows.1 - rows.0 + 1) as usize;
-        let cost = || Cost::block(OpCost::arith(alu, n as u64), Charge::Arith(alu));
+        let cost = || Cost::new(OpCost::arith(alu, n as u64), Charge::Arith(alu));
         self.extend_run(block, ARITH_KEYS + alu as usize * BLOCK_ROWS + n - 1, cost);
         self.fops.push(FOp::new(FKind::Arith(alu), cols, [rows.0, rows.1]));
     }
@@ -557,11 +557,10 @@ impl TapeBuilder {
 
     pub(crate) fn dma(&mut self, block: u32, bytes: u32) {
         self.close_run();
-        let cost = self.costs.xfer_id(1 << 48 | bytes as u64, || Cost {
-            seconds: bytes as f64 / params::OFFCHIP_BANDWIDTH,
-            joules: bytes as f64 * (params::OFFCHIP_POWER / params::OFFCHIP_BANDWIDTH),
-            charge: Charge::Offchip { bytes: bytes as u64 },
-        });
+        let bytes = bytes as u64;
+        let cost = self
+            .costs
+            .xfer_id(1 << 48 | bytes, || Cost::new(OpCost::dma(bytes), Charge::Offchip { bytes }));
         self.steps.push(Step::Dma { block, cost });
     }
 

@@ -60,9 +60,9 @@
 //! wall-clock is never longer than the bulk-synchronous schedule's.
 
 use pim_isa::{BlockId, InstrStream};
-use pim_math::{CostModel, MathConfig, MathDecision, MathPlacement, OpCost};
+use pim_math::{CostModel, MathConfig, MathDecision, MathPlacement};
 use pim_metrics::MetricsRegistry;
-use pim_sim::{ChipConfig, ExecReport, InterChipLink, PimChip, Tape};
+use pim_sim::{ChipConfig, ExecReport, InterChipLink, OpCost, PimChip, Tape};
 use pim_trace::Kernel;
 use rayon::prelude::*;
 use std::sync::Arc;
@@ -649,7 +649,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
             let host_cost = decision
                 .placement
                 .map(|p| cost_model.host_stage_cost(p, &site))
-                .unwrap_or(OpCost::ZERO);
+                .unwrap_or_default();
             let host_ops = decision
                 .placement
                 .filter(|p| p.any_host())

@@ -46,8 +46,7 @@
 //! exposed halo first gates the stage) outward.
 
 use pim_sim::host;
-use pim_sim::params as prm;
-use pim_sim::{ChipConfig, EnergyLedger, InterChipLink, InterconnectKind, PimChip};
+use pim_sim::{ChipConfig, EnergyLedger, InterChipLink, InterconnectKind, OpCost, PimChip};
 use wave_pim::compiler::AcousticMapping;
 use wave_pim::estimate::{STAGES_PER_STEP, TIME_STEPS};
 use wavesim_dg::{AcousticMaterial, FluxKind, Lsrk5, State};
@@ -59,7 +58,7 @@ use crate::halo::halo_messages;
 /// batched: the Fig. 6/7 schedule loads/stores vars, aux and
 /// contributions across the three kernel passes (10 element-sized DMA
 /// movements, counting both directions).
-const SWAP_PASSES_PER_ELEMENT: f64 = 10.0;
+const SWAP_PASSES_PER_ELEMENT: u64 = 10;
 
 /// Probe elements (level-1 mesh) and stages per probe run.
 const PROBE_ELEMENTS: f64 = 8.0;
@@ -216,13 +215,13 @@ fn stage_compute(probe: &KernelProbe, resident: u64, ghost: u64) -> (f64, f64, u
     let dispatch =
         host::dispatch_time((probe.instrs_per_element_per_stage * per_batch as f64).ceil() as u64);
     let compute = batches as f64 * probe.seconds_per_stage_path.max(dispatch);
-    let swap = if batches > 1 {
-        let bytes = SWAP_PASSES_PER_ELEMENT * resident as f64 * (probe.nodes * 4 * 4) as f64;
-        bytes / prm::OFFCHIP_BANDWIDTH
-    } else {
-        0.0
-    };
+    let swap = if batches > 1 { OpCost::dma(swap_bytes(probe, resident)).seconds } else { 0.0 };
     (compute, swap, batches)
+}
+
+/// Off-chip bytes one stage's batch swaps move for `elements` elements.
+fn swap_bytes(probe: &KernelProbe, elements: u64) -> u64 {
+    SWAP_PASSES_PER_ELEMENT * elements * (probe.nodes * 4 * 4) as u64
 }
 
 /// Evaluates one (level, chip-count, link) scaling point against a probe
@@ -283,12 +282,11 @@ pub fn estimate_cluster_on(
         halo_joules_per_stage += 2.0 * link.energy(bytes);
     }
     let max_port = port_bytes.iter().copied().max().unwrap_or(0);
-    let halo_raw = if max_port > 0 { link.latency + max_port as f64 / link.bandwidth } else { 0.0 };
+    let halo_raw = if max_port > 0 { link.duration(max_port) } else { 0.0 };
     // The pipelined protocol fences only on the receive side of the
     // busiest port; its outbound half drains behind Flux/Integration.
     let max_recv = recv_bytes.iter().copied().max().unwrap_or(0);
-    let pipelined_halo_raw =
-        if max_recv > 0 { link.latency + max_recv as f64 / link.bandwidth } else { 0.0 };
+    let pipelined_halo_raw = if max_recv > 0 { link.duration(max_recv) } else { 0.0 };
 
     let (compute, swap, batches) = stage_compute(probe, e_chip, ghosts_max);
     // The exchange streams while the Volume kernel runs; only the part
@@ -315,10 +313,8 @@ pub fn estimate_cluster_on(
     // inter-chip links. Both are off-chip traffic. Overlap moves bytes
     // earlier, it does not remove them, so the energy terms use the raw
     // halo traffic regardless of how much of it hides behind Volume.
-    let swap_joules_per_stage = SWAP_PASSES_PER_ELEMENT
-        * (if batches > 1 { e_total as f64 } else { 0.0 })
-        * (probe.nodes * 4 * 4) as f64
-        * (prm::OFFCHIP_POWER / prm::OFFCHIP_BANDWIDTH);
+    let swap_joules_per_stage =
+        if batches > 1 { OpCost::dma(swap_bytes(probe, e_total)).joules } else { 0.0 };
     energy.offchip +=
         (swap_joules_per_stage + halo_joules_per_stage) * launches / node.energy_scale();
     energy.charge_static(

@@ -17,6 +17,7 @@
 
 use std::sync::Arc;
 
+use pim_cluster::cluster::TAPE_KERNELS;
 use pim_cluster::{ClusterConfig, ClusterRunner};
 use pim_metrics::{MetricsRegistry, Snapshot};
 use pim_sim::{ChipCapacity, ChipConfig};
@@ -100,6 +101,8 @@ pub struct ChipReport {
     pub kernels: Vec<KernelRow>,
     /// Executed opcode totals, `(op, count)`.
     pub opcodes: Vec<(String, u64)>,
+    /// Heap bytes of each kernel's tapes, `(kernel, bytes)`.
+    pub tape_bytes: Vec<(String, u64)>,
 }
 
 /// One step's registry delta over the whole cluster.
@@ -371,6 +374,13 @@ pub fn profile_report_into(
             exposed_rel_err: rel_err(exposed, exposed_runner[i]),
             kernels,
             opcodes,
+            tape_bytes: TAPE_KERNELS
+                .iter()
+                .map(|&k| {
+                    let bytes = gget(&d, "cluster_chip_tape_bytes", &[("chip", c), ("kernel", k)]);
+                    (k.to_string(), bytes as u64)
+                })
+                .collect(),
         });
     }
 
@@ -648,6 +658,12 @@ pub fn metrics_json(r: &MetricsReport) -> String {
         for (oi, (op, count)) in c.opcodes.iter().enumerate() {
             let _ = write!(out, "        {{\"op\": {}, \"count\": {}}}", escape(op), count);
             out.push_str(if oi + 1 < c.opcodes.len() { ",\n" } else { "\n" });
+        }
+        out.push_str("      ],\n");
+        out.push_str("      \"tape_bytes\": [\n");
+        for (ti, (kernel, bytes)) in c.tape_bytes.iter().enumerate() {
+            let _ = write!(out, "        {{\"kernel\": {}, \"bytes\": {}}}", escape(kernel), bytes);
+            out.push_str(if ti + 1 < c.tape_bytes.len() { ",\n" } else { "\n" });
         }
         out.push_str("      ]\n");
         out.push_str(if ci + 1 < r.chips.len() { "    },\n" } else { "    }\n" });

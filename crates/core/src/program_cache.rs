@@ -84,6 +84,11 @@ impl StageProgram {
         self.tapes[0].stats()
     }
 
+    /// Heap bytes of every stage's tape.
+    pub fn heap_bytes(&self) -> usize {
+        self.tapes.iter().map(Tape::heap_bytes).sum()
+    }
+
     /// True when the program is empty.
     pub fn is_empty(&self) -> bool {
         self.tapes[0].is_empty()

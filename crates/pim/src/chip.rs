@@ -75,7 +75,9 @@ use crate::interconnect::{
     BusNetwork, HTreeNetwork, Interconnect, InterconnectKind, Resource, Transfer,
 };
 use crate::params::{ChipCapacity, ProcessNode};
-use crate::tape::{Charge, Cost, FKind, LowerError, RunIds, Step, Tape, TapeBuilder, Violation};
+use crate::tape::{
+    Charge, Cost, FKind, FOp, LowerError, RunIds, Step, Tape, TapeBuilder, Violation,
+};
 
 /// Chip configuration: capacity (Table 2), interconnect (§4.2), process
 /// node (§7.3).
@@ -657,8 +659,14 @@ impl PimChip {
 
     /// The functional pass: cell data and row buffers. Returns each
     /// `Lut`'s fault outcome, in issue order, for the timing pass.
+    ///
+    /// A group's repeat blocks run its body op-major, [`GROUP_CHUNK`]
+    /// blocks at a time: each op goes over the chunk's blocks before the
+    /// next op does. A group's blocks are distinct and its body is
+    /// block-local, so every block still sees its own ops in order.
     fn replay_functional(&mut self, tape: &Tape) -> Vec<bool> {
         let mut faults = Vec::new();
+        let mut held: Vec<Box<MemBlock>> = Vec::new();
         let (fops, mut i, mut current) = (&tape.fops[..], 0, 0);
         while let Some(op) = fops.get(i) {
             i += 1;
@@ -670,33 +678,39 @@ impl PimChip {
                     self.block_at(current).load_row_buffer(&buf[..op.c[0] as usize]);
                 }
                 FKind::Lut => faults.push(self.lut_cells(&tape.luts[op.wide()])),
+                FKind::Repeat => {
+                    let group = &tape.groups[op.wide()];
+                    let body = &fops[i - 1 - group.body as usize..i - 1];
+                    let blocks = &tape.blocks[group.blocks()];
+                    for chunk in blocks.chunks(GROUP_CHUNK) {
+                        held.extend(
+                            chunk
+                                .iter()
+                                .map(|&b| self.blocks[b as usize].take().unwrap_or_default()),
+                        );
+                        for op in body {
+                            for b in &mut held {
+                                run_local(b, op);
+                            }
+                        }
+                        for (&b, block) in chunk.iter().zip(held.drain(..)) {
+                            self.blocks[b as usize] = Some(block);
+                        }
+                    }
+                    current = *blocks.last().expect("a group repeats on some block") as usize;
+                }
                 _ => {
                     // Block-local ops run on the current block until the
                     // next op that is not one.
                     let b = self.block_at(current);
                     let mut op = op;
-                    loop {
-                        let [c0, c1, c2] = op.c.map(usize::from);
-                        let [r0, r1] = op.r.map(usize::from);
-                        match op.kind {
-                            FKind::Read => b.read_cells(r0, c0, c1),
-                            FKind::Write => b.write_cells(r0, c0, c1),
-                            FKind::Move => {
-                                b.read_cells(r0, c0, c2);
-                                b.write_cells(r1, c1, c2);
-                            }
-                            FKind::Broadcast => b.broadcast_cells(r0, r1, c0, c1),
-                            FKind::Arith(alu) => b.arith_cells(alu, r0, r1, c0, c1, c2),
-                            FKind::Block | FKind::Copy | FKind::Lut => {
-                                i -= 1;
-                                break;
-                            }
-                        }
+                    while run_local(b, op) {
                         match fops.get(i) {
                             Some(next) => (op, i) = (next, i + 1),
-                            None => break,
+                            None => return faults,
                         }
                     }
+                    i -= 1;
                 }
             }
         }
@@ -760,15 +774,18 @@ impl PimChip {
             }
             route
         };
+        // The run ids of the last `Run` step, which a `Repeat` repeats.
+        let mut last = 0..0;
         for step in &tape.steps {
             match *step {
                 Step::Run { block, len } => {
-                    let ids = id..id + len as usize;
-                    match &tape.run_ids {
-                        RunIds::Narrow(v) => self.time_run(block, &v[ids], &tape.op_costs, pid),
-                        RunIds::Wide(v) => self.time_run(block, &v[ids], &tape.op_costs, pid),
-                    }
+                    last = id..id + len as usize;
                     id += len as usize;
+                    self.time_runs(&[block], &tape.run_ids, last.clone(), &tape.op_costs, pid);
+                }
+                Step::Repeat { group } => {
+                    let blocks = &tape.blocks[tape.groups[group as usize].blocks()];
+                    self.time_runs(blocks, &tape.run_ids, last.clone(), &tape.op_costs, pid);
                 }
                 Step::Copy { src, dst, cost, rerouted } => {
                     let cost = &tape.xfer_costs[cost as usize];
@@ -804,6 +821,25 @@ impl PimChip {
             Charge::Offchip { .. } => &mut self.ledger.offchip,
         };
         *field += cost.joules;
+    }
+
+    /// The run ids `ids` as one run on each of `blocks`, in order.
+    fn time_runs(
+        &mut self,
+        blocks: &[u32],
+        run_ids: &RunIds,
+        ids: Range<usize>,
+        costs: &[Cost],
+        pid: Option<u32>,
+    ) {
+        match run_ids {
+            RunIds::Narrow(v) => {
+                blocks.iter().for_each(|&b| self.time_run(b, &v[ids.clone()], costs, pid))
+            }
+            RunIds::Wide(v) => {
+                blocks.iter().for_each(|&b| self.time_run(b, &v[ids.clone()], costs, pid))
+            }
+        }
     }
 
     /// A run of block-local ops on one block: each starts when the
@@ -1081,6 +1117,31 @@ impl PimChip {
     }
 }
 
+/// Blocks a group's body runs over at a time in the functional pass:
+/// few enough that the chunk's row buffers and the tiles the body
+/// touches stay in cache from one op to the next.
+const GROUP_CHUNK: usize = 16;
+
+/// Runs block-local op `op` on `b`; false, doing nothing, for any other
+/// op.
+#[inline(always)]
+fn run_local(b: &mut MemBlock, op: &FOp) -> bool {
+    let [c0, c1, c2] = op.c.map(usize::from);
+    let [r0, r1] = op.r.map(usize::from);
+    match op.kind {
+        FKind::Read => b.read_cells(r0, c0, c1),
+        FKind::Write => b.write_cells(r0, c0, c1),
+        FKind::Move => {
+            b.read_cells(r0, c0, c2);
+            b.write_cells(r1, c1, c2);
+        }
+        FKind::Broadcast => b.broadcast_cells(r0, r1, c0, c1),
+        FKind::Arith(alu) => b.arith_cells(alu, r0, r1, c0, c1, c2),
+        FKind::Block | FKind::Copy | FKind::Lut | FKind::Repeat => return false,
+    }
+    true
+}
+
 /// The bounds lowering checks on a chip of `.0` blocks.
 struct Bounds(u64);
 
@@ -1137,12 +1198,12 @@ pub struct Lowering<'a> {
 const TEMPLATE_OPS: usize = 4;
 
 /// A run of block-local ops: its instructions with the block zeroed, and
-/// the ranges of functional ops and run ids it lowered to.
+/// the functional ops and run ids it lowered to.
 #[derive(Default)]
 struct Run {
     instrs: Vec<Instr>,
-    fops: Range<usize>,
-    ids: Range<usize>,
+    fops: Vec<FOp>,
+    ids: Vec<u16>,
 }
 
 /// A block-local instruction split into its block and the instruction
@@ -1190,19 +1251,18 @@ impl Lowering<'_> {
                 // new template.
                 if let Some((start, fops, ids)) = self.started.take() {
                     if i - start >= TEMPLATE_OPS {
-                        let (fops_end, ids_end) = tape.marks();
                         let t = &mut self.template;
                         t.instrs.clear();
                         t.instrs
                             .extend(instrs[start..i].iter().filter_map(block_form).map(|(_, z)| z));
-                        (t.fops, t.ids) = (fops..fops_end, ids..ids_end);
+                        tape.copy_out((fops, ids), (&mut t.fops, &mut t.ids));
                     }
                 }
                 if let Some((block, _)) = local {
                     if self.template.repeats(&instrs[i..], block) {
                         bounds.block(block.0).map_err(at)?;
                         let t = &self.template;
-                        tape.repeat_run(block.0, t.fops.clone(), t.ids.clone());
+                        tape.repeat_run(block.0, &t.fops, &t.ids);
                         i += t.instrs.len();
                         continue;
                     }

@@ -18,9 +18,18 @@
 //! static, so the seconds and joules of every op sit in two small
 //! per-tape cost tables.
 //!
-//! Lowering costs about as much as compiling: the compilers emit one
-//! run per element on each element's block, and a run whose ops repeat
-//! the previous run's (but for the block) copies its entries instead of
+//! The compilers emit one run per element on each element's block, and
+//! consecutive elements' runs are the same ops on different blocks. A
+//! run whose entries equal the run just before it, on a block that run's
+//! *template group* does not hold yet, is not stored again: its block
+//! joins the group's block list. A group is the first run's entries in
+//! both tapes, then one `Repeat` op and step naming its [`Group`]; it
+//! never spans a transfer, a DMA, a `Lut` or a `Sync`. The grouping is
+//! a function of the stream alone, so a stream lowered in pieces gives
+//! the tape it gives lowered whole.
+//!
+//! Lowering costs about as much as compiling: a run whose ops repeat
+//! the last long run's (but for the block) copies its entries instead of
 //! lowering op by op.
 
 use std::collections::HashMap;
@@ -47,9 +56,14 @@ pub struct Tape {
     /// The `Lut` instructions, in issue order; `FKind::Lut` ops index it.
     pub(crate) luts: Vec<Instr>,
     pub(crate) steps: Vec<Step>,
-    /// One cost id per block-local op, in issue order; `Step::Run`s
-    /// consume them.
+    /// One cost id per block-local op of every `Step::Run`, in issue
+    /// order; the `Step::Run`s consume them.
     pub(crate) run_ids: RunIds,
+    /// The template groups, in issue order; `Repeat` ops and steps
+    /// index it.
+    pub(crate) groups: Vec<Group>,
+    /// The groups' repeat blocks, each group's a consecutive range.
+    pub(crate) blocks: Vec<u32>,
     pub(crate) op_costs: Vec<Cost>,
     /// Costs of transfers and DMAs, indexed by their steps.
     pub(crate) xfer_costs: Vec<Cost>,
@@ -86,6 +100,8 @@ impl Tape {
             + size_of_val(&self.luts[..])
             + size_of_val(&self.steps[..])
             + ids
+            + size_of_val(&self.groups[..])
+            + size_of_val(&self.blocks[..])
             + size_of_val(&self.op_costs[..])
             + size_of_val(&self.xfer_costs[..])
             + size_of_val(&self.routes[..])
@@ -174,6 +190,11 @@ pub(crate) enum FKind {
     Copy,
     /// Algorithm 1 for lookup [`FOp::wide`] of [`Tape::luts`].
     Lut,
+    /// The body of group [`FOp::wide`] of [`Tape::groups`] — the
+    /// functional ops right before this one, which ran on the group's
+    /// first block — on each of the group's repeat blocks. The last
+    /// becomes current.
+    Repeat,
 }
 
 impl FOp {
@@ -187,7 +208,7 @@ impl FOp {
         Self { kind, c: [c0, 0, 0], r: [x as u16, (x >> 16) as u16] }
     }
 
-    /// The 32-bit operand of `Block`, `Copy` and `Lut`.
+    /// The 32-bit operand of `Block`, `Copy`, `Lut` and `Repeat`.
     #[inline]
     pub(crate) fn wide(&self) -> usize {
         self.r[0] as usize | (self.r[1] as usize) << 16
@@ -210,6 +231,27 @@ pub(crate) enum Step {
     Dma { block: u32, cost: u32 },
     /// The barrier.
     Sync,
+    /// The `Run` step right before, with its run ids, on each repeat
+    /// block of group `group`, in order.
+    Repeat { group: u32 },
+}
+
+/// A template group: consecutive runs of the same ops on distinct
+/// blocks. The first run is stored as any run is; the group adds how
+/// many functional ops that run holds and the blocks it repeats on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Group {
+    /// The first run's functional ops, which the `Repeat` op follows.
+    pub(crate) body: u32,
+    /// The repeat blocks: `Tape::blocks[start..end]`.
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+}
+
+impl Group {
+    pub(crate) fn blocks(&self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
 }
 
 /// Cost ids of the block-local ops: one byte each while a tape has at
@@ -339,6 +381,45 @@ impl Costs {
 }
 
 impl RunIds {
+    fn len(&self) -> usize {
+        match self {
+            RunIds::Narrow(ids) => ids.len(),
+            RunIds::Wide(ids) => ids.len(),
+        }
+    }
+
+    fn truncate(&mut self, len: usize) {
+        match self {
+            RunIds::Narrow(ids) => ids.truncate(len),
+            RunIds::Wide(ids) => ids.truncate(len),
+        }
+    }
+
+    /// Whether the ids from `at` on equal those of `earlier`.
+    fn tail_equals(&self, at: usize, earlier: Range<usize>) -> bool {
+        match self {
+            RunIds::Narrow(ids) => ids[at..] == ids[earlier],
+            RunIds::Wide(ids) => ids[at..] == ids[earlier],
+        }
+    }
+
+    fn copy_out(&self, from: usize, into: &mut Vec<u16>) {
+        into.clear();
+        match self {
+            RunIds::Narrow(ids) => into.extend(ids[from..].iter().map(|&i| i as u16)),
+            RunIds::Wide(ids) => into.extend_from_slice(&ids[from..]),
+        }
+    }
+
+    fn extend(&mut self, from: &[u16]) {
+        match self {
+            RunIds::Narrow(ids) if from.iter().all(|&i| i <= u8::MAX as u16) => {
+                ids.extend(from.iter().map(|&i| i as u8))
+            }
+            _ => from.iter().for_each(|&i| self.push(i as usize)),
+        }
+    }
+
     #[inline]
     fn push(&mut self, id: usize) {
         match self {
@@ -362,14 +443,41 @@ pub(crate) struct TapeBuilder {
     luts: Vec<Instr>,
     steps: Vec<Step>,
     run_ids: RunIds,
+    groups: Vec<Group>,
+    blocks: Vec<u32>,
     costs: Costs,
     routes: Vec<u32>,
     /// Where the last route starts in `routes`.
     last_route: usize,
     /// The functional pass's current block at this point of the tape.
     current: Option<u32>,
-    /// The open run of block-local ops: its block and length so far.
-    run: Option<(u32, u32)>,
+    /// The open run of block-local ops.
+    run: Option<OpenRun>,
+    /// The last run stored, while nothing but runs that joined its group
+    /// came after it: what the next run to close is compared with.
+    last: Option<LastRun>,
+    /// The blocks of `last` and its group, one bit each.
+    members: Vec<u64>,
+}
+
+/// A run of block-local ops still being lowered.
+struct OpenRun {
+    block: u32,
+    len: u32,
+    /// Where its entries start: its `Block` op (if it has one) in the
+    /// functional tape, its first op there, its first run id.
+    mark: usize,
+    fops: usize,
+    ids: usize,
+}
+
+/// The entries of the last run stored, and the group of runs that
+/// repeat it.
+struct LastRun {
+    block: u32,
+    fops: Range<usize>,
+    ids: Range<usize>,
+    group: Option<usize>,
 }
 
 impl TapeBuilder {
@@ -382,11 +490,15 @@ impl TapeBuilder {
             luts: Vec::new(),
             steps: Vec::new(),
             run_ids: RunIds::Narrow(Vec::new()),
+            groups: Vec::new(),
+            blocks: Vec::new(),
             costs: Costs::default(),
             routes: Vec::new(),
             last_route: 0,
             current: None,
             run: None,
+            last: None,
+            members: Vec::new(),
         }
     }
 
@@ -394,10 +506,6 @@ impl TapeBuilder {
     /// returns how many came before them.
     pub(crate) fn add_piece(&mut self, len: usize, stats: &StreamStats) -> usize {
         self.stats.merge(stats);
-        self.fops.reserve(len);
-        if let RunIds::Narrow(ids) = &mut self.run_ids {
-            ids.reserve(len);
-        }
         let before = self.len;
         self.len += len;
         before
@@ -413,35 +521,102 @@ impl TapeBuilder {
 
     /// The block of the open run of block-local ops, if any.
     pub(crate) fn open_run(&self) -> Option<u32> {
-        self.run.map(|(block, _)| block)
+        self.run.as_ref().map(|run| run.block)
     }
 
     /// How many functional ops and run ids the tape holds so far.
     pub(crate) fn marks(&self) -> (usize, usize) {
-        let ids = match &self.run_ids {
-            RunIds::Narrow(ids) => ids.len(),
-            RunIds::Wide(ids) => ids.len(),
-        };
-        (self.fops.len(), ids)
+        (self.fops.len(), self.run_ids.len())
     }
 
-    /// Opens a run on `block` that repeats the ops of an earlier run:
-    /// functional ops `fops` and run ids `ids` of this tape.
-    pub(crate) fn repeat_run(&mut self, block: u32, fops: Range<usize>, ids: Range<usize>) {
-        self.close_run();
-        self.make_current(block);
-        self.fops.extend_from_within(fops);
-        self.run = Some((block, ids.len() as u32));
-        match &mut self.run_ids {
-            RunIds::Narrow(v) => v.extend_from_within(ids),
-            RunIds::Wide(v) => v.extend_from_within(ids),
+    /// Copies the functional ops from `fops` on and the run ids from
+    /// `ids` on out of the tape.
+    pub(crate) fn copy_out(
+        &self,
+        (fops, ids): (usize, usize),
+        into: (&mut Vec<FOp>, &mut Vec<u16>),
+    ) {
+        into.0.clear();
+        into.0.extend_from_slice(&self.fops[fops..]);
+        self.run_ids.copy_out(ids, into.1);
+    }
+
+    /// Opens a run on `block` of the functional ops `fops` and the run
+    /// ids `ids`, copied out of this tape before.
+    pub(crate) fn repeat_run(&mut self, block: u32, fops: &[FOp], ids: &[u16]) {
+        self.start_run(block);
+        self.fops.extend_from_slice(fops);
+        self.run_ids.extend(ids);
+        if let Some(run) = &mut self.run {
+            run.len = ids.len() as u32;
         }
     }
 
-    /// Writes the open run's step, if any.
+    /// Closes the open run and opens an empty one on `block`.
+    fn start_run(&mut self, block: u32) {
+        self.close_run();
+        let mark = self.fops.len();
+        self.make_current(block);
+        let (fops, ids) = self.marks();
+        self.run = Some(OpenRun { block, len: 0, mark, fops, ids });
+    }
+
+    /// Stores the open run, if any: as one more block of the last run's
+    /// group when its entries equal the last run's and its block is new
+    /// to the group, else as a run of its own, which the next run is
+    /// compared with.
     fn close_run(&mut self) {
-        if let Some((block, len)) = self.run.take() {
-            self.steps.push(Step::Run { block, len });
+        let Some(run) = self.run.take() else { return };
+        if let Some(last) = &mut self.last {
+            let joins = run.len as usize == last.ids.len()
+                && !bit(&self.members, run.block)
+                && self.run_ids.tail_equals(run.ids, last.ids.clone())
+                && self.fops[run.fops..] == self.fops[last.fops.clone()];
+            if joins {
+                self.fops.truncate(run.mark);
+                self.run_ids.truncate(run.ids);
+                let g = match last.group {
+                    Some(g) => g,
+                    None => {
+                        let g = self.groups.len();
+                        let start = self.blocks.len() as u32;
+                        self.groups.push(Group { body: last.fops.len() as u32, start, end: start });
+                        self.fops.push(FOp::with_wide(FKind::Repeat, 0, g as u32));
+                        self.steps.push(Step::Repeat { group: g as u32 });
+                        *last.group.insert(g)
+                    }
+                };
+                self.groups[g].end += 1;
+                self.blocks.push(run.block);
+                set_bit(&mut self.members, run.block, true);
+                return;
+            }
+        }
+        self.steps.push(Step::Run { block: run.block, len: run.len });
+        self.end_group();
+        set_bit(&mut self.members, run.block, true);
+        self.last = Some(LastRun {
+            block: run.block,
+            fops: run.fops..self.fops.len(),
+            ids: run.ids..self.run_ids.len(),
+            group: None,
+        });
+    }
+
+    /// Closes the open run and its group: the next run starts afresh.
+    fn end_runs(&mut self) {
+        self.close_run();
+        self.end_group();
+    }
+
+    fn end_group(&mut self) {
+        if let Some(last) = self.last.take() {
+            set_bit(&mut self.members, last.block, false);
+            if let Some(g) = last.group {
+                for &block in &self.blocks[self.groups[g].blocks()] {
+                    set_bit(&mut self.members, block, false);
+                }
+            }
         }
     }
 
@@ -452,19 +627,15 @@ impl TapeBuilder {
     /// `block`; a new run selects it.
     #[inline]
     fn extend_run(&mut self, block: u32, key: usize, cost: impl FnOnce() -> Cost) -> bool {
-        self.run_ids.push(self.costs.op_id(key, cost));
-        match &mut self.run {
-            Some((b, len)) if *b == block => {
-                *len += 1;
-                true
-            }
-            _ => {
-                self.close_run();
-                self.run = Some((block, 1));
-                self.make_current(block);
-                false
-            }
+        let continued = self.open_run() == Some(block);
+        if !continued {
+            self.start_run(block);
         }
+        self.run_ids.push(self.costs.op_id(key, cost));
+        if let Some(run) = &mut self.run {
+            run.len += 1;
+        }
+        continued
     }
 
     #[inline]
@@ -532,7 +703,7 @@ impl TapeBuilder {
         slots: &[u32],
         cost: (f64, f64),
     ) {
-        self.close_run();
+        self.end_runs();
         self.make_current(src);
         let moved = (words as usize).min(WORDS_PER_ROW) as u8;
         self.fops.push(FOp::with_wide(FKind::Copy, moved, dst));
@@ -548,7 +719,7 @@ impl TapeBuilder {
         slots: &[u32],
         cost: (f64, f64),
     ) {
-        self.close_run();
+        self.end_runs();
         self.fops.push(FOp::with_wide(FKind::Lut, 0, self.luts.len() as u32));
         self.luts.push(instr);
         let (cost, rerouted) = self.transfer(1, slots, cost);
@@ -556,7 +727,7 @@ impl TapeBuilder {
     }
 
     pub(crate) fn dma(&mut self, block: u32, bytes: u32) {
-        self.close_run();
+        self.end_runs();
         let bytes = bytes as u64;
         let cost = self
             .costs
@@ -565,17 +736,19 @@ impl TapeBuilder {
     }
 
     pub(crate) fn sync(&mut self) {
-        self.close_run();
+        self.end_runs();
         self.steps.push(Step::Sync);
     }
 
     pub(crate) fn finish(mut self) -> Tape {
         self.close_run();
-        let (mut fops, mut steps, mut routes, mut run_ids) =
-            (self.fops, self.steps, self.routes, self.run_ids);
+        let (mut fops, mut steps, mut routes, mut run_ids, mut groups, mut blocks) =
+            (self.fops, self.steps, self.routes, self.run_ids, self.groups, self.blocks);
         fops.shrink_to_fit();
         steps.shrink_to_fit();
         routes.shrink_to_fit();
+        groups.shrink_to_fit();
+        blocks.shrink_to_fit();
         match &mut run_ids {
             RunIds::Narrow(ids) => ids.shrink_to_fit(),
             RunIds::Wide(ids) => ids.shrink_to_fit(),
@@ -588,9 +761,29 @@ impl TapeBuilder {
             luts: self.luts,
             steps,
             run_ids,
+            groups,
+            blocks,
             op_costs: self.costs.ops,
             xfer_costs: self.costs.xfers,
             routes,
         }
+    }
+}
+
+/// Bit `block` of a growable bit set.
+fn bit(set: &[u64], block: u32) -> bool {
+    set.get(block as usize / 64).is_some_and(|word| word >> (block % 64) & 1 != 0)
+}
+
+fn set_bit(set: &mut Vec<u64>, block: u32, on: bool) {
+    let word = block as usize / 64;
+    if word >= set.len() {
+        set.resize(word + 1, 0);
+    }
+    let mask = 1 << (block % 64);
+    if on {
+        set[word] |= mask;
+    } else {
+        set[word] &= !mask;
     }
 }

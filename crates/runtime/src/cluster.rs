@@ -409,6 +409,9 @@ fn record_fence_wait(
     );
 }
 
+/// The `kernel` labels of the `cluster_chip_tape_bytes` gauge.
+pub const TAPE_KERNELS: [&str; 5] = ["Halo", "Volume", "Flux", "Integration", "Math"];
+
 /// One chip's kernel programs, compiled once at construction, lowered
 /// for the chip, and replayed every step (the compile-once program
 /// cache). The mesh topology, shard placement, and kernel structure are
@@ -495,6 +498,20 @@ impl ChipPrograms {
             h = pim_isa::fnv1a(h, p.key());
         }
         h
+    }
+
+    /// Heap bytes of each kernel's tapes, labelled as in
+    /// [`TAPE_KERNELS`]: both halo tapes, then Volume, Flux, every
+    /// Integration stage's and the math tape.
+    fn tape_bytes(&self) -> [(&'static str, usize); 5] {
+        let [halo, volume, flux, integration, math] = TAPE_KERNELS;
+        [
+            (halo, self.halo_store.heap_bytes() + self.halo_load.heap_bytes()),
+            (volume, self.volume.heap_bytes()),
+            (flux, self.flux.heap_bytes()),
+            (integration, self.integration.heap_bytes()),
+            (math, self.math.as_ref().map_or(0, Tape::heap_bytes)),
+        ]
     }
 
     /// Cached instructions across all kernels (one Integration variant).
@@ -1258,15 +1275,23 @@ impl<K: ElementKernels> ClusterRunner<K> {
     /// Per-chip occupancy gauges published at the end of every step:
     /// latest simulated wall-clock, aggregate block-busy time, and
     /// block capacity — everything the capacity-idle share
-    /// `1 - block_busy / (num_blocks * elapsed)` needs, measured.
+    /// `1 - block_busy / (num_blocks * elapsed)` needs, measured — and
+    /// the heap bytes of each kernel's tapes.
     fn publish_step_gauges(&self) {
         if let Some(reg) = &self.metrics {
             reg.counter("cluster_steps_total", &[]).inc();
-            for (c, chip) in self.chips.iter().enumerate() {
+            for (c, (chip, programs)) in self.chips.iter().zip(&self.programs).enumerate() {
                 let c = c.to_string();
                 let labels = [("chip", c.as_str())];
                 reg.gauge("cluster_chip_num_blocks", &labels)
                     .set(chip.config().capacity.num_blocks() as f64);
+                for (kernel, bytes) in programs.tape_bytes() {
+                    reg.gauge(
+                        "cluster_chip_tape_bytes",
+                        &[("chip", c.as_str()), ("kernel", kernel)],
+                    )
+                    .set(bytes as f64);
+                }
                 reg.gauge("cluster_chip_elapsed_seconds", &labels)
                     .set(chip.elapsed().max(chip.offchip_time()));
                 reg.gauge("cluster_chip_block_busy_seconds", &labels)
@@ -1371,7 +1396,8 @@ mod tests {
 
     /// The runner keeps tapes instead of streams so the program cache
     /// shrinks: a kernel's tape takes fewer bytes than its stream's
-    /// 16-byte instructions.
+    /// 16-byte instructions, and Volume — one template group —
+    /// under a quarter of them.
     #[test]
     fn tapes_take_less_memory_than_their_streams() {
         let mesh = HexMesh::refinement_level(2, Boundary::Periodic);
@@ -1388,9 +1414,9 @@ mod tests {
         );
         let stream_bytes = |t: &Tape| t.len() * std::mem::size_of::<pim_isa::Instr>();
         for prog in &r.programs {
-            for tape in [&prog.volume, &prog.flux] {
+            for (tape, share) in [(&prog.volume, 0.25), (&prog.flux, 1.0)] {
                 assert!(
-                    tape.heap_bytes() < stream_bytes(tape),
+                    (tape.heap_bytes() as f64) < share * stream_bytes(tape) as f64,
                     "{} tape bytes for a {}-byte stream",
                     tape.heap_bytes(),
                     stream_bytes(tape)

@@ -25,7 +25,7 @@ use pim_sim::{ChipConfig, PimChip, Tape};
 use wavesim_dg::{Lsrk5, State};
 
 use crate::mapping::{ElementKernels, Mapping};
-use crate::program_cache::StageProgram;
+use crate::program_cache::{KernelParts, StageProgram};
 
 /// One batch's kernel programs, compiled once against that batch's
 /// (deterministic) slot map, lowered, and replayed every pass. The
@@ -181,24 +181,24 @@ impl<K: ElementKernels> BatchedRunner<K> {
     }
 
     /// The compile-once program cache: each batch's maps are a pure
-    /// function of the partition, so every kernel stream of every pass
-    /// is known before the time loop. Each is lowered for `chip` as soon
-    /// as it is compiled.
+    /// function of the partition, so every kernel of every pass is known
+    /// before the time loop. Each is lowered for `chip` as soon as it is
+    /// compiled.
     fn compile(&mut self, chip: &PimChip) -> Vec<BatchPrograms> {
-        let lower = |s: &_| chip.lower(s).expect("compiled streams are well-formed");
+        let lower = |k: &KernelParts| k.lower(chip).expect("compiled streams are well-formed");
         (0..self.num_batches())
             .map(|b| {
                 let (residents, _) = self.install_map(b, false);
-                let volume = lower(&self.mapping.compile_volume_for(&residents));
+                let volume = lower(&self.mapping.volume_parts(&residents));
                 let integration = StageProgram::new(
                     (0..Lsrk5::STAGES)
-                        .map(|s| self.mapping.compile_integration_for(&residents, s))
+                        .map(|s| self.mapping.integration_parts(&residents, s))
                         .collect(),
                     lower,
                 );
                 let (residents, _) = self.install_map(b, true);
-                let lut = lower(&self.mapping.compile_lut_setup_for(&residents));
-                let flux = lower(&self.mapping.compile_flux_for(&residents));
+                let lut = lower(&self.mapping.compile_lut_setup_for(&residents).into());
+                let flux = lower(&self.mapping.flux_parts(&residents));
                 BatchPrograms { volume, lut, flux, integration }
             })
             .collect()

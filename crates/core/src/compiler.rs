@@ -34,7 +34,7 @@ use wavesim_dg::{AcousticMaterial, FluxKind};
 use wavesim_mesh::{ElemId, Face, Neighbor};
 
 use crate::layout::AcousticLayout as L;
-use crate::mapping::{ElementKernels, Mapping, VarSlot};
+use crate::mapping::{ElemBlocks, ElementKernels, Mapping, VarSlot};
 
 /// Staging-row columns for host-precomputed element-wide constants
 /// (the shared ones are in [`crate::mapping::staging`]).
@@ -195,8 +195,8 @@ impl ElementKernels for NaiveAcoustic {
 
     /// The Fig. 5 left timeline: grad p → velocity contributions, then
     /// div v → pressure contribution (the native kernel's loop order).
-    fn emit_volume(m: &AcousticMapping, s: &mut InstrStream, elem: usize) {
-        let block = m.block_of(elem);
+    fn emit_volume(m: &AcousticMapping, s: &mut InstrStream, b: ElemBlocks) {
+        let block = b.at(0);
         let (c0, c1) = (L::const_col(0), L::const_col(1));
         m.bc(s, block, staging::NEG_KAPPA_J, c0);
         m.bc(s, block, staging::NEG_INV_RHO_J, c1);
@@ -220,8 +220,8 @@ impl ElementKernels for NaiveAcoustic {
     /// and 1/ρ live in the gather columns (free during Flux); the
     /// per-face interface constants rotate through the bank inside
     /// [`Self::emit_face_flux`].
-    fn emit_flux_prologue(m: &AcousticMapping, s: &mut InstrStream, elem: usize) {
-        let block = m.block_of(elem);
+    fn emit_flux_prologue(m: &AcousticMapping, s: &mut InstrStream, b: ElemBlocks) {
+        let block = b.at(0);
         match m.flux_kind() {
             FluxKind::Riemann => {
                 m.bc(s, block, staging::Z, L::COEFF);
@@ -278,9 +278,9 @@ impl ElementKernels for NaiveAcoustic {
 
     /// The row-parallel flux evaluation for one face, masked into the
     /// contributions. Mirrors `Acoustic::face_flux` + lift term for term.
-    fn emit_face_flux(m: &AcousticMapping, s: &mut InstrStream, elem: usize, face: Face) {
+    fn emit_face_flux(m: &AcousticMapping, s: &mut InstrStream, b: ElemBlocks, face: Face) {
         use acoustic_vars::{P, VX};
-        let block = m.block_of(elem);
+        let block = b.at(0);
         let axis = face.axis().index();
         let plus = face.is_plus();
         let f = face.code();

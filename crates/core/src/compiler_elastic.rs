@@ -38,7 +38,7 @@ use wavesim_dg::{ElasticMaterial, FluxKind};
 use wavesim_mesh::{ElemId, Face, Neighbor};
 
 use crate::layout::{ElasticBlockLayout as L, ElasticRole};
-use crate::mapping::{ElementKernels, Mapping, VarSlot};
+use crate::mapping::{ElemBlocks, ElementKernels, Mapping, VarSlot};
 
 /// Element-wide staging-row columns (the shared ones are in
 /// [`crate::mapping::staging`]).
@@ -108,13 +108,18 @@ impl ElasticMapping {
     /// The block of `role` for element `e` (four consecutive blocks per
     /// element, so the quartet shares its lowest H-tree switch).
     pub fn block_of(&self, e: usize, role: ElasticRole) -> BlockId {
-        self.block(e, role.offset() as u32)
+        role_block(self.blocks(e), role)
     }
 
     /// Distinct material pairs in the LUT.
     pub fn num_material_pairs(&self) -> usize {
         self.num_pairs()
     }
+}
+
+/// The block of `role` of the element on blocks `b`.
+fn role_block(b: ElemBlocks, role: ElasticRole) -> BlockId {
+    b.at(role.offset() as u32)
 }
 
 impl ElementKernels for RowExpandedElastic {
@@ -194,10 +199,10 @@ impl ElementKernels for RowExpandedElastic {
 
     /// The four-block Volume kernel: the velocity block assembles the
     /// stress contributions, the stress blocks ship velocity partials back.
-    fn emit_volume(m: &ElasticMapping, s: &mut InstrStream, e: usize) {
-        let vb = m.block_of(e, ElasticRole::Velocity);
-        let db = m.block_of(e, ElasticRole::DiagStress);
-        let sb = m.block_of(e, ElasticRole::ShearStress);
+    fn emit_volume(m: &ElasticMapping, s: &mut InstrStream, b: ElemBlocks) {
+        let vb = role_block(b, ElasticRole::Velocity);
+        let db = role_block(b, ElasticRole::DiagStress);
+        let sb = role_block(b, ElasticRole::ShearStress);
         let all_rows: Vec<usize> = (0..m.nodes()).collect();
         let (c0, c1, c2) = (L::const_col(0), L::const_col(1), L::const_col(2));
         let s0 = L::scratch_col(0);
@@ -275,9 +280,9 @@ impl ElementKernels for RowExpandedElastic {
     }
 
     /// Kernel-wide constants in the gather columns (free during Flux).
-    fn emit_flux_prologue(m: &ElasticMapping, s: &mut InstrStream, e: usize) {
-        let vb = m.block_of(e, ElasticRole::Velocity);
-        let sb = m.block_of(e, ElasticRole::ShearStress);
+    fn emit_flux_prologue(m: &ElasticMapping, s: &mut InstrStream, b: ElemBlocks) {
+        let vb = role_block(b, ElasticRole::Velocity);
+        let sb = role_block(b, ElasticRole::ShearStress);
         m.bc(s, vb, estaging::INVRHO, L::COEFF);
         m.bc(s, vb, estaging::LIFT, L::VALUE);
         m.bc(s, sb, estaging::MU, L::COEFF);
@@ -368,10 +373,10 @@ impl ElementKernels for RowExpandedElastic {
     /// The per-face flux computation: normal part in the diagonal block,
     /// tangential parts in the shear block, velocity updates in the
     /// velocity block.
-    fn emit_face_flux(m: &ElasticMapping, s: &mut InstrStream, e: usize, face: Face) {
-        let vb = m.block_of(e, ElasticRole::Velocity);
-        let db = m.block_of(e, ElasticRole::DiagStress);
-        let sb = m.block_of(e, ElasticRole::ShearStress);
+    fn emit_face_flux(m: &ElasticMapping, s: &mut InstrStream, b: ElemBlocks, face: Face) {
+        let vb = role_block(b, ElasticRole::Velocity);
+        let db = role_block(b, ElasticRole::DiagStress);
+        let sb = role_block(b, ElasticRole::ShearStress);
         let axis = face.axis().index();
         let plus = face.is_plus();
         let f = face.code();

@@ -34,7 +34,7 @@ use wavesim_dg::{AcousticMaterial, FluxKind};
 use wavesim_mesh::{ElemId, Face, Neighbor};
 
 use crate::compiler::{acoustic_site_params, impedance_lut_entries};
-use crate::mapping::{ElementKernels, Mapping, VarSlot};
+use crate::mapping::{ElemBlocks, ElementKernels, Mapping, VarSlot};
 
 /// Column map of the pressure (buffer) block.
 mod pcol {
@@ -97,9 +97,14 @@ impl ExpandedAcousticMapping {
 
     /// The velocity block of axis `a` (0..3) of element `e`.
     pub fn v_block(&self, e: usize, a: usize) -> BlockId {
-        assert!(a < 3);
-        self.block(e, 1 + a as u32)
+        v_block(self.blocks(e), a)
     }
+}
+
+/// The velocity block of axis `a` (0..3) of the element on blocks `b`.
+fn v_block(b: ElemBlocks, a: usize) -> BlockId {
+    assert!(a < 3);
+    b.at(1 + a as u32)
 }
 
 const fn velocity_slot(a: u32) -> VarSlot {
@@ -179,20 +184,20 @@ impl ElementKernels for ExpandedAcoustic {
 
     /// The Fig. 8 Volume: duplicate p, per-axis local work, div_v
     /// exchange and reduction.
-    fn emit_volume(m: &ExpandedAcousticMapping, s: &mut InstrStream, e: usize) {
-        let pb = m.p_block(e);
+    fn emit_volume(m: &ExpandedAcousticMapping, s: &mut InstrStream, b: ElemBlocks) {
+        let pb = b.at(0);
         let all_rows: Vec<usize> = (0..m.nodes()).collect();
         let (c0, c1) = (vcol::CONST, vcol::CONST + 1);
         let s0 = vcol::SCRATCH;
 
         // Data duplication: fresh p into every velocity block.
         for a in 0..3 {
-            m.ship_column(s, pb, pcol::P, m.v_block(e, a), vcol::P_COPY, &all_rows);
+            m.ship_column(s, pb, pcol::P, v_block(b, a), vcol::P_COPY, &all_rows);
         }
         // Per-axis local volume work (these three blocks now proceed
         // independently — the parallelism the expansion buys).
         for a in 0..3 {
-            let vb = m.v_block(e, a);
+            let vb = v_block(b, a);
             m.bc(s, vb, xstaging::NEG_KAPPA_J, c0);
             m.bc(s, vb, xstaging::NEG_INV_RHO_J, c1);
             // grad_p[a] → own velocity contribution (fully local).
@@ -210,9 +215,9 @@ impl ElementKernels for ExpandedAcoustic {
 
     /// Clears each axis block's pressure partial and broadcasts `1/ρ`
     /// into its gather column (free during Flux).
-    fn emit_flux_prologue(m: &ExpandedAcousticMapping, s: &mut InstrStream, e: usize) {
+    fn emit_flux_prologue(m: &ExpandedAcousticMapping, s: &mut InstrStream, b: ElemBlocks) {
         for a in 0..3 {
-            let vb = m.v_block(e, a);
+            let vb = v_block(b, a);
             m.zero(s, vb, vcol::FLUX_PARTIAL);
             m.bc(s, vb, xstaging::INV_RHO, vcol::COEFF);
         }
@@ -286,8 +291,8 @@ impl ElementKernels for ExpandedAcoustic {
 
     /// Row-parallel flux in the face's axis block (the one-block
     /// mapping's sequence with remapped columns).
-    fn emit_face_flux(m: &ExpandedAcousticMapping, s: &mut InstrStream, e: usize, face: Face) {
-        let vb = m.v_block(e, face.axis().index());
+    fn emit_face_flux(m: &ExpandedAcousticMapping, s: &mut InstrStream, b: ElemBlocks, face: Face) {
+        let vb = v_block(b, face.axis().index());
         let (f, plus) = (face.code(), face.is_plus());
         let mask = vcol::MASK + f;
         let (s0, s1, s2, s3) =
@@ -347,18 +352,11 @@ impl ElementKernels for ExpandedAcoustic {
     }
 
     /// Pressure partial reduction across the axis blocks.
-    fn emit_flux_epilogue(m: &ExpandedAcousticMapping, s: &mut InstrStream, e: usize) {
-        let pb = m.p_block(e);
+    fn emit_flux_epilogue(m: &ExpandedAcousticMapping, s: &mut InstrStream, b: ElemBlocks) {
+        let pb = b.at(0);
         let all_rows: Vec<usize> = (0..m.nodes()).collect();
         for a in 0..3 {
-            m.ship_column(
-                s,
-                m.v_block(e, a),
-                vcol::FLUX_PARTIAL,
-                pb,
-                pcol::INCOMING + a,
-                &all_rows,
-            );
+            m.ship_column(s, v_block(b, a), vcol::FLUX_PARTIAL, pb, pcol::INCOMING + a, &all_rows);
         }
         for a in 0..3 {
             m.arith(s, pb, AluOp::Add, pcol::CONTRIB, pcol::CONTRIB, pcol::INCOMING + a);

@@ -3,11 +3,23 @@
 //! The paper's three mappings — naive acoustic (`N`, Fig. 5), expanded
 //! acoustic (`E_p`, Fig. 8) and row-expanded elastic (`E_r`, Fig. 9) —
 //! follow one discipline: place an element's blocks, stage its
-//! constants, and compile Volume / Flux / Integration per element.
-//! [`Mapping`] holds that discipline once. An [`ElementKernels`]
-//! implementation supplies only what differs per mapping: the blocks per
-//! element and the column of each variable, the staged constants, the
-//! LUT pair key and entries, and the per-element kernel emitters.
+//! constants, and compile Volume / Flux / Integration for the elements a
+//! chip holds. [`Mapping`] holds that discipline once. An
+//! [`ElementKernels`] implementation supplies only what differs per
+//! mapping: the blocks per element and the column of each variable, the
+//! staged constants, the LUT pair key and entries, and the kernel
+//! emitters.
+//!
+//! **Kernels.** Each kernel compiles to [`KernelParts`]. The uniform
+//! emitters take an element's [`ElemBlocks`], not its index: what they
+//! emit depends on nothing else. A one-block element's uniform phase
+//! (Volume, the flux prologue and epilogue, each face's flux evaluation,
+//! Integration) is one run of block-local ops on its block, so it is
+//! emitted once and repeated over the shard's block set. What names
+//! other elements or moves data between blocks — ghost fetches, the
+//! on-PIM math, halo DMAs, LUT set-up, and every phase of a multi-block
+//! element — is emitted element by element. `compile_*_for` returns the
+//! expansion of the same parts.
 //!
 //! **Placement.** Element `e` occupies the [`ElementKernels::BLOCKS`]
 //! consecutive blocks starting at `slot(e) × BLOCKS` (a four-block
@@ -32,6 +44,8 @@ use wavesim_mesh::{ElemId, Face, HexMesh, Neighbor};
 use wavesim_numerics::gll::GllRule;
 use wavesim_numerics::lagrange::DiffMatrix;
 use wavesim_numerics::tensor::{node_coords, node_index};
+
+use crate::program_cache::KernelParts;
 
 /// First constants-storage row: rows below hold one node each.
 const CONST_ROWS: usize = 512;
@@ -64,6 +78,18 @@ pub struct VarSlot {
     pub aux: usize,
     /// Contribution (right-hand side) column.
     pub contrib: usize,
+}
+
+/// The blocks of one element: [`ElementKernels::BLOCKS`] consecutive
+/// blocks, each named by its offset ([`Self::at`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ElemBlocks(u32);
+
+impl ElemBlocks {
+    /// Block `offset` of the element.
+    pub fn at(self, offset: u32) -> BlockId {
+        BlockId(self.0 + offset)
+    }
 }
 
 /// What one element mapping supplies to the [`Mapping`] core. Every
@@ -129,20 +155,22 @@ pub trait ElementKernels: Sized + Clone {
     /// The op-site summary the math placement cost model prices.
     fn math_site_params(m: &Mapping<Self>, elems: &[usize]) -> SiteParams;
 
-    /// The Volume kernel of one element.
-    fn emit_volume(m: &Mapping<Self>, s: &mut InstrStream, e: usize);
+    /// The Volume kernel of the element on blocks `b`.
+    fn emit_volume(m: &Mapping<Self>, s: &mut InstrStream, b: ElemBlocks);
 
-    /// Flux set-up of one element, before its first face.
-    fn emit_flux_prologue(m: &Mapping<Self>, s: &mut InstrStream, e: usize);
+    /// Flux set-up of the element on blocks `b`, before its first face.
+    fn emit_flux_prologue(m: &Mapping<Self>, s: &mut InstrStream, b: ElemBlocks);
 
-    /// Lands the neighbor's trace across `face` (or the wall mirror).
+    /// Lands element `e`'s neighbor's trace across `face` (or the wall
+    /// mirror).
     fn emit_ghost_fetch(m: &Mapping<Self>, s: &mut InstrStream, e: usize, face: Face);
 
-    /// The flux evaluation of one face, folded into the contributions.
-    fn emit_face_flux(m: &Mapping<Self>, s: &mut InstrStream, e: usize, face: Face);
+    /// The flux evaluation of one face of the element on blocks `b`,
+    /// folded into the contributions.
+    fn emit_face_flux(m: &Mapping<Self>, s: &mut InstrStream, b: ElemBlocks, face: Face);
 
-    /// Flux wrap-up of one element, after its last face.
-    fn emit_flux_epilogue(_m: &Mapping<Self>, _s: &mut InstrStream, _e: usize) {}
+    /// Flux wrap-up of the element on blocks `b`, after its last face.
+    fn emit_flux_epilogue(_m: &Mapping<Self>, _s: &mut InstrStream, _b: ElemBlocks) {}
 
     /// One-time on-PIM math setup of one element (only with
     /// [`Self::ONPIM_MATH`]).
@@ -270,9 +298,14 @@ impl<K: ElementKernels> Mapping<K> {
 
     // ---- placement ----
 
+    /// The blocks of element `e`.
+    pub fn blocks(&self, e: usize) -> ElemBlocks {
+        ElemBlocks(self.slots[e] * K::BLOCKS)
+    }
+
     /// Block `offset` of element `e`.
     pub fn block(&self, e: usize, offset: u32) -> BlockId {
-        BlockId(self.slots[e] * K::BLOCKS + offset)
+        self.blocks(e).at(offset)
     }
 
     /// The blocks of element `e` that hold state variables — what the
@@ -662,24 +695,39 @@ impl<K: ElementKernels> Mapping<K> {
         s
     }
 
-    /// Emits the Flux kernel for one element: per face, the neighbor
-    /// trace fetch and the flux update.
-    fn emit_flux(&self, s: &mut InstrStream, e: usize) {
-        K::emit_flux_prologue(self, s, e);
-        for face in Face::ALL {
-            K::emit_ghost_fetch(self, s, e, face);
-            K::emit_face_flux(self, s, e, face);
+    /// Emits one uniform kernel phase for `elems` into `k`; `emit` writes
+    /// the phase of the element on the blocks it is given. A one-block
+    /// element's phase is one run of block-local ops on its block, so it
+    /// is emitted once, on the first element's block, and repeated over
+    /// the block set. A multi-block element's phases move data between
+    /// its blocks, so each element's is emitted in turn.
+    fn each_element(
+        &self,
+        k: &mut KernelParts,
+        elems: &[usize],
+        emit: impl Fn(&mut InstrStream, ElemBlocks),
+    ) {
+        if K::BLOCKS == 1 {
+            let Some(&first) = elems.first() else { return };
+            let mut run = InstrStream::new();
+            emit(&mut run, self.blocks(first));
+            k.repeat(run, elems.iter().map(|&e| self.block(e, 0)).collect());
+        } else {
+            let s = k.stream();
+            for &e in elems {
+                emit(s, self.blocks(e));
+            }
         }
-        K::emit_flux_epilogue(self, s, e);
     }
 
-    /// Emits the Integration kernel (LSRK stage `stage`) for one element:
-    /// each block updates its own variables ("there is no inter-block
-    /// data dependency", §6.2.1) with broadcast `A`, `B`, `dt`.
-    fn emit_integration(&self, s: &mut InstrStream, e: usize, stage: usize) {
+    /// Emits the Integration kernel (LSRK stage `stage`) of the element
+    /// on blocks `b`: each block updates its own variables ("there is no
+    /// inter-block data dependency", §6.2.1) with broadcast `A`, `B`,
+    /// `dt`.
+    fn emit_integration(&self, s: &mut InstrStream, b: ElemBlocks, stage: usize) {
         let (a_col, b_col, dt_col, t) = (K::CONST, K::CONST + 1, K::CONST + 2, K::SCRATCH);
         for (offset, _) in var_offsets::<K>() {
-            let block = self.block(e, offset);
+            let block = b.at(offset);
             self.bc(s, block, staging::A0 + stage, a_col);
             self.bc(s, block, staging::B0 + stage, b_col);
             self.bc(s, block, staging::DT, dt_col);
@@ -695,40 +743,42 @@ impl<K: ElementKernels> Mapping<K> {
     }
 
     /// Volume kernel for a subset of elements.
-    pub fn compile_volume_for(&self, elems: &[usize]) -> InstrStream {
-        collect(|sink| self.compile_volume_into(elems, sink))
+    pub fn volume_parts(&self, elems: &[usize]) -> KernelParts {
+        let mut k = KernelParts::default();
+        self.each_element(&mut k, elems, |s, b| K::emit_volume(self, s, b));
+        k.push(Instr::Sync);
+        k
     }
 
-    /// [`Self::compile_volume_for`] handed to `sink` in consecutive
-    /// pieces, so a consumer (the chip's lowering) never holds the whole
-    /// stream.
-    pub fn compile_volume_into(&self, elems: &[usize], sink: &mut PieceSink) {
-        let mut p = Pieces::new(sink);
-        for &e in elems {
-            K::emit_volume(self, &mut p.buf, e);
-            p.handoff();
-        }
-        p.buf.push(Instr::Sync);
-        p.finish();
+    /// [`Self::volume_parts`] expanded.
+    pub fn compile_volume_for(&self, elems: &[usize]) -> InstrStream {
+        self.volume_parts(elems).expand()
     }
 
     /// Flux kernel for a subset, element by element (the neighbors'
     /// blocks must hold pre-stage variables — the batched runner loads the
-    /// boundary slices of §6.1.2 alongside).
-    pub fn compile_flux_for(&self, elems: &[usize]) -> InstrStream {
-        collect(|sink| self.compile_flux_into(elems, sink))
+    /// boundary slices of §6.1.2 alongside): per element, the prologue,
+    /// then per face the neighbor trace fetch and the flux update, then
+    /// the epilogue.
+    pub fn flux_parts(&self, elems: &[usize]) -> KernelParts {
+        let mut k = KernelParts::default();
+        let s = k.stream();
+        for &e in elems {
+            let b = self.blocks(e);
+            K::emit_flux_prologue(self, s, b);
+            for face in Face::ALL {
+                K::emit_ghost_fetch(self, s, e, face);
+                K::emit_face_flux(self, s, b, face);
+            }
+            K::emit_flux_epilogue(self, s, b);
+        }
+        s.push(Instr::Sync);
+        k
     }
 
-    /// [`Self::compile_flux_for`] in pieces (see
-    /// [`Self::compile_volume_into`]).
-    pub fn compile_flux_into(&self, elems: &[usize], sink: &mut PieceSink) {
-        let mut p = Pieces::new(sink);
-        for &e in elems {
-            self.emit_flux(&mut p.buf, e);
-            p.handoff();
-        }
-        p.buf.push(Instr::Sync);
-        p.finish();
+    /// [`Self::flux_parts`] expanded.
+    pub fn compile_flux_for(&self, elems: &[usize]) -> InstrStream {
+        self.flux_parts(elems).expand()
     }
 
     /// Flux kernel for a subset with the §6.3 *phased* schedule: for each
@@ -738,63 +788,55 @@ impl<K: ElementKernels> Mapping<K> {
     /// realization of "the neighboring-element data fetching in Flux and
     /// the computation … can be processed in parallel" and the
     /// ±-direction split of Fig. 10. Per element the operations are those
-    /// of [`Self::compile_flux_for`], so the numerics are identical.
-    pub fn compile_flux_phased_for(&self, elems: &[usize]) -> InstrStream {
-        collect(|sink| self.compile_flux_phased_into(elems, sink))
+    /// of [`Self::flux_parts`], so the numerics are identical.
+    pub fn flux_phased_parts(&self, elems: &[usize]) -> KernelParts {
+        let mut k = KernelParts::default();
+        self.each_element(&mut k, elems, |s, b| K::emit_flux_prologue(self, s, b));
+        for face in Face::ALL {
+            let s = k.stream();
+            for &e in elems {
+                K::emit_ghost_fetch(self, s, e, face);
+            }
+            s.push(Instr::Sync);
+            self.each_element(&mut k, elems, |s, b| K::emit_face_flux(self, s, b, face));
+            k.push(Instr::Sync);
+        }
+        self.each_element(&mut k, elems, |s, b| K::emit_flux_epilogue(self, s, b));
+        k
     }
 
-    /// [`Self::compile_flux_phased_for`] in pieces (see
-    /// [`Self::compile_volume_into`]).
-    pub fn compile_flux_phased_into(&self, elems: &[usize], sink: &mut PieceSink) {
-        let mut p = Pieces::new(sink);
-        for &e in elems {
-            K::emit_flux_prologue(self, &mut p.buf, e);
-            p.handoff();
-        }
-        for face in Face::ALL {
-            for &e in elems {
-                K::emit_ghost_fetch(self, &mut p.buf, e, face);
-                p.handoff();
-            }
-            p.buf.push(Instr::Sync);
-            for &e in elems {
-                K::emit_face_flux(self, &mut p.buf, e, face);
-                p.handoff();
-            }
-            p.buf.push(Instr::Sync);
-        }
-        for &e in elems {
-            K::emit_flux_epilogue(self, &mut p.buf, e);
-            p.handoff();
-        }
-        p.finish();
+    /// [`Self::flux_phased_parts`] expanded.
+    pub fn compile_flux_phased_for(&self, elems: &[usize]) -> InstrStream {
+        self.flux_phased_parts(elems).expand()
     }
 
     /// Flux for a subset as the runners issue it: phased when the mapping
     /// opts in ([`ElementKernels::PHASED_FLUX`]), element by element
     /// otherwise.
-    pub fn compile_flux_schedule_for(&self, elems: &[usize]) -> InstrStream {
-        collect(|sink| self.compile_flux_schedule_into(elems, sink))
+    pub fn flux_schedule_parts(&self, elems: &[usize]) -> KernelParts {
+        if K::PHASED_FLUX {
+            self.flux_phased_parts(elems)
+        } else {
+            self.flux_parts(elems)
+        }
     }
 
-    /// [`Self::compile_flux_schedule_for`] in pieces (see
-    /// [`Self::compile_volume_into`]).
-    pub fn compile_flux_schedule_into(&self, elems: &[usize], sink: &mut PieceSink) {
-        if K::PHASED_FLUX {
-            self.compile_flux_phased_into(elems, sink)
-        } else {
-            self.compile_flux_into(elems, sink)
-        }
+    /// [`Self::flux_schedule_parts`] expanded.
+    pub fn compile_flux_schedule_for(&self, elems: &[usize]) -> InstrStream {
+        self.flux_schedule_parts(elems).expand()
     }
 
     /// Integration kernel (LSRK stage `stage`) for a subset of elements.
+    pub fn integration_parts(&self, elems: &[usize], stage: usize) -> KernelParts {
+        let mut k = KernelParts::default();
+        self.each_element(&mut k, elems, |s, b| self.emit_integration(s, b, stage));
+        k.push(Instr::Sync);
+        k
+    }
+
+    /// [`Self::integration_parts`] expanded.
     pub fn compile_integration_for(&self, elems: &[usize], stage: usize) -> InstrStream {
-        let mut s = InstrStream::new();
-        for &e in elems {
-            self.emit_integration(&mut s, e, stage);
-        }
-        s.push(Instr::Sync);
-        s
+        self.integration_parts(elems, stage).expand()
     }
 
     /// Compiles one full LSRK stage for the whole mesh: Volume, Flux,
@@ -1034,47 +1076,6 @@ impl<K: ElementKernels> Mapping<K> {
             self.arith(s, block, AluOp::Mac, deriv_col, K::VALUE, K::COEFF);
         }
     }
-}
-
-/// Where a piecewise compile (`compile_*_into`) hands each piece.
-pub type PieceSink<'a> = dyn FnMut(&InstrStream) + 'a;
-
-/// Instructions a piece holds before it is handed on: small enough to
-/// stay in cache while its consumer reads it back.
-const PIECE: usize = 1 << 14;
-
-/// A kernel stream emitted in pieces: emitters push into `buf`, and each
-/// time it holds a piece's worth at an element boundary it goes to the
-/// sink and starts over. The pieces concatenate to the whole stream.
-struct Pieces<'a, 'b> {
-    buf: InstrStream,
-    sink: &'a mut PieceSink<'b>,
-}
-
-impl<'a, 'b> Pieces<'a, 'b> {
-    fn new(sink: &'a mut PieceSink<'b>) -> Self {
-        Self { buf: InstrStream::new(), sink }
-    }
-
-    fn handoff(&mut self) {
-        if self.buf.len() >= PIECE {
-            (self.sink)(&self.buf);
-            self.buf.clear();
-        }
-    }
-
-    fn finish(self) {
-        if !self.buf.is_empty() {
-            (self.sink)(&self.buf);
-        }
-    }
-}
-
-/// The whole stream a piecewise compile hands out.
-fn collect(compile: impl FnOnce(&mut PieceSink)) -> InstrStream {
-    let mut s = InstrStream::new();
-    compile(&mut |piece| s.extend_from(piece));
-    s
 }
 
 /// The block offsets of a `K` element that hold state variables, each

@@ -9,26 +9,171 @@
 //! replay make the same separation: build the static *program* once,
 //! then *replay* it.
 //!
-//! The runners go one step further and keep no streams at all: each
-//! kernel is lowered to a [`pim_sim::Tape`] as soon as it is compiled
-//! and the stream is dropped. Only Integration varies across stages —
-//! it embeds the LSRK coefficients `A[s]`/`B[s]` as `Read` offsets into
-//! the constants staging row, two instructions per element; Volume,
-//! Flux, the LUT setup, and the halo DMA streams are byte-identical
-//! across stages. [`StageProgram`] holds one tape per stage variant,
-//! which is less code than patching one tape in place, for a few
-//! hundred kilobytes per chip. It still records where the variants
-//! differ (the *patch sites*) and a content key over all of them.
+//! A compiled kernel is a list of [`KernelParts`]: instructions issued
+//! as they stand, or one run of block-local instructions issued on each
+//! block of a block set. Every element runs the same kernel program on
+//! its own block ("there is no inter-block data dependency", §6.2.1),
+//! so a one-block mapping emits each uniform phase of a kernel once and
+//! names the shard's blocks; [`KernelParts::lower`] lowers the run once
+//! ([`pim_sim::Lowering::repeat`]) into the tape the expanded stream,
+//! element by element ([`KernelParts::expand`]), lowers to.
+//!
+//! The runners keep no streams: each kernel is lowered to a
+//! [`pim_sim::Tape`] as soon as it is compiled. Only Integration varies
+//! across stages — it embeds the LSRK coefficients `A[s]`/`B[s]` as
+//! `Read` offsets into the constants staging row, two instructions per
+//! element; Volume, Flux, the LUT setup, and the halo DMA streams are
+//! byte-identical across stages. [`StageProgram`] holds one tape per
+//! stage variant, which is less code than patching one tape in place,
+//! for a few hundred kilobytes per chip. It still records where the
+//! expanded variants differ (the *patch sites*) and a content key over
+//! all of them.
 
-use pim_isa::{InstrStream, StreamStats};
-use pim_sim::Tape;
+use pim_isa::{BlockId, Instr, InstrStream, StreamStats};
+use pim_sim::{LowerError, PimChip, Tape};
+
+/// One part of a compiled kernel.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Part {
+    /// Instructions issued as they stand: the per-element work (ghost
+    /// fetches, math, DMAs, LUT set-up, multi-block elements' phases).
+    Stream(InstrStream),
+    /// A run of block-local instructions, issued on each block of
+    /// `blocks` in turn ([`Instr::on_block`]).
+    Repeat { run: InstrStream, blocks: Vec<BlockId> },
+}
+
+/// A compiled kernel as a list of [`Part`]s; see the module docs.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KernelParts {
+    parts: Vec<Part>,
+}
+
+impl From<InstrStream> for KernelParts {
+    fn from(stream: InstrStream) -> Self {
+        Self { parts: vec![Part::Stream(stream)] }
+    }
+}
+
+impl KernelParts {
+    /// The parts, in issue order.
+    pub fn parts(&self) -> &[Part] {
+        &self.parts
+    }
+
+    /// The trailing [`Part::Stream`], opened after a run.
+    pub(crate) fn stream(&mut self) -> &mut InstrStream {
+        if !matches!(self.parts.last(), Some(Part::Stream(_))) {
+            self.parts.push(Part::Stream(InstrStream::new()));
+        }
+        match self.parts.last_mut() {
+            Some(Part::Stream(s)) => s,
+            _ => unreachable!("a stream part was just opened"),
+        }
+    }
+
+    /// Appends one instruction as it stands.
+    pub(crate) fn push(&mut self, instr: Instr) {
+        self.stream().push(instr);
+    }
+
+    /// Appends `run` issued on each block of `blocks` (nothing when
+    /// either is empty).
+    ///
+    /// # Panics
+    /// Panics if `run` holds a transfer, DMA, `Lut` or barrier.
+    pub(crate) fn repeat(&mut self, run: InstrStream, blocks: Vec<BlockId>) {
+        assert!(
+            run.instrs().iter().all(|i| i.on_block(BlockId(0)).is_some()),
+            "a repeated run holds block-local instructions only"
+        );
+        if !run.is_empty() && !blocks.is_empty() {
+            self.parts.push(Part::Repeat { run, blocks });
+        }
+    }
+
+    /// Instructions in the expanded stream.
+    pub fn len(&self) -> usize {
+        self.parts
+            .iter()
+            .map(|part| match part {
+                Part::Stream(s) => s.len(),
+                Part::Repeat { run, blocks } => run.len() * blocks.len(),
+            })
+            .sum()
+    }
+
+    /// True when the expanded stream is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The expanded stream's statistics.
+    pub fn stats(&self) -> StreamStats {
+        let mut stats = StreamStats::default();
+        for part in &self.parts {
+            match part {
+                Part::Stream(s) => stats.merge(s.stats()),
+                Part::Repeat { run, blocks } => {
+                    stats.merge(&run.stats().scaled(blocks.len() as u64))
+                }
+            }
+        }
+        stats
+    }
+
+    /// Calls `f` on each instruction of the expanded stream, in issue
+    /// order.
+    fn for_each_instr(&self, mut f: impl FnMut(Instr)) {
+        for part in &self.parts {
+            match part {
+                Part::Stream(s) => s.instrs().iter().for_each(|&i| f(i)),
+                Part::Repeat { run, blocks } => {
+                    for &b in blocks {
+                        run.instrs().iter().for_each(|i| f(i.on_block(b).unwrap_or(*i)));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The expanded stream: every run on each of its blocks in turn.
+    pub fn expand(&self) -> InstrStream {
+        let mut s = InstrStream::new();
+        self.for_each_instr(|i| s.push(i));
+        s
+    }
+
+    /// [`InstrStream::content_hash`] of the expanded stream.
+    pub fn content_hash(&self, seed: u64) -> u64 {
+        let mut h = seed;
+        self.for_each_instr(|i| h = pim_isa::fnv1a(h, pim_isa::encode(&i)));
+        h
+    }
+
+    /// Lowers the parts for `chip`: the tape [`PimChip::lower`] makes of
+    /// the expanded stream, with each run lowered once.
+    ///
+    /// # Errors
+    /// As lowering the expanded stream.
+    pub fn lower(&self, chip: &PimChip) -> Result<Tape, LowerError> {
+        let mut lowering = chip.lowering();
+        for part in &self.parts {
+            match part {
+                Part::Stream(s) => lowering.push(s)?,
+                Part::Repeat { run, blocks } => lowering.repeat(run, blocks)?,
+            }
+        }
+        Ok(lowering.finish())
+    }
+}
 
 /// A kernel program compiled once for every stage variant and lowered
 /// to one tape per variant.
 ///
-/// All variants must share length and [`StreamStats`] — true by
-/// construction for streams that only differ in staged-constant
-/// addresses, and asserted here.
+/// All variants must share length, [`StreamStats`] and the layout of
+/// their parts — true by construction for kernels that only differ in
+/// staged-constant addresses, and asserted here.
 pub struct StageProgram {
     tapes: Vec<Tape>,
     /// Instructions where at least two stage variants differ.
@@ -38,28 +183,22 @@ pub struct StageProgram {
 }
 
 impl StageProgram {
-    /// Builds the program from the compiler's per-stage streams, each
+    /// Builds the program from the compiler's per-stage kernels, each
     /// lowered by `lower`.
     ///
     /// # Panics
-    /// Panics if `variants` is empty, or the variants disagree in length
-    /// or statistics (such streams are different *programs*, not stage
-    /// variants of one program).
-    pub fn new(variants: Vec<InstrStream>, lower: impl FnMut(&InstrStream) -> Tape) -> Self {
+    /// Panics if `variants` is empty, or the variants disagree in length,
+    /// statistics or the layout of their parts (such kernels are
+    /// different *programs*, not stage variants of one program).
+    pub fn new(variants: Vec<KernelParts>, lower: impl FnMut(&KernelParts) -> Tape) -> Self {
         assert!(!variants.is_empty(), "a program needs at least one stage variant");
-        let base = &variants[0];
+        let (len, stats) = (variants[0].len(), variants[0].stats());
         for (s, v) in variants.iter().enumerate().skip(1) {
-            assert_eq!(v.len(), base.len(), "stage {s} variant changed the stream length");
-            assert_eq!(v.stats(), base.stats(), "stage {s} variant changed the stream stats");
+            assert_eq!(v.len(), len, "stage {s} variant changed the stream length");
+            assert_eq!(v.stats(), stats, "stage {s} variant changed the stream stats");
         }
-        let sites: Vec<usize> = (0..base.len())
-            .filter(|&i| variants.iter().any(|v| v.instrs()[i] != base.instrs()[i]))
-            .collect();
-        Self {
-            key: content_key(&variants, &sites),
-            sites: sites.len(),
-            tapes: variants.iter().map(lower).collect(),
-        }
+        let (key, sites) = content_key(&variants);
+        Self { key, sites, tapes: variants.iter().map(lower).collect() }
     }
 
     /// Number of stage variants.
@@ -114,18 +253,69 @@ impl StageProgram {
     }
 }
 
-/// See [`StageProgram::content_key`].
-fn content_key(variants: &[InstrStream], sites: &[usize]) -> u64 {
+/// The instructions of part `i` of `v`, laid out as `base`.
+///
+/// # Panics
+/// Panics if the part differs from `base` in kind, length or blocks.
+fn same_layout<'a>(v: &'a KernelParts, i: usize, base: &Part) -> &'a [Instr] {
+    match (&v.parts[i], base) {
+        (Part::Stream(s), Part::Stream(b)) if s.len() == b.len() => s.instrs(),
+        (Part::Repeat { run, blocks }, Part::Repeat { run: r, blocks: b })
+            if run.len() == r.len() && blocks == b =>
+        {
+            run.instrs()
+        }
+        _ => panic!("stage variants must share their parts' layout"),
+    }
+}
+
+/// See [`StageProgram::content_key`]; also returns the number of patch
+/// sites. The variants share their parts' layout, so the sites are
+/// found part by part: a site in a repeated run is a site on each of its
+/// blocks.
+///
+/// # Panics
+/// Panics if the variants' parts differ in layout.
+fn content_key(variants: &[KernelParts]) -> (u64, usize) {
+    let layout = variants[0].parts.len();
+    assert!(
+        variants.iter().all(|v| v.parts.len() == layout),
+        "stage variants must share their parts' layout"
+    );
+    let mut sites = Vec::new();
+    // Every variant's instruction at each site, site-major.
+    let mut at_sites = Vec::new();
+    let mut start = 0;
+    for (i, part) in variants[0].parts.iter().enumerate() {
+        let each: Vec<&[Instr]> = variants.iter().map(|v| same_layout(v, i, part)).collect();
+        let (instrs, blocks) = match part {
+            Part::Stream(s) => (s.instrs(), None),
+            Part::Repeat { run, blocks } => (run.instrs(), Some(blocks)),
+        };
+        let differ: Vec<usize> =
+            (0..instrs.len()).filter(|&j| each.iter().any(|v| v[j] != instrs[j])).collect();
+        let copies = blocks.map_or(1, Vec::len);
+        for k in 0..copies {
+            for &j in &differ {
+                sites.push(start + k * instrs.len() + j);
+                at_sites.extend(each.iter().map(|v| match blocks {
+                    Some(blocks) => v[j].on_block(blocks[k]).unwrap_or(v[j]),
+                    None => v[j],
+                }));
+            }
+        }
+        start += instrs.len() * copies;
+    }
     let mut h = variants[0].content_hash(pim_isa::FNV_OFFSET);
-    for &site in sites {
+    for &site in &sites {
         h = pim_isa::fnv1a(h, site as u64);
     }
-    for v in variants {
-        for &site in sites {
-            h = pim_isa::fnv1a(h, pim_isa::encode(&v.instrs()[site]));
+    for v in 0..variants.len() {
+        for instrs in at_sites.chunks(variants.len()) {
+            h = pim_isa::fnv1a(h, pim_isa::encode(&instrs[v]));
         }
     }
-    h
+    (h, sites.len())
 }
 
 #[cfg(test)]
@@ -151,7 +341,9 @@ mod tests {
 
     fn program(variants: Vec<InstrStream>) -> StageProgram {
         let chip = PimChip::new(ChipConfig::default_2gb());
-        StageProgram::new(variants, |s| chip.lower(s).unwrap())
+        StageProgram::new(variants.into_iter().map(KernelParts::from).collect(), |k| {
+            k.lower(&chip).unwrap()
+        })
     }
 
     #[test]

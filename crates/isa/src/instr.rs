@@ -111,6 +111,21 @@ impl Instr {
     pub fn uses_offchip(&self) -> bool {
         matches!(self, Instr::LoadOffchip { .. } | Instr::StoreOffchip { .. })
     }
+
+    /// This block-local instruction (`Read`, `Write`, `Broadcast`,
+    /// `Arith`) on `on` instead of its own block; `None` for transfers,
+    /// DMAs and barriers.
+    pub fn on_block(&self, on: BlockId) -> Option<Instr> {
+        let mut moved = *self;
+        match &mut moved {
+            Instr::Read { block, .. }
+            | Instr::Write { block, .. }
+            | Instr::Broadcast { block, .. }
+            | Instr::Arith { block, .. } => *block = on,
+            _ => return None,
+        }
+        Some(moved)
+    }
 }
 
 #[cfg(test)]
@@ -161,5 +176,19 @@ mod tests {
         assert!(!Instr::Sync.uses_interconnect());
         assert!(Instr::LoadOffchip { block: BlockId(0), bytes: 1 }.uses_offchip());
         assert!(!Instr::Read { block: BlockId(0), row: 0, offset: 0, words: 1 }.uses_offchip());
+    }
+
+    #[test]
+    fn only_block_local_instructions_move_to_another_block() {
+        let read = Instr::Read { block: BlockId(3), row: 7, offset: 2, words: 4 };
+        assert_eq!(
+            read.on_block(BlockId(9)),
+            Some(Instr::Read { block: BlockId(9), row: 7, offset: 2, words: 4 })
+        );
+        assert_eq!(
+            Instr::Copy { src: BlockId(0), dst: BlockId(1), words: 1 }.on_block(BlockId(9)),
+            None
+        );
+        assert_eq!(Instr::Sync.on_block(BlockId(9)), None);
     }
 }

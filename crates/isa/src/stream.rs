@@ -209,13 +209,6 @@ impl InstrStream {
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
     }
-
-    /// Removes every instruction and resets the statistics, keeping the
-    /// allocation (a buffer a compiler refills piece by piece).
-    pub fn clear(&mut self) {
-        self.instrs.clear();
-        self.stats = StreamStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -343,15 +336,6 @@ mod tests {
         doubled.merge(&a);
         assert_eq!(doubled, a.scaled(2));
         assert_eq!(a.scaled(3).copy_words, 30);
-    }
-
-    #[test]
-    fn clear_empties_the_stream_and_its_stats() {
-        let mut s = InstrStream::new();
-        s.push(Instr::Read { block: BlockId(1), row: 1, offset: 0, words: 1 });
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(*s.stats(), StreamStats::default());
     }
 
     #[test]

@@ -585,9 +585,9 @@ impl PimChip {
         Ok(lowering.finish())
     }
 
-    /// Starts lowering a stream that arrives in pieces (a compiler that
-    /// hands out its output as it goes, so the whole stream never
-    /// exists); see [`Lowering`].
+    /// Starts lowering a stream that arrives in parts, some of them one
+    /// run repeated over a block set, so the whole stream never exists;
+    /// see [`Lowering`].
     pub fn lowering(&self) -> Lowering<'_> {
         Lowering {
             chip: self,
@@ -595,8 +595,8 @@ impl PimChip {
             path: Vec::new(),
             slots: Vec::new(),
             routed: None,
-            template: Run::default(),
-            started: None,
+            fops: Vec::new(),
+            ids: Vec::new(),
         }
     }
 
@@ -1172,7 +1172,8 @@ impl Bounds {
 }
 
 /// A lowering in progress: [`PimChip::lowering`] starts one, the
-/// consecutive pieces of one stream go through [`Self::push`], and
+/// consecutive parts of one stream go through [`Self::push`] (as they
+/// stand) and [`Self::repeat`] (one run over a block set), and
 /// [`Self::finish`] returns the tape [`PimChip::lower`] makes of their
 /// concatenation.
 pub struct Lowering<'a> {
@@ -1183,166 +1184,150 @@ pub struct Lowering<'a> {
     /// The block pair `path` and `slots` route: Flux moves several words
     /// over one pair in a row.
     routed: Option<(BlockId, BlockId)>,
-    /// The last run of at least [`TEMPLATE_OPS`] block-local ops
-    /// lowered op by op. A kernel repeats one run per element on each
-    /// element's block, so a run whose ops equal the template's but for
-    /// the block copies the template's entries instead.
-    template: Run,
-    /// Where the run being lowered op by op started in this piece, and
-    /// its first functional op and run id.
-    started: Option<(usize, usize, usize)>,
-}
-
-/// The shortest run worth keeping as a template: shorter ones cost
-/// about as much to match as to lower.
-const TEMPLATE_OPS: usize = 4;
-
-/// A run of block-local ops: its instructions with the block zeroed, and
-/// the functional ops and run ids it lowered to.
-#[derive(Default)]
-struct Run {
-    instrs: Vec<Instr>,
+    /// The entries the run of the current [`Self::repeat`] lowered to on
+    /// a run of its own: its functional ops and run ids.
     fops: Vec<FOp>,
     ids: Vec<u16>,
 }
 
-/// A block-local instruction split into its block and the instruction
-/// with the block zeroed, the form runs are compared in; `None` for
-/// transfers, DMAs and barriers.
-fn block_form(instr: &Instr) -> Option<(BlockId, Instr)> {
-    let mut zeroed = *instr;
-    match &mut zeroed {
-        Instr::Read { block, .. }
-        | Instr::Write { block, .. }
-        | Instr::Broadcast { block, .. }
-        | Instr::Arith { block, .. } => Some((std::mem::replace(block, BlockId(0)), zeroed)),
-        _ => None,
-    }
-}
-
-impl Run {
-    /// Whether `instrs` opens with this run's ops on block `on`.
-    fn repeats(&self, instrs: &[Instr], on: BlockId) -> bool {
-        !self.instrs.is_empty()
-            && instrs.len() >= self.instrs.len()
-            && self.instrs.iter().zip(instrs).all(|(t, i)| block_form(i) == Some((on, *t)))
-    }
-}
-
 impl Lowering<'_> {
-    /// Lowers the next piece of the stream.
+    /// Lowers the next part of the stream, instruction by instruction.
     ///
     /// # Errors
     /// The first instruction that breaks a bound, indexed from the start
     /// of the whole stream. The lowering is of no further use then.
-    pub fn push(&mut self, piece: &InstrStream) -> Result<(), LowerError> {
-        let (chip, tape) = (self.chip, &mut self.tape);
-        let first = tape.add_piece(piece.len(), piece.stats());
-        let bounds = Bounds(chip.config.capacity.num_blocks());
-        let instrs = piece.instrs();
-        let mut i = 0;
-        while i < instrs.len() {
-            let instr = &instrs[i];
-            let at = |violation| LowerError { index: first + i, instr: *instr, violation };
-            let local = block_form(instr);
-            let extends = local.is_some_and(|(block, _)| Some(block.0) == tape.open_run());
-            if !extends {
-                // The run lowered op by op ends here; a long one is the
-                // new template.
-                if let Some((start, fops, ids)) = self.started.take() {
-                    if i - start >= TEMPLATE_OPS {
-                        let t = &mut self.template;
-                        t.instrs.clear();
-                        t.instrs
-                            .extend(instrs[start..i].iter().filter_map(block_form).map(|(_, z)| z));
-                        tape.copy_out((fops, ids), (&mut t.fops, &mut t.ids));
-                    }
-                }
-                if let Some((block, _)) = local {
-                    if self.template.repeats(&instrs[i..], block) {
-                        bounds.block(block.0).map_err(at)?;
-                        let t = &self.template;
-                        tape.repeat_run(block.0, &t.fops, &t.ids);
-                        i += t.instrs.len();
-                        continue;
-                    }
-                }
-            }
-            let mut route = |src: BlockId, dst: BlockId, words: u16| {
-                if self.routed != Some((src, dst)) {
-                    chip.route_into(src, dst, &mut self.path);
-                    self.slots.clear();
-                    self.slots.extend(self.path.iter().map(|r| chip.resource_index(r) as u32));
-                    self.routed = Some((src, dst));
-                }
-                chip.transfer_cost(&Transfer { src, dst, words: words as u32 }, self.path.len())
-            };
-            match *instr {
-                Instr::Read { block, row, offset, words } => {
-                    bounds
-                        .block(block.0)
-                        .and(bounds.rows(row, row))
-                        .and(bounds.cols(offset, words))
-                        .map_err(at)?;
-                    tape.read(block.0, row, offset, words)
-                }
-                Instr::Write { block, row, offset, words } => {
-                    bounds
-                        .block(block.0)
-                        .and(bounds.rows(row, row))
-                        .and(bounds.cols(offset, words))
-                        .map_err(at)?;
-                    tape.write(block.0, row, offset, words)
-                }
-                Instr::Broadcast { block, dst_first, dst_last, offset, words } => {
-                    bounds
-                        .block(block.0)
-                        .and(bounds.rows(dst_first, dst_last))
-                        .and(bounds.cols(offset, words))
-                        .map_err(at)?;
-                    tape.broadcast(block.0, dst_first, dst_last, offset, words)
-                }
-                Instr::Arith { block, op, first_row, last_row, dst, a, b } => {
-                    bounds
-                        .block(block.0)
-                        .and(bounds.rows(first_row, last_row))
-                        .and(bounds.cols(dst.max(a).max(b), 1))
-                        .map_err(at)?;
-                    tape.arith(block.0, op, (first_row, last_row), [dst, a, b])
-                }
-                Instr::Copy { src, dst, words } => {
-                    bounds.block(src.0).and(bounds.block(dst.0)).map_err(at)?;
-                    let cost = route(src, dst, words);
-                    tape.copy((src.0, dst.0, words), &self.slots, cost);
-                }
-                Instr::Lut { row, offset_s, lut_block, offset_d } => {
-                    // Algorithm 1's content transfer runs LUT → holder.
-                    let holder = row / BLOCK_ROWS as u32;
-                    bounds
-                        .block(holder)
-                        .and(bounds.block(lut_block))
-                        .and(bounds.cols(offset_s.max(offset_d), 1))
-                        .map_err(at)?;
-                    let cost = route(BlockId(lut_block), BlockId(holder), 1);
-                    tape.lut(*instr, (holder, lut_block), &self.slots, cost);
-                }
-                Instr::LoadOffchip { block, bytes } | Instr::StoreOffchip { block, bytes } => {
-                    bounds.block(block.0).map_err(at)?;
-                    tape.dma(block.0, bytes)
-                }
-                Instr::Sync => tape.sync(),
-            }
-            if local.is_some() && !extends {
-                // A run's first op went to the tape as exactly one
-                // functional op (it never fuses) and one run id.
-                let (fops, ids) = tape.marks();
-                self.started = Some((i, fops - 1, ids - 1));
-            }
-            i += 1;
+    pub fn push(&mut self, part: &InstrStream) -> Result<(), LowerError> {
+        let first = self.tape.add_part(part.len(), part.stats());
+        for (i, instr) in part.instrs().iter().enumerate() {
+            self.lower(first + i, instr)?;
         }
-        // A run still open may go on in the next piece, where its start
-        // is out of reach: it does not become a template.
-        self.started = None;
+        Ok(())
+    }
+
+    /// Lowers the run of block-local instructions `run` on each block of
+    /// `blocks` in turn: the tape is the one [`Self::push`] makes of the
+    /// run moved to each block ([`Instr::on_block`]), one copy after the
+    /// other, and so are its length and [`StreamStats`]. The run is
+    /// lowered once. Each further block that opens a run of its own
+    /// reuses its entries, so it joins the run's template group as the
+    /// expanded stream's run would.
+    ///
+    /// # Errors
+    /// The first instruction of that expansion that breaks a bound — a
+    /// block of `blocks` past the chip's, say — or is not block-local
+    /// ([`Violation::NotBlockLocal`]), indexed from the start of the whole
+    /// stream. The lowering is of no further use then.
+    pub fn repeat(&mut self, run: &InstrStream, blocks: &[BlockId]) -> Result<(), LowerError> {
+        let first =
+            self.tape.add_part(run.len() * blocks.len(), &run.stats().scaled(blocks.len() as u64));
+        let bounds = Bounds(self.chip.config.capacity.num_blocks());
+        // Whether the run is lowered, and whether the run before this
+        // block's holds its entries.
+        let (mut lowered, mut follows) = (false, false);
+        for (k, &block) in blocks.iter().enumerate() {
+            let at = first + k * run.len();
+            let fresh = self.tape.open_run() != Some(block.0);
+            if lowered && fresh {
+                bounds.block(block.0).map_err(|violation| LowerError {
+                    index: at,
+                    instr: run.instrs()[0].on_block(block).unwrap_or(run.instrs()[0]),
+                    violation,
+                })?;
+                // A run the next block does not extend closes at once.
+                if follows && blocks.get(k + 1).is_some_and(|&next| next != block) {
+                    self.tape.repeat_closed(block.0, &self.fops, &self.ids);
+                } else {
+                    self.tape.repeat_run(block.0, &self.fops, &self.ids);
+                }
+                follows = true;
+                continue;
+            }
+            for (j, &instr) in run.instrs().iter().enumerate() {
+                let moved = instr.on_block(block).ok_or(LowerError {
+                    index: at + j,
+                    instr,
+                    violation: Violation::NotBlockLocal,
+                })?;
+                self.lower(at + j, &moved)?;
+            }
+            follows = fresh && !run.is_empty();
+            if follows && !lowered {
+                self.tape.copy_open_run((&mut self.fops, &mut self.ids));
+                lowered = true;
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks and lowers instruction `index` of the stream.
+    fn lower(&mut self, index: usize, instr: &Instr) -> Result<(), LowerError> {
+        let (chip, tape) = (self.chip, &mut self.tape);
+        let bounds = Bounds(chip.config.capacity.num_blocks());
+        let at = |violation| LowerError { index, instr: *instr, violation };
+        let mut route = |src: BlockId, dst: BlockId, words: u16| {
+            if self.routed != Some((src, dst)) {
+                chip.route_into(src, dst, &mut self.path);
+                self.slots.clear();
+                self.slots.extend(self.path.iter().map(|r| chip.resource_index(r) as u32));
+                self.routed = Some((src, dst));
+            }
+            chip.transfer_cost(&Transfer { src, dst, words: words as u32 }, self.path.len())
+        };
+        match *instr {
+            Instr::Read { block, row, offset, words } => {
+                bounds
+                    .block(block.0)
+                    .and(bounds.rows(row, row))
+                    .and(bounds.cols(offset, words))
+                    .map_err(at)?;
+                tape.read(block.0, row, offset, words)
+            }
+            Instr::Write { block, row, offset, words } => {
+                bounds
+                    .block(block.0)
+                    .and(bounds.rows(row, row))
+                    .and(bounds.cols(offset, words))
+                    .map_err(at)?;
+                tape.write(block.0, row, offset, words)
+            }
+            Instr::Broadcast { block, dst_first, dst_last, offset, words } => {
+                bounds
+                    .block(block.0)
+                    .and(bounds.rows(dst_first, dst_last))
+                    .and(bounds.cols(offset, words))
+                    .map_err(at)?;
+                tape.broadcast(block.0, dst_first, dst_last, offset, words)
+            }
+            Instr::Arith { block, op, first_row, last_row, dst, a, b } => {
+                bounds
+                    .block(block.0)
+                    .and(bounds.rows(first_row, last_row))
+                    .and(bounds.cols(dst.max(a).max(b), 1))
+                    .map_err(at)?;
+                tape.arith(block.0, op, (first_row, last_row), [dst, a, b])
+            }
+            Instr::Copy { src, dst, words } => {
+                bounds.block(src.0).and(bounds.block(dst.0)).map_err(at)?;
+                let cost = route(src, dst, words);
+                tape.copy((src.0, dst.0, words), &self.slots, cost);
+            }
+            Instr::Lut { row, offset_s, lut_block, offset_d } => {
+                // Algorithm 1's content transfer runs LUT → holder.
+                let holder = row / BLOCK_ROWS as u32;
+                bounds
+                    .block(holder)
+                    .and(bounds.block(lut_block))
+                    .and(bounds.cols(offset_s.max(offset_d), 1))
+                    .map_err(at)?;
+                let cost = route(BlockId(lut_block), BlockId(holder), 1);
+                tape.lut(*instr, (holder, lut_block), &self.slots, cost);
+            }
+            Instr::LoadOffchip { block, bytes } | Instr::StoreOffchip { block, bytes } => {
+                bounds.block(block.0).map_err(at)?;
+                tape.dma(block.0, bytes)
+            }
+            Instr::Sync => tape.sync(),
+        }
         Ok(())
     }
 

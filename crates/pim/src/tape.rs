@@ -18,19 +18,21 @@
 //! static, so the seconds and joules of every op sit in two small
 //! per-tape cost tables.
 //!
-//! The compilers emit one run per element on each element's block, and
+//! A kernel runs one run per element on each element's block, and
 //! consecutive elements' runs are the same ops on different blocks. A
 //! run whose entries equal the run just before it, on a block that run's
 //! *template group* does not hold yet, is not stored again: its block
 //! joins the group's block list. A group is the first run's entries in
 //! both tapes, then one `Repeat` op and step naming its [`Group`]; it
 //! never spans a transfer, a DMA, a `Lut` or a `Sync`. The grouping is
-//! a function of the stream alone, so a stream lowered in pieces gives
+//! a function of the stream alone, so a stream lowered in parts gives
 //! the tape it gives lowered whole.
 //!
-//! Lowering costs about as much as compiling: a run whose ops repeat
-//! the last long run's (but for the block) copies its entries instead of
-//! lowering op by op.
+//! The compilers hand such a kernel phase over as one run and its block
+//! set ([`crate::Lowering::repeat`]): the run is lowered op by op once,
+//! and each further block joins its group without being lowered again,
+//! so lowering a phase costs one element's ops plus one block id per
+//! element.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -127,6 +129,9 @@ pub enum Violation {
     Rows { first: u32, last: u32 },
     /// A column span that crosses the row's edge.
     Columns { offset: u32, words: u32 },
+    /// A transfer, DMA, `Lut` or barrier in a run repeated over a block
+    /// set, which holds block-local instructions only.
+    NotBlockLocal,
 }
 
 impl fmt::Display for Violation {
@@ -143,6 +148,9 @@ impl fmt::Display for Violation {
                 "words {offset}..{} cross the row's {WORDS_PER_ROW}-word edge",
                 offset + words
             ),
+            Violation::NotBlockLocal => {
+                write!(f, "a repeated run holds only Read, Write, Broadcast and Arith")
+            }
         }
     }
 }
@@ -504,7 +512,7 @@ impl TapeBuilder {
 
     /// Accounts for the next `len` instructions, with `stats`, and
     /// returns how many came before them.
-    pub(crate) fn add_piece(&mut self, len: usize, stats: &StreamStats) -> usize {
+    pub(crate) fn add_part(&mut self, len: usize, stats: &StreamStats) -> usize {
         self.stats.merge(stats);
         let before = self.len;
         self.len += len;
@@ -525,24 +533,23 @@ impl TapeBuilder {
     }
 
     /// How many functional ops and run ids the tape holds so far.
-    pub(crate) fn marks(&self) -> (usize, usize) {
+    fn marks(&self) -> (usize, usize) {
         (self.fops.len(), self.run_ids.len())
     }
 
-    /// Copies the functional ops from `fops` on and the run ids from
-    /// `ids` on out of the tape.
-    pub(crate) fn copy_out(
-        &self,
-        (fops, ids): (usize, usize),
-        into: (&mut Vec<FOp>, &mut Vec<u16>),
-    ) {
+    /// Copies the open run's functional ops and run ids out of the tape
+    /// (nothing without an open run).
+    pub(crate) fn copy_open_run(&self, into: (&mut Vec<FOp>, &mut Vec<u16>)) {
         into.0.clear();
-        into.0.extend_from_slice(&self.fops[fops..]);
-        self.run_ids.copy_out(ids, into.1);
+        into.1.clear();
+        if let Some(run) = &self.run {
+            into.0.extend_from_slice(&self.fops[run.fops..]);
+            self.run_ids.copy_out(run.ids, into.1);
+        }
     }
 
     /// Opens a run on `block` of the functional ops `fops` and the run
-    /// ids `ids`, copied out of this tape before.
+    /// ids `ids`, copied out of this tape's open run before.
     pub(crate) fn repeat_run(&mut self, block: u32, fops: &[FOp], ids: &[u16]) {
         self.start_run(block);
         self.fops.extend_from_slice(fops);
@@ -575,20 +582,7 @@ impl TapeBuilder {
             if joins {
                 self.fops.truncate(run.mark);
                 self.run_ids.truncate(run.ids);
-                let g = match last.group {
-                    Some(g) => g,
-                    None => {
-                        let g = self.groups.len();
-                        let start = self.blocks.len() as u32;
-                        self.groups.push(Group { body: last.fops.len() as u32, start, end: start });
-                        self.fops.push(FOp::with_wide(FKind::Repeat, 0, g as u32));
-                        self.steps.push(Step::Repeat { group: g as u32 });
-                        *last.group.insert(g)
-                    }
-                };
-                self.groups[g].end += 1;
-                self.blocks.push(run.block);
-                set_bit(&mut self.members, run.block, true);
+                self.join(run.block);
                 return;
             }
         }
@@ -601,6 +595,41 @@ impl TapeBuilder {
             ids: run.ids..self.run_ids.len(),
             group: None,
         });
+    }
+
+    /// Adds `block` to the group of the last run stored, opening the
+    /// group if it has none.
+    fn join(&mut self, block: u32) {
+        let Some(last) = &mut self.last else { return };
+        let g = match last.group {
+            Some(g) => g,
+            None => {
+                let g = self.groups.len();
+                let start = self.blocks.len() as u32;
+                self.groups.push(Group { body: last.fops.len() as u32, start, end: start });
+                self.fops.push(FOp::with_wide(FKind::Repeat, 0, g as u32));
+                self.steps.push(Step::Repeat { group: g as u32 });
+                *last.group.insert(g)
+            }
+        };
+        self.groups[g].end += 1;
+        self.blocks.push(block);
+        set_bit(&mut self.members, block, true);
+    }
+
+    /// [`Self::repeat_run`], closed at once. The entries must equal
+    /// those of the run before, still open or stored last, so the block
+    /// alone decides whether the run joins that run's group, and nothing
+    /// is copied when it does.
+    pub(crate) fn repeat_closed(&mut self, block: u32, fops: &[FOp], ids: &[u16]) {
+        self.close_run();
+        if self.last.is_some() && !bit(&self.members, block) {
+            self.current = Some(block);
+            self.join(block);
+        } else {
+            self.repeat_run(block, fops, ids);
+            self.close_run();
+        }
     }
 
     /// Closes the open run and its group: the next run starts afresh.

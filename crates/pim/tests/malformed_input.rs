@@ -1,0 +1,190 @@
+//! Malformed input never panics: a program is decoded, lowered and
+//! replayed, and whatever is wrong with it comes back as a typed error.
+//!
+//! - Seeded random 64-bit words go through [`pim_isa::decode`]; the
+//!   words that decode form streams that go through [`PimChip::lower`],
+//!   and every stream that lowers is replayed.
+//! - Random runs repeated over random block sets, some ids past the
+//!   chip's blocks, go through [`pim_sim::Lowering::repeat`]: an
+//!   out-of-range id comes back as a [`LowerError`] naming that block
+//!   and the index its expansion would have, the error lowering the
+//!   expanded stream gives; an in-range set lowers to the expanded
+//!   stream's tape.
+
+use pim_isa::{AluOp, BlockId, Instr, InstrStream, BLOCK_ROWS, WORDS_PER_ROW};
+use pim_sim::{
+    ChipCapacity, ChipConfig, InterconnectKind, LowerError, PimChip, ProcessNode, Tape, Violation,
+};
+
+/// A small deterministic generator (splitmix64).
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// The smallest chip: 512 MB, so a fair share of random block ids is
+/// out of range.
+fn chip() -> PimChip {
+    PimChip::new(ChipConfig {
+        capacity: ChipCapacity::Mb512,
+        interconnect: InterconnectKind::HTree,
+        node: ProcessNode::Nm28,
+    })
+}
+
+/// A random word. Three times in four its opcode is forced into the
+/// ISA's range, so that most words decode, and the high bits of the
+/// 17-bit block fields (bits 40..57, and 23..40 of a `Copy`) are
+/// cleared, so that most block ids fit the chip.
+fn word(rng: &mut Rng) -> u64 {
+    let w = rng.next();
+    if rng.below(4) == 0 {
+        return w;
+    }
+    let high_block_bits = 0x1f << 52 | 0x1f << 35;
+    w & !(0x7f << 57) & !high_block_bits | rng.below(9) << 57
+}
+
+#[test]
+fn random_words_decode_lower_and_replay_without_panicking() {
+    let mut rng = Rng(0x5eed);
+    let (mut decoded, mut lowered, mut rejected) = (0, 0, 0);
+    for _ in 0..400 {
+        let mut s = InstrStream::new();
+        for _ in 0..1 + rng.below(6) {
+            if let Ok(instr) = pim_isa::decode(word(&mut rng)) {
+                s.push(instr);
+                decoded += 1;
+            }
+        }
+        let mut c = chip();
+        match c.lower(&s) {
+            Ok(tape) => {
+                c.replay(&tape);
+                assert!(c.elapsed().is_finite(), "{s:?}");
+                lowered += 1;
+            }
+            Err(e) => {
+                assert!(e.index < s.len(), "{e}");
+                assert_eq!(e.instr, s.instrs()[e.index], "{e}");
+                rejected += 1;
+            }
+        }
+    }
+    // The seed exercises both outcomes.
+    assert!(decoded > 1000 && lowered > 20 && rejected > 20, "{decoded} {lowered} {rejected}");
+}
+
+/// A run of 1 to 8 in-bounds block-local ops on block 0.
+fn run(rng: &mut Rng) -> InstrStream {
+    let b = BlockId(0);
+    let mut s = InstrStream::new();
+    for _ in 0..1 + rng.below(8) {
+        let row = rng.below(BLOCK_ROWS as u64) as u16;
+        let offset = rng.below(WORDS_PER_ROW as u64) as u8;
+        let words = 1 + rng.below(WORDS_PER_ROW as u64 - offset as u64) as u8;
+        s.push(match rng.below(4) {
+            0 => Instr::Read { block: b, row, offset, words },
+            1 => Instr::Write { block: b, row, offset, words },
+            2 => Instr::Broadcast { block: b, dst_first: row, dst_last: row, offset, words },
+            _ => Instr::Arith {
+                block: b,
+                op: AluOp::ALL[rng.below(6) as usize],
+                first_row: 0,
+                last_row: row,
+                dst: offset,
+                a: rng.below(WORDS_PER_ROW as u64) as u8,
+                b: rng.below(WORDS_PER_ROW as u64) as u8,
+            },
+        });
+    }
+    s
+}
+
+/// `run` on each block of `blocks`, as one stream.
+fn expand(run: &InstrStream, blocks: &[BlockId]) -> InstrStream {
+    let mut s = InstrStream::new();
+    for &b in blocks {
+        run.instrs().iter().for_each(|i| s.push(i.on_block(b).unwrap()));
+    }
+    s
+}
+
+/// `prefix` then `run` over `blocks`, through [`pim_sim::Lowering`].
+fn lower_repeat(
+    c: &PimChip,
+    prefix: &InstrStream,
+    run: &InstrStream,
+    blocks: &[BlockId],
+) -> Result<Tape, LowerError> {
+    let mut lowering = c.lowering();
+    lowering.push(prefix)?;
+    lowering.repeat(run, blocks)?;
+    Ok(lowering.finish())
+}
+
+#[test]
+fn repeated_runs_name_the_out_of_range_block_and_lower_as_expanded() {
+    let c = chip();
+    let num_blocks = ChipCapacity::Mb512.num_blocks();
+    let mut rng = Rng(0xb10c);
+    let (mut errors, mut tapes) = (0, 0);
+    for case in 0..300 {
+        let r = run(&mut rng);
+        // A few blocks, often the same one twice in a row, and one time
+        // in three an id past the chip's.
+        let mut blocks = Vec::new();
+        for _ in 0..1 + rng.below(12) {
+            let block = match rng.below(6) {
+                0 if !blocks.is_empty() => blocks[blocks.len() - 1],
+                1 if case % 3 == 0 => BlockId(num_blocks as u32 + rng.below(1 << 20) as u32),
+                _ => BlockId(rng.below(16) as u32),
+            };
+            blocks.push(block);
+        }
+        // Half the cases open on a run of their own first block.
+        let prefix = if case % 2 == 0 { expand(&r, &blocks[..1]) } else { InstrStream::new() };
+        let mut whole = prefix.clone();
+        whole.extend_from(&expand(&r, &blocks));
+        let repeated = lower_repeat(&c, &prefix, &r, &blocks);
+        assert_eq!(repeated, c.lower(&whole), "case {case}");
+        match repeated {
+            Err(e) => {
+                let issued = blocks[..prefix.len() / r.len()].iter().chain(&blocks);
+                let (k, block) =
+                    issued.enumerate().find(|(_, b)| b.0 as u64 >= num_blocks).unwrap();
+                assert_eq!(e.index, k * r.len(), "case {case}");
+                assert_eq!(
+                    e.violation,
+                    Violation::Block { block: block.0, num_blocks },
+                    "case {case}"
+                );
+                errors += 1;
+            }
+            Ok(_) => tapes += 1,
+        }
+    }
+    assert!(errors > 20 && tapes > 100, "{errors} {tapes}");
+}
+
+#[test]
+fn a_repeated_run_holds_block_local_instructions_only() {
+    let c = chip();
+    let mut r = run(&mut Rng(3));
+    r.push(Instr::Sync);
+    let err = lower_repeat(&c, &InstrStream::new(), &r, &[BlockId(4), BlockId(5)]).unwrap_err();
+    assert_eq!(err.index, r.len() - 1);
+    assert_eq!(err.instr, Instr::Sync);
+    assert_eq!(err.violation, Violation::NotBlockLocal);
+}

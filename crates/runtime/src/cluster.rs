@@ -59,7 +59,7 @@
 //! same ≤1e-12 bound the single-chip mapping meets, while the stage
 //! wall-clock is never longer than the bulk-synchronous schedule's.
 
-use pim_isa::{BlockId, InstrStream};
+use pim_isa::BlockId;
 use pim_math::{CostModel, MathConfig, MathDecision, MathPlacement};
 use pim_metrics::MetricsRegistry;
 use pim_sim::{ChipConfig, ExecReport, InterChipLink, OpCost, PimChip, Tape};
@@ -67,8 +67,8 @@ use pim_trace::Kernel;
 use rayon::prelude::*;
 use std::sync::Arc;
 use wave_pim::compiler::{AcousticMapping, NaiveAcoustic};
-use wave_pim::mapping::{ElementKernels, Mapping, PieceSink};
-use wave_pim::program_cache::StageProgram;
+use wave_pim::mapping::{ElementKernels, Mapping};
+use wave_pim::program_cache::{KernelParts, StageProgram};
 use wave_pim::tracehooks::{begin_kernel_span, end_kernel_span, end_kernel_span_at};
 use wavesim_dg::{AcousticMaterial, FluxKind, Lsrk5, State};
 use wavesim_mesh::{HexMesh, SlicePartition};
@@ -435,9 +435,9 @@ struct ChipPrograms {
 }
 
 impl ChipPrograms {
-    /// Compiles every kernel of one shard and lowers each stream for
-    /// `chip` as it is compiled: Volume and Flux, the big two, piece by
-    /// piece, so their whole streams never exist.
+    /// Compiles every kernel of one shard and lowers each for `chip` as
+    /// it is compiled. Volume, Integration and the uniform Flux phases
+    /// are one run each, lowered once over the shard's block set.
     fn compile<K: ElementKernels>(
         m: &Mapping<K>,
         chip: &PimChip,
@@ -445,39 +445,34 @@ impl ChipPrograms {
         ghosts: &[usize],
         sends: &[usize],
     ) -> Self {
-        const WELL_FORMED: &str = "compiled streams are well-formed";
-        let lower = |s: &InstrStream| chip.lower(s).expect(WELL_FORMED);
-        let lower_pieces = |compile: &dyn Fn(&mut PieceSink)| {
-            let mut lowering = chip.lowering();
-            compile(&mut |piece| lowering.push(piece).expect(WELL_FORMED));
-            lowering.finish()
-        };
+        let lower = |k: &KernelParts| k.lower(chip).expect("compiled streams are well-formed");
         Self {
-            halo_store: lower(&m.compile_halo_store_for(sends)),
-            halo_load: lower(&m.compile_halo_load_for(ghosts)),
-            volume: lower_pieces(&|sink| m.compile_volume_into(res, sink)),
-            flux: lower_pieces(&|sink| m.compile_flux_schedule_into(res, sink)),
+            halo_store: lower(&m.compile_halo_store_for(sends).into()),
+            halo_load: lower(&m.compile_halo_load_for(ghosts).into()),
+            volume: lower(&m.volume_parts(res)),
+            flux: lower(&m.flux_schedule_parts(res)),
             integration: StageProgram::new(
-                (0..Lsrk5::STAGES).map(|s| m.compile_integration_for(res, s)).collect(),
+                (0..Lsrk5::STAGES).map(|s| m.integration_parts(res, s)).collect(),
                 lower,
             ),
             math: m
                 .math_placement()
                 .filter(|p| p.any_onpim())
-                .map(|_| lower(&m.compile_math_stage_for(res))),
+                .map(|_| lower(&m.compile_math_stage_for(res).into())),
         }
     }
 
-    /// Stable content key of this chip's whole program set: every
-    /// kernel stream's [`pim_isa::InstrStream::content_hash`] plus the
-    /// Integration [`StageProgram::content_key`], chained in kernel
-    /// order. Two chips key equal exactly when every compiled kernel is
-    /// byte-identical. An installed math placement (and its refinement
-    /// stream, when on-PIM) folds in after, so host-math, on-PIM and
-    /// legacy programs are always distinguishable.
+    /// Stable content key of this chip's whole program set: the
+    /// [`pim_isa::InstrStream::content_hash`] of every kernel's expanded
+    /// stream plus the Integration [`StageProgram::content_key`],
+    /// chained in kernel order. Two chips key equal exactly when every
+    /// compiled kernel is byte-identical. An installed math placement
+    /// (and its refinement stream, when on-PIM) folds in after, so
+    /// host-math, on-PIM and legacy programs are always distinguishable.
     ///
-    /// The tapes keep no streams, so the kernels are compiled again from
-    /// the shard's mapping, which is unchanged since construction.
+    /// The tapes keep no streams, so the kernels are emitted again from
+    /// the shard's mapping, which is unchanged since construction, and
+    /// hashed as they expand.
     fn content_key<K: ElementKernels>(
         &self,
         m: &Mapping<K>,
@@ -488,8 +483,8 @@ impl ChipPrograms {
         let mut h = pim_isa::FNV_OFFSET;
         h = m.compile_halo_store_for(sends).content_hash(h);
         h = m.compile_halo_load_for(ghosts).content_hash(h);
-        h = m.compile_volume_for(res).content_hash(h);
-        h = m.compile_flux_schedule_for(res).content_hash(h);
+        h = m.volume_parts(res).content_hash(h);
+        h = m.flux_schedule_parts(res).content_hash(h);
         h = pim_isa::fnv1a(h, self.integration.content_key());
         if self.math.is_some() {
             h = m.compile_math_stage_for(res).content_hash(h);
@@ -955,10 +950,12 @@ impl<K: ElementKernels> ClusterRunner<K> {
     /// compiled instruction of every chip is byte-identical — which is
     /// what lets a fleet-level scheduler treat a key hit as "this runner
     /// already holds my program" and skip recompilation (see
-    /// [`Self::reset_state`]). The runner holds tapes, not streams, so
-    /// this compiles the kernels again to hash them: it costs about as
-    /// much as the compile pass of construction, which in turn pays
-    /// nothing for a key nobody asks for.
+    /// [`Self::reset_state`]). The key hashes the full expanded streams,
+    /// whatever form the kernels are lowered from. The runner holds
+    /// tapes, not streams, so this emits the kernels again and hashes
+    /// their expansion: each repeated run is emitted once, but every
+    /// expanded instruction is hashed, so the cost grows with the shard.
+    /// Construction pays nothing for a key nobody asks for.
     pub fn program_content_key(&self) -> u64 {
         self.programs.iter().enumerate().fold(pim_isa::FNV_OFFSET, |h, (c, p)| {
             let (m, res) = (&self.mappings[c], &self.residents[c]);
@@ -1363,6 +1360,7 @@ impl<K: ElementKernels> ClusterRunner<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_isa::InstrStream;
     use wavesim_mesh::Boundary;
 
     /// The compile-once cache, op for op, against fresh compiles from

@@ -30,7 +30,7 @@
 //!   tape per stage variant and replayed by the batched and cluster
 //!   runners instead of recompiling every stage,
 //! * [`pipeline`] — the Fig. 10/13 stage-overlap model,
-//! * [`estimate`] — end-to-end time & energy for every (benchmark, chip,
+//! * [`mod@estimate`] — end-to-end time & energy for every (benchmark, chip,
 //!   interconnect, pipelining) point of Figs. 11/12/14.
 
 pub mod batched;

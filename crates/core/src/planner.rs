@@ -38,11 +38,6 @@ impl Technique {
         }
     }
 
-    /// True when the whole problem is resident at once.
-    pub fn is_single_batch(&self) -> bool {
-        self.batches == 1
-    }
-
     /// The Table 5 label for this technique.
     pub fn label(&self) -> String {
         let mut parts = Vec::new();

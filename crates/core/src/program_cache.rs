@@ -25,9 +25,13 @@
 //! element; Volume, Flux, the LUT setup, and the halo DMA streams are
 //! byte-identical across stages. [`StageProgram`] holds one tape per
 //! stage variant, which is less code than patching one tape in place,
-//! for a few hundred kilobytes per chip. It still records where the
-//! expanded variants differ (the *patch sites*) and a content key over
-//! all of them.
+//! for a few hundred kilobytes per chip. It still counts where the
+//! expanded variants differ (the *patch sites*).
+//!
+//! A program is named by what it is compiled from (the mesh, the block
+//! map, the mapping and the chip), not by hashing its instructions: the
+//! fleet keys programs by their specs, and tests pin the compiled
+//! streams.
 
 use pim_isa::{BlockId, Instr, InstrStream, StreamStats};
 use pim_sim::{LowerError, PimChip, Tape};
@@ -122,33 +126,20 @@ impl KernelParts {
         stats
     }
 
-    /// Calls `f` on each instruction of the expanded stream, in issue
-    /// order.
-    fn for_each_instr(&self, mut f: impl FnMut(Instr)) {
+    /// The expanded stream: every run on each of its blocks in turn.
+    pub fn expand(&self) -> InstrStream {
+        let mut s = InstrStream::new();
         for part in &self.parts {
             match part {
-                Part::Stream(s) => s.instrs().iter().for_each(|&i| f(i)),
+                Part::Stream(stream) => stream.instrs().iter().for_each(|&i| s.push(i)),
                 Part::Repeat { run, blocks } => {
                     for &b in blocks {
-                        run.instrs().iter().for_each(|i| f(i.on_block(b).unwrap_or(*i)));
+                        run.instrs().iter().for_each(|i| s.push(i.on_block(b).unwrap_or(*i)));
                     }
                 }
             }
         }
-    }
-
-    /// The expanded stream: every run on each of its blocks in turn.
-    pub fn expand(&self) -> InstrStream {
-        let mut s = InstrStream::new();
-        self.for_each_instr(|i| s.push(i));
         s
-    }
-
-    /// [`InstrStream::content_hash`] of the expanded stream.
-    pub fn content_hash(&self, seed: u64) -> u64 {
-        let mut h = seed;
-        self.for_each_instr(|i| h = pim_isa::fnv1a(h, pim_isa::encode(&i)));
-        h
     }
 
     /// Lowers the parts for `chip`: the tape [`PimChip::lower`] makes of
@@ -178,8 +169,6 @@ pub struct StageProgram {
     tapes: Vec<Tape>,
     /// Instructions where at least two stage variants differ.
     sites: usize,
-    /// See [`Self::content_key`].
-    key: u64,
 }
 
 impl StageProgram {
@@ -197,13 +186,7 @@ impl StageProgram {
             assert_eq!(v.len(), len, "stage {s} variant changed the stream length");
             assert_eq!(v.stats(), stats, "stage {s} variant changed the stream stats");
         }
-        let (key, sites) = content_key(&variants);
-        Self { key, sites, tapes: variants.iter().map(lower).collect() }
-    }
-
-    /// Number of stage variants.
-    pub fn num_stages(&self) -> usize {
-        self.tapes.len()
+        Self { sites: patch_sites(&variants), tapes: variants.iter().map(lower).collect() }
     }
 
     /// Number of patch sites — how many instructions actually vary
@@ -233,16 +216,6 @@ impl StageProgram {
         self.tapes[0].is_empty()
     }
 
-    /// A stable content key for the whole program: the FNV-1a hash of
-    /// stage 0's full stream followed by the patch-site indices and
-    /// every stage's instructions at those sites. Two programs key
-    /// equal exactly when every stage variant is byte-identical — the
-    /// property that lets a fleet-level cache score placement affinity
-    /// by key and trust that a key hit replays byte-identically.
-    pub fn content_key(&self) -> u64 {
-        self.key
-    }
-
     /// The tape for `stage`.
     ///
     /// # Panics
@@ -269,53 +242,30 @@ fn same_layout<'a>(v: &'a KernelParts, i: usize, base: &Part) -> &'a [Instr] {
     }
 }
 
-/// See [`StageProgram::content_key`]; also returns the number of patch
-/// sites. The variants share their parts' layout, so the sites are
-/// found part by part: a site in a repeated run is a site on each of its
-/// blocks.
+/// Instructions of the expanded stream where at least two variants
+/// differ. The variants share their parts' layout, so the sites are
+/// counted part by part: a site in a repeated run is a site on each of
+/// its blocks.
 ///
 /// # Panics
 /// Panics if the variants' parts differ in layout.
-fn content_key(variants: &[KernelParts]) -> (u64, usize) {
+fn patch_sites(variants: &[KernelParts]) -> usize {
     let layout = variants[0].parts.len();
     assert!(
         variants.iter().all(|v| v.parts.len() == layout),
         "stage variants must share their parts' layout"
     );
-    let mut sites = Vec::new();
-    // Every variant's instruction at each site, site-major.
-    let mut at_sites = Vec::new();
-    let mut start = 0;
+    let mut sites = 0;
     for (i, part) in variants[0].parts.iter().enumerate() {
         let each: Vec<&[Instr]> = variants.iter().map(|v| same_layout(v, i, part)).collect();
-        let (instrs, blocks) = match part {
-            Part::Stream(s) => (s.instrs(), None),
-            Part::Repeat { run, blocks } => (run.instrs(), Some(blocks)),
+        let (instrs, copies) = match part {
+            Part::Stream(s) => (s.instrs(), 1),
+            Part::Repeat { run, blocks } => (run.instrs(), blocks.len()),
         };
-        let differ: Vec<usize> =
-            (0..instrs.len()).filter(|&j| each.iter().any(|v| v[j] != instrs[j])).collect();
-        let copies = blocks.map_or(1, Vec::len);
-        for k in 0..copies {
-            for &j in &differ {
-                sites.push(start + k * instrs.len() + j);
-                at_sites.extend(each.iter().map(|v| match blocks {
-                    Some(blocks) => v[j].on_block(blocks[k]).unwrap_or(v[j]),
-                    None => v[j],
-                }));
-            }
-        }
-        start += instrs.len() * copies;
+        let differ = (0..instrs.len()).filter(|&j| each.iter().any(|v| v[j] != instrs[j])).count();
+        sites += differ * copies;
     }
-    let mut h = variants[0].content_hash(pim_isa::FNV_OFFSET);
-    for &site in &sites {
-        h = pim_isa::fnv1a(h, site as u64);
-    }
-    for v in 0..variants.len() {
-        for instrs in at_sites.chunks(variants.len()) {
-            h = pim_isa::fnv1a(h, pim_isa::encode(&instrs[v]));
-        }
-    }
-    (h, sites.len())
+    sites
 }
 
 #[cfg(test)]
@@ -353,7 +303,6 @@ mod tests {
         let chip = PimChip::new(ChipConfig::default_2gb());
         let fresh: Vec<Tape> = variants.iter().map(|v| chip.lower(v).unwrap()).collect();
         let prog = program(variants);
-        assert_eq!(prog.num_stages(), 5);
         assert_eq!(prog.num_patch_sites(), 2);
         // Out-of-order access must still land exactly on each variant.
         for s in [3, 0, 4, 1, 2, 2, 0] {
@@ -371,35 +320,32 @@ mod tests {
     }
 
     #[test]
-    fn content_key_is_stable_across_applied_stages() {
-        let variants: Vec<InstrStream> =
-            (0..5).map(|s| variant([10 + s as u8, 15 + s as u8])).collect();
-        let a = program(variants.clone());
-        let b = program(variants);
-        let key = a.content_key();
-        // Replaying a different stage on each must not move the key: it
-        // names the program, not the stage replayed last.
-        let _ = a.for_stage(3);
-        let _ = b.for_stage(1);
-        assert_eq!(a.content_key(), key);
-        assert_eq!(b.content_key(), key);
-        // A genuinely different program keys differently.
-        let other = program((0..5).map(|s| variant([11 + s as u8, 15])).collect());
-        assert_ne!(other.content_key(), key);
-    }
-
-    #[test]
-    fn content_key_matches_the_patch_table_layout() {
-        // The key hashes stage 0's stream, the patch-site indices, then
-        // each stage's instructions at the sites — the layout the
-        // patched-stream cache used, so cached-program keys carry over.
-        let variants: Vec<InstrStream> = (0..3).map(|s| variant([10 + s as u8, 15])).collect();
-        let mut h = variants[0].content_hash(pim_isa::FNV_OFFSET);
-        h = pim_isa::fnv1a(h, 0);
-        for v in &variants {
-            h = pim_isa::fnv1a(h, pim_isa::encode(&v.instrs()[0]));
+    fn a_site_in_a_repeated_run_counts_on_each_block() {
+        let parts = |stage: u8| {
+            let mut run = InstrStream::new();
+            run.push(Instr::Read { block: BlockId(0), row: 9, offset: 10 + stage, words: 1 });
+            run.push(Instr::Broadcast {
+                block: BlockId(0),
+                dst_first: 0,
+                dst_last: 26,
+                offset: 3,
+                words: 1,
+            });
+            let mut k = KernelParts::default();
+            k.repeat(run, vec![BlockId(0), BlockId(3), BlockId(5)]);
+            k.push(Instr::Read { block: BlockId(7), row: 9, offset: 20 + stage, words: 1 });
+            k.push(Instr::Sync);
+            k
+        };
+        let chip = PimChip::new(ChipConfig::default_2gb());
+        let variants: Vec<KernelParts> = (0..5).map(parts).collect();
+        let prog = StageProgram::new(variants.clone(), |k| k.lower(&chip).unwrap());
+        // One differing `Read` in the run on each of three blocks, one
+        // in the trailing stream.
+        assert_eq!(prog.num_patch_sites(), 3 + 1);
+        for (s, v) in variants.iter().enumerate() {
+            assert_eq!(prog.for_stage(s), &chip.lower(&v.expand()).unwrap(), "stage {s}");
         }
-        assert_eq!(program(variants).content_key(), h);
     }
 
     #[test]

@@ -73,6 +73,5 @@ fn expansions_are_what_the_compile_entry_points_return() {
     assert_eq!(m.volume_parts(&elems).expand(), m.compile_volume_for(&elems));
     assert_eq!(m.flux_phased_parts(&elems).expand(), m.compile_flux_phased_for(&elems));
     assert_eq!(m.integration_parts(&elems, 3).expand(), m.compile_integration_for(&elems, 3));
-    let stream = m.compile_flux_for(&elems);
-    assert_eq!(m.flux_parts(&elems).content_hash(7), stream.content_hash(7));
+    assert_eq!(m.flux_parts(&elems).expand(), m.compile_flux_for(&elems));
 }

@@ -4,7 +4,7 @@
 //!
 //! Everything the placement engine needs to reason about a job without
 //! building it — block demand per chip, feasibility on a chip subset,
-//! the compile/replay content keys, virtual cost estimates — lives here
+//! the program/replay keys, virtual cost estimates — lives here
 //! as closed-form arithmetic over the spec. The demand model deals
 //! residents with [`wavesim_mesh::slice_deal`], the same deal
 //! [`wavesim_mesh::SlicePartition::new_weighted`] shards by, and bounds
@@ -215,15 +215,16 @@ impl JobSpec {
         }
     }
 
-    /// The *program* content key: hashes every input that determines
-    /// the compiled [`pim_cluster::ClusterRunner`] instruction streams
-    /// — mesh level, order, flux, material, dt, and the capacity
-    /// sequence of the hosting chips (capacities drive the weighted
-    /// partition, which changes every shard's programs). Two jobs with
-    /// equal program keys on the same chip subset compile to runners
-    /// with equal [`pim_cluster::ClusterRunner::program_content_key`],
-    /// which is what makes a cache-affinity hit sound: the resident
-    /// program replays byte-identically for the new job.
+    /// The *program* key: hashes every input the compiled
+    /// [`pim_cluster::ClusterRunner`] programs are built from — mesh
+    /// level, order, flux, material, dt, and the capacity sequence of
+    /// the hosting chips (capacities drive the weighted partition,
+    /// which changes every shard's programs). A program is a compile
+    /// artifact of these inputs, so two jobs with equal program keys on
+    /// the same chip subset can share a runner: one built for either,
+    /// [`pim_cluster::ClusterRunner::reset_state`] to the other's
+    /// initial state, replays it bit-identically to a fresh runner —
+    /// what makes a cache-affinity hit sound.
     pub fn program_key(&self, caps: &[ChipCapacity]) -> u64 {
         let mut h = pim_isa::FNV_OFFSET;
         h = pim_isa::fnv1a(h, u64::from(self.level));
@@ -244,7 +245,7 @@ impl JobSpec {
         h
     }
 
-    /// The *replay* content key: the program key plus everything else
+    /// The *replay* key: the program key plus everything else
     /// that determines the final state — workload and step count. Two
     /// jobs with equal replay keys on the same chip subset produce
     /// byte-identical final states.

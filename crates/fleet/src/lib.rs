@@ -11,8 +11,9 @@
 //!
 //! * [`job`] — the [`job::JobSpec`] model: lifecycle states, a
 //!   closed-form per-chip block-demand model over the weighted
-//!   partition's slice deal, and the program/replay content keys that make cache
-//!   affinity sound.
+//!   partition's slice deal, and the program/replay keys that name a
+//!   job's compiled program and final state by the spec fields they
+//!   are built from.
 //! * [`placement`] — the deterministic placement engine: a virtual
 //!   timeline, a score trading cache affinity against capacity balance
 //!   and queue age, a capacity-reservation rule protecting big jobs,

@@ -13,8 +13,9 @@
 //! Three policies:
 //!
 //! * [`PlacementPolicy::CacheAware`] — the full score: cache affinity
-//!   (a chip cohort whose resident compiled program matches the job's
-//!   [`JobSpec::program_key`] skips compilation entirely), queue age
+//!   (a chip cohort whose resident runner was compiled for a spec with
+//!   the job's [`JobSpec::program_key`], i.e. from the same compile
+//!   inputs, skips compilation entirely), queue age
 //!   (with a deadline urgency multiplier), and capacity balance (small
 //!   jobs prefer small chips, keeping big chips open for jobs only
 //!   they can host).

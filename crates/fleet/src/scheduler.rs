@@ -148,11 +148,6 @@ impl Fleet {
         id
     }
 
-    /// Jobs waiting to be drained.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Plans the queued jobs and executes the plan on the worker pool.
     /// Returns per-job outcomes in submit order; the queue is empty
     /// afterwards.

@@ -7,10 +7,10 @@
 //!   change wall-clock, never numerics.
 //! * Every job stays within 1e-12 of the native dG solver.
 //! * Jobs with equal replay keys produce byte-identical final states
-//!   (the regression the spec-level content keys promise), and equal
-//!   *program* keys compile to runners with equal
-//!   [`ClusterRunner::program_content_key`] — the agreement that makes
-//!   cache-affinity scoring sound.
+//!   (the regression the spec-level keys promise), and a runner built
+//!   for one spec replays any spec with an equal *program* key, after
+//!   [`ClusterRunner::reset_state`], bit-identically to a fresh runner —
+//!   the guarantee a cache-affinity hit relies on.
 
 use pim_cluster::{ClusterConfig, ClusterRunner};
 use pim_fleet::{Fleet, FleetConfig, JobSpec, JobState, Workload};
@@ -118,10 +118,10 @@ fn fleet_jobs_are_bit_identical_to_solo_runs_and_track_native_dg() {
 }
 
 #[test]
-fn spec_program_keys_agree_with_compiled_program_content_keys() {
+fn equal_program_keys_replay_bit_identically_on_a_reset_runner() {
     // Two specs that differ only in workload and step budget share a
-    // program key — and their compiled runners carry identical
-    // instruction streams, witnessed by the runner's content key.
+    // program key, so a runner that served one must replay the other
+    // exactly as a runner compiled for it would.
     let caps = [ChipCapacity::Gb2];
     let configs = [chip(ChipCapacity::Gb2)];
     let a = JobSpec::new("a", 2, Workload::Pulse, 2);
@@ -129,6 +129,8 @@ fn spec_program_keys_agree_with_compiled_program_content_keys() {
     b.chips_wanted = 1;
     assert_eq!(a.program_key(&caps), b.program_key(&caps));
     assert_ne!(a.replay_key(&caps), b.replay_key(&caps));
+    // A different mesh level is a different program.
+    assert_ne!(a.program_key(&caps), JobSpec::new("c", 3, Workload::Pulse, 2).program_key(&caps));
 
     let build = |spec: &JobSpec| {
         let (mesh, solver) = native_solver(spec);
@@ -142,13 +144,16 @@ fn spec_program_keys_agree_with_compiled_program_content_keys() {
             ClusterConfig::heterogeneous(configs.to_vec()),
         )
     };
-    let key_a = build(&a).program_content_key();
-    let key_b = build(&b).program_content_key();
-    assert_eq!(key_a, key_b, "equal program keys must compile to identical programs");
+    let mut pooled = build(&a);
+    pooled.run(a.steps);
+    pooled.reset_state(native_solver(&b).1.state());
+    pooled.run(b.steps);
 
-    // A different mesh level is a different program at both levels of
-    // keying.
-    let c = JobSpec::new("c", 3, Workload::Pulse, 2);
-    assert_ne!(a.program_key(&caps), c.program_key(&caps));
-    assert_ne!(key_a, build(&c).program_content_key());
+    let mut fresh = build(&b);
+    fresh.run(b.steps);
+    let (reused, fresh) = (pooled.state(), fresh.state());
+    assert_eq!(reused.as_slice().len(), fresh.as_slice().len());
+    for (i, (x, y)) in reused.as_slice().iter().zip(fresh.as_slice()).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "value {i}: reused {x:e}, fresh {y:e}");
+    }
 }

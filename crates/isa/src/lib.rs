@@ -7,7 +7,7 @@
 //!
 //! * [`instr::Instr`] — the instruction forms (read/write/broadcast/
 //!   inter-block copy/row-parallel arithmetic/off-chip DMA/LUT),
-//! * [`encode`] — the 64-bit binary encoding, with the look-up-table
+//! * [`mod@encode`] — the 64-bit binary encoding, with the look-up-table
 //!   instruction laid out exactly as Fig. 4 of the paper
 //!   (`opcode[63:57] | RowID[56:31] | Offset_S[30:26] |
 //!   LUT Block ID[25:5] | Offset_D[4:0]`),

@@ -2,9 +2,10 @@
 //!
 //! The host "sends instructions" to the chip (§4.1); on a real system
 //! they travel as a binary image. This module serializes instruction
-//! streams to the 64-bit wire format of [`crate::encode`] with a small
-//! header, and deserializes them back — the format a host driver would
-//! DMA to the PIM's instruction decoder.
+//! streams to the 64-bit wire format of
+//! [`crate::encode`](mod@crate::encode) with a small header, and
+//! deserializes them back — the format a host driver would DMA to the
+//! PIM's instruction decoder.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 

@@ -14,7 +14,7 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// One FNV-1a mixing step folding a 64-bit word into hash `h`, byte by
 /// byte. Used wherever the workspace needs a stable, dependency-free
-/// content hash (instruction streams, program cache keys).
+/// hash (the fleet's spec keys, the tests' stream and state digests).
 #[inline]
 pub fn fnv1a(mut h: u64, x: u64) -> u64 {
     for byte in x.to_le_bytes() {
@@ -182,10 +182,8 @@ impl InstrStream {
     }
 
     /// Folds every instruction's 64-bit encoding into `seed` with the
-    /// FNV-1a mix — a stable content hash of the stream. Two streams
-    /// hash equal exactly when they encode the same program, so a cache
-    /// layer can key compiled programs by what they *are* rather than by
-    /// where they came from.
+    /// FNV-1a mix — a stable content hash of the stream, which tests use
+    /// to pin what the compilers emit.
     pub fn content_hash(&self, seed: u64) -> u64 {
         self.instrs.iter().fold(seed, |h, instr| fnv1a(h, crate::encode(instr)))
     }

@@ -51,20 +51,6 @@ impl MathPlacement {
     pub fn any_host(&self) -> bool {
         self.sqrt == Placement::Host || self.reciprocal == Placement::Host
     }
-
-    /// Nonzero discriminant folded into program-cache content keys so
-    /// differently placed programs never collide (the legacy no-math
-    /// path contributes nothing, keeping its keys bit-identical).
-    pub fn key(&self) -> u64 {
-        let mut k = 4u64;
-        if self.sqrt == Placement::OnPim {
-            k |= 1;
-        }
-        if self.reciprocal == Placement::OnPim {
-            k |= 2;
-        }
-        k
-    }
 }
 
 /// How the runtime treats transcendentals.
@@ -336,17 +322,5 @@ mod tests {
         assert!(m.resolve(MathMode::Off, &site(4096)).placement.is_none());
         let central = SiteParams { sqrts_per_elem: 0, divs_per_elem: 0, ..site(4096) };
         assert!(m.resolve(MathMode::Auto, &central).placement.is_none());
-    }
-
-    #[test]
-    fn placement_keys_are_distinct_and_nonzero() {
-        let mut keys = std::collections::HashSet::new();
-        for sq in [Placement::Host, Placement::OnPim] {
-            for rc in [Placement::Host, Placement::OnPim] {
-                let k = MathPlacement { sqrt: sq, reciprocal: rc }.key();
-                assert!(k != 0);
-                assert!(keys.insert(k));
-            }
-        }
     }
 }

@@ -16,10 +16,11 @@
 //! * the **ghost** elements — the de-duplicated remote neighbors, i.e.
 //!   the receive set of the halo exchange.
 //!
-//! On a [`Boundary::Periodic`] mesh the first and last shards are
-//! neighbors through the wrap; on a [`Boundary::Wall`] mesh the outer
-//! faces have no neighbor and produce no halo entries (the wall ghost is
-//! synthesized locally by the flux kernels).
+//! On a [`Periodic`](crate::Boundary::Periodic) mesh the first and last
+//! shards are neighbors through the wrap; on a
+//! [`Wall`](crate::Boundary::Wall) mesh the outer faces have no neighbor
+//! and produce no halo entries (the wall ghost is synthesized locally by
+//! the flux kernels).
 
 use crate::face::{Face, Neighbor};
 use crate::hexmesh::HexMesh;
@@ -234,12 +235,6 @@ impl SlicePartition {
     /// The shard owning an element.
     pub fn shard_of(&self, elem: ElemId) -> usize {
         self.shard_of[elem.index()]
-    }
-
-    /// Total halo faces summed over all shards (each inter-shard face
-    /// counted once per side).
-    pub fn total_halo_faces(&self) -> usize {
-        self.shards.iter().map(|s| s.halo.len()).sum()
     }
 }
 

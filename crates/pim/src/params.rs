@@ -68,7 +68,7 @@ pub const CELLS_PER_NOR_STEP: f64 = 2.0;
 pub const CLOCK_HZ: f64 = 900.0e6;
 /// Off-chip HBM2 bandwidth, bytes/second (Table 2: 900 GB/s).
 pub const OFFCHIP_BANDWIDTH: f64 = 900.0e9;
-/// Off-chip HBM2 DRAM power, watts (§7.1, from [34]).
+/// Off-chip HBM2 DRAM power, watts (§7.1, from ref. 34).
 pub const OFFCHIP_POWER: f64 = 36.91;
 
 // ---- Inter-chip link (cluster runtime) ----

@@ -23,7 +23,7 @@
 //! run whose entries equal the run just before it, on a block that run's
 //! *template group* does not hold yet, is not stored again: its block
 //! joins the group's block list. A group is the first run's entries in
-//! both tapes, then one `Repeat` op and step naming its [`Group`]; it
+//! both tapes, then one `Repeat` op and step naming its `Group`; it
 //! never spans a transfer, a DMA, a `Lut` or a `Sync`. The grouping is
 //! a function of the stream alone, so a stream lowered in parts gives
 //! the tape it gives lowered whole.

@@ -462,39 +462,6 @@ impl ChipPrograms {
         }
     }
 
-    /// Stable content key of this chip's whole program set: the
-    /// [`pim_isa::InstrStream::content_hash`] of every kernel's expanded
-    /// stream plus the Integration [`StageProgram::content_key`],
-    /// chained in kernel order. Two chips key equal exactly when every
-    /// compiled kernel is byte-identical. An installed math placement
-    /// (and its refinement stream, when on-PIM) folds in after, so
-    /// host-math, on-PIM and legacy programs are always distinguishable.
-    ///
-    /// The tapes keep no streams, so the kernels are emitted again from
-    /// the shard's mapping, which is unchanged since construction, and
-    /// hashed as they expand.
-    fn content_key<K: ElementKernels>(
-        &self,
-        m: &Mapping<K>,
-        res: &[usize],
-        ghosts: &[usize],
-        sends: &[usize],
-    ) -> u64 {
-        let mut h = pim_isa::FNV_OFFSET;
-        h = m.compile_halo_store_for(sends).content_hash(h);
-        h = m.compile_halo_load_for(ghosts).content_hash(h);
-        h = m.volume_parts(res).content_hash(h);
-        h = m.flux_schedule_parts(res).content_hash(h);
-        h = pim_isa::fnv1a(h, self.integration.content_key());
-        if self.math.is_some() {
-            h = m.compile_math_stage_for(res).content_hash(h);
-        }
-        if let Some(p) = m.math_placement() {
-            h = pim_isa::fnv1a(h, p.key());
-        }
-        h
-    }
-
     /// Heap bytes of each kernel's tapes, labelled as in
     /// [`TAPE_KERNELS`]: both halo tapes, then Volume, Flux, every
     /// Integration stage's and the math tape.
@@ -774,6 +741,9 @@ impl<K: ElementKernels> ClusterRunner<K> {
                 record_program_mix(reg, &c, "Volume", prog.volume.stats());
                 record_program_mix(reg, &c, "Flux", prog.flux.stats());
                 record_program_mix(reg, &c, "Integration", prog.integration.stats());
+                if let Some(math) = &prog.math {
+                    record_program_mix(reg, &c, "MathRefine", math.stats());
+                }
             }
         }
 
@@ -932,35 +902,17 @@ impl<K: ElementKernels> ClusterRunner<K> {
     }
 
     /// Cached instructions across all chips and kernels (counting one
-    /// Integration variant per chip — the others are patch rows).
+    /// Integration variant per chip — the others differ only at the
+    /// patch sites).
     pub fn cached_instrs(&self) -> u64 {
         self.programs.iter().map(ChipPrograms::num_instrs).sum()
     }
 
-    /// Integration patch sites across all chips: instructions the patch
-    /// table rewrites between stages (two per variable block of each
-    /// resident element).
+    /// Integration patch sites across all chips: instructions where the
+    /// stage variants differ (two per variable block of each resident
+    /// element).
     pub fn patch_sites(&self) -> u64 {
         self.programs.iter().map(|p| p.integration.num_patch_sites() as u64).sum()
-    }
-
-    /// Stable content key of the cluster's entire compiled program set:
-    /// each chip's kernel streams and Integration stage variants,
-    /// chained in chip order. Two runners key equal exactly when every
-    /// compiled instruction of every chip is byte-identical — which is
-    /// what lets a fleet-level scheduler treat a key hit as "this runner
-    /// already holds my program" and skip recompilation (see
-    /// [`Self::reset_state`]). The key hashes the full expanded streams,
-    /// whatever form the kernels are lowered from. The runner holds
-    /// tapes, not streams, so this emits the kernels again and hashes
-    /// their expansion: each repeated run is emitted once, but every
-    /// expanded instruction is hashed, so the cost grows with the shard.
-    /// Construction pays nothing for a key nobody asks for.
-    pub fn program_content_key(&self) -> u64 {
-        self.programs.iter().enumerate().fold(pim_isa::FNV_OFFSET, |h, (c, p)| {
-            let (m, res) = (&self.mappings[c], &self.residents[c]);
-            pim_isa::fnv1a(h, p.content_key(m, res, &self.ghosts[c], &self.send_sets[c]))
-        })
     }
 
     /// Rewinds the cluster to a fresh simulation from `initial` without
@@ -1366,13 +1318,7 @@ mod tests {
     /// The compile-once cache, op for op, against fresh compiles from
     /// each chip's mapping lowered for the same chip — every stage of
     /// Integration included, visited out of order and revisited.
-    #[test]
-    fn cached_programs_equal_fresh_compiles() {
-        let mesh = HexMesh::refinement_level(2, Boundary::Periodic);
-        let initial = State::zeros(mesh.num_elements(), 4, 8);
-        let config = ClusterConfig::new(2).with_math(MathConfig::on_pim());
-        let material = AcousticMaterial::new(2.0, 1.0);
-        let r = ClusterRunner::new(&mesh, 2, FluxKind::Riemann, material, &initial, 1e-3, config);
+    fn assert_cached_programs_equal_fresh_compiles<K: ElementKernels>(r: &ClusterRunner<K>) {
         for (c, prog) in r.programs.iter().enumerate() {
             let (m, res, chip) = (&r.mappings[c], &r.residents[c], &r.chips[c]);
             let fresh = |s: InstrStream| chip.lower(&s).unwrap();
@@ -1383,12 +1329,86 @@ mod tests {
             );
             assert_eq!(prog.halo_load, fresh(m.compile_halo_load_for(&r.ghosts[c])), "chip {c}");
             assert_eq!(prog.volume, fresh(m.compile_volume_for(res)), "chip {c}");
-            assert_eq!(prog.flux, fresh(m.compile_flux_phased_for(res)), "chip {c}");
-            assert_eq!(prog.math, Some(fresh(m.compile_math_stage_for(res))), "chip {c}");
+            assert_eq!(prog.flux, fresh(m.compile_flux_schedule_for(res)), "chip {c}");
+            let math = m.compile_math_stage_for(res);
+            assert_eq!(prog.math, (!math.is_empty()).then(|| fresh(math)), "chip {c}");
             for s in [4, 0, 3, 1, 2, 4] {
                 let stage = fresh(m.compile_integration_for(res, s));
                 assert_eq!(prog.integration.for_stage(s), &stage, "chip {c} stage {s}");
             }
+        }
+    }
+
+    /// The configurations `tests/program_key_golden.rs` pins the
+    /// compiled streams of: four acoustic chips with Riemann/periodic
+    /// (math off and on-PIM) and Central/wall, and two elastic chips
+    /// with mixed materials.
+    #[test]
+    fn cached_programs_equal_fresh_compiles() {
+        let cases = [
+            (Boundary::Periodic, FluxKind::Riemann, MathConfig::off()),
+            (Boundary::Wall, FluxKind::Central, MathConfig::off()),
+            (Boundary::Periodic, FluxKind::Riemann, MathConfig::on_pim()),
+        ];
+        for (boundary, flux, math) in cases {
+            let mesh = HexMesh::refinement_level(2, boundary);
+            let initial = State::zeros(mesh.num_elements(), 4, 8);
+            let material = AcousticMaterial::new(2.0, 1.0);
+            let config = ClusterConfig::new(4).with_math(math);
+            let r = ClusterRunner::new(&mesh, 2, flux, material, &initial, 1e-3, config);
+            assert_cached_programs_equal_fresh_compiles(&r);
+        }
+
+        use wave_pim::compiler_elastic::ElasticMapping;
+        use wavesim_dg::ElasticMaterial;
+        let mesh = HexMesh::refinement_level(2, Boundary::Periodic);
+        let materials: Vec<ElasticMaterial> = (0..mesh.num_elements())
+            .map(|e| {
+                if (e / 3) % 2 == 0 {
+                    ElasticMaterial::new(2.0, 1.0, 1.0)
+                } else {
+                    ElasticMaterial::new(4.0, 2.0, 1.5)
+                }
+            })
+            .collect();
+        let initial = State::zeros(mesh.num_elements(), 9, 8);
+        let mapping = ElasticMapping::new(mesh, 2, FluxKind::Riemann, materials);
+        let r = ClusterRunner::with_mapping(mapping, &initial, 1e-3, ClusterConfig::new(2));
+        assert_cached_programs_equal_fresh_compiles(&r);
+    }
+
+    /// `cluster_program_instrs_total` carries every cached kernel's
+    /// opcode mix, the on-PIM math tape's included (as `MathRefine`).
+    #[test]
+    fn program_mix_includes_the_math_tape() {
+        let mesh = HexMesh::refinement_level(2, Boundary::Periodic);
+        let initial = State::zeros(mesh.num_elements(), 4, 8);
+        let material = AcousticMaterial::new(2.0, 1.0);
+        let reg = Arc::new(MetricsRegistry::new());
+        let config =
+            ClusterConfig::new(2).with_math(MathConfig::on_pim()).with_metrics(Arc::clone(&reg));
+        let r = ClusterRunner::new(&mesh, 2, FluxKind::Riemann, material, &initial, 1e-3, config);
+        let math = r.programs[0].math.as_ref().expect("an on-PIM lane has a math tape").stats();
+        assert!(math.total() > 0);
+        let counters = reg.snapshot().counters;
+        let series = |op: &str| {
+            let labels = [("chip", "0"), ("kernel", "MathRefine"), ("op", op)];
+            counters.get(&pim_metrics::metric_key("cluster_program_instrs_total", &labels))
+        };
+        let expected = [
+            ("read", math.reads),
+            ("write", math.writes),
+            ("broadcast", math.broadcasts),
+            ("copy", math.copies),
+            ("arith_add", math.arith_addlike),
+            ("arith_mul", math.arith_mullike),
+            ("lut", math.luts),
+            ("load_offchip", math.offchip_loads),
+            ("store_offchip", math.offchip_stores),
+            ("sync", math.syncs),
+        ];
+        for (op, n) in expected {
+            assert_eq!(series(op).copied().unwrap_or(0), n, "op {op}");
         }
     }
 

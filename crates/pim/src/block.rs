@@ -232,6 +232,30 @@ impl MemBlock {
         }
     }
 
+    /// A gather: for each `[from, to]` of `rows`, in order, the `Read` of
+    /// row `from` at `src` and the `Write` of its `words` words into row
+    /// `to` at `dst` — a run of `Move`s that share their columns. A row
+    /// one pair writes is read by later pairs as written, and the row
+    /// buffer ends as the last `Read` left it.
+    #[inline]
+    pub(crate) fn gather_cells(&mut self, rows: &[[u16; 2]], src: usize, dst: usize, words: usize) {
+        assert!(src.max(dst) + words <= WORDS_PER_ROW, "gather crosses the row edge");
+        if words != 1 {
+            for &[from, to] in rows {
+                self.read_cells(from as usize, src, words);
+                self.write_cells(to as usize, dst, words);
+            }
+            return;
+        }
+        let mut last = self.row_buffer[0];
+        for &[from, to] in rows {
+            let (from, to) = (from as usize, to as usize);
+            last = self.tiles[from / TILE_ROWS].as_deref().map_or(0.0, |t| t.0[cell(from, src)]);
+            self.tiles[to / TILE_ROWS].get_or_insert_with(Tile::zeroed).0[cell(to, dst)] = last;
+        }
+        self.row_buffer[0] = last;
+    }
+
     /// `Broadcast`: row buffer replicated into rows
     /// `dst_first..=dst_last` at `offset` — the constants distribution of
     /// the paper's Fig. 5 ("constants need to be copied to the scratchpad

@@ -25,7 +25,10 @@
 //! - every `Copy` and `Lut` is routed once, to the dense resource slots
 //!   of its path;
 //! - every op's seconds and joules go into a small per-tape cost table,
-//!   so a timing op is a 1-byte cost id.
+//!   so a timing op is a 1-byte cost id;
+//! - a ghost fetch (`Read`→`Copy`→`Write` of one word count between two
+//!   blocks) becomes one fetch, and a run of same-column `Move`s one
+//!   gather (see [`crate::tape`]).
 //!
 //! Replay runs the functional tape, then the timing tape, each in issue
 //! order, so every f64 accumulation (ledger fields, block busy and ready
@@ -37,9 +40,12 @@
 //! the timing pass charges the fault path — index read only, both
 //! blocks released at the fault — for exactly those lookups. The
 //! functional pass also fuses a same-block `Read`→`Write` pair into one
-//! `Move` that leaves the row buffer as the pair would. Whether to trace
-//! is decided once per replay; traced, the timing pass records the same
-//! spans and payloads the interpreter did.
+//! `Move` that leaves the row buffer as the pair would. The timing pass
+//! holds a repeated route: copies over the route of the transfer before
+//! them start from its finish, and its slots are written once, when the
+//! route changes (`Routes`). Whether to trace is decided once per
+//! replay; traced, the timing pass records the same spans and payloads
+//! the interpreter did.
 //!
 //! A tape costs 8 bytes per functional op and 1 byte per timing op,
 //! plus one 16-byte step per block run, transfer, DMA or barrier and the
@@ -76,7 +82,7 @@ use crate::interconnect::{
 };
 use crate::params::{ChipCapacity, ProcessNode};
 use crate::tape::{
-    Charge, Cost, FKind, FOp, LowerError, RunIds, Step, Tape, TapeBuilder, Violation,
+    Charge, Cost, FKind, FOp, Fetch, LowerError, RunIds, Step, Tape, TapeBuilder, Violation,
 };
 
 /// Chip configuration: capacity (Table 2), interconnect (§4.2), process
@@ -678,6 +684,18 @@ impl PimChip {
                     self.block_at(current).load_row_buffer(&buf[..op.c[0] as usize]);
                 }
                 FKind::Lut => faults.push(self.lut_cells(&tape.luts[op.wide()])),
+                FKind::Fetch => {
+                    let f = &tape.fetches[op.wide()];
+                    let [from, to] = f.rows.map(usize::from);
+                    let [at, into, words] = f.cols.map(usize::from);
+                    let src = self.block_at(f.src as usize);
+                    src.read_cells(from, at, words);
+                    let buf = *src.row_buffer();
+                    current = f.dst as usize;
+                    let dst = self.block_at(current);
+                    dst.load_row_buffer(&buf[..words]);
+                    dst.write_cells(to, into, words);
+                }
                 FKind::Repeat => {
                     let group = &tape.groups[op.wide()];
                     let body = &fops[i - 1 - group.body as usize..i - 1];
@@ -690,7 +708,7 @@ impl PimChip {
                         );
                         for op in body {
                             for b in &mut held {
-                                run_local(b, op);
+                                run_local(b, op, tape);
                             }
                         }
                         for (&b, block) in chunk.iter().zip(held.drain(..)) {
@@ -704,7 +722,7 @@ impl PimChip {
                     // next op that is not one.
                     let b = self.block_at(current);
                     let mut op = op;
-                    while run_local(b, op) {
+                    while run_local(b, op, tape) {
                         match fops.get(i) {
                             Some(next) => (op, i) = (next, i + 1),
                             None => return faults,
@@ -766,14 +784,7 @@ impl PimChip {
     fn replay_timing(&mut self, tape: &Tape, faults: &[bool]) {
         let pid = pim_trace::enabled().then(|| self.trace_pid());
         let (mut id, mut lut) = (0, 0);
-        let (mut routes, mut route): (&[u32], &[u32]) = (&tape.routes, &[]);
-        let mut reroute = |rerouted: bool| {
-            if rerouted {
-                let (len, rest) = routes.split_first().expect("the tape holds every route");
-                (route, routes) = rest.split_at(*len as usize);
-            }
-            route
-        };
+        let mut routes = Routes { rest: &tape.routes, route: &[], held: None };
         // The run ids of the last `Run` step, which a `Repeat` repeats.
         let mut last = 0..0;
         for step in &tape.steps {
@@ -789,11 +800,21 @@ impl PimChip {
                 }
                 Step::Copy { src, dst, cost, rerouted } => {
                     let cost = &tape.xfer_costs[cost as usize];
-                    self.time_copy(src as usize, dst as usize, reroute(rerouted), cost, pid);
+                    self.time_copy(src as usize, dst as usize, (&mut routes, rerouted), cost, pid);
+                }
+                Step::Fetch { src, dst, cost, rerouted } => {
+                    let (read, write) = (tape.run_ids.get(id), tape.run_ids.get(id + 1));
+                    id += 2;
+                    let cost = &tape.xfer_costs[cost as usize];
+                    self.time_run(src, &[read], &tape.op_costs, pid);
+                    self.time_copy(src as usize, dst as usize, (&mut routes, rerouted), cost, pid);
+                    self.time_run(dst, &[write], &tape.op_costs, pid);
                 }
                 Step::Lut { holder, lut: table, cost, rerouted } => {
                     let cost = &tape.xfer_costs[cost as usize];
-                    let slots = reroute(rerouted);
+                    routes.next(rerouted, &mut self.resource_ready);
+                    routes.flush(&mut self.resource_ready);
+                    let slots = routes.route;
                     let faulted = faults[lut];
                     lut += 1;
                     self.time_lut(holder as usize, table as usize, slots, cost, faulted, pid);
@@ -808,6 +829,7 @@ impl PimChip {
                 Step::Sync => self.barrier = self.barrier.max(self.elapsed),
             }
         }
+        routes.flush(&mut self.resource_ready);
     }
 
     /// Adds `cost`'s joules to its ledger field.
@@ -885,16 +907,32 @@ impl PimChip {
         self.elapsed = self.elapsed.max(t);
     }
 
-    /// An interconnect copy: it starts when both blocks and every
-    /// resource on its route are free, and holds them all until done.
-    fn time_copy(&mut self, src: usize, dst: usize, slots: &[u32], cost: &Cost, pid: Option<u32>) {
+    /// An interconnect copy over the next route when `rerouted`, else
+    /// over the previous transfer's: it starts when both blocks and
+    /// every resource on its route are free, and holds them all until
+    /// done. The route's slots are written when the route changes
+    /// ([`Routes`]).
+    fn time_copy(
+        &mut self,
+        src: usize,
+        dst: usize,
+        (routes, rerouted): (&mut Routes<'_>, bool),
+        cost: &Cost,
+        pid: Option<u32>,
+    ) {
+        routes.next(rerouted, &mut self.resource_ready);
         let mut start = self.block_start(src).max(self.block_start(dst));
-        for &slot in slots {
-            start = start.max(self.resource_ready[slot as usize]);
+        match routes.held {
+            Some(at) => start = start.max(at),
+            None => {
+                for &slot in routes.route {
+                    start = start.max(self.resource_ready[slot as usize]);
+                }
+            }
         }
         let finish = start + cost.seconds;
-        for &slot in slots {
-            self.resource_ready[slot as usize] = finish;
+        if !routes.route.is_empty() {
+            routes.held = Some(finish);
         }
         self.charge(cost);
         self.finish_block(src, finish);
@@ -1117,15 +1155,54 @@ impl PimChip {
     }
 }
 
+/// The timing pass's place in a tape's routes, and the held route: a
+/// run of copies over one route holds every slot of it until the last
+/// of them is done, so each one after the first starts from the
+/// previous one's finish alone, and the slots are written once, when the
+/// route changes, before a `Lut` (whose faulted form leaves them as they
+/// were) or at the end of the tape. An empty route (a block's copy to
+/// itself) holds nothing.
+struct Routes<'t> {
+    /// The routes not reached yet.
+    rest: &'t [u32],
+    /// The route of the last transfer.
+    route: &'t [u32],
+    /// The finish every slot of `route` owes, not yet written.
+    held: Option<f64>,
+}
+
+impl<'t> Routes<'t> {
+    /// Moves to the next route when `rerouted`, writing the held finish
+    /// to the slots of the route left.
+    #[inline]
+    fn next(&mut self, rerouted: bool, ready: &mut [f64]) {
+        if rerouted {
+            self.flush(ready);
+            let (len, rest) = self.rest.split_first().expect("the tape holds every route");
+            (self.route, self.rest) = rest.split_at(*len as usize);
+        }
+    }
+
+    /// Writes the held finish to the route's slots.
+    #[inline]
+    fn flush(&mut self, ready: &mut [f64]) {
+        if let Some(at) = self.held.take() {
+            for &slot in self.route {
+                ready[slot as usize] = at;
+            }
+        }
+    }
+}
+
 /// Blocks a group's body runs over at a time in the functional pass:
 /// few enough that the chunk's row buffers and the tiles the body
 /// touches stay in cache from one op to the next.
 const GROUP_CHUNK: usize = 16;
 
-/// Runs block-local op `op` on `b`; false, doing nothing, for any other
-/// op.
+/// Runs block-local op `op` of `tape` on `b`; false, doing nothing, for
+/// any other op.
 #[inline(always)]
-fn run_local(b: &mut MemBlock, op: &FOp) -> bool {
+fn run_local(b: &mut MemBlock, op: &FOp, tape: &Tape) -> bool {
     let [c0, c1, c2] = op.c.map(usize::from);
     let [r0, r1] = op.r.map(usize::from);
     match op.kind {
@@ -1135,9 +1212,10 @@ fn run_local(b: &mut MemBlock, op: &FOp) -> bool {
             b.read_cells(r0, c0, c2);
             b.write_cells(r1, c1, c2);
         }
+        FKind::Gather => b.gather_cells(tape.gather(op.wide()), c0, c1, c2),
         FKind::Broadcast => b.broadcast_cells(r0, r1, c0, c1),
         FKind::Arith(alu) => b.arith_cells(alu, r0, r1, c0, c1, c2),
-        FKind::Block | FKind::Copy | FKind::Lut | FKind::Repeat => return false,
+        FKind::Block | FKind::Copy | FKind::Lut | FKind::Fetch | FKind::Repeat => return false,
     }
     true
 }
@@ -1196,12 +1274,67 @@ impl Lowering<'_> {
     /// # Errors
     /// The first instruction that breaks a bound, indexed from the start
     /// of the whole stream. The lowering is of no further use then.
+    ///
+    /// A ghost fetch — `Read` on one block, `Copy` of its words to
+    /// another, `Write` of as many words there, every bound in range —
+    /// lowers to one fetch ([`crate::tape`]); a triple split between two
+    /// parts lowers one instruction at a time, which replays the same.
     pub fn push(&mut self, part: &InstrStream) -> Result<(), LowerError> {
         let first = self.tape.add_part(part.len(), part.stats());
-        for (i, instr) in part.instrs().iter().enumerate() {
-            self.lower(first + i, instr)?;
+        let instrs = part.instrs();
+        let mut i = 0;
+        while let Some(instr) = instrs.get(i) {
+            i += match instr {
+                Instr::Read { .. } if self.fetch(&instrs[i..]) => 3,
+                _ => {
+                    self.lower(first + i, instr)?;
+                    1
+                }
+            };
         }
         Ok(())
+    }
+
+    /// Lowers the ghost fetch `instrs` opens with, if it opens with one.
+    fn fetch(&mut self, instrs: &[Instr]) -> bool {
+        let [Instr::Read { block: src, row: from, offset: at, words }, copy, write, ..] = *instrs
+        else {
+            return false;
+        };
+        let Instr::Write { block: dst, row: to, offset: into, words: written } = write else {
+            return false;
+        };
+        let bounds = Bounds(self.chip.config.capacity.num_blocks());
+        let fused = src != dst
+            && copy == (Instr::Copy { src, dst, words: words as u16 })
+            && written == words
+            && bounds
+                .block(src.0)
+                .and(bounds.block(dst.0))
+                .and(bounds.rows(from, from))
+                .and(bounds.rows(to, to))
+                .and(bounds.cols(at, words))
+                .and(bounds.cols(into, words))
+                .is_ok();
+        if fused {
+            let cost = self.route(src, dst, words as u16);
+            let fetch = Fetch { src: src.0, dst: dst.0, rows: [from, to], cols: [at, into, words] };
+            self.tape.fetch(fetch, &self.slots, cost);
+        }
+        fused
+    }
+
+    /// Routes `src → dst` into `slots` (kept while the pair repeats) and
+    /// prices a transfer of `words` words over it.
+    fn route(&mut self, src: BlockId, dst: BlockId, words: u16) -> (f64, f64) {
+        let chip = self.chip;
+        if self.routed != Some((src, dst)) {
+            chip.route_into(src, dst, &mut self.path);
+            self.slots.clear();
+            self.slots.extend(self.path.iter().map(|r| chip.resource_index(r) as u32));
+            self.routed = Some((src, dst));
+        }
+        chip.transfer_cost(&Transfer { src, dst, words: words as u32 }, self.path.len())
     }
 
     /// Lowers the run of block-local instructions `run` on each block of
@@ -1261,18 +1394,8 @@ impl Lowering<'_> {
 
     /// Checks and lowers instruction `index` of the stream.
     fn lower(&mut self, index: usize, instr: &Instr) -> Result<(), LowerError> {
-        let (chip, tape) = (self.chip, &mut self.tape);
-        let bounds = Bounds(chip.config.capacity.num_blocks());
+        let bounds = Bounds(self.chip.config.capacity.num_blocks());
         let at = |violation| LowerError { index, instr: *instr, violation };
-        let mut route = |src: BlockId, dst: BlockId, words: u16| {
-            if self.routed != Some((src, dst)) {
-                chip.route_into(src, dst, &mut self.path);
-                self.slots.clear();
-                self.slots.extend(self.path.iter().map(|r| chip.resource_index(r) as u32));
-                self.routed = Some((src, dst));
-            }
-            chip.transfer_cost(&Transfer { src, dst, words: words as u32 }, self.path.len())
-        };
         match *instr {
             Instr::Read { block, row, offset, words } => {
                 bounds
@@ -1280,7 +1403,7 @@ impl Lowering<'_> {
                     .and(bounds.rows(row, row))
                     .and(bounds.cols(offset, words))
                     .map_err(at)?;
-                tape.read(block.0, row, offset, words)
+                self.tape.read(block.0, row, offset, words)
             }
             Instr::Write { block, row, offset, words } => {
                 bounds
@@ -1288,7 +1411,7 @@ impl Lowering<'_> {
                     .and(bounds.rows(row, row))
                     .and(bounds.cols(offset, words))
                     .map_err(at)?;
-                tape.write(block.0, row, offset, words)
+                self.tape.write(block.0, row, offset, words)
             }
             Instr::Broadcast { block, dst_first, dst_last, offset, words } => {
                 bounds
@@ -1296,7 +1419,7 @@ impl Lowering<'_> {
                     .and(bounds.rows(dst_first, dst_last))
                     .and(bounds.cols(offset, words))
                     .map_err(at)?;
-                tape.broadcast(block.0, dst_first, dst_last, offset, words)
+                self.tape.broadcast(block.0, dst_first, dst_last, offset, words)
             }
             Instr::Arith { block, op, first_row, last_row, dst, a, b } => {
                 bounds
@@ -1304,12 +1427,12 @@ impl Lowering<'_> {
                     .and(bounds.rows(first_row, last_row))
                     .and(bounds.cols(dst.max(a).max(b), 1))
                     .map_err(at)?;
-                tape.arith(block.0, op, (first_row, last_row), [dst, a, b])
+                self.tape.arith(block.0, op, (first_row, last_row), [dst, a, b])
             }
             Instr::Copy { src, dst, words } => {
                 bounds.block(src.0).and(bounds.block(dst.0)).map_err(at)?;
-                let cost = route(src, dst, words);
-                tape.copy((src.0, dst.0, words), &self.slots, cost);
+                let cost = self.route(src, dst, words);
+                self.tape.copy((src.0, dst.0, words), &self.slots, cost);
             }
             Instr::Lut { row, offset_s, lut_block, offset_d } => {
                 // Algorithm 1's content transfer runs LUT → holder.
@@ -1319,14 +1442,14 @@ impl Lowering<'_> {
                     .and(bounds.block(lut_block))
                     .and(bounds.cols(offset_s.max(offset_d), 1))
                     .map_err(at)?;
-                let cost = route(BlockId(lut_block), BlockId(holder), 1);
-                tape.lut(*instr, (holder, lut_block), &self.slots, cost);
+                let cost = self.route(BlockId(lut_block), BlockId(holder), 1);
+                self.tape.lut(*instr, (holder, lut_block), &self.slots, cost);
             }
             Instr::LoadOffchip { block, bytes } | Instr::StoreOffchip { block, bytes } => {
                 bounds.block(block.0).map_err(at)?;
-                tape.dma(block.0, bytes)
+                self.tape.dma(block.0, bytes)
             }
-            Instr::Sync => tape.sync(),
+            Instr::Sync => self.tape.sync(),
         }
         Ok(())
     }
@@ -1390,14 +1513,21 @@ mod tests {
 
     #[test]
     fn fused_block_runs_are_bit_identical_to_the_one_at_a_time_path() {
-        // A tape runs same-block ops as one run and fuses a same-block
-        // Read→Write into one Move; every observable — cell contents,
-        // row buffers, ledger joules, busy/ready clocks, elapsed — must
-        // come out bit-identical to running each instruction as a
-        // stream of its own.
+        // A tape runs same-block ops as one run, fuses a same-block
+        // Read→Write into one Move, a run of same-column Moves into one
+        // gather and a Read→Copy→Write ghost fetch into one fetch, and
+        // holds a repeated route's slots; every observable — cell
+        // contents, row buffers, ledger joules, busy/ready clocks,
+        // resource clocks, elapsed — must come out bit-identical to
+        // running each instruction as a stream of its own.
+        let read =
+            |block, row, offset, words| Instr::Read { block: BlockId(block), row, offset, words };
+        let write =
+            |block, row, offset, words| Instr::Write { block: BlockId(block), row, offset, words };
+        let copy = |src, dst, words| Instr::Copy { src: BlockId(src), dst: BlockId(dst), words };
         let instrs = [
-            Instr::Read { block: BlockId(0), row: 3, offset: 0, words: 4 },
-            Instr::Write { block: BlockId(0), row: 9, offset: 20, words: 4 },
+            read(0, 3, 0, 4),
+            write(0, 9, 20, 4),
             Instr::Broadcast {
                 block: BlockId(0),
                 dst_first: 0,
@@ -1411,26 +1541,103 @@ mod tests {
             arith(1, AluOp::Add, 16), // splits the run: different block
             arith(1, AluOp::Neg, 16),
             arith(0, AluOp::Sub, 100),
+            // An aliasing gather: each row written is read by the next pair.
+            read(0, 1, 0, 1),
+            write(0, 2, 0, 1),
+            read(0, 2, 0, 1),
+            write(0, 5, 0, 1),
+            read(0, 5, 0, 1),
+            write(0, 1, 0, 1),
+            // A gather over a tile no one wrote, then a two-word one.
+            read(0, 600, 2, 1),
+            write(0, 610, 3, 1),
+            read(0, 601, 2, 1),
+            write(0, 4, 3, 1),
+            read(0, 6, 0, 2),
+            write(0, 7, 9, 2),
+            read(0, 8, 0, 2),
+            write(0, 6, 9, 2),
+            // Two ghost fetches over one cross-tile route.
+            read(300, 0, 0, 3),
+            copy(300, 0, 3),
+            write(0, 12, 5, 3),
+            read(300, 1, 0, 3),
+            copy(300, 0, 3),
+            write(0, 13, 5, 3),
+            // A near-triple: the copy moves a word more than is read.
+            read(1, 0, 0, 2),
+            copy(1, 0, 3),
+            write(0, 14, 0, 2),
+            // Copies of a block to itself: empty routes, held by nothing.
+            copy(1, 1, 2),
+            copy(2, 2, 2),
+            // Two copies over one route around a faulted Lut on it.
+            copy(2, 0, 1),
+            Instr::Lut { row: 100, offset_s: 4, lut_block: 2, offset_d: 11 },
+            copy(2, 0, 1),
+            // Copies and a Lut that share a route (on the bus) but no
+            // block.
+            copy(3, 0, 1),
+            Instr::Lut { row: BLOCK_ROWS as u32 + 101, offset_s: 4, lut_block: 2, offset_d: 12 },
+            copy(3, 0, 1),
+            // An aliasing gather whose row buffer nothing overwrites.
+            read(2, 1, 1, 1),
+            write(2, 2, 1, 1),
+            read(2, 2, 1, 1),
+            write(2, 5, 1, 1),
+            read(2, 5, 1, 1),
+            write(2, 1, 1, 1),
         ];
+        let blocks = [0u32, 1, 2, 3, 300];
         let preload = |c: &mut PimChip| {
             for row in 0..512 {
                 c.block_mut(BlockId(0)).set(row, 0, row as f64 * 0.25 - 17.0);
                 c.block_mut(BlockId(0)).set(row, 1, 1.0 / (row as f64 + 1.0));
             }
+            // The first Lut's index word is past the table: it faults.
+            // The second's names entry 9.
+            c.block_mut(BlockId(0)).set(100, 4, 40000.0);
+            c.block_mut(BlockId(1)).set(101, 4, 9.0);
+            c.block_mut(BlockId(2)).set(0, 9, 3.0);
+            for (i, &b) in blocks[1..].iter().enumerate() {
+                for row in 0..8 {
+                    c.block_mut(BlockId(b)).set(row, i, row as f64 + 0.5 * b as f64);
+                }
+            }
         };
-        let mut fused = chip();
+        for interconnect in [InterconnectKind::HTree, InterconnectKind::Bus] {
+            let config =
+                ChipConfig { capacity: ChipCapacity::Gb2, interconnect, node: ProcessNode::Nm28 };
+            check_fused_against_single(&instrs, &blocks, config, &preload);
+        }
+    }
+
+    /// Lowers `instrs` as one stream and replays it, runs each as a
+    /// stream of its own on a second chip, and compares what the two
+    /// leave behind bit for bit.
+    fn check_fused_against_single(
+        instrs: &[Instr],
+        blocks: &[u32],
+        config: ChipConfig,
+        preload: &dyn Fn(&mut PimChip),
+    ) {
+        let mut fused = PimChip::new(config);
         preload(&mut fused);
         let mut s = InstrStream::new();
-        for i in &instrs {
+        for i in instrs {
             s.push(*i);
         }
         let tape = fused.lower(&s).unwrap();
-        assert!(tape.fops.iter().any(|op| op.kind == FKind::Move), "the Read→Write pair fuses");
+        let count = |kind| tape.fops.iter().filter(|op| op.kind == kind).count();
+        assert_eq!(count(FKind::Move), 1, "the lone Read→Write pair fuses");
+        assert_eq!(count(FKind::Gather), 4, "each run of same-column Moves is one gather");
+        assert_eq!(count(FKind::Fetch), 2, "each ghost fetch is one fetch");
+        assert_eq!(count(FKind::Copy), 7, "the near-triple and the bare copies stay copies");
         fused.replay(&tape);
 
-        let mut single = chip();
+        let mut single = PimChip::new(config);
         preload(&mut single);
-        for i in &instrs {
+        for i in instrs {
             let mut one = InstrStream::new();
             one.push(*i);
             single.execute(&one);
@@ -1442,24 +1649,27 @@ mod tests {
             ("compute", fused.ledger.compute, single.ledger.compute),
             ("reads", fused.ledger.reads, single.ledger.reads),
             ("writes", fused.ledger.writes, single.ledger.writes),
+            ("interconnect", fused.ledger.interconnect, single.ledger.interconnect),
         ] {
             assert_eq!(f.to_bits(), s.to_bits(), "ledger.{name}");
         }
-        for id in [0u32, 1] {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fused.resource_ready), bits(&single.resource_ready), "resource clocks");
+        assert_eq!(fused.diagnostics().len(), 1, "the first Lut faults");
+        assert_eq!(fused.diagnostics(), single.diagnostics());
+        for &id in blocks {
             let i = id as usize;
             assert_eq!(fused.block_ready[i].to_bits(), single.block_ready[i].to_bits());
             assert_eq!(fused.block_busy[i].to_bits(), single.block_busy[i].to_bits());
+            let (f, s) = (fused.block(BlockId(id)).clone(), single.block(BlockId(id)).clone());
+            assert_eq!(f.resident_tiles(), s.resident_tiles(), "block {id} tiles");
             for row in 0..BLOCK_ROWS {
                 for col in 0..WORDS_PER_ROW {
-                    let (f, s) = (
-                        fused.block(BlockId(id)).get(row, col),
-                        single.block(BlockId(id)).get(row, col),
-                    );
+                    let (f, s) = (f.get(row, col), s.get(row, col));
                     assert_eq!(f.to_bits(), s.to_bits(), "block {id} ({row},{col})");
                 }
             }
-            let (f, s) =
-                (*fused.block(BlockId(id)).row_buffer(), *single.block(BlockId(id)).row_buffer());
+            let (f, s) = (f.row_buffer(), s.row_buffer());
             assert_eq!(f.map(f64::to_bits), s.map(f64::to_bits), "block {id} row buffer");
         }
         assert_eq!(fused.touched_blocks, single.touched_blocks);

@@ -14,6 +14,17 @@
 //!   transfer's route is stored as the dense resource slots it holds,
 //!   once per change of route.
 //!
+//! Two idioms of the element kernels are one op each:
+//! - a *fetch* is a ghost fetch's `Read` on a neighbor, `Copy` to the
+//!   home block and `Write` there, all of one word count: one `Fetch`
+//!   op naming a `Fetch` entry, and one `Fetch` step that times the
+//!   read, the copy and the write in that order, the read and the write
+//!   costed by the next two run ids;
+//! - a *gather* is a run of `Move`s in one run that share their columns
+//!   and word count, as Volume's derivative gathers are: one `Gather` op
+//!   naming its row pairs, each distinct table stored once. Its ops keep
+//!   their run ids, so the timing tape does not change.
+//!
 //! Everything a stream's timing needs except the LUT fault outcome is
 //! static, so the seconds and joules of every op sit in two small
 //! per-tape cost tables.
@@ -73,6 +84,12 @@ pub struct Tape {
     /// order; a transfer over the same slots as the one before it adds
     /// none.
     pub(crate) routes: Vec<u32>,
+    /// The fetches, in issue order; `Fetch` ops index it.
+    pub(crate) fetches: Vec<Fetch>,
+    /// Each gather table's row pairs: `gather_rows[start..end]`, in
+    /// order of first use; `Gather` ops index it.
+    pub(crate) gathers: Vec<[u32; 2]>,
+    pub(crate) gather_rows: Vec<[u16; 2]>,
 }
 
 impl Tape {
@@ -107,6 +124,16 @@ impl Tape {
             + size_of_val(&self.op_costs[..])
             + size_of_val(&self.xfer_costs[..])
             + size_of_val(&self.routes[..])
+            + size_of_val(&self.fetches[..])
+            + size_of_val(&self.gathers[..])
+            + size_of_val(&self.gather_rows[..])
+    }
+
+    /// The row pairs of gather table `id`.
+    #[inline]
+    pub(crate) fn gather(&self, id: usize) -> &[[u16; 2]] {
+        let [start, end] = self.gathers[id];
+        &self.gather_rows[start as usize..end as usize]
     }
 }
 
@@ -198,6 +225,12 @@ pub(crate) enum FKind {
     Copy,
     /// Algorithm 1 for lookup [`FOp::wide`] of [`Tape::luts`].
     Lut,
+    /// Fetch [`FOp::wide`] of [`Tape::fetches`]; its destination becomes
+    /// current.
+    Fetch,
+    /// The `Move`s of `c[2]` words from column `c[0]` to column `c[1]`
+    /// over the row pairs of gather table [`FOp::wide`], in order.
+    Gather,
     /// The body of group [`FOp::wide`] of [`Tape::groups`] — the
     /// functional ops right before this one, which ran on the group's
     /// first block — on each of the group's repeat blocks. The last
@@ -213,10 +246,16 @@ impl FOp {
 
     #[inline]
     fn with_wide(kind: FKind, c0: u8, x: u32) -> Self {
-        Self { kind, c: [c0, 0, 0], r: [x as u16, (x >> 16) as u16] }
+        Self::with_cols(kind, [c0, 0, 0], x)
     }
 
-    /// The 32-bit operand of `Block`, `Copy`, `Lut` and `Repeat`.
+    #[inline]
+    fn with_cols(kind: FKind, c: [u8; 3], x: u32) -> Self {
+        Self { kind, c, r: [x as u16, (x >> 16) as u16] }
+    }
+
+    /// The 32-bit operand of `Block`, `Copy`, `Lut`, `Fetch`, `Gather`
+    /// and `Repeat`.
     #[inline]
     pub(crate) fn wide(&self) -> usize {
         self.r[0] as usize | (self.r[1] as usize) << 16
@@ -242,6 +281,21 @@ pub(crate) enum Step {
     /// The `Run` step right before, with its run ids, on each repeat
     /// block of group `group`, in order.
     Repeat { group: u32 },
+    /// A fetch: the read on `src` costed by the next run id, the copy
+    /// to `dst` routed like a `Copy`, then the write on `dst` costed by
+    /// the run id after.
+    Fetch { src: u32, dst: u32, cost: u32, rerouted: bool },
+}
+
+/// A fetch's cells: row `rows[0]` of `src` at word `cols[0]`, `cols[2]`
+/// words, through both row buffers into row `rows[1]` of `dst` at
+/// `cols[1]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fetch {
+    pub(crate) src: u32,
+    pub(crate) dst: u32,
+    pub(crate) rows: [u16; 2],
+    pub(crate) cols: [u8; 3],
 }
 
 /// A template group: consecutive runs of the same ops on distinct
@@ -411,6 +465,14 @@ impl RunIds {
         }
     }
 
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> usize {
+        match self {
+            RunIds::Narrow(ids) => ids[i] as usize,
+            RunIds::Wide(ids) => ids[i] as usize,
+        }
+    }
+
     fn copy_out(&self, from: usize, into: &mut Vec<u16>) {
         into.clear();
         match self {
@@ -466,6 +528,17 @@ pub(crate) struct TapeBuilder {
     last: Option<LastRun>,
     /// The blocks of `last` and its group, one bit each.
     members: Vec<u64>,
+    fetches: Vec<Fetch>,
+    gathers: Vec<[u32; 2]>,
+    gather_rows: Vec<[u16; 2]>,
+    /// The first gather table stored with each fingerprint
+    /// ([`fingerprint`]).
+    gather_ids: HashMap<u64, u32>,
+    /// The op of the gather still growing, whose table id is stale until
+    /// it is sealed, and its row pairs so far with their fingerprint.
+    pending: Option<usize>,
+    pending_rows: Vec<[u16; 2]>,
+    pending_key: u64,
 }
 
 /// A run of block-local ops still being lowered.
@@ -507,6 +580,13 @@ impl TapeBuilder {
             run: None,
             last: None,
             members: Vec::new(),
+            fetches: Vec::new(),
+            gathers: Vec::new(),
+            gather_rows: Vec::new(),
+            gather_ids: HashMap::new(),
+            pending: None,
+            pending_rows: Vec::new(),
+            pending_key: FINGERPRINT_SEED,
         }
     }
 
@@ -538,8 +618,9 @@ impl TapeBuilder {
     }
 
     /// Copies the open run's functional ops and run ids out of the tape
-    /// (nothing without an open run).
-    pub(crate) fn copy_open_run(&self, into: (&mut Vec<FOp>, &mut Vec<u16>)) {
+    /// (nothing without an open run), its gathers sealed.
+    pub(crate) fn copy_open_run(&mut self, into: (&mut Vec<FOp>, &mut Vec<u16>)) {
+        self.seal_gather();
         into.0.clear();
         into.1.clear();
         if let Some(run) = &self.run {
@@ -573,6 +654,7 @@ impl TapeBuilder {
     /// to the group, else as a run of its own, which the next run is
     /// compared with.
     fn close_run(&mut self) {
+        self.seal_gather();
         let Some(run) = self.run.take() else { return };
         if let Some(last) = &mut self.last {
             let joins = run.len as usize == last.ids.len()
@@ -682,9 +764,81 @@ impl TapeBuilder {
         match self.fops.last_mut() {
             Some(read) if continued && read.kind == FKind::Read && read.c[1] == words => {
                 *read = FOp::new(FKind::Move, [read.c[0], offset, words], [read.r[0], row]);
+                self.gather_move();
             }
             _ => self.fops.push(FOp::new(FKind::Write, [offset, words, 0], [row, 0])),
         }
+    }
+
+    /// Folds the `Move` just lowered into the op before it when that op
+    /// is a `Move` or a gather of the same run with the same columns and
+    /// words: the two `Move`s open a gather, or the gather grows by one
+    /// row pair (a sealed one is reopened; its sealed table stays for
+    /// the ops that name it).
+    #[inline(never)]
+    fn gather_move(&mut self) {
+        let n = self.fops.len();
+        let run_start = self.run.as_ref().map_or(n, |run| run.fops);
+        if n < run_start + 2 || self.fops[n - 2].c != self.fops[n - 1].c {
+            return;
+        }
+        let (prev, pair) = (self.fops[n - 2], self.fops[n - 1].r);
+        match prev.kind {
+            FKind::Gather if self.pending == Some(n - 2) => self.pend(pair),
+            FKind::Gather => {
+                self.seal_gather();
+                self.pending = Some(n - 2);
+                let [start, end] = self.gathers[prev.wide()];
+                for i in start..end {
+                    self.pend(self.gather_rows[i as usize]);
+                }
+                self.pend(pair);
+            }
+            FKind::Move => {
+                self.seal_gather();
+                self.pending = Some(n - 2);
+                self.pend(prev.r);
+                self.pend(pair);
+                self.fops[n - 2].kind = FKind::Gather;
+            }
+            _ => return,
+        }
+        self.fops.pop();
+    }
+
+    /// Adds a row pair to the pending gather.
+    #[inline]
+    fn pend(&mut self, pair: [u16; 2]) {
+        self.pending_rows.push(pair);
+        self.pending_key = fingerprint(self.pending_key, pair);
+    }
+
+    /// Gives the pending gather, if any, the id of its row pairs' table,
+    /// storing the table on first sight: equal gathers name one table,
+    /// so a run compares equal to the runs it repeats.
+    fn seal_gather(&mut self) {
+        let Some(at) = self.pending.take() else { return };
+        let rows = &self.pending_rows[..];
+        let (gathers, stored) = (&self.gathers, &self.gather_rows);
+        let table = |id: usize| &stored[gathers[id][0] as usize..gathers[id][1] as usize];
+        let key = std::mem::replace(&mut self.pending_key, FINGERPRINT_SEED);
+        // A fingerprint that names another table sends the search over
+        // every table.
+        let found = match self.gather_ids.get(&key) {
+            Some(&id) if table(id as usize) == rows => Some(id as usize),
+            Some(_) => (0..gathers.len()).find(|&id| table(id) == rows),
+            None => None,
+        };
+        let id = found.unwrap_or_else(|| {
+            let id = self.gathers.len();
+            let start = self.gather_rows.len() as u32;
+            self.gather_rows.extend_from_slice(&self.pending_rows);
+            self.gathers.push([start, self.gather_rows.len() as u32]);
+            self.gather_ids.entry(key).or_insert(id as u32);
+            id
+        });
+        self.pending_rows.clear();
+        self.fops[at] = FOp::with_cols(FKind::Gather, self.fops[at].c, id as u32);
     }
 
     #[inline]
@@ -741,6 +895,24 @@ impl TapeBuilder {
         self.steps.push(Step::Copy { src, dst, cost, rerouted });
     }
 
+    /// A fetch of `fetch.cols[2]` words over `slots`, its transfer
+    /// priced `cost`.
+    pub(crate) fn fetch(&mut self, fetch: Fetch, slots: &[u32], cost: (f64, f64)) {
+        self.end_runs();
+        let words = fetch.cols[2];
+        let read = self.costs.op_id(READ_KEY, || Cost::new(OpCost::read(), Charge::Read));
+        let write = self.costs.op_id(WRITE_KEYS + words as usize, || {
+            Cost::new(OpCost::write(words as usize), Charge::Write)
+        });
+        self.run_ids.push(read);
+        self.run_ids.push(write);
+        self.fops.push(FOp::with_wide(FKind::Fetch, 0, self.fetches.len() as u32));
+        self.fetches.push(fetch);
+        self.current = Some(fetch.dst);
+        let (cost, rerouted) = self.transfer(words as u16, slots, cost);
+        self.steps.push(Step::Fetch { src: fetch.src, dst: fetch.dst, cost, rerouted });
+    }
+
     pub(crate) fn lut(
         &mut self,
         instr: Instr,
@@ -771,8 +943,11 @@ impl TapeBuilder {
 
     pub(crate) fn finish(mut self) -> Tape {
         self.close_run();
+        let (gathers, gather_rows) = self.renumber_gathers();
         let (mut fops, mut steps, mut routes, mut run_ids, mut groups, mut blocks) =
             (self.fops, self.steps, self.routes, self.run_ids, self.groups, self.blocks);
+        let mut fetches = self.fetches;
+        fetches.shrink_to_fit();
         fops.shrink_to_fit();
         steps.shrink_to_fit();
         routes.shrink_to_fit();
@@ -795,8 +970,41 @@ impl TapeBuilder {
             op_costs: self.costs.ops,
             xfer_costs: self.costs.xfers,
             routes,
+            fetches,
+            gathers,
+            gather_rows,
         }
     }
+
+    /// The gather tables the functional ops name, renumbered in order of
+    /// first use. A reopened gather can leave a table no op names, or
+    /// store tables out of that order; this drops and reorders them, so
+    /// the tables are a function of the functional tape alone.
+    fn renumber_gathers(&mut self) -> (Vec<[u32; 2]>, Vec<[u16; 2]>) {
+        let mut ids = vec![u32::MAX; self.gathers.len()];
+        let (mut gathers, mut rows) = (Vec::new(), Vec::new());
+        for op in self.fops.iter_mut().filter(|op| op.kind == FKind::Gather) {
+            let old = op.wide();
+            if ids[old] == u32::MAX {
+                ids[old] = gathers.len() as u32;
+                let [start, end] = self.gathers[old];
+                let first = rows.len() as u32;
+                rows.extend_from_slice(&self.gather_rows[start as usize..end as usize]);
+                gathers.push([first, rows.len() as u32]);
+            }
+            *op = FOp::with_cols(FKind::Gather, op.c, ids[old]);
+        }
+        (gathers, rows)
+    }
+}
+
+/// A gather table's fingerprint: FNV-1a over its row pairs, each folded
+/// into the fingerprint of the pairs before it.
+const FINGERPRINT_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[inline]
+fn fingerprint(h: u64, [from, to]: [u16; 2]) -> u64 {
+    (h ^ ((from as u64) << 16 | to as u64)).wrapping_mul(0x100_0000_01b3)
 }
 
 /// Bit `block` of a growable bit set.

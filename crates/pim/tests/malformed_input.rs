@@ -10,6 +10,11 @@
 //!   and the index its expansion would have, the error lowering the
 //!   expanded stream gives; an in-range set lowers to the expanded
 //!   stream's tape.
+//! - Seeded ghost fetches (`Read`→`Copy`→`Write` triples) and gathers
+//!   (same-column `Read`→`Write` runs), which lowering fuses, with one
+//!   operand now and then out of range, go through [`PimChip::lower`]:
+//!   the error names the first instruction that lowered alone is
+//!   rejected, as instruction-by-instruction lowering names it.
 
 use pim_isa::{AluOp, BlockId, Instr, InstrStream, BLOCK_ROWS, WORDS_PER_ROW};
 use pim_sim::{
@@ -86,7 +91,8 @@ fn random_words_decode_lower_and_replay_without_panicking() {
     assert!(decoded > 1000 && lowered > 20 && rejected > 20, "{decoded} {lowered} {rejected}");
 }
 
-/// A run of 1 to 8 in-bounds block-local ops on block 0.
+/// A run of 1 to 8 in-bounds block-local ops on block 0, now and then
+/// ending in a gather (two same-column `Read`→`Write` pairs).
 fn run(rng: &mut Rng) -> InstrStream {
     let b = BlockId(0);
     let mut s = InstrStream::new();
@@ -94,7 +100,14 @@ fn run(rng: &mut Rng) -> InstrStream {
         let row = rng.below(BLOCK_ROWS as u64) as u16;
         let offset = rng.below(WORDS_PER_ROW as u64) as u8;
         let words = 1 + rng.below(WORDS_PER_ROW as u64 - offset as u64) as u8;
-        s.push(match rng.below(4) {
+        s.push(match rng.below(5) {
+            4 => {
+                for to in [row / 2, row / 3] {
+                    s.push(Instr::Read { block: b, row, offset, words });
+                    s.push(Instr::Write { block: b, row: to, offset, words });
+                }
+                break;
+            }
             0 => Instr::Read { block: b, row, offset, words },
             1 => Instr::Write { block: b, row, offset, words },
             2 => Instr::Broadcast { block: b, dst_first: row, dst_last: row, offset, words },
@@ -187,4 +200,91 @@ fn a_repeated_run_holds_block_local_instructions_only() {
     assert_eq!(err.index, r.len() - 1);
     assert_eq!(err.instr, Instr::Sync);
     assert_eq!(err.violation, Violation::NotBlockLocal);
+}
+
+/// One to four ghost fetches and gathers over the first 16 blocks, of
+/// one to four words each.
+fn idioms(rng: &mut Rng) -> InstrStream {
+    let mut s = InstrStream::new();
+    for _ in 0..1 + rng.below(4) {
+        let words = 1 + rng.below(4) as u8;
+        let mut offset = || rng.below(WORDS_PER_ROW as u64 - words as u64 + 1) as u8;
+        let (at, into) = (offset(), offset());
+        let mut row = || rng.below(BLOCK_ROWS as u64) as u16;
+        let (from, to) = (row(), row());
+        let (src, dst) = (BlockId(rng.below(16) as u32), BlockId(rng.below(16) as u32));
+        if rng.below(2) == 0 {
+            s.push(Instr::Read { block: src, row: from, offset: at, words });
+            s.push(Instr::Copy { src, dst, words: words as u16 });
+            s.push(Instr::Write { block: dst, row: to, offset: into, words });
+        } else {
+            for _ in 0..2 + rng.below(4) {
+                let (from, to) = (rng.below(BLOCK_ROWS as u64), rng.below(BLOCK_ROWS as u64));
+                s.push(Instr::Read { block: src, row: from as u16, offset: at, words });
+                s.push(Instr::Write { block: src, row: to as u16, offset: into, words });
+            }
+        }
+    }
+    s
+}
+
+/// `instr` with one operand out of range, picked by `pick`: a block
+/// past the chip's, a row past the block's or a column span past the
+/// row's edge.
+fn break_operand(instr: Instr, pick: u64, num_blocks: u32) -> Instr {
+    let past = BlockId(num_blocks + pick as u32 % 7);
+    let far = BLOCK_ROWS as u16 + pick as u16 % 9;
+    let edge = |words: u8| WORDS_PER_ROW as u8 + 1 - words;
+    match instr {
+        Instr::Read { block, row, offset, words } => match pick % 3 {
+            0 => Instr::Read { block: past, row, offset, words },
+            1 => Instr::Read { block, row: far, offset, words },
+            _ => Instr::Read { block, row, offset: edge(words), words },
+        },
+        Instr::Write { block, row, offset, words } => match pick % 3 {
+            0 => Instr::Write { block: past, row, offset, words },
+            1 => Instr::Write { block, row: far, offset, words },
+            _ => Instr::Write { block, row, offset: edge(words), words },
+        },
+        Instr::Copy { dst, words, .. } if pick.is_multiple_of(2) => {
+            Instr::Copy { src: past, dst, words }
+        }
+        Instr::Copy { src, words, .. } => Instr::Copy { src, dst: past, words },
+        other => other,
+    }
+}
+
+#[test]
+fn fused_fetches_and_gathers_name_the_first_bad_instruction() {
+    let c = chip();
+    let num_blocks = ChipCapacity::Mb512.num_blocks() as u32;
+    let mut rng = Rng(0xfe7c);
+    let (mut errors, mut tapes) = (0, 0);
+    for case in 0..400 {
+        let mut instrs = idioms(&mut rng).instrs().to_vec();
+        if case % 4 != 0 {
+            let k = rng.below(instrs.len() as u64) as usize;
+            instrs[k] = break_operand(instrs[k], rng.next(), num_blocks);
+        }
+        let mut s = InstrStream::new();
+        instrs.iter().for_each(|&i| s.push(i));
+        // Instruction by instruction: the first one rejected alone.
+        let expected = instrs.iter().enumerate().find_map(|(index, &instr)| {
+            let mut one = InstrStream::new();
+            one.push(instr);
+            c.lower(&one).err().map(|e| LowerError { index, ..e })
+        });
+        match (c.lower(&s), expected) {
+            (Err(got), Some(want)) => {
+                assert_eq!(got, want, "case {case}: {s:?}");
+                errors += 1;
+            }
+            (Ok(tape), None) => {
+                chip().replay(&tape);
+                tapes += 1;
+            }
+            (got, want) => panic!("case {case}: lowered to {got:?}, expected {want:?}: {s:?}"),
+        }
+    }
+    assert!(errors > 200 && tapes > 50, "{errors} {tapes}");
 }

@@ -13,6 +13,9 @@
 //!   same-block `Read`→`Write` pairs, same-tile and cross-tile `Copy`,
 //!   `Lut`s with a valid, an out-of-range and a negative index word,
 //!   off-chip DMAs and `Sync`, on an H-tree and on a bus chip;
+//! - seeded random streams rich in the element kernels' two idioms,
+//!   ghost fetches (`Read`→`Copy`→`Write` triples) and gathers (runs of
+//!   same-column `Read`→`Write` pairs), on an H-tree and on a bus chip;
 //! - chip 0's shard of a level-2 mesh on two chips: its LUT and on-PIM
 //!   math set-up, then one step of math refinement, Volume, phased Flux
 //!   and the five Integration streams.
@@ -124,70 +127,125 @@ fn random_stream(rng: &mut Rng, len: usize) -> InstrStream {
         if rng.below(10) < 3 {
             block = rng.pick(&BLOCKS);
         }
+        random_instr(rng, &mut s, block);
+    }
+    s
+}
+
+/// One random instruction on `block` (two for a `Read`→`Write` pair),
+/// pushed onto `s`.
+fn random_instr(rng: &mut Rng, s: &mut InstrStream, block: u32) {
+    let b = BlockId(block);
+    let instr = match rng.below(20) {
+        0..=3 => {
+            let (offset, words) = rng.span();
+            Instr::Read { block: b, row: rng.row(), offset, words }
+        }
+        4..=5 => {
+            let (offset, words) = rng.span();
+            Instr::Write { block: b, row: rng.row(), offset, words }
+        }
+        6 => {
+            // A same-block Read→Write pair: a cell move through the
+            // row buffer.
+            let (offset, words) = rng.span();
+            s.push(Instr::Read { block: b, row: rng.row(), offset, words });
+            let offset = rng.below(DATA_COLS - words as u64 + 1) as u8;
+            Instr::Write { block: b, row: rng.row(), offset, words }
+        }
+        7 => {
+            let (dst_first, dst_last) = rng.rows();
+            let (offset, words) = rng.span();
+            Instr::Broadcast { block: b, dst_first, dst_last, offset, words }
+        }
+        8..=12 | 18..=19 => {
+            let (first_row, last_row) = rng.rows();
+            Instr::Arith {
+                block: b,
+                op: AluOp::ALL[rng.below(6) as usize],
+                first_row,
+                last_row,
+                dst: rng.col(),
+                a: rng.col(),
+                b: rng.col(),
+            }
+        }
+        13..=14 => {
+            // Same-tile or cross-tile; now and then wider than a row.
+            let words = if rng.below(8) == 0 { 40 } else { 1 + rng.below(32) as u16 };
+            Instr::Copy { src: b, dst: BlockId(rng.pick(&BLOCKS)), words }
+        }
+        15 => {
+            let offset_s = match rng.below(5) {
+                0 => IDX_FAR,
+                1 => IDX_NEG,
+                _ => IDX_OK,
+            };
+            Instr::Lut {
+                row: block * BLOCK_ROWS as u32 + rng.pick(&HOLDER_ROWS),
+                offset_s,
+                lut_block: rng.pick(&LUT_BLOCKS),
+                offset_d: 26 + rng.below(2) as u8,
+            }
+        }
+        16 => {
+            let bytes = 64 + rng.below(1 << 16) as u32;
+            if rng.below(2) == 0 {
+                Instr::LoadOffchip { block: b, bytes }
+            } else {
+                Instr::StoreOffchip { block: b, bytes }
+            }
+        }
+        _ => Instr::Sync,
+    };
+    s.push(instr);
+}
+
+/// A random stream rich in the two idioms of the element kernels, mixed
+/// with [`random_instr`]'s ops:
+/// - ghost fetches: `Read` on a neighbor, `Copy` to the current block,
+///   `Write` there, a face's worth in a row over one route; now and then
+///   the neighbor is the block itself or the words disagree;
+/// - gathers: runs of same-block `Read`→`Write` pairs that share their
+///   columns and word count, over rows that may alias each other, now
+///   and then in a tile no one wrote.
+fn idiom_stream(rng: &mut Rng, len: usize) -> InstrStream {
+    let mut s = InstrStream::new();
+    let mut block = BLOCKS[0];
+    while s.len() < len {
+        if rng.below(10) < 3 {
+            block = rng.pick(&BLOCKS);
+        }
         let b = BlockId(block);
-        let instr = match rng.below(20) {
-            0..=3 => {
+        match rng.below(8) {
+            0..=2 => {
+                let src = BlockId(rng.pick(&BLOCKS));
                 let (offset, words) = rng.span();
-                Instr::Read { block: b, row: rng.row(), offset, words }
-            }
-            4..=5 => {
-                let (offset, words) = rng.span();
-                Instr::Write { block: b, row: rng.row(), offset, words }
-            }
-            6 => {
-                // A same-block Read→Write pair: a cell move through the
-                // row buffer.
-                let (offset, words) = rng.span();
-                s.push(Instr::Read { block: b, row: rng.row(), offset, words });
-                let offset = rng.below(DATA_COLS - words as u64 + 1) as u8;
-                Instr::Write { block: b, row: rng.row(), offset, words }
-            }
-            7 => {
-                let (dst_first, dst_last) = rng.rows();
-                let (offset, words) = rng.span();
-                Instr::Broadcast { block: b, dst_first, dst_last, offset, words }
-            }
-            8..=12 | 18..=19 => {
-                let (first_row, last_row) = rng.rows();
-                Instr::Arith {
-                    block: b,
-                    op: AluOp::ALL[rng.below(6) as usize],
-                    first_row,
-                    last_row,
-                    dst: rng.col(),
-                    a: rng.col(),
-                    b: rng.col(),
+                let to = rng.below(DATA_COLS - words as u64 + 1) as u8;
+                let copied = if rng.below(8) == 0 { words as u16 + 1 } else { words as u16 };
+                for _ in 0..1 + rng.below(4) {
+                    s.push(Instr::Read { block: src, row: rng.row(), offset, words });
+                    s.push(Instr::Copy { src, dst: b, words: copied });
+                    s.push(Instr::Write { block: b, row: rng.row(), offset: to, words });
                 }
             }
-            13..=14 => {
-                // Same-tile or cross-tile; now and then wider than a row.
-                let words = if rng.below(8) == 0 { 40 } else { 1 + rng.below(32) as u16 };
-                Instr::Copy { src: b, dst: BlockId(rng.pick(&BLOCKS)), words }
-            }
-            15 => {
-                let offset_s = match rng.below(5) {
-                    0 => IDX_FAR,
-                    1 => IDX_NEG,
-                    _ => IDX_OK,
+            3..=5 => {
+                let (from, words) = rng.span();
+                let to = rng.below(DATA_COLS - words as u64 + 1) as u8;
+                let row = |rng: &mut Rng| {
+                    if rng.below(8) == 0 {
+                        600 + rng.below(16) as u16
+                    } else {
+                        rng.row()
+                    }
                 };
-                Instr::Lut {
-                    row: block * BLOCK_ROWS as u32 + rng.pick(&HOLDER_ROWS),
-                    offset_s,
-                    lut_block: rng.pick(&LUT_BLOCKS),
-                    offset_d: 26 + rng.below(2) as u8,
+                for _ in 0..1 + rng.below(8) {
+                    s.push(Instr::Read { block: b, row: row(rng), offset: from, words });
+                    s.push(Instr::Write { block: b, row: row(rng), offset: to, words });
                 }
             }
-            16 => {
-                let bytes = 64 + rng.below(1 << 16) as u32;
-                if rng.below(2) == 0 {
-                    Instr::LoadOffchip { block: b, bytes }
-                } else {
-                    Instr::StoreOffchip { block: b, bytes }
-                }
-            }
-            _ => Instr::Sync,
-        };
-        s.push(instr);
+            _ => random_instr(rng, &mut s, block),
+        }
     }
     s
 }
@@ -221,7 +279,11 @@ fn preload(rng: &mut Rng, chip: &mut PimChip) {
 
 /// Runs two random streams on one chip, with the stage barrier advanced
 /// in between. Returns the chip and the blocks to fingerprint.
-fn random_case(seed: u64, interconnect: InterconnectKind) -> (PimChip, Vec<u32>, u64) {
+fn random_case(
+    seed: u64,
+    interconnect: InterconnectKind,
+    stream: fn(&mut Rng, usize) -> InstrStream,
+) -> (PimChip, Vec<u32>, u64) {
     let mut rng = Rng(seed);
     let mut chip = PimChip::new(ChipConfig {
         capacity: ChipCapacity::Gb2,
@@ -229,8 +291,8 @@ fn random_case(seed: u64, interconnect: InterconnectKind) -> (PimChip, Vec<u32>,
         node: ProcessNode::Nm28,
     });
     preload(&mut rng, &mut chip);
-    let first = random_stream(&mut rng, 300);
-    let second = random_stream(&mut rng, 300);
+    let first = stream(&mut rng, 300);
+    let second = stream(&mut rng, 300);
     let mut clocks = FNV_OFFSET;
     chip.execute(&first);
     clocks = clock_digest(clocks, &chip);
@@ -407,13 +469,21 @@ fn check(name: &str, case: &dyn Fn() -> (PimChip, Vec<u32>, u64)) {
 #[test]
 fn random_streams_on_an_htree_chip() {
     for seed in [1, 2, 3] {
-        check(&format!("random/htree/{seed}"), &|| random_case(seed, InterconnectKind::HTree));
+        check(&format!("random/htree/{seed}"), &|| {
+            random_case(seed, InterconnectKind::HTree, random_stream)
+        });
     }
 }
 
 #[test]
 fn random_streams_on_a_bus_chip() {
-    check("random/bus/4", &|| random_case(4, InterconnectKind::Bus));
+    check("random/bus/4", &|| random_case(4, InterconnectKind::Bus, random_stream));
+}
+
+#[test]
+fn idiom_streams_on_both_interconnects() {
+    check("random/idioms/1", &|| random_case(1, InterconnectKind::HTree, idiom_stream));
+    check("random/idioms/2", &|| random_case(2, InterconnectKind::Bus, idiom_stream));
 }
 
 #[test]
@@ -421,7 +491,9 @@ fn level2_shard_step() {
     check("shard/level2", &shard_case);
 }
 
-/// Recorded from the per-instruction interpreter.
+/// The `random/htree`, `random/bus` and `shard` rows were recorded from
+/// the per-instruction interpreter; the `random/idioms` rows from tape
+/// replay before it fused ghost fetches and gathers.
 const GOLDEN: &[(&str, &[u64])] = &[
     (
         "random/bus/4",
@@ -526,6 +598,48 @@ const GOLDEN: &[(&str, &[u64])] = &[
             0xea9aa9f8584e297b, // cells = 66 blocks
             0xa0c7c98968814610, // row_buffers = 66 blocks
             0xba9e1dae1dc0f444, // trace = 119798 spans
+        ],
+    ),
+    (
+        "random/idioms/1",
+        &[
+            0x3e2d60cd80001f1a, // ledger.compute = 3.42006512e-9
+            0x3e1735d94ac9da0f, // ledger.reads = 1.351019999999993e-9
+            0x3dfa4edcef524817, // ledger.writes = 3.8283264000000097e-10
+            0x3e05d6cbf629ff99, // ledger.interconnect = 6.356000000000007e-10
+            0x3ebf915dd6e106b0, // ledger.offchip = 1.8815897777777774e-6
+            0x3eb4c65f42294910, // ledger.host = 1.23828e-6
+            0x0000000000000000, // ledger.static = 0e0
+            0x3eeb8e0c5ecfe69d, // elapsed = 1.3139188888888857e-5
+            0x3ee098b1eac62927, // offchip_time = 7.913811111111086e-6
+            0x3f0bd2a9d508a713, // block_busy = 5.306797777777767e-5
+            0x3eeb8e0c5ecfe69d, // finish.seconds = 1.3139188888888857e-5
+            0x2aea2a3cbd540318, // clocks = per-stream digest
+            0xed8be6f7e29d65c9, // diagnostics = 1 entries
+            0x8ed6bc20ea38755f, // cells = 7 blocks
+            0x9a91fa9007cc3168, // row_buffers = 7 blocks
+            0x310dd7af765a3781, // trace = 610 spans
+        ],
+    ),
+    (
+        "random/idioms/2",
+        &[
+            0x3dc7ce00346a156e, // ledger.compute = 4.330048e-11
+            0x3e1706e0ae5f05df, // ledger.reads = 1.3403399999999931e-9
+            0x3e247d7cc93c4f9e, // ledger.writes = 2.3853715199999977e-9
+            0x3df79846ee9b54b5, // ledger.interconnect = 3.433500000000003e-10
+            0x0000000000000000, // ledger.offchip = 0e0
+            0x3eb4d7e54410f5cc, // ledger.host = 1.24236e-6
+            0x0000000000000000, // ledger.static = 0e0
+            0x3ef0ddaf960e640e, // elapsed = 1.6084633333333284e-5
+            0x0000000000000000, // offchip_time = 0e0
+            0x3f130fbd30aa2cce, // block_busy = 7.271377777777756e-5
+            0x3ef0ddaf960e640e, // finish.seconds = 1.6084633333333284e-5
+            0xece1ed0f9a0d9489, // clocks = per-stream digest
+            0x57d37719b42fa72b, // diagnostics = 2 entries
+            0x59af312c518eff39, // cells = 7 blocks
+            0x9ac498d20b5d0013, // row_buffers = 7 blocks
+            0x33b583156c0b351f, // trace = 614 spans
         ],
     ),
 ];

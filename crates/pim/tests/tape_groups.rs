@@ -9,7 +9,8 @@
 //!   recorded then), and the cells, row buffers and block-op energy of
 //!   the same stream with a `Sync` after every run, which never groups.
 //! - A kernel's runs are stored once: lowering a larger shard's Volume or
-//!   Integration stream adds 4 bytes per element to its tape.
+//!   Integration stream adds 4 bytes per element to its tape, and its
+//!   phased Flux stream adds the element's fused ghost fetches.
 
 use std::sync::Mutex;
 
@@ -283,6 +284,30 @@ fn a_larger_shard_adds_four_bytes_per_element_to_volume_and_integration() {
     let grown = 4 * (large.0 - small.0);
     assert_eq!(large.1 - small.1, grown, "Volume: {} then {} bytes", small.1, large.1);
     assert_eq!(large.2 - small.2, grown, "Integration: {} then {} bytes", small.2, large.2);
+}
+
+#[test]
+fn a_larger_shard_adds_a_kilobyte_per_element_to_phased_flux() {
+    // Each element's 24 ghost fetches are one fetch each: 42 bytes (an
+    // op, a fetch entry, a step and two run ids). With each new route
+    // and four bytes per repeated phase, the 224 elements level 3 adds
+    // to the shard cost 1,076 bytes each; lowered one instruction at a
+    // time, the fetches cost 2,015.
+    let chip = PimChip::new(ChipConfig::default_2gb());
+    let tape = |level: u32| {
+        let mesh = HexMesh::refinement_level(level, Boundary::Periodic);
+        let partition = SlicePartition::new(&mesh, 2);
+        let shard = &partition.shards()[0];
+        let res: Vec<usize> = shard.elements.iter().map(|e| e.index()).collect();
+        let ghosts: Vec<usize> = shard.ghosts.iter().map(|e| e.index()).collect();
+        let mut m =
+            AcousticMapping::uniform(mesh, 2, FluxKind::Riemann, AcousticMaterial::new(2.0, 1.0));
+        m.install_shard_map(&res, &ghosts);
+        (res.len(), chip.lower(&m.compile_flux_phased_for(&res)).unwrap().heap_bytes())
+    };
+    let (small, large) = (tape(2), tape(3));
+    assert_eq!(large.0 - small.0, 224);
+    assert_eq!((small.1, large.1), (36_733, 277_821), "phased Flux tape bytes");
 }
 
 /// Recorded with tapes that stored every run whole.

@@ -11,24 +11,33 @@
 //! # Storage layout: sparse row tiles
 //!
 //! The crossbar is stored as 128 row tiles of 8 rows × 32 words. A
-//! tile is 2 KiB, line-aligned and column-major inside
-//! (`cells[col × 8 + row % 8]`), so one column's 8 rows in a tile are a
-//! single 64-byte cache line. Tiles are allocated on first write; a
-//! never-written tile reads as 0.0 and occupies nothing. The element
-//! layout of §5.1 uses compute rows `0..nodes` and a few constant rows
-//! from 512 up, so an acoustic n = 2 element block holds exactly two
-//! tiles (rows 0–7 and 512–519): 4 KiB of cells instead of a dense
-//! 256 KiB crossbar, and every `Read`/`Write`/`Arith` on it stays within
-//! those two tiles.
+//! tile is 2 KiB, line-aligned and column-major inside (32 columns of
+//! `[f64; 8]`), so one column's 8 rows in a tile are a single 64-byte
+//! cache line. Tiles are allocated on first write; a never-written tile
+//! reads as 0.0 and occupies nothing. The element layout of §5.1 uses
+//! compute rows `0..nodes` and a few constant rows from 512 up, so an
+//! acoustic n = 2 element block holds exactly two tiles (rows 0–7 and
+//! 512–519): 4 KiB of cells instead of a dense 256 KiB crossbar, and
+//! every `Read`/`Write`/`Arith` on it stays within those two tiles.
+//!
+//! # The tile kernel
 //!
 //! A row-parallel `Arith` names a `(dst, a, b)` column triple and a row
-//! range. All three columns of a row live in the same tile, so the
-//! kernel walks the range tile by tile, and within a tile every row
-//! reads its operands before it writes its destination. That is the
-//! scalar loop's per-row semantics, so aliased triples — which the
-//! compilers emit all the time: `zero()` is `Sub c c c`, Integration
-//! scales `aux ← aux·A` in place — need no special case. A full tile's
-//! 8 rows go through fixed-length arrays that LLVM vectorizes.
+//! range. All three columns of a row live in the same tile, so one
+//! whole tile is one kernel call (`MemBlock::arith_tile`): read the
+//! `a`, `b` and `dst` columns as 8 lanes each, compute all 8 lanes with
+//! one straight-line arm per [`AluOp`], then write `dst`. Reading
+//! before writing is the scalar loop's per-row semantics, so aliased
+//! triples — which the compilers emit all the time: `zero()` is
+//! `Sub c c c`, Integration scales `aux ← aux·A` in place — need no
+//! special case. A longer range runs each whole tile through the same
+//! kernel; a partial end tile computes all 8 lanes and keeps the rows
+//! in range, since each lane depends on its own row only. A one-word
+//! `Broadcast` over one tile is one 8-lane store. The N = 2 kernels'
+//! `Arith` and `Broadcast` ops cover rows 0–7, one tile, and replay
+//! calls the two tile kernels directly: most of what such an op cost
+//! was measured to be the range bookkeeping around the arithmetic
+//! (DESIGN §12 has the numbers).
 //!
 //! The row-at-a-time loops are retained, test-only, as
 //! `MemBlock::arith_cells_scalar` and `MemBlock::broadcast_cells_scalar`
@@ -126,32 +135,49 @@ const TILE_ROWS: usize = 8;
 /// Tiles per block.
 const NUM_TILES: usize = BLOCK_ROWS / TILE_ROWS;
 
-/// One row tile, column-major: `TILE_ROWS` rows × 32 words, line-aligned
-/// so each column's run is exactly one cache line.
+/// One tile column: a word's 8 rows.
+type Lanes = [f64; TILE_ROWS];
+
+/// One row tile, column-major: 32 columns of `TILE_ROWS` rows,
+/// line-aligned so each column is exactly one cache line.
 #[derive(Debug, Clone)]
 #[repr(align(64))]
-struct Tile([f64; TILE_ROWS * WORDS_PER_ROW]);
+struct Tile([Lanes; WORDS_PER_ROW]);
 
 impl Tile {
     fn zeroed() -> Box<Self> {
-        Box::new(Tile([0.0; TILE_ROWS * WORDS_PER_ROW]))
+        Box::new(Tile([[0.0; TILE_ROWS]; WORDS_PER_ROW]))
     }
 }
 
-/// Index of `(row, col)` inside its tile.
+/// The tile rows `first..=last` cover exactly, if they cover one whole
+/// tile.
 #[inline(always)]
-fn cell(row: usize, col: usize) -> usize {
-    col * TILE_ROWS + row % TILE_ROWS
+pub(crate) fn whole_tile(first: usize, last: usize) -> Option<usize> {
+    (first.is_multiple_of(TILE_ROWS) && last == first + TILE_ROWS - 1).then_some(first / TILE_ROWS)
 }
 
-/// The tiles a row range `first..=last` covers, each as
-/// `(tile, lo, hi)` with the tile-local row span `lo..hi`.
+/// The lanes of tile `t` that rows `first..=last` cover.
 #[inline(always)]
-fn tile_spans(first: usize, last: usize) -> impl Iterator<Item = (usize, usize, usize)> {
-    (first / TILE_ROWS..=last / TILE_ROWS).map(move |t| {
-        let base = t * TILE_ROWS;
-        (t, first.max(base) - base, (last + 1).min(base + TILE_ROWS) - base)
-    })
+fn lanes_of(t: usize, first: usize, last: usize) -> std::ops::Range<usize> {
+    let base = t * TILE_ROWS;
+    first.max(base) - base..(last + 1).min(base + TILE_ROWS) - base
+}
+
+/// `op` on 8 lanes of `(a, b, dst)` at once: one straight-line kernel per
+/// [`AluOp`]. Each lane depends on its own row only.
+#[inline(always)]
+fn alu_lanes(op: AluOp, x: Lanes, y: Lanes, d: Lanes) -> Lanes {
+    match op {
+        AluOp::Add => std::array::from_fn(|i| x[i] + y[i]),
+        AluOp::Sub => std::array::from_fn(|i| x[i] - y[i]),
+        AluOp::Mul => std::array::from_fn(|i| x[i] * y[i]),
+        // Two roundings (mul then add), exactly like the scalar oracle
+        // — no `mul_add`, which would fuse them.
+        AluOp::Mac => std::array::from_fn(|i| x[i] * y[i] + d[i]),
+        AluOp::Neg => x.map(|v| -v),
+        AluOp::Mov => x,
+    }
 }
 
 /// One memory block.
@@ -178,14 +204,20 @@ impl MemBlock {
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> f64 {
         debug_assert!(row < BLOCK_ROWS && col < WORDS_PER_ROW);
-        self.tiles[row / TILE_ROWS].as_deref().map_or(0.0, |t| t.0[cell(row, col)])
+        self.tiles[row / TILE_ROWS].as_deref().map_or(0.0, |t| t.0[col][row % TILE_ROWS])
     }
 
     /// Word setter — host-side preload (DMA), not charged here.
     #[inline]
     pub fn set(&mut self, row: usize, col: usize, value: f64) {
         debug_assert!(row < BLOCK_ROWS && col < WORDS_PER_ROW);
-        self.tiles[row / TILE_ROWS].get_or_insert_with(Tile::zeroed).0[cell(row, col)] = value;
+        self.tile(row / TILE_ROWS).0[col][row % TILE_ROWS] = value;
+    }
+
+    /// Tile `t`, allocated on first use.
+    #[inline(always)]
+    fn tile(&mut self, t: usize) -> &mut Tile {
+        self.tiles[t].get_or_insert_with(Tile::zeroed)
     }
 
     /// Number of allocated row tiles (each `TILE_ROWS` × 32 words). The
@@ -214,8 +246,8 @@ impl MemBlock {
         let dst = &mut self.row_buffer[..words];
         match self.tiles[row / TILE_ROWS].as_deref() {
             Some(t) => {
-                for (w, slot) in dst.iter_mut().enumerate() {
-                    *slot = t.0[cell(row, offset + w)];
+                for (slot, col) in dst.iter_mut().zip(&t.0[offset..]) {
+                    *slot = col[row % TILE_ROWS];
                 }
             }
             None => dst.fill(0.0),
@@ -227,8 +259,8 @@ impl MemBlock {
     pub(crate) fn write_cells(&mut self, row: usize, offset: usize, words: usize) {
         assert!(offset + words <= WORDS_PER_ROW, "write crosses the row edge");
         let t = self.tiles[row / TILE_ROWS].get_or_insert_with(Tile::zeroed);
-        for (w, &value) in self.row_buffer[..words].iter().enumerate() {
-            t.0[cell(row, offset + w)] = value;
+        for (col, &value) in t.0[offset..].iter_mut().zip(&self.row_buffer[..words]) {
+            col[row % TILE_ROWS] = value;
         }
     }
 
@@ -250,8 +282,9 @@ impl MemBlock {
         let mut last = self.row_buffer[0];
         for &[from, to] in rows {
             let (from, to) = (from as usize, to as usize);
-            last = self.tiles[from / TILE_ROWS].as_deref().map_or(0.0, |t| t.0[cell(from, src)]);
-            self.tiles[to / TILE_ROWS].get_or_insert_with(Tile::zeroed).0[cell(to, dst)] = last;
+            last =
+                self.tiles[from / TILE_ROWS].as_deref().map_or(0.0, |t| t.0[src][from % TILE_ROWS]);
+            self.tile(to / TILE_ROWS).0[dst][to % TILE_ROWS] = last;
         }
         self.row_buffer[0] = last;
     }
@@ -271,19 +304,29 @@ impl MemBlock {
     ) {
         assert!(dst_first <= dst_last && dst_last < BLOCK_ROWS, "bad broadcast range");
         assert!(offset + words <= WORDS_PER_ROW, "broadcast crosses the row edge");
-        for (t, lo, hi) in tile_spans(dst_first, dst_last) {
+        for t in dst_first / TILE_ROWS..=dst_last / TILE_ROWS {
+            let lanes = lanes_of(t, dst_first, dst_last);
             let tile = self.tiles[t].get_or_insert_with(Tile::zeroed);
-            for (w, &value) in self.row_buffer[..words].iter().enumerate() {
-                let base = (offset + w) * TILE_ROWS;
-                tile.0[base + lo..base + hi].fill(value);
+            for (col, &value) in tile.0[offset..].iter_mut().zip(&self.row_buffer[..words]) {
+                col[lanes.clone()].fill(value);
             }
         }
     }
 
-    /// `Arith`: row-parallel `dst ← a op b` over `first_row..=last_row`,
-    /// one monomorphized tile kernel per [`AluOp`]. Every selected row
-    /// computes simultaneously on the chip, which [`OpCost::arith`]
-    /// prices: one bit-serial pass in time, energy per row.
+    /// A one-word `Broadcast` over whole tile `t`: one 8-lane store of the
+    /// row buffer's first word at `offset`.
+    #[inline(always)]
+    pub(crate) fn broadcast_tile(&mut self, t: usize, offset: usize) {
+        let value = self.row_buffer[0];
+        self.tile(t).0[offset] = [value; TILE_ROWS];
+    }
+
+    /// `Arith`: row-parallel `dst ← a op b` over `first_row..=last_row`.
+    /// Every selected row computes simultaneously on the chip, which
+    /// [`OpCost::arith`] prices: one bit-serial pass in time, energy per
+    /// row. Whole tiles go through `Self::arith_tile`'s kernel; a
+    /// partial end tile computes all 8 lanes the same way and keeps the
+    /// rows in range.
     pub fn arith_cells(
         &mut self,
         op: AluOp,
@@ -295,49 +338,25 @@ impl MemBlock {
     ) {
         assert!(first_row <= last_row && last_row < BLOCK_ROWS, "bad row range");
         assert!(dst < WORDS_PER_ROW && a < WORDS_PER_ROW && b < WORDS_PER_ROW);
-        let rows = (first_row, last_row);
-        match op {
-            AluOp::Add => self.map_rows(rows, dst, a, b, |x, y, _| x + y),
-            AluOp::Sub => self.map_rows(rows, dst, a, b, |x, y, _| x - y),
-            AluOp::Mul => self.map_rows(rows, dst, a, b, |x, y, _| x * y),
-            // Two roundings (mul then add), exactly like the scalar
-            // oracle — no `mul_add`, which would fuse them.
-            AluOp::Mac => self.map_rows(rows, dst, a, b, |x, y, acc| x * y + acc),
-            AluOp::Neg => self.map_rows(rows, dst, a, b, |x, _, _| -x),
-            AluOp::Mov => self.map_rows(rows, dst, a, b, |x, _, _| x),
+        for t in first_row / TILE_ROWS..=last_row / TILE_ROWS {
+            let lanes = lanes_of(t, first_row, last_row);
+            if lanes.len() == TILE_ROWS {
+                self.arith_tile(op, t, dst, a, b);
+            } else {
+                let cells = &mut self.tile(t).0;
+                let out = alu_lanes(op, cells[a], cells[b], cells[dst]);
+                cells[dst][lanes.clone()].copy_from_slice(&out[lanes]);
+            }
         }
     }
 
-    /// `dst[r] = f(a[r], b[r], dst[r])` for every row `r` of `rows`,
-    /// tile by tile. Each row's operands are read before its destination
-    /// is written, so any aliasing among `dst`, `a` and `b` behaves like
-    /// the scalar loop.
+    /// `Arith` over whole tile `t`: the `a`, `b` and `dst` columns are
+    /// read as 8 lanes each, then `dst` is written, so any aliasing among
+    /// them computes what the scalar row loop does.
     #[inline(always)]
-    fn map_rows(
-        &mut self,
-        (first_row, last_row): (usize, usize),
-        dst: usize,
-        a: usize,
-        b: usize,
-        f: impl Fn(f64, f64, f64) -> f64,
-    ) {
-        for (t, lo, hi) in tile_spans(first_row, last_row) {
-            let cells = &mut self.tiles[t].get_or_insert_with(Tile::zeroed).0;
-            if hi - lo == TILE_ROWS {
-                let col = |c: usize| -> [f64; TILE_ROWS] {
-                    cells[c * TILE_ROWS..][..TILE_ROWS].try_into().expect("one tile column")
-                };
-                let (x, y, d) = (col(a), col(b), col(dst));
-                let out: [f64; TILE_ROWS] = std::array::from_fn(|i| f(x[i], y[i], d[i]));
-                cells[dst * TILE_ROWS..][..TILE_ROWS].copy_from_slice(&out);
-            } else {
-                for r in lo..hi {
-                    let (x, y) = (cells[a * TILE_ROWS + r], cells[b * TILE_ROWS + r]);
-                    let d = &mut cells[dst * TILE_ROWS + r];
-                    *d = f(x, y, *d);
-                }
-            }
-        }
+    pub(crate) fn arith_tile(&mut self, op: AluOp, t: usize, dst: usize, a: usize, b: usize) {
+        let cells = &mut self.tile(t).0;
+        cells[dst] = alu_lanes(op, cells[a], cells[b], cells[dst]);
     }
 
     /// The row-at-a-time data pass, kept as the bit-exactness oracle.
@@ -576,6 +595,152 @@ mod oracle_tests {
         }
     }
 
+    /// A block-local op of a replayed run: its instruction on block 0
+    /// and its scalar-oracle data pass.
+    #[derive(Debug, Clone, Copy)]
+    enum Local {
+        Read { row: usize },
+        Broadcast { first: usize, last: usize, offset: usize, words: usize },
+        Arith { op: AluOp, first: usize, last: usize, dst: usize, a: usize, b: usize },
+    }
+
+    impl Local {
+        fn instr(self) -> Instr {
+            let block = BlockId(0);
+            match self {
+                Local::Read { row } => {
+                    Instr::Read { block, row: row as u16, offset: 0, words: WORDS_PER_ROW as u8 }
+                }
+                Local::Broadcast { first, last, offset, words } => Instr::Broadcast {
+                    block,
+                    dst_first: first as u16,
+                    dst_last: last as u16,
+                    offset: offset as u8,
+                    words: words as u8,
+                },
+                Local::Arith { op, first, last, dst, a, b } => Instr::Arith {
+                    block,
+                    op,
+                    first_row: first as u16,
+                    last_row: last as u16,
+                    dst: dst as u8,
+                    a: a as u8,
+                    b: b as u8,
+                },
+            }
+        }
+
+        fn apply_scalar(self, block: &mut MemBlock) {
+            match self {
+                Local::Read { row } => block.read_cells(row, 0, WORDS_PER_ROW),
+                Local::Broadcast { first, last, offset, words } => {
+                    block.broadcast_cells_scalar(first, last, offset, words)
+                }
+                Local::Arith { op, first, last, dst, a, b } => {
+                    block.arith_cells_scalar(op, first, last, dst, a, b)
+                }
+            }
+        }
+    }
+
+    /// Row ranges: one whole tile (the N = 2 kernels' rows 0–7 among
+    /// them), runs of whole tiles (N = 8's rows 0–511 among them), and
+    /// ranges that start or end mid-tile.
+    fn arb_rows() -> impl Strategy<Value = (usize, usize)> {
+        prop_oneof![
+            Just((0usize, TILE_ROWS - 1)),
+            (0usize..NUM_TILES).prop_map(|t| (t * TILE_ROWS, t * TILE_ROWS + TILE_ROWS - 1)),
+            Just((0usize, 511usize)),
+            (0usize..NUM_TILES, 2usize..5)
+                .prop_map(|(t, k)| (t * TILE_ROWS, ((t + k) * TILE_ROWS).min(BLOCK_ROWS) - 1)),
+            (0usize..BLOCK_ROWS, 0usize..20)
+                .prop_map(|(r, len)| (r, (r + len).min(BLOCK_ROWS - 1))),
+        ]
+    }
+
+    fn arb_local() -> impl Strategy<Value = Local> {
+        // Columns mostly from a small set, so aliased triples are common;
+        // broadcasts of one, two and 32 words most often.
+        let col = || prop_oneof![0usize..3, 0usize..3, 0usize..WORDS_PER_ROW];
+        let words =
+            prop_oneof![Just(1usize), Just(1usize), Just(2usize), Just(32usize), 1usize..33];
+        (0usize..6, arb_rows(), arb_op(), (col(), col(), col()), words, 0usize..WORDS_PER_ROW)
+            .prop_map(|(kind, (first, last), op, (dst, a, b), words, offset)| match kind {
+                0 => Local::Read { row: last },
+                1 | 2 => Local::Broadcast {
+                    first,
+                    last,
+                    offset: offset.min(WORDS_PER_ROW - words),
+                    words,
+                },
+                _ => Local::Arith { op, first, last, dst, a, b },
+            })
+    }
+
+    #[test]
+    fn replayed_neg_of_an_unwritten_tile_stores_negative_zero() {
+        // Rows 8–15 are one whole tile that nothing wrote: the 8-lane
+        // kernel must allocate it, as the scalar loop's writes do.
+        let mut chip = PimChip::new(ChipConfig::default_2gb());
+        chip.block_mut(BlockId(0)).set(0, 0, 1.0);
+        let mut oracle = chip.block(BlockId(0)).clone();
+        let neg = Local::Arith { op: AluOp::Neg, first: 8, last: 15, dst: 1, a: 0, b: 0 };
+        let mut stream = InstrStream::new();
+        stream.push(neg.instr());
+        chip.execute(&stream);
+        neg.apply_scalar(&mut oracle);
+        assert_eq!(chip.block(BlockId(0)).get(12, 1).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(chip.block(BlockId(0)).resident_tiles(), 2);
+        assert_blocks_bit_identical(chip.block(BlockId(0)), &oracle);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn replayed_block_ops_match_the_scalar_oracle(
+            run in prop_vec(arb_local(), 1..24),
+            preload in prop_vec((0usize..BLOCK_ROWS, 0usize..WORDS_PER_ROW, arb_payload()), 0..48),
+            buffer in prop_vec(arb_payload(), WORDS_PER_ROW),
+        ) {
+            // The run, lowered over four blocks, replays as the chip
+            // replays a kernel phase: on the first block as a run of its
+            // own, on the others as its template group. Each block holds
+            // its own subset of the preload, so some tiles stay unwritten.
+            let blocks = [0, 1, 2, 3].map(BlockId);
+            let mut chip = PimChip::new(ChipConfig::default_2gb());
+            let mut oracles = vec![MemBlock::new(); blocks.len()];
+            for (k, (&block, oracle)) in blocks.iter().zip(&mut oracles).enumerate() {
+                for (i, &(row, col, v)) in preload.iter().enumerate() {
+                    if (i + k) % 4 != 0 {
+                        chip.block_mut(block).set(row, col, v);
+                        oracle.set(row, col, v);
+                    }
+                }
+                chip.block_mut(block).load_row_buffer(&buffer[k..]);
+                oracle.load_row_buffer(&buffer[k..]);
+            }
+            let mut stream = InstrStream::new();
+            for op in &run {
+                stream.push(op.instr());
+            }
+            let mut lowering = chip.lowering();
+            lowering.repeat(&stream, &blocks).expect("the run is in bounds");
+            let tape = lowering.finish();
+            chip.replay(&tape);
+            for (&block, oracle) in blocks.iter().zip(&mut oracles) {
+                for &op in &run {
+                    op.apply_scalar(oracle);
+                }
+                let replayed = chip.block(block);
+                assert_blocks_bit_identical(replayed, oracle);
+                for (x, y) in replayed.row_buffer().iter().zip(oracle.row_buffer()) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "row buffer");
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -783,7 +948,7 @@ mod storage_tests {
         let bits = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(p, q)| p.to_bits() == q.to_bits());
         x.tiles.iter().zip(&y.tiles).all(|pair| match pair {
             (None, None) => true,
-            (Some(p), Some(q)) => bits(&p.0, &q.0),
+            (Some(p), Some(q)) => bits(p.0.as_flattened(), q.0.as_flattened()),
             _ => false,
         }) && bits(&x.row_buffer, &y.row_buffer)
     }

@@ -69,12 +69,15 @@
 //! [`PimChip::finish`] fences implicitly so no off-chip time is ever
 //! dropped from the report.
 
+use std::borrow::BorrowMut;
+use std::fmt;
 use std::ops::Range;
 
+use pim_isa::lut::LutError;
 use pim_isa::{BlockId, Instr, InstrStream, StreamStats, BLOCK_ROWS, WORDS_PER_ROW};
 use pim_trace::{Payload, TID_HOST, TID_INTERCONNECT, TID_OFFCHIP};
 
-use crate::block::{MemBlock, OpCost};
+use crate::block::{whole_tile, MemBlock, OpCost};
 use crate::energy::EnergyLedger;
 use crate::host;
 use crate::interconnect::{
@@ -161,7 +164,28 @@ pub struct PimChip {
     ledger: EnergyLedger,
     trace_pid: u32,
     metrics: Option<ChipMetrics>,
-    diagnostics: Vec<String>,
+    diagnostics: Vec<Diagnostic>,
+}
+
+/// What the functional pass records about a malformed program instead of
+/// failing on it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Diagnostic {
+    /// A `Lut` whose index word at chip row `row`, word `offset_s`, read
+    /// as `raw`, which `error` rejects: the index read stays charged, the
+    /// content fetch and write-back are skipped.
+    SkippedLut { row: u32, offset_s: u8, raw: f64, error: LutError },
+}
+
+impl fmt::Display for Diagnostic {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Diagnostic::SkippedLut { row, offset_s, raw, error } => write!(
+                f,
+                "skipped Lut at row {row} offset_s {offset_s}: {error} (index word read as {raw})"
+            ),
+        }
+    }
 }
 
 /// `pim-metrics` handles for one chip, labeled `chip="<label>"`, created
@@ -303,12 +327,12 @@ impl PimChip {
     /// Diagnostics recorded by the interpreter for malformed programs
     /// (e.g. a LUT index addressing past the table block). A well-formed
     /// program leaves this empty.
-    pub fn diagnostics(&self) -> &[String] {
+    pub fn diagnostics(&self) -> &[Diagnostic] {
         &self.diagnostics
     }
 
     /// Drains and returns the accumulated diagnostics.
-    pub fn take_diagnostics(&mut self) -> Vec<String> {
+    pub fn take_diagnostics(&mut self) -> Vec<Diagnostic> {
         std::mem::take(&mut self.diagnostics)
     }
 
@@ -707,9 +731,7 @@ impl PimChip {
                                 .map(|&b| self.blocks[b as usize].take().unwrap_or_default()),
                         );
                         for op in body {
-                            for b in &mut held {
-                                run_local(b, op, tape);
-                            }
+                            run_local(&mut held, op, tape);
                         }
                         for (&b, block) in chunk.iter().zip(held.drain(..)) {
                             self.blocks[b as usize] = Some(block);
@@ -722,7 +744,7 @@ impl PimChip {
                     // next op that is not one.
                     let b = self.block_at(current);
                     let mut op = op;
-                    while run_local(b, op, tape) {
+                    while run_local(std::slice::from_mut(b), op, tape) {
                         match fops.get(i) {
                             Some(next) => (op, i) = (next, i + 1),
                             None => return faults,
@@ -760,11 +782,8 @@ impl PimChip {
             .and_then(|index| pim_isa::lut::try_expand(instr, index).map(|_| index));
         let index = match checked {
             Ok(index) => index as usize,
-            Err(e) => {
-                self.diagnostics.push(format!(
-                    "skipped Lut at row {row} offset_s {offset_s}: {e} \
-                     (index word read as {raw})"
-                ));
+            Err(error) => {
+                self.diagnostics.push(Diagnostic::SkippedLut { row, offset_s, raw, error });
                 return true;
             }
         };
@@ -1199,25 +1218,40 @@ impl<'t> Routes<'t> {
 /// touches stay in cache from one op to the next.
 const GROUP_CHUNK: usize = 16;
 
-/// Runs block-local op `op` of `tape` on `b`; false, doing nothing, for
-/// any other op.
+/// Runs block-local op `op` of `tape` on each of `blocks`, dispatched
+/// once for all of them; false, doing nothing, for any other op. An
+/// `Arith`, or a one-word `Broadcast`, over one whole tile goes straight
+/// to its 8-lane kernel.
 #[inline(always)]
-fn run_local(b: &mut MemBlock, op: &FOp, tape: &Tape) -> bool {
+fn run_local<B: BorrowMut<MemBlock>>(blocks: &mut [B], op: &FOp, tape: &Tape) -> bool {
     let [c0, c1, c2] = op.c.map(usize::from);
     let [r0, r1] = op.r.map(usize::from);
-    match op.kind {
-        FKind::Read => b.read_cells(r0, c0, c1),
-        FKind::Write => b.write_cells(r0, c0, c1),
-        FKind::Move => {
+    match (op.kind, whole_tile(r0, r1)) {
+        (FKind::Arith(alu), Some(t)) => each(blocks, |b| b.arith_tile(alu, t, c0, c1, c2)),
+        (FKind::Broadcast, Some(t)) if c1 == 1 => each(blocks, |b| b.broadcast_tile(t, c0)),
+        (FKind::Read, _) => each(blocks, |b| b.read_cells(r0, c0, c1)),
+        (FKind::Write, _) => each(blocks, |b| b.write_cells(r0, c0, c1)),
+        (FKind::Move, _) => each(blocks, |b| {
             b.read_cells(r0, c0, c2);
             b.write_cells(r1, c1, c2);
+        }),
+        (FKind::Gather, _) => {
+            let rows = tape.gather(op.wide());
+            each(blocks, |b| b.gather_cells(rows, c0, c1, c2))
         }
-        FKind::Gather => b.gather_cells(tape.gather(op.wide()), c0, c1, c2),
-        FKind::Broadcast => b.broadcast_cells(r0, r1, c0, c1),
-        FKind::Arith(alu) => b.arith_cells(alu, r0, r1, c0, c1, c2),
-        FKind::Block | FKind::Copy | FKind::Lut | FKind::Fetch | FKind::Repeat => return false,
+        (FKind::Broadcast, _) => each(blocks, |b| b.broadcast_cells(r0, r1, c0, c1)),
+        (FKind::Arith(alu), _) => each(blocks, |b| b.arith_cells(alu, r0, r1, c0, c1, c2)),
+        (FKind::Block | FKind::Copy | FKind::Lut | FKind::Fetch | FKind::Repeat, _) => {
+            return false
+        }
     }
     true
+}
+
+/// `f` on each of `blocks`, in order.
+#[inline(always)]
+fn each<B: BorrowMut<MemBlock>>(blocks: &mut [B], f: impl FnMut(&mut MemBlock)) {
+    blocks.iter_mut().map(BorrowMut::borrow_mut).for_each(f);
 }
 
 /// The bounds lowering checks on a chip of `.0` blocks.
@@ -1841,8 +1875,16 @@ mod tests {
         c.execute(&s);
         pim_trace::disable();
         assert_eq!(c.block(BlockId(0)).get(100, 11), -1.0, "write-back must be skipped");
-        assert_eq!(c.diagnostics().len(), 1);
-        assert!(c.diagnostics()[0].contains("exceeds one block"), "{:?}", c.diagnostics());
+        assert_eq!(
+            c.diagnostics(),
+            [Diagnostic::SkippedLut {
+                row: 100,
+                offset_s: 4,
+                raw: 40000.0,
+                error: LutError::IndexOutOfRange { index: 40000 },
+            }]
+        );
+        assert!(c.diagnostics()[0].to_string().contains("exceeds one block"));
         let drained = c.take_diagnostics();
         assert_eq!(drained.len(), 1);
         assert!(c.diagnostics().is_empty());
@@ -1880,8 +1922,19 @@ mod tests {
         c.execute(&s);
         assert_eq!(c.block(BlockId(0)).get(100, 11), -1.0, "negative index must not fetch entry 0");
         assert_eq!(c.diagnostics().len(), 1);
-        assert!(c.diagnostics()[0].contains("not a valid table index"), "{:?}", c.diagnostics());
-        assert!(c.diagnostics()[0].contains("-3"), "{:?}", c.diagnostics());
+        assert!(
+            matches!(
+                c.diagnostics()[0],
+                Diagnostic::SkippedLut { raw: -3.0, error: LutError::InvalidIndexWord { .. }, .. }
+            ),
+            "{:?}",
+            c.diagnostics()
+        );
+        assert_eq!(
+            c.diagnostics()[0].to_string(),
+            "skipped Lut at row 100 offset_s 4: LUT index word -3 is not a valid table index \
+             (index word read as -3)"
+        );
         // NaN index words take the same path.
         c.block_mut(BlockId(0)).set(100, 4, f64::NAN);
         c.execute(&s);

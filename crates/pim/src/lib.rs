@@ -36,7 +36,7 @@ pub mod params;
 pub mod tape;
 
 pub use block::{MemBlock, OpCost};
-pub use chip::{ChipConfig, ExecReport, Lowering, PimChip};
+pub use chip::{ChipConfig, Diagnostic, ExecReport, Lowering, PimChip};
 pub use energy::EnergyLedger;
 pub use interconnect::{BusNetwork, HTreeNetwork, Interconnect, InterconnectKind, Transfer};
 pub use link::InterChipLink;

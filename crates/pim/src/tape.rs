@@ -535,10 +535,9 @@ pub(crate) struct TapeBuilder {
     /// ([`fingerprint`]).
     gather_ids: HashMap<u64, u32>,
     /// The op of the gather still growing, whose table id is stale until
-    /// it is sealed, and its row pairs so far with their fingerprint.
+    /// it is sealed, and its row pairs so far.
     pending: Option<usize>,
     pending_rows: Vec<[u16; 2]>,
-    pending_key: u64,
 }
 
 /// A run of block-local ops still being lowered.
@@ -586,7 +585,6 @@ impl TapeBuilder {
             gather_ids: HashMap::new(),
             pending: None,
             pending_rows: Vec::new(),
-            pending_key: FINGERPRINT_SEED,
         }
     }
 
@@ -784,21 +782,21 @@ impl TapeBuilder {
         }
         let (prev, pair) = (self.fops[n - 2], self.fops[n - 1].r);
         match prev.kind {
-            FKind::Gather if self.pending == Some(n - 2) => self.pend(pair),
+            FKind::Gather if self.pending == Some(n - 2) => self.pending_rows.push(pair),
             FKind::Gather => {
                 self.seal_gather();
                 self.pending = Some(n - 2);
                 let [start, end] = self.gathers[prev.wide()];
                 for i in start..end {
-                    self.pend(self.gather_rows[i as usize]);
+                    self.pending_rows.push(self.gather_rows[i as usize]);
                 }
-                self.pend(pair);
+                self.pending_rows.push(pair);
             }
             FKind::Move => {
                 self.seal_gather();
                 self.pending = Some(n - 2);
-                self.pend(prev.r);
-                self.pend(pair);
+                self.pending_rows.push(prev.r);
+                self.pending_rows.push(pair);
                 self.fops[n - 2].kind = FKind::Gather;
             }
             _ => return,
@@ -806,35 +804,36 @@ impl TapeBuilder {
         self.fops.pop();
     }
 
-    /// Adds a row pair to the pending gather.
-    #[inline]
-    fn pend(&mut self, pair: [u16; 2]) {
-        self.pending_rows.push(pair);
-        self.pending_key = fingerprint(self.pending_key, pair);
-    }
-
     /// Gives the pending gather, if any, the id of its row pairs' table,
     /// storing the table on first sight: equal gathers name one table,
-    /// so a run compares equal to the runs it repeats.
+    /// so a run compares equal to the runs it repeats. A run repeating
+    /// the last run stored names that run's table at the same place, so
+    /// that table is tried before any lookup.
     fn seal_gather(&mut self) {
         let Some(at) = self.pending.take() else { return };
         let rows = &self.pending_rows[..];
         let (gathers, stored) = (&self.gathers, &self.gather_rows);
         let table = |id: usize| &stored[gathers[id][0] as usize..gathers[id][1] as usize];
-        let key = std::mem::replace(&mut self.pending_key, FINGERPRINT_SEED);
-        // A fingerprint that names another table sends the search over
-        // every table.
-        let found = match self.gather_ids.get(&key) {
-            Some(&id) if table(id as usize) == rows => Some(id as usize),
-            Some(_) => (0..gathers.len()).find(|&id| table(id) == rows),
-            None => None,
+        let same_place = match (&self.run, &self.last) {
+            (Some(run), Some(last)) => last.fops.clone().nth(at - run.fops).map(|i| self.fops[i]),
+            _ => None,
+        };
+        let found = match same_place {
+            Some(op) if op.kind == FKind::Gather && table(op.wide()) == rows => Some(op.wide()),
+            // A fingerprint that names another table sends the search
+            // over every table.
+            _ => match self.gather_ids.get(&fingerprint(rows)) {
+                Some(&id) if table(id as usize) == rows => Some(id as usize),
+                Some(_) => (0..gathers.len()).find(|&id| table(id) == rows),
+                None => None,
+            },
         };
         let id = found.unwrap_or_else(|| {
             let id = self.gathers.len();
             let start = self.gather_rows.len() as u32;
             self.gather_rows.extend_from_slice(&self.pending_rows);
             self.gathers.push([start, self.gather_rows.len() as u32]);
-            self.gather_ids.entry(key).or_insert(id as u32);
+            self.gather_ids.entry(fingerprint(&self.pending_rows)).or_insert(id as u32);
             id
         });
         self.pending_rows.clear();
@@ -998,13 +997,12 @@ impl TapeBuilder {
     }
 }
 
-/// A gather table's fingerprint: FNV-1a over its row pairs, each folded
-/// into the fingerprint of the pairs before it.
-const FINGERPRINT_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-#[inline]
-fn fingerprint(h: u64, [from, to]: [u16; 2]) -> u64 {
-    (h ^ ((from as u64) << 16 | to as u64)).wrapping_mul(0x100_0000_01b3)
+/// A gather table's fingerprint: FNV-1a over its row pairs, one pair a
+/// step.
+fn fingerprint(rows: &[[u16; 2]]) -> u64 {
+    rows.iter().fold(0xcbf2_9ce4_8422_2325, |h, &[from, to]| {
+        (h ^ ((from as u64) << 16 | to as u64)).wrapping_mul(0x100_0000_01b3)
+    })
 }
 
 /// Bit `block` of a growable bit set.

@@ -409,8 +409,10 @@ fn observe(case: &dyn Fn() -> (PimChip, Vec<u32>, u64), traced: bool) -> Vec<Obs
     out.push(("clocks".into(), clocks, "per-stream digest".into()));
 
     let diagnostics = chip.diagnostics();
-    let digest =
-        diagnostics.iter().flat_map(|d| d.bytes()).fold(FNV_OFFSET, |h, b| fnv1a(h, b as u64));
+    let digest = diagnostics
+        .iter()
+        .flat_map(|d| d.to_string().into_bytes())
+        .fold(FNV_OFFSET, |h, b| fnv1a(h, b as u64));
     out.push(("diagnostics".into(), digest, format!("{} entries", diagnostics.len())));
 
     let (mut cells, mut buffers) = (FNV_OFFSET, FNV_OFFSET);

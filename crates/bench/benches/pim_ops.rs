@@ -7,6 +7,10 @@
 //! and `flux_face_body_1024` replays one Flux face body repeated over
 //! 1,024 element blocks, the shape of a template group in a phased Flux
 //! tape; divide its time by 14,336 for the cost per block op.
+//! `flux_ghost_fetch_1024` replays one face phase's ghost fetches over
+//! 1,024 element blocks, a fetch run of four per element as phased Flux
+//! issues them at N = 2; divide its time by 4,096 for the cost per
+//! fetch.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pim_isa::{AluOp, BlockId, Instr, InstrStream};
@@ -91,6 +95,25 @@ fn flux_face_body() -> InstrStream {
     s
 }
 
+/// One face phase of ghost fetches at N = 2: each of `elems` element
+/// blocks fetches its `+x` neighbor's four `-x` face nodes, the four
+/// variables of each (columns 0–3), into its own `+x` face rows' ghost
+/// columns (4–7), one `Read`→`Copy`→`Write` per node, then the phase's
+/// barrier.
+fn ghost_fetch_phase(elems: u32) -> InstrStream {
+    let mut s = InstrStream::new();
+    for e in 0..elems {
+        let (block, nb) = (BlockId(e), BlockId((e + 1) % elems));
+        for t in 0..4u16 {
+            s.push(Instr::Read { block: nb, row: 2 * t, offset: 0, words: 4 });
+            s.push(Instr::Copy { src: nb, dst: block, words: 4 });
+            s.push(Instr::Write { block, row: 2 * t + 1, offset: 4, words: 4 });
+        }
+    }
+    s.push(Instr::Sync);
+    s
+}
+
 fn bench_chip(c: &mut Criterion) {
     let mut g = c.benchmark_group("chip_execute");
     g.bench_function("arith_stream_1k", |b| {
@@ -129,6 +152,19 @@ fn bench_chip(c: &mut Criterion) {
         let mut lowering = chip.lowering();
         lowering.repeat(&flux_face_body(), &blocks).expect("the face body is in bounds");
         let tape = lowering.finish();
+        b.iter(|| chip.replay(&tape));
+    });
+    g.bench_function("flux_ghost_fetch_1024", |b| {
+        let mut chip = PimChip::new(ChipConfig::default_2gb());
+        for e in 0..1024 {
+            let cells = chip.block_mut(BlockId(e));
+            for row in 0..8 {
+                for col in 0..4 {
+                    cells.set(row, col, (e * 8 + row as u32) as f64 + 0.25 * col as f64);
+                }
+            }
+        }
+        let tape = chip.lower(&ghost_fetch_phase(1024)).expect("the fetches are in bounds");
         b.iter(|| chip.replay(&tape));
     });
     g.finish();

@@ -289,6 +289,41 @@ impl MemBlock {
         self.row_buffer[0] = last;
     }
 
+    /// A fetch run into `into`: for each `[from, to]` of `rows`, in
+    /// order, the `Read` of row `from` at `src`, the copy of its `words`
+    /// words into `into`'s row buffer and their `Write` into row `to` of
+    /// `into` at `dst` — the `Read`→`Copy`→`Write` triples of a ghost
+    /// fetch. The cells go straight from tile to tile; the writes land
+    /// in `into` alone, so the last row read still holds what the last
+    /// triple read, and both row buffers are loaded from it at the end.
+    #[inline]
+    pub(crate) fn fetch_cells(
+        &mut self,
+        into: &mut MemBlock,
+        rows: &[[u16; 2]],
+        src: usize,
+        dst: usize,
+        words: usize,
+    ) {
+        assert!(src.max(dst) + words <= WORDS_PER_ROW, "fetch crosses the row edge");
+        for &[from, to] in rows {
+            let (from, to) = (from as usize, to as usize);
+            let cols = &mut into.tile(to / TILE_ROWS).0[dst..dst + words];
+            match self.tiles[from / TILE_ROWS].as_deref() {
+                Some(t) => {
+                    for (col, from_col) in cols.iter_mut().zip(&t.0[src..]) {
+                        col[to % TILE_ROWS] = from_col[from % TILE_ROWS];
+                    }
+                }
+                None => cols.iter_mut().for_each(|col| col[to % TILE_ROWS] = 0.0),
+            }
+        }
+        if let Some(&[from, _]) = rows.last() {
+            self.read_cells(from as usize, src, words);
+            into.load_row_buffer(&self.row_buffer[..words]);
+        }
+    }
+
     /// `Broadcast`: row buffer replicated into rows
     /// `dst_first..=dst_last` at `offset` — the constants distribution of
     /// the paper's Fig. 5 ("constants need to be copied to the scratchpad

@@ -27,8 +27,9 @@
 //! - every op's seconds and joules go into a small per-tape cost table,
 //!   so a timing op is a 1-byte cost id;
 //! - a ghost fetch (`Read`→`Copy`→`Write` of one word count between two
-//!   blocks) becomes one fetch, and a run of same-column `Move`s one
-//!   gather (see [`crate::tape`]).
+//!   blocks), with the ones right after it between the same blocks and
+//!   columns, becomes one fetch run, and a run of same-column `Move`s
+//!   one gather (see [`crate::tape`]).
 //!
 //! Replay runs the functional tape, then the timing tape, each in issue
 //! order, so every f64 accumulation (ledger fields, block busy and ready
@@ -43,7 +44,10 @@
 //! `Move` that leaves the row buffer as the pair would. The timing pass
 //! holds a repeated route: copies over the route of the transfer before
 //! them start from its finish, and its slots are written once, when the
-//! route changes (`Routes`). Whether to trace is decided once per
+//! route changes (`Routes`). A fetch run's triples are timed in one
+//! loop that keeps both blocks' clocks and the ledger fields in locals
+//! and leaves out the maxes that cannot change a value. Whether to
+//! trace is decided once per
 //! replay; traced, the timing pass records the same spans and payloads
 //! the interpreter did.
 //!
@@ -85,7 +89,7 @@ use crate::interconnect::{
 };
 use crate::params::{ChipCapacity, ProcessNode};
 use crate::tape::{
-    Charge, Cost, FKind, FOp, Fetch, LowerError, RunIds, Step, Tape, TapeBuilder, Violation,
+    Charge, Cost, FKind, FOp, LowerError, RunIds, Step, Tape, TapeBuilder, Violation,
 };
 
 /// Chip configuration: capacity (Table 2), interconnect (§4.2), process
@@ -709,16 +713,15 @@ impl PimChip {
                 }
                 FKind::Lut => faults.push(self.lut_cells(&tape.luts[op.wide()])),
                 FKind::Fetch => {
+                    // The run's source and destination differ: the
+                    // source leaves its slot while both are in use.
                     let f = &tape.fetches[op.wide()];
-                    let [from, to] = f.rows.map(usize::from);
-                    let [at, into, words] = f.cols.map(usize::from);
-                    let src = self.block_at(f.src as usize);
-                    src.read_cells(from, at, words);
-                    let buf = *src.row_buffer();
+                    let [at, into, words] = op.c.map(usize::from);
+                    let mut src = self.blocks[f.src as usize].take().unwrap_or_default();
                     current = f.dst as usize;
                     let dst = self.block_at(current);
-                    dst.load_row_buffer(&buf[..words]);
-                    dst.write_cells(to, into, words);
+                    src.fetch_cells(dst, tape.table(f.table as usize), at, into, words);
+                    self.blocks[f.src as usize] = Some(src);
                 }
                 FKind::Repeat => {
                     let group = &tape.groups[op.wide()];
@@ -821,13 +824,16 @@ impl PimChip {
                     let cost = &tape.xfer_costs[cost as usize];
                     self.time_copy(src as usize, dst as usize, (&mut routes, rerouted), cost, pid);
                 }
-                Step::Fetch { src, dst, cost, rerouted } => {
+                Step::Fetch { src, dst, cost, count, rerouted } => {
                     let (read, write) = (tape.run_ids.get(id), tape.run_ids.get(id + 1));
                     id += 2;
-                    let cost = &tape.xfer_costs[cost as usize];
-                    self.time_run(src, &[read], &tape.op_costs, pid);
-                    self.time_copy(src as usize, dst as usize, (&mut routes, rerouted), cost, pid);
-                    self.time_run(dst, &[write], &tape.op_costs, pid);
+                    let costs = (
+                        &tape.op_costs[read],
+                        &tape.xfer_costs[cost as usize],
+                        &tape.op_costs[write],
+                    );
+                    routes.next(rerouted, &mut self.resource_ready);
+                    self.time_fetches((src as usize, dst as usize), count, costs, &mut routes, pid);
                 }
                 Step::Lut { holder, lut: table, cost, rerouted } => {
                     let cost = &tape.xfer_costs[cost as usize];
@@ -958,6 +964,76 @@ impl PimChip {
         self.finish_block(dst, finish);
         if let Some(pid) = pid {
             pim_trace::record_span(pid, TID_INTERCONNECT, start, finish, cost.payload());
+        }
+    }
+
+    /// A fetch run of `count` fetches on the route `routes` moved to:
+    /// each is the read on `src`, the copy to `dst` and the write on
+    /// `dst`, timed and charged as [`Self::time_run`], [`Self::time_copy`]
+    /// and [`Self::time_run`] would in turn, every add in issue order.
+    /// The blocks differ, so both blocks' clocks and the three ledger
+    /// fields stay in locals for the whole run. The clocks only grow, so
+    /// the maxes that cannot change a value are left out; a max returns
+    /// one of its operands, so the rest give the same bits in any order:
+    /// - each block's clock is clamped to the barrier once, at the start;
+    /// - only the first copy waits for the route (its held finish, or its
+    ///   slots): each later one starts after the read before it, which
+    ///   starts when the copy before it, the last on the route, ends;
+    /// - the last write ends after every other op, so `elapsed` takes
+    ///   one max.
+    fn time_fetches(
+        &mut self,
+        (src, dst): (usize, usize),
+        count: u16,
+        (read, copy, write): (&Cost, &Cost, &Cost),
+        routes: &mut Routes<'_>,
+        pid: Option<u32>,
+    ) {
+        self.mark_touched(src);
+        self.mark_touched(dst);
+        let barrier = self.barrier;
+        let (mut src_ready, mut src_busy) =
+            (self.block_ready[src].max(barrier), self.block_busy[src]);
+        let (mut dst_ready, mut dst_busy) =
+            (self.block_ready[dst].max(barrier), self.block_busy[dst]);
+        let l = &self.ledger;
+        let (mut reads, mut moved, mut writes) = (l.reads, l.interconnect, l.writes);
+        let ready = &self.resource_ready;
+        // When the next copy may start, apart from its read.
+        let mut floor = match routes.held {
+            Some(at) => dst_ready.max(at),
+            None => routes.route.iter().fold(dst_ready, |t, &slot| t.max(ready[slot as usize])),
+        };
+        let span = |tid: u32, t0: f64, t1: f64, cost: &Cost| {
+            if let Some(pid) = pid {
+                pim_trace::record_span(pid, tid, t0, t1, cost.payload());
+            }
+        };
+        for _ in 0..count {
+            reads += read.joules;
+            let read_end = src_ready + read.seconds;
+            src_busy += (read_end - src_ready).max(0.0);
+            span(src as u32, src_ready, read_end, read);
+
+            let start = read_end.max(floor);
+            let finish = start + copy.seconds;
+            moved += copy.joules;
+            src_busy += (finish - read_end).max(0.0);
+            dst_busy += (finish - dst_ready).max(0.0);
+            span(TID_INTERCONNECT, start, finish, copy);
+
+            writes += write.joules;
+            (src_ready, dst_ready) = (finish, finish + write.seconds);
+            dst_busy += (dst_ready - finish).max(0.0);
+            span(dst as u32, finish, dst_ready, write);
+            floor = dst_ready;
+        }
+        (self.block_ready[src], self.block_busy[src]) = (src_ready, src_busy);
+        (self.block_ready[dst], self.block_busy[dst]) = (dst_ready, dst_busy);
+        (self.ledger.reads, self.ledger.interconnect, self.ledger.writes) = (reads, moved, writes);
+        self.elapsed = self.elapsed.max(dst_ready);
+        if !routes.route.is_empty() {
+            routes.held = Some(src_ready);
         }
     }
 
@@ -1236,7 +1312,7 @@ fn run_local<B: BorrowMut<MemBlock>>(blocks: &mut [B], op: &FOp, tape: &Tape) ->
             b.write_cells(r1, c1, c2);
         }),
         (FKind::Gather, _) => {
-            let rows = tape.gather(op.wide());
+            let rows = tape.table(op.wide());
             each(blocks, |b| b.gather_cells(rows, c0, c1, c2))
         }
         (FKind::Broadcast, _) => each(blocks, |b| b.broadcast_cells(r0, r1, c0, c1)),
@@ -1311,8 +1387,10 @@ impl Lowering<'_> {
     ///
     /// A ghost fetch — `Read` on one block, `Copy` of its words to
     /// another, `Write` of as many words there, every bound in range —
-    /// lowers to one fetch ([`crate::tape`]); a triple split between two
-    /// parts lowers one instruction at a time, which replays the same.
+    /// joins the fetch run right before it, or opens one
+    /// ([`crate::tape`]); a run goes on across parts. A triple split
+    /// between two parts lowers one instruction at a time, which replays
+    /// the same.
     pub fn push(&mut self, part: &InstrStream) -> Result<(), LowerError> {
         let first = self.tape.add_part(part.len(), part.stats());
         let instrs = part.instrs();
@@ -1352,8 +1430,8 @@ impl Lowering<'_> {
                 .is_ok();
         if fused {
             let cost = self.route(src, dst, words as u16);
-            let fetch = Fetch { src: src.0, dst: dst.0, rows: [from, to], cols: [at, into, words] };
-            self.tape.fetch(fetch, &self.slots, cost);
+            let (blocks, cols) = ((src.0, dst.0), [at, into, words]);
+            self.tape.fetch(blocks, [from, to], cols, &self.slots, cost);
         }
         fused
     }
@@ -1549,17 +1627,23 @@ mod tests {
     fn fused_block_runs_are_bit_identical_to_the_one_at_a_time_path() {
         // A tape runs same-block ops as one run, fuses a same-block
         // Read→Write into one Move, a run of same-column Moves into one
-        // gather and a Read→Copy→Write ghost fetch into one fetch, and
-        // holds a repeated route's slots; every observable — cell
-        // contents, row buffers, ledger joules, busy/ready clocks,
-        // resource clocks, elapsed — must come out bit-identical to
-        // running each instruction as a stream of its own.
+        // gather and consecutive Read→Copy→Write ghost fetches between
+        // two blocks into one fetch run, and holds a repeated route's
+        // slots; every observable — cell contents, row buffers, tile
+        // footprints, ledger joules, busy/ready clocks, resource clocks,
+        // elapsed — must come out bit-identical to running each
+        // instruction as a stream of its own.
         let read =
             |block, row, offset, words| Instr::Read { block: BlockId(block), row, offset, words };
         let write =
             |block, row, offset, words| Instr::Write { block: BlockId(block), row, offset, words };
         let copy = |src, dst, words| Instr::Copy { src: BlockId(src), dst: BlockId(dst), words };
-        let instrs = [
+        // A ghost fetch: `cols` are the source column, the destination
+        // column and the words.
+        let fetch = |(src, from): (u32, u16), (dst, to): (u32, u16), [at, into, words]: [u8; 3]| {
+            [read(src, from, at, words), copy(src, dst, words as u16), write(dst, to, into, words)]
+        };
+        let mut instrs = vec![
             read(0, 3, 0, 4),
             write(0, 9, 20, 4),
             Instr::Broadcast {
@@ -1591,13 +1675,36 @@ mod tests {
             write(0, 7, 9, 2),
             read(0, 8, 0, 2),
             write(0, 6, 9, 2),
-            // Two ghost fetches over one cross-tile route.
+            // A fetch run of two over one cross-tile route.
             read(300, 0, 0, 3),
             copy(300, 0, 3),
             write(0, 12, 5, 3),
             read(300, 1, 0, 3),
             copy(300, 0, 3),
             write(0, 13, 5, 3),
+        ];
+        // A run of five, one row read from and one written to a tile no
+        // one wrote; then a run from its destination, broken by new
+        // columns; one broken by a block-local op; one by a valid Lut on
+        // its destination.
+        for (from, to) in [(2, 16), (600, 17), (3, 700), (4, 18), (5, 19)] {
+            instrs.extend(fetch((300, from), (1, to), [0, 6, 3]));
+        }
+        instrs.extend(fetch((1, 17), (2, 20), [6, 2, 2]));
+        instrs.extend(fetch((1, 700), (2, 21), [6, 2, 2]));
+        instrs.extend(fetch((1, 18), (2, 22), [6, 4, 2]));
+        instrs.extend(fetch((2, 20), (0, 23), [2, 7, 1]));
+        instrs.push(arith(0, AluOp::Add, 8));
+        instrs.extend(fetch((2, 21), (0, 24), [2, 7, 1]));
+        instrs.extend(fetch((3, 0), (1, 25), [2, 8, 1]));
+        instrs.push(Instr::Lut {
+            row: BLOCK_ROWS as u32 + 101,
+            offset_s: 4,
+            lut_block: 2,
+            offset_d: 13,
+        });
+        instrs.extend(fetch((3, 1), (1, 26), [2, 8, 1]));
+        instrs.extend([
             // A near-triple: the copy moves a word more than is read.
             read(1, 0, 0, 2),
             copy(1, 0, 3),
@@ -1621,7 +1728,7 @@ mod tests {
             write(2, 5, 1, 1),
             read(2, 5, 1, 1),
             write(2, 1, 1, 1),
-        ];
+        ]);
         let blocks = [0u32, 1, 2, 3, 300];
         let preload = |c: &mut PimChip| {
             for row in 0..512 {
@@ -1665,7 +1772,16 @@ mod tests {
         let count = |kind| tape.fops.iter().filter(|op| op.kind == kind).count();
         assert_eq!(count(FKind::Move), 1, "the lone Read→Write pair fuses");
         assert_eq!(count(FKind::Gather), 4, "each run of same-column Moves is one gather");
-        assert_eq!(count(FKind::Fetch), 2, "each ghost fetch is one fetch");
+        assert_eq!(count(FKind::Fetch), 8, "each unbroken run of ghost fetches is one fetch run");
+        let fetched: u32 = tape
+            .steps
+            .iter()
+            .map(|step| match step {
+                Step::Fetch { count, .. } => *count as u32,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(fetched, 14, "the fetch runs time every ghost fetch");
         assert_eq!(count(FKind::Copy), 7, "the near-triple and the bare copies stay copies");
         fused.replay(&tape);
 
@@ -1707,6 +1823,29 @@ mod tests {
             assert_eq!(f.map(f64::to_bits), s.map(f64::to_bits), "block {id} row buffer");
         }
         assert_eq!(fused.touched_blocks, single.touched_blocks);
+    }
+
+    #[test]
+    fn a_fetch_run_holds_at_most_u16_max_fetches() {
+        // 65,537 fetches between one pair of blocks: a full run, then a
+        // run of two over the route it holds.
+        let mut s = InstrStream::new();
+        for k in 0..u16::MAX as usize + 2 {
+            let row = (k % BLOCK_ROWS) as u16;
+            s.push(Instr::Read { block: BlockId(1), row, offset: 0, words: 1 });
+            s.push(Instr::Copy { src: BlockId(1), dst: BlockId(0), words: 1 });
+            s.push(Instr::Write { block: BlockId(0), row, offset: 1, words: 1 });
+        }
+        let tape = chip().lower(&s).unwrap();
+        let runs: Vec<(u16, bool)> = tape
+            .steps
+            .iter()
+            .filter_map(|step| match *step {
+                Step::Fetch { count, rerouted, .. } => Some((count, rerouted)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(runs, [(u16::MAX, true), (2, false)]);
     }
 
     #[test]

@@ -14,16 +14,20 @@
 //!   transfer's route is stored as the dense resource slots it holds,
 //!   once per change of route.
 //!
-//! Two idioms of the element kernels are one op each:
-//! - a *fetch* is a ghost fetch's `Read` on a neighbor, `Copy` to the
-//!   home block and `Write` there, all of one word count: one `Fetch`
-//!   op naming a `Fetch` entry, and one `Fetch` step that times the
-//!   read, the copy and the write in that order, the read and the write
-//!   costed by the next two run ids;
+//! Two idioms of the element kernels are one op each, and each names a
+//! table of row pairs; each distinct table is stored once:
+//! - a *fetch run* is a face's ghost fetch: consecutive `Read` on a
+//!   neighbor, `Copy` to the home block and `Write` there, every triple
+//!   from one source into one destination over one column span and word
+//!   count, so they differ in their rows alone. It is one `Fetch` op
+//!   naming a `Fetch` entry (the two blocks and the rows' table) and one
+//!   `Fetch` step that times each triple's read, copy and write in that
+//!   order, every read costed by the next run id and every write by the
+//!   one after. A lone triple is a run of one;
 //! - a *gather* is a run of `Move`s in one run that share their columns
 //!   and word count, as Volume's derivative gathers are: one `Gather` op
-//!   naming its row pairs, each distinct table stored once. Its ops keep
-//!   their run ids, so the timing tape does not change.
+//!   naming its rows' table. Its ops keep their run ids, so the timing
+//!   tape does not change.
 //!
 //! Everything a stream's timing needs except the LUT fault outcome is
 //! static, so the seconds and joules of every op sit in two small
@@ -84,12 +88,12 @@ pub struct Tape {
     /// order; a transfer over the same slots as the one before it adds
     /// none.
     pub(crate) routes: Vec<u32>,
-    /// The fetches, in issue order; `Fetch` ops index it.
+    /// The fetch runs, in issue order; `Fetch` ops index it.
     pub(crate) fetches: Vec<Fetch>,
-    /// Each gather table's row pairs: `gather_rows[start..end]`, in
-    /// order of first use; `Gather` ops index it.
-    pub(crate) gathers: Vec<[u32; 2]>,
-    pub(crate) gather_rows: Vec<[u16; 2]>,
+    /// Each row-pair table: `table_rows[start..end]`, in order of first
+    /// use; `Gather` ops and fetch runs index it.
+    pub(crate) tables: Vec<[u32; 2]>,
+    pub(crate) table_rows: Vec<[u16; 2]>,
 }
 
 impl Tape {
@@ -125,15 +129,15 @@ impl Tape {
             + size_of_val(&self.xfer_costs[..])
             + size_of_val(&self.routes[..])
             + size_of_val(&self.fetches[..])
-            + size_of_val(&self.gathers[..])
-            + size_of_val(&self.gather_rows[..])
+            + size_of_val(&self.tables[..])
+            + size_of_val(&self.table_rows[..])
     }
 
-    /// The row pairs of gather table `id`.
+    /// The row pairs of table `id`.
     #[inline]
-    pub(crate) fn gather(&self, id: usize) -> &[[u16; 2]] {
-        let [start, end] = self.gathers[id];
-        &self.gather_rows[start as usize..end as usize]
+    pub(crate) fn table(&self, id: usize) -> &[[u16; 2]] {
+        let [start, end] = self.tables[id];
+        &self.table_rows[start as usize..end as usize]
     }
 }
 
@@ -225,11 +229,14 @@ pub(crate) enum FKind {
     Copy,
     /// Algorithm 1 for lookup [`FOp::wide`] of [`Tape::luts`].
     Lut,
-    /// Fetch [`FOp::wide`] of [`Tape::fetches`]; its destination becomes
+    /// Fetch run [`FOp::wide`] of [`Tape::fetches`]: for each row pair
+    /// of its table, in order, `c[2]` words of the first row of its
+    /// source at column `c[0]` through both row buffers into the second
+    /// row of its destination at column `c[1]`. The destination becomes
     /// current.
     Fetch,
     /// The `Move`s of `c[2]` words from column `c[0]` to column `c[1]`
-    /// over the row pairs of gather table [`FOp::wide`], in order.
+    /// over the row pairs of table [`FOp::wide`], in order.
     Gather,
     /// The body of group [`FOp::wide`] of [`Tape::groups`] — the
     /// functional ops right before this one, which ran on the group's
@@ -281,21 +288,24 @@ pub(crate) enum Step {
     /// The `Run` step right before, with its run ids, on each repeat
     /// block of group `group`, in order.
     Repeat { group: u32 },
-    /// A fetch: the read on `src` costed by the next run id, the copy
-    /// to `dst` routed like a `Copy`, then the write on `dst` costed by
-    /// the run id after.
-    Fetch { src: u32, dst: u32, cost: u32, rerouted: bool },
+    /// A fetch run of `count` fetches from `src` into `dst`, each the
+    /// read on `src`, the copy to `dst` and the write on `dst`, in that
+    /// order. Every read is costed by the next run id and every write by
+    /// the run id after; every copy is costed by `cost` and routed like
+    /// a `Copy`, the first over the next route when `rerouted`, the rest
+    /// over the first's.
+    Fetch { src: u32, dst: u32, cost: u32, count: u16, rerouted: bool },
 }
 
-/// A fetch's cells: row `rows[0]` of `src` at word `cols[0]`, `cols[2]`
-/// words, through both row buffers into row `rows[1]` of `dst` at
-/// `cols[1]`.
+const _: () = assert!(std::mem::size_of::<Step>() == 16);
+
+/// A fetch run's blocks and the table of its `[source row, destination
+/// row]` pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Fetch {
     pub(crate) src: u32,
     pub(crate) dst: u32,
-    pub(crate) rows: [u16; 2],
-    pub(crate) cols: [u8; 3],
+    pub(crate) table: u32,
 }
 
 /// A template group: consecutive runs of the same ops on distinct
@@ -529,15 +539,24 @@ pub(crate) struct TapeBuilder {
     /// The blocks of `last` and its group, one bit each.
     members: Vec<u64>,
     fetches: Vec<Fetch>,
-    gathers: Vec<[u32; 2]>,
-    gather_rows: Vec<[u16; 2]>,
-    /// The first gather table stored with each fingerprint
-    /// ([`fingerprint`]).
-    gather_ids: HashMap<u64, u32>,
-    /// The op of the gather still growing, whose table id is stale until
-    /// it is sealed, and its row pairs so far.
-    pending: Option<usize>,
+    tables: Vec<[u32; 2]>,
+    table_rows: Vec<[u16; 2]>,
+    /// The first table stored with each fingerprint ([`fingerprint`]).
+    table_ids: HashMap<u64, u32>,
+    /// The gather op or fetch run still growing, whose table id is stale
+    /// until it is sealed, and its row pairs so far. An open fetch run's
+    /// op, entry and step are the last of their tapes.
+    pending: Option<Pending>,
     pending_rows: Vec<[u16; 2]>,
+}
+
+/// What the pending row pairs belong to.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pending {
+    /// The gather op at this place in the functional tape.
+    Gather(usize),
+    /// The last fetch run.
+    Fetch,
 }
 
 /// A run of block-local ops still being lowered.
@@ -580,9 +599,9 @@ impl TapeBuilder {
             last: None,
             members: Vec::new(),
             fetches: Vec::new(),
-            gathers: Vec::new(),
-            gather_rows: Vec::new(),
-            gather_ids: HashMap::new(),
+            tables: Vec::new(),
+            table_rows: Vec::new(),
+            table_ids: HashMap::new(),
             pending: None,
             pending_rows: Vec::new(),
         }
@@ -618,7 +637,7 @@ impl TapeBuilder {
     /// Copies the open run's functional ops and run ids out of the tape
     /// (nothing without an open run), its gathers sealed.
     pub(crate) fn copy_open_run(&mut self, into: (&mut Vec<FOp>, &mut Vec<u16>)) {
-        self.seal_gather();
+        self.seal();
         into.0.clear();
         into.1.clear();
         if let Some(run) = &self.run {
@@ -652,7 +671,7 @@ impl TapeBuilder {
     /// to the group, else as a run of its own, which the next run is
     /// compared with.
     fn close_run(&mut self) {
-        self.seal_gather();
+        self.seal();
         let Some(run) = self.run.take() else { return };
         if let Some(last) = &mut self.last {
             let joins = run.len as usize == last.ids.len()
@@ -781,20 +800,21 @@ impl TapeBuilder {
             return;
         }
         let (prev, pair) = (self.fops[n - 2], self.fops[n - 1].r);
+        let pending = Some(Pending::Gather(n - 2));
         match prev.kind {
-            FKind::Gather if self.pending == Some(n - 2) => self.pending_rows.push(pair),
+            FKind::Gather if self.pending == pending => self.pending_rows.push(pair),
             FKind::Gather => {
-                self.seal_gather();
-                self.pending = Some(n - 2);
-                let [start, end] = self.gathers[prev.wide()];
+                self.seal();
+                self.pending = pending;
+                let [start, end] = self.tables[prev.wide()];
                 for i in start..end {
-                    self.pending_rows.push(self.gather_rows[i as usize]);
+                    self.pending_rows.push(self.table_rows[i as usize]);
                 }
                 self.pending_rows.push(pair);
             }
             FKind::Move => {
-                self.seal_gather();
-                self.pending = Some(n - 2);
+                self.seal();
+                self.pending = pending;
                 self.pending_rows.push(prev.r);
                 self.pending_rows.push(pair);
                 self.fops[n - 2].kind = FKind::Gather;
@@ -804,40 +824,52 @@ impl TapeBuilder {
         self.fops.pop();
     }
 
-    /// Gives the pending gather, if any, the id of its row pairs' table,
-    /// storing the table on first sight: equal gathers name one table,
-    /// so a run compares equal to the runs it repeats. A run repeating
-    /// the last run stored names that run's table at the same place, so
-    /// that table is tried before any lookup.
-    fn seal_gather(&mut self) {
-        let Some(at) = self.pending.take() else { return };
+    /// Gives the pending gather or fetch run, if any, the id of its row
+    /// pairs' table, storing the table on first sight: equal row pairs
+    /// name one table, so a run compares equal to the runs it repeats. A
+    /// run repeating the last run stored names that run's table at the
+    /// same place, so for a gather that table is tried before any
+    /// lookup.
+    fn seal(&mut self) {
+        let Some(pending) = self.pending.take() else { return };
         let rows = &self.pending_rows[..];
-        let (gathers, stored) = (&self.gathers, &self.gather_rows);
-        let table = |id: usize| &stored[gathers[id][0] as usize..gathers[id][1] as usize];
-        let same_place = match (&self.run, &self.last) {
-            (Some(run), Some(last)) => last.fops.clone().nth(at - run.fops).map(|i| self.fops[i]),
+        let (tables, stored) = (&self.tables, &self.table_rows);
+        let table = |id: usize| &stored[tables[id][0] as usize..tables[id][1] as usize];
+        let same_place = match (pending, &self.run, &self.last) {
+            (Pending::Gather(at), Some(run), Some(last)) => {
+                last.fops.clone().nth(at - run.fops).map(|i| self.fops[i])
+            }
             _ => None,
         };
         let found = match same_place {
             Some(op) if op.kind == FKind::Gather && table(op.wide()) == rows => Some(op.wide()),
             // A fingerprint that names another table sends the search
             // over every table.
-            _ => match self.gather_ids.get(&fingerprint(rows)) {
+            _ => match self.table_ids.get(&fingerprint(rows)) {
                 Some(&id) if table(id as usize) == rows => Some(id as usize),
-                Some(_) => (0..gathers.len()).find(|&id| table(id) == rows),
+                Some(_) => (0..tables.len()).find(|&id| table(id) == rows),
                 None => None,
             },
         };
         let id = found.unwrap_or_else(|| {
-            let id = self.gathers.len();
-            let start = self.gather_rows.len() as u32;
-            self.gather_rows.extend_from_slice(&self.pending_rows);
-            self.gathers.push([start, self.gather_rows.len() as u32]);
-            self.gather_ids.entry(fingerprint(&self.pending_rows)).or_insert(id as u32);
+            let id = self.tables.len();
+            let start = self.table_rows.len() as u32;
+            self.table_rows.extend_from_slice(&self.pending_rows);
+            self.tables.push([start, self.table_rows.len() as u32]);
+            self.table_ids.entry(fingerprint(&self.pending_rows)).or_insert(id as u32);
             id
-        });
+        }) as u32;
         self.pending_rows.clear();
-        self.fops[at] = FOp::with_cols(FKind::Gather, self.fops[at].c, id as u32);
+        match pending {
+            Pending::Gather(at) => {
+                self.fops[at] = FOp::with_cols(FKind::Gather, self.fops[at].c, id)
+            }
+            Pending::Fetch => {
+                if let Some(fetch) = self.fetches.last_mut() {
+                    fetch.table = id;
+                }
+            }
+        }
     }
 
     #[inline]
@@ -894,22 +926,44 @@ impl TapeBuilder {
         self.steps.push(Step::Copy { src, dst, cost, rerouted });
     }
 
-    /// A fetch of `fetch.cols[2]` words over `slots`, its transfer
-    /// priced `cost`.
-    pub(crate) fn fetch(&mut self, fetch: Fetch, slots: &[u32], cost: (f64, f64)) {
+    /// A fetch from row `rows[0]` of `src` at column `cols[0]` into row
+    /// `rows[1]` of `dst` at column `cols[1]`, of `cols[2]` words over
+    /// `slots`, its transfer priced `cost`. It joins the fetch run just
+    /// before it when nothing came between them and the run has the same
+    /// blocks and columns; the same blocks mean the same route and cost.
+    pub(crate) fn fetch(
+        &mut self,
+        (src, dst): (u32, u32),
+        rows: [u16; 2],
+        cols: [u8; 3],
+        slots: &[u32],
+        cost: (f64, f64),
+    ) {
+        if self.pending == Some(Pending::Fetch) {
+            let last = (self.fops.last(), self.steps.last_mut());
+            if let (Some(op), Some(Step::Fetch { src: s, dst: d, count, .. })) = last {
+                if (*s, *d) == (src, dst) && op.c == cols && *count < u16::MAX {
+                    *count += 1;
+                    self.pending_rows.push(rows);
+                    return;
+                }
+            }
+        }
         self.end_runs();
-        let words = fetch.cols[2];
+        let words = cols[2];
         let read = self.costs.op_id(READ_KEY, || Cost::new(OpCost::read(), Charge::Read));
         let write = self.costs.op_id(WRITE_KEYS + words as usize, || {
             Cost::new(OpCost::write(words as usize), Charge::Write)
         });
         self.run_ids.push(read);
         self.run_ids.push(write);
-        self.fops.push(FOp::with_wide(FKind::Fetch, 0, self.fetches.len() as u32));
-        self.fetches.push(fetch);
-        self.current = Some(fetch.dst);
+        self.fops.push(FOp::with_cols(FKind::Fetch, cols, self.fetches.len() as u32));
+        self.fetches.push(Fetch { src, dst, table: 0 });
+        self.pending = Some(Pending::Fetch);
+        self.pending_rows.push(rows);
+        self.current = Some(dst);
         let (cost, rerouted) = self.transfer(words as u16, slots, cost);
-        self.steps.push(Step::Fetch { src: fetch.src, dst: fetch.dst, cost, rerouted });
+        self.steps.push(Step::Fetch { src, dst, cost, count: 1, rerouted });
     }
 
     pub(crate) fn lut(
@@ -942,7 +996,7 @@ impl TapeBuilder {
 
     pub(crate) fn finish(mut self) -> Tape {
         self.close_run();
-        let (gathers, gather_rows) = self.renumber_gathers();
+        let (tables, table_rows) = self.renumber_tables();
         let (mut fops, mut steps, mut routes, mut run_ids, mut groups, mut blocks) =
             (self.fops, self.steps, self.routes, self.run_ids, self.groups, self.blocks);
         let mut fetches = self.fetches;
@@ -970,34 +1024,41 @@ impl TapeBuilder {
             xfer_costs: self.costs.xfers,
             routes,
             fetches,
-            gathers,
-            gather_rows,
+            tables,
+            table_rows,
         }
     }
 
-    /// The gather tables the functional ops name, renumbered in order of
-    /// first use. A reopened gather can leave a table no op names, or
+    /// The tables the gathers and fetch runs name, renumbered in order of
+    /// first use. A reopened gather can leave a table nothing names, or
     /// store tables out of that order; this drops and reorders them, so
     /// the tables are a function of the functional tape alone.
-    fn renumber_gathers(&mut self) -> (Vec<[u32; 2]>, Vec<[u16; 2]>) {
-        let mut ids = vec![u32::MAX; self.gathers.len()];
-        let (mut gathers, mut rows) = (Vec::new(), Vec::new());
-        for op in self.fops.iter_mut().filter(|op| op.kind == FKind::Gather) {
-            let old = op.wide();
+    fn renumber_tables(&mut self) -> (Vec<[u32; 2]>, Vec<[u16; 2]>) {
+        let mut ids = vec![u32::MAX; self.tables.len()];
+        let (mut tables, mut rows) = (Vec::new(), Vec::new());
+        for op in &mut self.fops {
+            let old = match op.kind {
+                FKind::Gather => op.wide(),
+                FKind::Fetch => self.fetches[op.wide()].table as usize,
+                _ => continue,
+            };
             if ids[old] == u32::MAX {
-                ids[old] = gathers.len() as u32;
-                let [start, end] = self.gathers[old];
+                ids[old] = tables.len() as u32;
+                let [start, end] = self.tables[old];
                 let first = rows.len() as u32;
-                rows.extend_from_slice(&self.gather_rows[start as usize..end as usize]);
-                gathers.push([first, rows.len() as u32]);
+                rows.extend_from_slice(&self.table_rows[start as usize..end as usize]);
+                tables.push([first, rows.len() as u32]);
             }
-            *op = FOp::with_cols(FKind::Gather, op.c, ids[old]);
+            match op.kind {
+                FKind::Gather => *op = FOp::with_cols(FKind::Gather, op.c, ids[old]),
+                _ => self.fetches[op.wide()].table = ids[old],
+            }
         }
-        (gathers, rows)
+        (tables, rows)
     }
 }
 
-/// A gather table's fingerprint: FNV-1a over its row pairs, one pair a
+/// A table's fingerprint: FNV-1a over its row pairs, one pair a
 /// step.
 fn fingerprint(rows: &[[u16; 2]]) -> u64 {
     rows.iter().fold(0xcbf2_9ce4_8422_2325, |h, &[from, to]| {

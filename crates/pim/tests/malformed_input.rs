@@ -15,6 +15,11 @@
 //!   operand now and then out of range, go through [`PimChip::lower`]:
 //!   the error names the first instruction that lowered alone is
 //!   rejected, as instruction-by-instruction lowering names it.
+//! - Seeded fetch runs (consecutive ghost fetches between two blocks,
+//!   which lowering folds into one fetch run) with one operand of one
+//!   triple out of range name that instruction; split between two
+//!   [`pim_sim::Lowering::push`] parts at a triple, they lower to the
+//!   whole stream's tape.
 
 use pim_isa::{AluOp, BlockId, Instr, InstrStream, BLOCK_ROWS, WORDS_PER_ROW};
 use pim_sim::{
@@ -287,4 +292,80 @@ fn fused_fetches_and_gathers_name_the_first_bad_instruction() {
         }
     }
     assert!(errors > 200 && tapes > 50, "{errors} {tapes}");
+}
+
+/// One to four fetch runs over the first 16 blocks: each one to eight
+/// ghost fetches from one source into another block, of one column span
+/// and word count, that differ in their rows. A third of the runs fetch
+/// from the block the run before wrote to, and a third end in a
+/// block-local op on their destination.
+fn fetch_runs(rng: &mut Rng) -> InstrStream {
+    let mut s = InstrStream::new();
+    let mut dst = BlockId(0);
+    for _ in 0..1 + rng.below(4) {
+        let src = if rng.below(3) == 0 { dst } else { BlockId(rng.below(16) as u32) };
+        dst = BlockId((src.0 + 1 + rng.below(15) as u32) % 16);
+        let words = 1 + rng.below(4) as u8;
+        let mut offset = || rng.below(WORDS_PER_ROW as u64 - words as u64 + 1) as u8;
+        let (at, into) = (offset(), offset());
+        for _ in 0..1 + rng.below(8) {
+            let mut row = || rng.below(BLOCK_ROWS as u64) as u16;
+            let (from, to) = (row(), row());
+            s.push(Instr::Read { block: src, row: from, offset: at, words });
+            s.push(Instr::Copy { src, dst, words: words as u16 });
+            s.push(Instr::Write { block: dst, row: to, offset: into, words });
+        }
+        if rng.below(3) == 0 {
+            s.push(Instr::Broadcast { block: dst, dst_first: 0, dst_last: 7, offset: 0, words: 1 });
+        }
+    }
+    s
+}
+
+#[test]
+fn a_fetch_run_names_the_instruction_that_breaks_a_bound() {
+    let c = chip();
+    let num_blocks = ChipCapacity::Mb512.num_blocks() as u32;
+    let mut rng = Rng(0xfe7d);
+    for case in 0..300 {
+        let mut instrs = fetch_runs(&mut rng).instrs().to_vec();
+        // Any operand of any instruction of some triple, the k-th of its
+        // run: that instruction is the first the chip rejects.
+        let k = rng.below(instrs.len() as u64) as usize;
+        instrs[k] = break_operand(instrs[k], rng.next(), num_blocks);
+        if let Instr::Broadcast { .. } = instrs[k] {
+            continue;
+        }
+        let mut s = InstrStream::new();
+        instrs.iter().for_each(|&i| s.push(i));
+        let err = c.lower(&s).unwrap_err();
+        assert_eq!((err.index, err.instr), (k, instrs[k]), "case {case}: {s:?}");
+    }
+}
+
+#[test]
+fn a_fetch_run_split_across_parts_lowers_as_the_whole_stream() {
+    let c = chip();
+    let mut rng = Rng(0x5b17);
+    for case in 0..300 {
+        let s = fetch_runs(&mut rng);
+        let instrs = s.instrs();
+        // Cut between two triples, mostly inside a run; now and then an
+        // empty part in between.
+        let triples: Vec<usize> =
+            (0..instrs.len()).filter(|&i| matches!(instrs[i], Instr::Read { .. })).collect();
+        let cut = triples[rng.below(triples.len() as u64) as usize];
+        let mut lowering = c.lowering();
+        let part = |range: std::ops::Range<usize>| {
+            let mut p = InstrStream::new();
+            instrs[range].iter().for_each(|&i| p.push(i));
+            p
+        };
+        lowering.push(&part(0..cut)).unwrap();
+        if case % 4 == 0 {
+            lowering.push(&InstrStream::new()).unwrap();
+        }
+        lowering.push(&part(cut..instrs.len())).unwrap();
+        assert_eq!(lowering.finish(), c.lower(&s).unwrap(), "case {case}: cut at {cut} of {s:?}");
+    }
 }

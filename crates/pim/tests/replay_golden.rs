@@ -7,7 +7,7 @@
 //! from the per-instruction interpreter that lowering and tape replay
 //! replaced.
 //!
-//! Two kinds of input:
+//! The inputs:
 //! - seeded random streams over a few blocks in two tiles, covering all
 //!   nine opcodes: aliased `Arith` triples, tile-straddling row ranges,
 //!   same-block `Read`→`Write` pairs, same-tile and cross-tile `Copy`,
@@ -16,6 +16,11 @@
 //! - seeded random streams rich in the element kernels' two idioms,
 //!   ghost fetches (`Read`→`Copy`→`Write` triples) and gathers (runs of
 //!   same-column `Read`→`Write` pairs), on an H-tree and on a bus chip;
+//! - seeded random streams of ghost-fetch runs — a face's triples from
+//!   one neighbor, 1, 4 or 64 in a row, broken now and then by a new
+//!   source, columns or word count, a block-local op, a `Lut`, a `Sync`
+//!   or a DMA, and chained so one run's destination is the next run's
+//!   source — on an H-tree and on a bus chip;
 //! - chip 0's shard of a level-2 mesh on two chips: its LUT and on-PIM
 //!   math set-up, then one step of math refinement, Volume, phased Flux
 //!   and the five Integration streams.
@@ -245,6 +250,82 @@ fn idiom_stream(rng: &mut Rng, len: usize) -> InstrStream {
                 }
             }
             _ => random_instr(rng, &mut s, block),
+        }
+    }
+    s
+}
+
+/// A random stream of ghost-fetch runs: consecutive `Read`→`Copy`→`Write`
+/// triples from one source into one destination, of one column span and
+/// word count, over random rows (now and then in a tile no one wrote).
+/// - a stream opens with a run of 64 triples, the paper element's face;
+///   the runs after it hold 1 or 4;
+/// - now and then a run breaks between two triples: a new source, new
+///   columns, a new word count, a block-local op on either block, a
+///   `Lut`, a `Sync` or a DMA, after which the run goes on;
+/// - a third of the runs fetch from the block the run before wrote to.
+fn fetch_run_stream(rng: &mut Rng, len: usize) -> InstrStream {
+    let mut s = InstrStream::new();
+    let others = |dst: u32| BLOCKS.iter().copied().filter(|&b| b != dst).collect::<Vec<_>>();
+    let mut dst = BLOCKS[0];
+    let mut first = true;
+    while s.len() < len {
+        let prev = dst;
+        dst = rng.pick(&BLOCKS);
+        let chained = prev != dst && rng.below(3) == 0;
+        let mut src = if chained { prev } else { rng.pick(&others(dst)) };
+        let (mut offset, mut words) = rng.span();
+        let mut into = rng.below(DATA_COLS - words as u64 + 1) as u8;
+        let count = if first { 64 } else { [1, 4][rng.below(2) as usize] };
+        first = false;
+        for k in 0..count {
+            if k > 0 && rng.below(6) == 0 {
+                match rng.below(9) {
+                    0 => src = rng.pick(&others(dst)),
+                    1 => into = rng.below(DATA_COLS - words as u64 + 1) as u8,
+                    2 => offset = rng.below(DATA_COLS - words as u64 + 1) as u8,
+                    3 => {
+                        words = 1 + (words % 4);
+                        offset = offset.min(DATA_COLS as u8 - words);
+                        into = into.min(DATA_COLS as u8 - words);
+                    }
+                    4 | 5 => {
+                        let block = if rng.below(2) == 0 { src } else { dst };
+                        let (first_row, last_row) = rng.rows();
+                        s.push(Instr::Arith {
+                            block: BlockId(block),
+                            op: AluOp::ALL[rng.below(6) as usize],
+                            first_row,
+                            last_row,
+                            dst: rng.col(),
+                            a: rng.col(),
+                            b: rng.col(),
+                        });
+                    }
+                    6 => s.push(Instr::Lut {
+                        row: dst * BLOCK_ROWS as u32 + rng.pick(&HOLDER_ROWS),
+                        offset_s: IDX_OK,
+                        lut_block: rng.pick(&LUT_BLOCKS),
+                        offset_d: 26 + rng.below(2) as u8,
+                    }),
+                    7 => s.push(Instr::Sync),
+                    _ => s.push(Instr::LoadOffchip {
+                        block: BlockId(src),
+                        bytes: 64 + rng.below(1 << 12) as u32,
+                    }),
+                }
+            }
+            let row = |rng: &mut Rng| {
+                if rng.below(8) == 0 {
+                    600 + rng.below(16) as u16
+                } else {
+                    rng.row()
+                }
+            };
+            let (src, dst) = (BlockId(src), BlockId(dst));
+            s.push(Instr::Read { block: src, row: row(rng), offset, words });
+            s.push(Instr::Copy { src, dst, words: words as u16 });
+            s.push(Instr::Write { block: dst, row: row(rng), offset: into, words });
         }
     }
     s
@@ -489,13 +570,20 @@ fn idiom_streams_on_both_interconnects() {
 }
 
 #[test]
+fn fetch_runs_on_both_interconnects() {
+    check("fetch_runs/1", &|| random_case(1, InterconnectKind::HTree, fetch_run_stream));
+    check("fetch_runs/2", &|| random_case(2, InterconnectKind::Bus, fetch_run_stream));
+}
+
+#[test]
 fn level2_shard_step() {
     check("shard/level2", &shard_case);
 }
 
 /// The `random/htree`, `random/bus` and `shard` rows were recorded from
 /// the per-instruction interpreter; the `random/idioms` rows from tape
-/// replay before it fused ghost fetches and gathers.
+/// replay before it fused ghost fetches and gathers; the `fetch_runs`
+/// rows from tape replay before it folded consecutive fetches into runs.
 const GOLDEN: &[(&str, &[u64])] = &[
     (
         "random/bus/4",
@@ -642,6 +730,48 @@ const GOLDEN: &[(&str, &[u64])] = &[
             0x59af312c518eff39, // cells = 7 blocks
             0x9ac498d20b5d0013, // row_buffers = 7 blocks
             0x33b583156c0b351f, // trace = 614 spans
+        ],
+    ),
+    (
+        "fetch_runs/1",
+        &[
+            0x3dd726d3c22c93e7, // ledger.compute = 8.422527999999998e-11
+            0x3e138a6d1271464f, // ledger.reads = 1.1374199999999969e-9
+            0x3df0342fd25f5319, // ledger.writes = 2.357971200000004e-10
+            0x3e17d76398812952, // ledger.interconnect = 1.3877499999999958e-9
+            0x3ea0390fbd39a28a, // ledger.offchip = 4.834799888888888e-7
+            0x3eb4cf22431d1f6e, // ledger.host = 1.24032e-6
+            0x0000000000000000, // ledger.static = 0e0
+            0x3ef8a03862a2c6ed, // elapsed = 2.348505055555551e-5
+            0x3ef602f5bfdbd011, // offchip_time = 2.0991861666666613e-5
+            0x3f17e4f5fbd6b8c3, // block_busy = 9.11498199999998e-5
+            0x3ef8a03862a2c6ed, // finish.seconds = 2.348505055555551e-5
+            0x7edb450a0707be7a, // clocks = per-stream digest
+            0xcbf29ce484222325, // diagnostics = 0 entries
+            0x37b84f3d5f66d89d, // cells = 7 blocks
+            0x5ef4185cb3e6d185, // row_buffers = 7 blocks
+            0xcf7c0b980caf25bc, // trace = 636 spans
+        ],
+    ),
+    (
+        "fetch_runs/2",
+        &[
+            0x3dc897c8da4e52c4, // ledger.compute = 4.473424e-11
+            0x3e132c7bd99b9def, // ledger.reads = 1.1160599999999973e-9
+            0x3df2535227bcab75, // ledger.writes = 2.6667072e-10
+            0x3dfb8a118cf8a040, // ledger.interconnect = 4.007500000000011e-10
+            0x3ea0771030f80c07, // ledger.offchip = 4.906979444444444e-7
+            0x3eb4ac163f4dc5f6, // ledger.host = 1.23216e-6
+            0x0000000000000000, // ledger.static = 0e0
+            0x3ef89b31c40bc104, // elapsed = 2.346632777777779e-5
+            0x3ef82f5f71516d44, // offchip_time = 2.3064661111111122e-5
+            0x3f0dc49bc6396dc8, // block_busy = 5.677795777777776e-5
+            0x3ef89b31c40bc104, // finish.seconds = 2.346632777777779e-5
+            0xbe0bc5c6cbab8f5b, // clocks = per-stream digest
+            0xcbf29ce484222325, // diagnostics = 0 entries
+            0x0bbc62f529374dcf, // cells = 7 blocks
+            0xb7e087036ba2d557, // row_buffers = 7 blocks
+            0xadd673d9a9040b9e, // trace = 625 spans
         ],
     ),
 ];

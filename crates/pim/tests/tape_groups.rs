@@ -10,7 +10,7 @@
 //!   the same stream with a `Sync` after every run, which never groups.
 //! - A kernel's runs are stored once: lowering a larger shard's Volume or
 //!   Integration stream adds 4 bytes per element to its tape, and its
-//!   phased Flux stream adds the element's fused ghost fetches.
+//!   phased Flux stream adds one fetch run per face of the element.
 
 use std::sync::Mutex;
 
@@ -287,12 +287,14 @@ fn a_larger_shard_adds_four_bytes_per_element_to_volume_and_integration() {
 }
 
 #[test]
-fn a_larger_shard_adds_a_kilobyte_per_element_to_phased_flux() {
-    // Each element's 24 ghost fetches are one fetch each: 42 bytes (an
-    // op, a fetch entry, a step and two run ids). With each new route
-    // and four bytes per repeated phase, the 224 elements level 3 adds
-    // to the shard cost 1,076 bytes each; lowered one instruction at a
-    // time, the fetches cost 2,015.
+fn a_larger_shard_adds_296_bytes_per_element_to_phased_flux() {
+    // Each element's 24 ghost fetches are six fetch runs, one per face
+    // of four triples from one neighbor: 38 bytes each (an op, a 12-byte
+    // fetch entry, a step and two run ids), and each face's row pairs
+    // are one table all elements share. With each new route and four
+    // bytes per repeated phase, the 224 elements level 3 adds to the
+    // shard cost 296 bytes each; with one fetch per triple they cost
+    // 1,076, lowered one instruction at a time 2,015.
     let chip = PimChip::new(ChipConfig::default_2gb());
     let tape = |level: u32| {
         let mesh = HexMesh::refinement_level(level, Boundary::Periodic);
@@ -307,7 +309,7 @@ fn a_larger_shard_adds_a_kilobyte_per_element_to_phased_flux() {
     };
     let (small, large) = (tape(2), tape(3));
     assert_eq!(large.0 - small.0, 224);
-    assert_eq!((small.1, large.1), (36_733, 277_821), "phased Flux tape bytes");
+    assert_eq!((small.1, large.1), (11_917, 78_285), "phased Flux tape bytes");
 }
 
 /// Recorded with tapes that stored every run whole.

@@ -10,7 +10,10 @@
 //! `flux_ghost_fetch_1024` replays one face phase's ghost fetches over
 //! 1,024 element blocks, a fetch run of four per element as phased Flux
 //! issues them at N = 2; divide its time by 4,096 for the cost per
-//! fetch.
+//! fetch. `volume_body_1024` replays the N = 2 Volume body (24
+//! whole-tile gathers, `Sub`, `Mac` and `Mul`: 56 functional and 416
+//! timed ops) repeated over 1,024 element blocks; divide its time by
+//! 425,984 for the cost per timed block op.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pim_isa::{AluOp, BlockId, Instr, InstrStream};
@@ -95,6 +98,51 @@ fn flux_face_body() -> InstrStream {
     s
 }
 
+/// The N = 2 acoustic Volume body, as the compiler emits it for one
+/// element: two constants broadcast from the staging row (514), the
+/// four contributions zeroed, then for each axis the derivative of `p`
+/// (column 0) and of its velocity (1–3). A derivative zeroes column 8,
+/// then for each of the 2 line nodes gathers the node's shape-function
+/// derivative from rows 512–513 into column 22 and the line's values
+/// into column 23 — one whole-tile gather each — and accumulates their
+/// product; it then scales into (`Mul`) or accumulates into (`Mac`) a
+/// contribution (4–7).
+fn volume_body() -> InstrStream {
+    let block = BlockId(0);
+    let mut s = InstrStream::new();
+    let arith = |s: &mut InstrStream, op, dst, a, b| {
+        s.push(Instr::Arith { block, op, first_row: 0, last_row: 7, dst, a, b });
+    };
+    let gather = |s: &mut InstrStream, from: [u16; 8], offset: u8, to: u8| {
+        for (row, from) in from.into_iter().enumerate() {
+            s.push(Instr::Read { block, row: from, offset, words: 1 });
+            s.push(Instr::Write { block, row: row as u16, offset: to, words: 1 });
+        }
+    };
+    for (staged, col) in [(0, 9), (1, 10)] {
+        s.push(Instr::Read { block, row: 514, offset: staged, words: 1 });
+        s.push(Instr::Broadcast { block, dst_first: 0, dst_last: 7, offset: col, words: 1 });
+    }
+    for col in 4..8 {
+        arith(&mut s, AluOp::Sub, col, col, col);
+    }
+    // Node r sits at (r & 1, r >> 1 & 1, r >> 2) on the 2×2×2 grid:
+    // grad p into the velocity contributions, then div v into p's.
+    let derivatives = (0..3u16)
+        .map(|axis| (0, axis, AluOp::Mul, 5 + axis as u8, 10))
+        .chain((0..3u16).map(|axis| (1 + axis as u8, axis, AluOp::Mac, 4, 9)));
+    for (var, axis, op, into, scale) in derivatives {
+        arith(&mut s, AluOp::Sub, 8, 8, 8);
+        for m in 0..2u16 {
+            gather(&mut s, std::array::from_fn(|r| 512 + (r as u16 >> axis & 1)), m as u8, 22);
+            gather(&mut s, std::array::from_fn(|r| r as u16 & !(1 << axis) | m << axis), var, 23);
+            arith(&mut s, AluOp::Mac, 8, 23, 22);
+        }
+        arith(&mut s, op, into, 8, scale);
+    }
+    s
+}
+
 /// One face phase of ghost fetches at N = 2: each of `elems` element
 /// blocks fetches its `+x` neighbor's four `-x` face nodes, the four
 /// variables of each (columns 0–3), into its own `+x` face rows' ghost
@@ -165,6 +213,27 @@ fn bench_chip(c: &mut Criterion) {
             }
         }
         let tape = chip.lower(&ghost_fetch_phase(1024)).expect("the fetches are in bounds");
+        b.iter(|| chip.replay(&tape));
+    });
+    g.bench_function("volume_body_1024", |b| {
+        let mut chip = PimChip::new(ChipConfig::default_2gb());
+        let blocks: Vec<BlockId> = (0..1024).map(BlockId).collect();
+        for &block in &blocks {
+            let cells = chip.block_mut(block);
+            for row in 0..8 {
+                for col in 0..4 {
+                    cells.set(row, col, (block.0 * 8 + row as u32) as f64 + 0.25 * col as f64);
+                }
+            }
+            for col in 0..2 {
+                cells.set(512, col, [-0.5, 0.5][col]);
+                cells.set(513, col, [0.5, -0.5][col]);
+                cells.set(514, col, 1.5 + col as f64);
+            }
+        }
+        let mut lowering = chip.lowering();
+        lowering.repeat(&volume_body(), &blocks).expect("the Volume body is in bounds");
+        let tape = lowering.finish();
         b.iter(|| chip.replay(&tape));
     });
     g.finish();

@@ -33,9 +33,11 @@
 //! special case. A longer range runs each whole tile through the same
 //! kernel; a partial end tile computes all 8 lanes and keeps the rows
 //! in range, since each lane depends on its own row only. A one-word
-//! `Broadcast` over one tile is one 8-lane store. The N = 2 kernels'
-//! `Arith` and `Broadcast` ops cover rows 0–7, one tile, and replay
-//! calls the two tile kernels directly: most of what such an op cost
+//! `Broadcast` over one tile is one 8-lane store, and a one-word gather
+//! that fills one whole tile in lane order from one source tile into
+//! another column is one 8-lane permute. The N = 2 kernels' `Arith`,
+//! `Broadcast` and gather ops cover rows 0–7, one tile, and replay
+//! calls the tile kernels directly: most of what such an op cost
 //! was measured to be the range bookkeeping around the arithmetic
 //! (DESIGN §12 has the numbers).
 //!
@@ -164,6 +166,39 @@ fn lanes_of(t: usize, first: usize, last: usize) -> std::ops::Range<usize> {
     first.max(base) - base..(last + 1).min(base + TILE_ROWS) - base
 }
 
+/// A one-word gather that is one 8-lane permute: its 8 row pairs write
+/// tile `to` in lane order, every pair reads tile `from`, and lane `i`
+/// takes the source lane `lanes[i]`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TilePermute {
+    from: usize,
+    to: usize,
+    lanes: [u8; TILE_ROWS],
+}
+
+impl TilePermute {
+    /// The permute a gather of `words` words over `rows` from column
+    /// `src` to column `dst` is, if it writes one whole tile in lane
+    /// order from one source tile, one word at a time, from a column
+    /// other than the one it writes.
+    #[inline]
+    pub(crate) fn of(rows: &[[u16; 2]], src: usize, dst: usize, words: usize) -> Option<Self> {
+        let pairs: &[[u16; 2]; TILE_ROWS] = rows.try_into().ok()?;
+        if words != 1 || src == dst {
+            return None;
+        }
+        let [from, to] = pairs[0].map(|row| row as usize / TILE_ROWS);
+        let mut lanes = [0; TILE_ROWS];
+        for (lane, &[f, t]) in pairs.iter().enumerate() {
+            if f as usize / TILE_ROWS != from || t as usize != to * TILE_ROWS + lane {
+                return None;
+            }
+            lanes[lane] = (f as usize % TILE_ROWS) as u8;
+        }
+        Some(Self { from, to, lanes })
+    }
+}
+
 /// `op` on 8 lanes of `(a, b, dst)` at once: one straight-line kernel per
 /// [`AluOp`]. Each lane depends on its own row only.
 #[inline(always)]
@@ -287,6 +322,19 @@ impl MemBlock {
             self.tile(to / TILE_ROWS).0[dst][to % TILE_ROWS] = last;
         }
         self.row_buffer[0] = last;
+    }
+
+    /// A whole-tile gather ([`TilePermute`]): column `src` of the source
+    /// tile is read once, its lanes permuted into column `dst` of the
+    /// destination tile, and the row buffer's first word is left as the
+    /// last word moved, as [`Self::gather_cells`] leaves it. The columns
+    /// differ, so no write changes what a later pair reads.
+    #[inline(always)]
+    pub(crate) fn permute_tile(&mut self, p: &TilePermute, src: usize, dst: usize) {
+        let from = self.tiles[p.from].as_deref().map_or([0.0; TILE_ROWS], |t| t.0[src]);
+        let moved = p.lanes.map(|lane| from[lane as usize]);
+        self.tile(p.to).0[dst] = moved;
+        self.row_buffer[0] = moved[TILE_ROWS - 1];
     }
 
     /// A fetch run into `into`: for each `[from, to]` of `rows`, in
@@ -630,19 +678,41 @@ mod oracle_tests {
         }
     }
 
-    /// A block-local op of a replayed run: its instruction on block 0
+    /// A block-local op of a replayed run: its instructions on block 0
     /// and its scalar-oracle data pass.
-    #[derive(Debug, Clone, Copy)]
+    #[derive(Debug, Clone)]
     enum Local {
-        Read { row: usize },
-        Broadcast { first: usize, last: usize, offset: usize, words: usize },
-        Arith { op: AluOp, first: usize, last: usize, dst: usize, a: usize, b: usize },
+        Read {
+            row: usize,
+        },
+        Broadcast {
+            first: usize,
+            last: usize,
+            offset: usize,
+            words: usize,
+        },
+        Arith {
+            op: AluOp,
+            first: usize,
+            last: usize,
+            dst: usize,
+            a: usize,
+            b: usize,
+        },
+        /// Same-column `Read`→`Write` pairs, which lowering folds into one
+        /// gather.
+        Gather {
+            rows: Vec<[u16; 2]>,
+            src: usize,
+            dst: usize,
+            words: usize,
+        },
     }
 
     impl Local {
-        fn instr(self) -> Instr {
+        fn push(&self, s: &mut InstrStream) {
             let block = BlockId(0);
-            match self {
+            let instr = match *self {
                 Local::Read { row } => {
                     Instr::Read { block, row: row as u16, offset: 0, words: WORDS_PER_ROW as u8 }
                 }
@@ -662,11 +732,20 @@ mod oracle_tests {
                     a: a as u8,
                     b: b as u8,
                 },
-            }
+                Local::Gather { ref rows, src, dst, words } => {
+                    let (src, dst, words) = (src as u8, dst as u8, words as u8);
+                    for &[from, to] in rows {
+                        s.push(Instr::Read { block, row: from, offset: src, words });
+                        s.push(Instr::Write { block, row: to, offset: dst, words });
+                    }
+                    return;
+                }
+            };
+            s.push(instr);
         }
 
-        fn apply_scalar(self, block: &mut MemBlock) {
-            match self {
+        fn apply_scalar(&self, block: &mut MemBlock) {
+            match *self {
                 Local::Read { row } => block.read_cells(row, 0, WORDS_PER_ROW),
                 Local::Broadcast { first, last, offset, words } => {
                     block.broadcast_cells_scalar(first, last, offset, words)
@@ -674,8 +753,44 @@ mod oracle_tests {
                 Local::Arith { op, first, last, dst, a, b } => {
                     block.arith_cells_scalar(op, first, last, dst, a, b)
                 }
+                Local::Gather { ref rows, src, dst, words } => {
+                    for &[from, to] in rows {
+                        block.read_cells(from as usize, src, words);
+                        block.write_cells(to as usize, dst, words);
+                    }
+                }
             }
         }
+    }
+
+    /// Gathers, most of them one whole-tile permute: 8 pairs filling tile
+    /// `to` in lane order from lanes of tile `from` (repeated now and
+    /// then), either tile among the few the other ops and the preload
+    /// touch or one no one wrote. The rest miss one condition: the source
+    /// column is the destination's, a pair is dropped (7 pairs), two words
+    /// move, two pairs swap, or a pair reads another tile.
+    fn arb_gather() -> impl Strategy<Value = Local> {
+        let tile = || prop_oneof![Just(0u16), Just(1u16), Just(64u16), 0u16..NUM_TILES as u16];
+        let lanes = prop_vec(prop_oneof![0u16..8, Just(0u16)], TILE_ROWS);
+        let cols = (prop_oneof![0usize..3, 0usize..WORDS_PER_ROW], 0usize..WORDS_PER_ROW);
+        (tile(), tile(), lanes, cols, 0u8..10, (0usize..TILE_ROWS, 0usize..TILE_ROWS), tile())
+            .prop_map(|(from, to, lanes, (src, mut dst), miss, (i, j), other)| {
+                let mut rows: Vec<[u16; 2]> = (0..TILE_ROWS as u16)
+                    .zip(lanes)
+                    .map(|(lane, l)| [from * TILE_ROWS as u16 + l, to * TILE_ROWS as u16 + lane])
+                    .collect();
+                let mut words = 1;
+                match miss {
+                    0 => dst = src,
+                    1 => _ = rows.remove(i),
+                    2 => words = 2,
+                    3 => rows.swap(i, j),
+                    4 => rows[i][0] = other * TILE_ROWS as u16 + j as u16,
+                    _ => {}
+                }
+                let (src, dst) = (src.min(WORDS_PER_ROW - words), dst.min(WORDS_PER_ROW - words));
+                Local::Gather { rows, src, dst, words }
+            })
     }
 
     /// Row ranges: one whole tile (the N = 2 kernels' rows 0–7 among
@@ -712,6 +827,11 @@ mod oracle_tests {
             })
     }
 
+    /// [`arb_local`]'s ops and, a third of the time, a gather.
+    fn arb_local_or_gather() -> impl Strategy<Value = Local> {
+        prop_oneof![arb_local(), arb_local(), arb_gather()]
+    }
+
     #[test]
     fn replayed_neg_of_an_unwritten_tile_stores_negative_zero() {
         // Rows 8–15 are one whole tile that nothing wrote: the 8-lane
@@ -721,7 +841,7 @@ mod oracle_tests {
         let mut oracle = chip.block(BlockId(0)).clone();
         let neg = Local::Arith { op: AluOp::Neg, first: 8, last: 15, dst: 1, a: 0, b: 0 };
         let mut stream = InstrStream::new();
-        stream.push(neg.instr());
+        neg.push(&mut stream);
         chip.execute(&stream);
         neg.apply_scalar(&mut oracle);
         assert_eq!(chip.block(BlockId(0)).get(12, 1).to_bits(), (-0.0f64).to_bits());
@@ -734,18 +854,27 @@ mod oracle_tests {
 
         #[test]
         fn replayed_block_ops_match_the_scalar_oracle(
-            run in prop_vec(arb_local(), 1..24),
+            run in prop_vec(arb_local_or_gather(), 1..24),
             preload in prop_vec((0usize..BLOCK_ROWS, 0usize..WORDS_PER_ROW, arb_payload()), 0..48),
             buffer in prop_vec(arb_payload(), WORDS_PER_ROW),
+            dense in prop_vec(-1.0e3f64..1.0e3, 61),
         ) {
             // The run, lowered over four blocks, replays as the chip
             // replays a kernel phase: on the first block as a run of its
             // own, on the others as its template group. Each block holds
-            // its own subset of the preload, so some tiles stay unwritten.
+            // its own subset of the preload, so some tiles stay unwritten;
+            // blocks 0 and 2 also hold distinct values in every cell of
+            // tiles 0, 1 and 64, which most gathers read.
             let blocks = [0, 1, 2, 3].map(BlockId);
             let mut chip = PimChip::new(ChipConfig::default_2gb());
             let mut oracles = vec![MemBlock::new(); blocks.len()];
             for (k, (&block, oracle)) in blocks.iter().zip(&mut oracles).enumerate() {
+                let rows = (0..2 * TILE_ROWS).chain(512..512 + TILE_ROWS).filter(|_| k % 2 == 0);
+                for (row, col) in rows.flat_map(|row| (0..WORDS_PER_ROW).map(move |col| (row, col))) {
+                    let v = dense[(row * WORDS_PER_ROW + col) % dense.len()] + row as f64;
+                    chip.block_mut(block).set(row, col, v);
+                    oracle.set(row, col, v);
+                }
                 for (i, &(row, col, v)) in preload.iter().enumerate() {
                     if (i + k) % 4 != 0 {
                         chip.block_mut(block).set(row, col, v);
@@ -757,14 +886,14 @@ mod oracle_tests {
             }
             let mut stream = InstrStream::new();
             for op in &run {
-                stream.push(op.instr());
+                op.push(&mut stream);
             }
             let mut lowering = chip.lowering();
             lowering.repeat(&stream, &blocks).expect("the run is in bounds");
             let tape = lowering.finish();
             chip.replay(&tape);
             for (&block, oracle) in blocks.iter().zip(&mut oracles) {
-                for &op in &run {
+                for op in &run {
                     op.apply_scalar(oracle);
                 }
                 let replayed = chip.block(block);

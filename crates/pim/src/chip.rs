@@ -32,16 +32,22 @@
 //!   one gather (see [`crate::tape`]).
 //!
 //! Replay runs the functional tape, then the timing tape, each in issue
-//! order, so every f64 accumulation (ledger fields, block busy and ready
-//! clocks, `elapsed`, resource clocks) happens in the order the
-//! instruction-by-instruction interpreter used, and every observable
-//! comes out bit-identical to it (`tests/replay_golden.rs`). The one
+//! order. Every f64 accumulation is a chain of its own: each ledger
+//! field, each block's busy and ready clocks, `elapsed` and each
+//! resource clock. Each chain takes its adds and maxes in the order the
+//! instruction-by-instruction interpreter gave it, so every observable
+//! comes out bit-identical to it (`tests/replay_golden.rs`), even where
+//! the timing pass runs chains side by side: a template group's blocks
+//! are clocked 16 to a pass, and the three ledger fields a block run
+//! charges are summed as three chains, block by block and op by op. The
 //! data-dependent timing fact is a `Lut`'s fault: the functional pass
 //! records whether each index word faulted (and its diagnostic), and
 //! the timing pass charges the fault path — index read only, both
 //! blocks released at the fault — for exactly those lookups. The
 //! functional pass also fuses a same-block `Read`→`Write` pair into one
-//! `Move` that leaves the row buffer as the pair would. The timing pass
+//! `Move` that leaves the row buffer as the pair would, and a one-word
+//! gather that fills one whole tile in lane order from one source tile
+//! into another column runs as one 8-lane permute. The timing pass
 //! holds a repeated route: copies over the route of the transfer before
 //! them start from its finish, and its slots are written once, when the
 //! route changes (`Routes`). A fetch run's triples are timed in one
@@ -81,7 +87,7 @@ use pim_isa::lut::LutError;
 use pim_isa::{BlockId, Instr, InstrStream, StreamStats, BLOCK_ROWS, WORDS_PER_ROW};
 use pim_trace::{Payload, TID_HOST, TID_INTERCONNECT, TID_OFFCHIP};
 
-use crate::block::{whole_tile, MemBlock, OpCost};
+use crate::block::{whole_tile, MemBlock, OpCost, TilePermute};
 use crate::energy::EnergyLedger;
 use crate::host;
 use crate::interconnect::{
@@ -169,6 +175,9 @@ pub struct PimChip {
     trace_pid: u32,
     metrics: Option<ChipMetrics>,
     diagnostics: Vec<Diagnostic>,
+    /// The timing pass's split of the last block run, kept so replays
+    /// reuse its buffers.
+    split: RunSplit,
 }
 
 /// What the functional pass records about a malformed program instead of
@@ -325,6 +334,7 @@ impl PimChip {
             trace_pid: 0,
             metrics: None,
             diagnostics: Vec::new(),
+            split: RunSplit::default(),
         }
     }
 
@@ -807,18 +817,27 @@ impl PimChip {
         let pid = pim_trace::enabled().then(|| self.trace_pid());
         let (mut id, mut lut) = (0, 0);
         let mut routes = Routes { rest: &tape.routes, route: &[], held: None };
-        // The run ids of the last `Run` step, which a `Repeat` repeats.
+        // The last `Run` step's run ids and their split, which a `Repeat`
+        // repeats.
         let mut last = 0..0;
+        let mut split = std::mem::take(&mut self.split);
         for step in &tape.steps {
             match *step {
                 Step::Run { block, len } => {
                     last = id..id + len as usize;
                     id += len as usize;
-                    self.time_runs(&[block], &tape.run_ids, last.clone(), &tape.op_costs, pid);
+                    split.fill(&tape.run_ids, last.clone(), &tape.op_costs);
+                    if let Some(pid) = pid {
+                        self.trace_blocks(pid, &[block], tape, last.clone());
+                    }
+                    self.time_blocks::<1>(&[block], &split);
                 }
                 Step::Repeat { group } => {
                     let blocks = &tape.blocks[tape.groups[group as usize].blocks()];
-                    self.time_runs(blocks, &tape.run_ids, last.clone(), &tape.op_costs, pid);
+                    if let Some(pid) = pid {
+                        self.trace_blocks(pid, blocks, tape, last.clone());
+                    }
+                    self.time_blocks::<LANES>(blocks, &split);
                 }
                 Step::Copy { src, dst, cost, rerouted } => {
                     let cost = &tape.xfer_costs[cost as usize];
@@ -855,6 +874,7 @@ impl PimChip {
             }
         }
         routes.flush(&mut self.resource_ready);
+        self.split = split;
     }
 
     /// Adds `cost`'s joules to its ledger field.
@@ -870,32 +890,73 @@ impl PimChip {
         *field += cost.joules;
     }
 
-    /// The run ids `ids` as one run on each of `blocks`, in order.
-    fn time_runs(
-        &mut self,
-        blocks: &[u32],
-        run_ids: &RunIds,
-        ids: Range<usize>,
-        costs: &[Cost],
-        pid: Option<u32>,
-    ) {
-        match run_ids {
-            RunIds::Narrow(v) => {
-                blocks.iter().for_each(|&b| self.time_run(b, &v[ids.clone()], costs, pid))
+    /// The block run `split` on each of `blocks`, which are distinct:
+    /// each op starts when the one before it on its block finishes, so a
+    /// block's clock is a chain `t1 = t + seconds` from its start, after
+    /// its last op and the barrier. The blocks' chains are independent,
+    /// so they run side by side, `L` blocks to a pass, and each block
+    /// sees its ops in issue order. Each ledger field is its own chain
+    /// of adds over the blocks in order and their ops in issue order:
+    /// the order charging op by op gives each field, so the sums come out
+    /// bit-identical to it.
+    fn time_blocks<const L: usize>(&mut self, blocks: &[u32], split: &RunSplit) {
+        let l = &mut self.ledger;
+        let mut sums = [l.reads, l.writes, l.compute];
+        let longest = split.joules.iter().map(Vec::len).max().unwrap_or(0);
+        for _ in blocks {
+            for k in 0..longest {
+                for (sum, joules) in sums.iter_mut().zip(&split.joules) {
+                    if let Some(&j) = joules.get(k) {
+                        *sum += j;
+                    }
+                }
             }
-            RunIds::Wide(v) => {
-                blocks.iter().for_each(|&b| self.time_run(b, &v[ids.clone()], costs, pid))
+        }
+        [l.reads, l.writes, l.compute] = sums;
+        let barrier = self.barrier;
+        for lanes in blocks.chunks(L) {
+            let (mut t, mut busy) = ([0.0; L], [0.0; L]);
+            for (lane, &b) in lanes.iter().enumerate() {
+                t[lane] = self.block_ready[b as usize].max(barrier);
+                busy[lane] = self.block_busy[b as usize];
+            }
+            for &seconds in &split.seconds {
+                for lane in 0..L {
+                    let t1 = t[lane] + seconds;
+                    busy[lane] += (t1 - t[lane]).max(0.0);
+                    t[lane] = t1;
+                }
+            }
+            for (lane, &b) in lanes.iter().enumerate() {
+                let idx = b as usize;
+                self.mark_touched(idx);
+                self.block_busy[idx] = busy[lane];
+                self.block_ready[idx] = t[lane];
+                self.elapsed = self.elapsed.max(t[lane]);
             }
         }
     }
 
-    /// A run of block-local ops on one block: each starts when the
-    /// previous one finishes (same block ⇒ fully serialized), so the
-    /// clock chain is a running `t`. The first op starts after the
-    /// block's last op and the barrier; later ones start at or after it,
-    /// so re-applying the barrier would change nothing. Each ledger
-    /// field takes its ops' joules in issue order, so the sums equal
-    /// charging op by op.
+    /// The spans of the block run `ids` on each of `blocks`, block by
+    /// block in issue order: the chains [`Self::time_blocks`] is about
+    /// to time, walked once more, which gives the same values.
+    fn trace_blocks(&self, pid: u32, blocks: &[u32], tape: &Tape, ids: Range<usize>) {
+        for &b in blocks {
+            let mut t = self.block_start(b as usize);
+            for i in ids.clone() {
+                let cost = &tape.op_costs[tape.run_ids.get(i)];
+                let t1 = t + cost.seconds;
+                pim_trace::record_span(pid, b, t, t1, cost.payload());
+                t = t1;
+            }
+        }
+    }
+
+    /// The per-op timing of a block run on one block, kept as the
+    /// oracle [`Self::time_blocks`] is checked against: each op in issue
+    /// order adds its seconds to the block's clock and busy time and its
+    /// joules to its ledger field, and traces its span.
+    #[cfg(test)]
     fn time_run<I: Copy + Into<usize>>(
         &mut self,
         block: u32,
@@ -906,28 +967,24 @@ impl PimChip {
         let idx = block as usize;
         self.mark_touched(idx);
         let mut t = self.block_start(idx);
-        let mut busy = self.block_busy[idx];
-        let l = &self.ledger;
-        let (mut reads, mut writes, mut compute) = (l.reads, l.writes, l.compute);
         for &id in ids {
             let cost = &costs[id.into()];
-            match cost.charge {
-                Charge::Read => reads += cost.joules,
-                Charge::Write | Charge::Broadcast => writes += cost.joules,
-                Charge::Arith(_) => compute += cost.joules,
+            let field = match cost.charge {
+                Charge::Read => &mut self.ledger.reads,
+                Charge::Write | Charge::Broadcast => &mut self.ledger.writes,
+                Charge::Arith(_) => &mut self.ledger.compute,
                 Charge::Transfer { .. } | Charge::Offchip { .. } => {
                     unreachable!("runs hold block-local ops only")
                 }
-            }
+            };
+            *field += cost.joules;
             let t1 = t + cost.seconds;
-            busy += (t1 - t).max(0.0);
+            self.block_busy[idx] += (t1 - t).max(0.0);
             if let Some(pid) = pid {
                 pim_trace::record_span(pid, block, t, t1, cost.payload());
             }
             t = t1;
         }
-        (self.ledger.reads, self.ledger.writes, self.ledger.compute) = (reads, writes, compute);
-        self.block_busy[idx] = busy;
         self.block_ready[idx] = t;
         self.elapsed = self.elapsed.max(t);
     }
@@ -969,8 +1026,8 @@ impl PimChip {
 
     /// A fetch run of `count` fetches on the route `routes` moved to:
     /// each is the read on `src`, the copy to `dst` and the write on
-    /// `dst`, timed and charged as [`Self::time_run`], [`Self::time_copy`]
-    /// and [`Self::time_run`] would in turn, every add in issue order.
+    /// `dst`, timed and charged as a one-op block run, [`Self::time_copy`]
+    /// and a one-op block run would in turn, every add in issue order.
     /// The blocks differ, so both blocks' clocks and the three ledger
     /// fields stay in locals for the whole run. The clocks only grow, so
     /// the maxes that cannot change a value are left out; a max returns
@@ -1289,6 +1346,39 @@ impl<'t> Routes<'t> {
     }
 }
 
+/// A block run's costs, split once for timing it on a block set: each
+/// op's seconds, and the joules of each ledger field's ops (`reads`;
+/// `writes`, which broadcasts charge too; `compute`), in issue order.
+#[derive(Debug, Default)]
+struct RunSplit {
+    seconds: Vec<f64>,
+    joules: [Vec<f64>; 3],
+}
+
+impl RunSplit {
+    /// The split of the run ids `ids`.
+    fn fill(&mut self, run_ids: &RunIds, ids: Range<usize>, costs: &[Cost]) {
+        self.seconds.clear();
+        self.joules.iter_mut().for_each(Vec::clear);
+        for i in ids {
+            let cost = &costs[run_ids.get(i)];
+            let field = match cost.charge {
+                Charge::Read => 0,
+                Charge::Write | Charge::Broadcast => 1,
+                Charge::Arith(_) => 2,
+                Charge::Transfer { .. } | Charge::Offchip { .. } => {
+                    unreachable!("runs hold block-local ops only")
+                }
+            };
+            self.seconds.push(cost.seconds);
+            self.joules[field].push(cost.joules);
+        }
+    }
+}
+
+/// Blocks the timing pass clocks side by side in a group.
+const LANES: usize = 16;
+
 /// Blocks a group's body runs over at a time in the functional pass:
 /// few enough that the chunk's row buffers and the tiles the body
 /// touches stay in cache from one op to the next.
@@ -1297,7 +1387,8 @@ const GROUP_CHUNK: usize = 16;
 /// Runs block-local op `op` of `tape` on each of `blocks`, dispatched
 /// once for all of them; false, doing nothing, for any other op. An
 /// `Arith`, or a one-word `Broadcast`, over one whole tile goes straight
-/// to its 8-lane kernel.
+/// to its 8-lane kernel, and so does a gather that is one whole-tile
+/// permute.
 #[inline(always)]
 fn run_local<B: BorrowMut<MemBlock>>(blocks: &mut [B], op: &FOp, tape: &Tape) -> bool {
     let [c0, c1, c2] = op.c.map(usize::from);
@@ -1313,7 +1404,10 @@ fn run_local<B: BorrowMut<MemBlock>>(blocks: &mut [B], op: &FOp, tape: &Tape) ->
         }),
         (FKind::Gather, _) => {
             let rows = tape.table(op.wide());
-            each(blocks, |b| b.gather_cells(rows, c0, c1, c2))
+            match TilePermute::of(rows, c0, c1, c2) {
+                Some(p) => each(blocks, |b| b.permute_tile(&p, c0, c1)),
+                None => each(blocks, |b| b.gather_cells(rows, c0, c1, c2)),
+            }
         }
         (FKind::Broadcast, _) => each(blocks, |b| b.broadcast_cells(r0, r1, c0, c1)),
         (FKind::Arith(alu), _) => each(blocks, |b| b.arith_cells(alu, r0, r1, c0, c1, c2)),
@@ -1823,6 +1917,142 @@ mod tests {
             assert_eq!(f.map(f64::to_bits), s.map(f64::to_bits), "block {id} row buffer");
         }
         assert_eq!(fused.touched_blocks, single.touched_blocks);
+    }
+
+    /// A random body op's draws: its kind, rows, columns, words and pairs.
+    type BodyOp = (u8, (u16, u16), (u8, u8, u8), u8, u8);
+
+    /// A block-local op of a random body, on block 0: one instruction,
+    /// or a `Move` (a `Read`→`Write` pair) or gather (a run of same-column
+    /// pairs) of several.
+    fn body_op((kind, rows, cols, words, count): BodyOp) -> Vec<Instr> {
+        let block = BlockId(0);
+        let (first_row, last_row) = (rows.0.min(rows.1), rows.0.max(rows.1));
+        let [dst, a, b] = [cols.0, cols.1, cols.2].map(|c| c.min(WORDS_PER_ROW as u8 - words));
+        let pair = |k: u8| {
+            [
+                Instr::Read { block, row: first_row + k as u16, offset: a, words },
+                Instr::Write { block, row: last_row, offset: dst, words },
+            ]
+        };
+        match kind {
+            0 => vec![Instr::Read { block, row: first_row, offset: a, words }],
+            1 => vec![Instr::Write { block, row: last_row, offset: dst, words }],
+            2 => pair(0).to_vec(),
+            3 => (0..count).flat_map(pair).collect(),
+            4 => vec![Instr::Broadcast {
+                block,
+                dst_first: first_row,
+                dst_last: last_row,
+                offset: dst,
+                words,
+            }],
+            _ => {
+                let op = AluOp::ALL[kind as usize - 5];
+                vec![Instr::Arith { block, op, first_row, last_row, dst, a, b }]
+            }
+        }
+    }
+
+    /// What the timing pass leaves on `blocks` and the chip, and the
+    /// spans it traced, as bits.
+    fn timing_bits(c: &PimChip, blocks: &[u32], events: &[pim_trace::Event]) -> Vec<u64> {
+        let mut bits: Vec<u64> = blocks
+            .iter()
+            .flat_map(|&b| [c.block_ready[b as usize], c.block_busy[b as usize]])
+            .chain([c.elapsed, c.ledger.reads, c.ledger.writes, c.ledger.compute])
+            .map(f64::to_bits)
+            .collect();
+        bits.push(c.touched_blocks as u64);
+        let pid = c.trace_pid;
+        for e in events.iter().filter(|e| e.pid == pid) {
+            let name = e.payload.name().bytes().fold(0, |h, b| h * 31 + b as u64);
+            bits.extend([e.tid as u64, e.t0.to_bits(), e.t1.to_bits(), name]);
+            bits.push(e.payload.energy_j().to_bits());
+        }
+        bits
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(96))]
+
+        #[test]
+        fn block_set_timing_matches_the_per_op_oracle(
+            body in proptest::collection::vec(
+                (0u8..11, (0u16..64, 0u16..64), (0u8..32, 0u8..32, 0u8..32), 1u8..4, 1u8..9),
+                1..=40,
+            ),
+            set in proptest::collection::vec(0u32..512, 1..=40),
+            clocks in proptest::collection::vec((0u8..4, 0u32..4000, 0u32..4000), 40),
+            barrier in 0u32..4000,
+            bus in 0u8..2,
+        ) {
+            // A body of 1–40 ops lowered over a set of 1–40 distinct
+            // blocks, whose clocks start apart (a quarter of them
+            // untouched) with the barrier above some of them.
+            let mut blocks = set;
+            let mut seen = std::collections::HashSet::new();
+            blocks.retain(|&b| seen.insert(b));
+            let config = ChipConfig {
+                interconnect: [InterconnectKind::HTree, InterconnectKind::Bus][bus as usize],
+                ..ChipConfig::default_2gb()
+            };
+            let mut lane = PimChip::new(config);
+            for (&b, &(kind, ready, busy)) in blocks.iter().zip(&clocks) {
+                if kind > 0 {
+                    lane.block_ready[b as usize] = ready as f64 * 1e-9;
+                    lane.block_busy[b as usize] = busy as f64 * 1e-9;
+                    lane.mark_touched(b as usize);
+                }
+            }
+            lane.barrier = barrier as f64 * 1e-9;
+            lane.elapsed = lane.barrier;
+            let mut oracle = PimChip::new(config);
+            (oracle.block_ready, oracle.block_busy) = (lane.block_ready.clone(), lane.block_busy.clone());
+            (oracle.block_touched, oracle.touched_blocks) = (lane.block_touched.clone(), lane.touched_blocks);
+            (oracle.barrier, oracle.elapsed) = (lane.barrier, lane.elapsed);
+
+            let mut stream = InstrStream::new();
+            for op in body.iter().copied().flat_map(body_op) {
+                stream.push(op);
+            }
+            let ids: Vec<BlockId> = blocks.iter().copied().map(BlockId).collect();
+            let mut lowering = lane.lowering();
+            lowering.repeat(&stream, &ids).expect("the body is in bounds");
+            let tape = lowering.finish();
+
+            let _guard = trace_test_lock();
+            let _ = pim_trace::drain();
+            pim_trace::enable();
+            lane.replay_timing(&tape, &[]);
+            let pid = oracle.trace_pid();
+            let (mut id, mut last) = (0, 0..0);
+            for step in &tape.steps {
+                let run = match *step {
+                    Step::Run { block, len } => {
+                        (last, id) = (id..id + len as usize, id + len as usize);
+                        vec![block]
+                    }
+                    Step::Repeat { group } => tape.blocks[tape.groups[group as usize].blocks()].to_vec(),
+                    _ => unreachable!("a body lowers to block runs"),
+                };
+                for b in run {
+                    match &tape.run_ids {
+                        RunIds::Narrow(v) => oracle.time_run(b, &v[last.clone()], &tape.op_costs, Some(pid)),
+                        RunIds::Wide(v) => oracle.time_run(b, &v[last.clone()], &tape.op_costs, Some(pid)),
+                    }
+                }
+            }
+            pim_trace::disable();
+            let (events, dropped) = pim_trace::drain();
+            proptest::prop_assert_eq!(dropped, 0);
+            let spans = events.iter().filter(|e| e.pid == lane.trace_pid).count();
+            proptest::prop_assert_eq!(spans, blocks.len() * stream.len(), "one span per block op");
+            proptest::prop_assert_eq!(
+                timing_bits(&lane, &blocks, &events),
+                timing_bits(&oracle, &blocks, &events),
+            );
+        }
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //!   source, columns or word count, a block-local op, a `Lut`, a `Sync`
 //!   or a DMA, and chained so one run's destination is the next run's
 //!   source — on an H-tree and on a bus chip;
+//! - seeded random streams of element-kernel phases built on whole-tile
+//!   gathers, each phase one body on up to 40 blocks, with the blocks'
+//!   clocks apart and the barrier above some of them, on an H-tree and
+//!   on a bus chip;
 //! - chip 0's shard of a level-2 mesh on two chips: its LUT and on-PIM
 //!   math set-up, then one step of math refinement, Volume, phased Flux
 //!   and the five Integration streams.
@@ -331,6 +335,189 @@ fn fetch_run_stream(rng: &mut Rng, len: usize) -> InstrStream {
     s
 }
 
+/// Element blocks of the whole-tile gather streams: a template group
+/// spans up to all of them.
+const ELEMENTS: u32 = 40;
+
+/// A random stream of element-kernel phases built on whole-tile gathers:
+/// - each phase runs one random body on each of 1–40 consecutive
+///   element blocks, so the body becomes a template group, and now and
+///   then a block is named twice, which splits the group;
+/// - a body holds 1–12 ops: whole-tile gathers (8 `Read`→`Write` pairs
+///   filling rows `8t..8t + 8` of one column in lane order from one
+///   source tile, source rows repeated now and then, either tile
+///   unwritten now and then), gathers that miss one of those conditions
+///   (source column equal to the destination's, 7 pairs, 2 words, rows
+///   out of lane order, sources in two tiles), whole-tile `Sub`, `Mac`
+///   and `Mul`, and a one-word `Broadcast`;
+/// - between phases, random ops on a few blocks and now and then a
+///   `Copy` move their clocks apart, and now and then a `Sync` lifts the
+///   barrier above some of them before the next phase.
+fn gather_stream(rng: &mut Rng, len: usize) -> InstrStream {
+    let mut s = InstrStream::new();
+    let elements: Vec<u32> = (0..ELEMENTS).collect();
+    while s.len() < len {
+        for _ in 0..rng.below(6) {
+            let block = rng.pick(&elements);
+            random_local(rng, &mut s, block);
+        }
+        if rng.below(4) == 0 {
+            let (src, dst) = (BlockId(rng.pick(&elements)), BlockId(rng.pick(&elements)));
+            s.push(Instr::Copy { src, dst, words: 1 + rng.below(32) as u16 });
+        }
+        if rng.below(3) == 0 {
+            s.push(Instr::Sync);
+            for _ in 0..rng.below(4) {
+                let block = rng.pick(&elements);
+                random_local(rng, &mut s, block);
+            }
+        }
+        let body: Vec<Vec<Instr>> = (0..1 + rng.below(12)).map(|_| gather_body_op(rng)).collect();
+        let first = rng.below(ELEMENTS as u64) as u32;
+        let count = 1 + rng.below((ELEMENTS - first) as u64) as u32;
+        for e in first..first + count {
+            let block = if rng.below(16) == 0 { rng.pick(&elements) } else { e };
+            for op in body.iter().flatten() {
+                s.push(with_block(*op, BlockId(block)));
+            }
+        }
+    }
+    s
+}
+
+/// A random block-local op on `block`: the ops of [`random_instr`]
+/// that touch one block only.
+fn random_local(rng: &mut Rng, s: &mut InstrStream, block: u32) {
+    let b = BlockId(block);
+    let (first_row, last_row) = rng.rows();
+    let (offset, words) = rng.span();
+    s.push(match rng.below(4) {
+        0 => Instr::Read { block: b, row: rng.row(), offset, words },
+        1 => Instr::Write { block: b, row: rng.row(), offset, words },
+        2 => Instr::Broadcast { block: b, dst_first: first_row, dst_last: last_row, offset, words },
+        _ => Instr::Arith {
+            block: b,
+            op: AluOp::ALL[rng.below(6) as usize],
+            first_row,
+            last_row,
+            dst: rng.col(),
+            a: rng.col(),
+            b: rng.col(),
+        },
+    });
+}
+
+/// One op of a [`gather_stream`] body, on block 0: a gather's pairs, or
+/// one instruction.
+fn gather_body_op(rng: &mut Rng) -> Vec<Instr> {
+    let b = BlockId(0);
+    // Tiles 0 and 1 and the constant tile hold data; tile 80 no one
+    // writes before the gathers do.
+    let tile = |rng: &mut Rng| [0u16, 1, 64, 80][rng.below(4) as usize];
+    match rng.below(10) {
+        0..=5 => {
+            let (from_tile, to_tile) = (tile(rng), tile(rng));
+            let src = rng.below(DATA_COLS) as u8;
+            let mut dst = rng.below(DATA_COLS) as u8;
+            let mut words = 1;
+            let mut pairs: Vec<[u16; 2]> = (0..8)
+                .map(|lane| {
+                    // Source rows repeat with probability 1/4 per pair.
+                    let from = if rng.below(4) == 0 { 0 } else { rng.below(8) as u16 };
+                    [8 * from_tile + from, 8 * to_tile + lane]
+                })
+                .collect();
+            match rng.below(8) {
+                0 => dst = src,
+                1 => _ = pairs.pop(),
+                2 => {
+                    words = 2;
+                    dst = dst.min(DATA_COLS as u8 - 2);
+                }
+                3 => pairs.swap(rng.below(8) as usize, rng.below(8) as usize),
+                4 => pairs[rng.below(8) as usize][0] = 8 * tile(rng) + rng.below(8) as u16,
+                _ => {}
+            }
+            let src = src.min(DATA_COLS as u8 - words);
+            pairs
+                .iter()
+                .flat_map(|&[from, to]| {
+                    [
+                        Instr::Read { block: b, row: from, offset: src, words },
+                        Instr::Write { block: b, row: to, offset: dst, words },
+                    ]
+                })
+                .collect()
+        }
+        6..=8 => vec![Instr::Arith {
+            block: b,
+            op: [AluOp::Sub, AluOp::Mac, AluOp::Mul][rng.below(3) as usize],
+            first_row: 0,
+            last_row: 7,
+            dst: rng.col(),
+            a: rng.col(),
+            b: rng.col(),
+        }],
+        _ => {
+            let t = tile(rng);
+            vec![
+                Instr::Read { block: b, row: 512, offset: rng.col(), words: 1 },
+                Instr::Broadcast {
+                    block: b,
+                    dst_first: 8 * t,
+                    dst_last: 8 * t + 7,
+                    offset: rng.col(),
+                    words: 1,
+                },
+            ]
+        }
+    }
+}
+
+/// `instr`, a block-local op, moved onto `block`.
+fn with_block(instr: Instr, block: BlockId) -> Instr {
+    match instr {
+        Instr::Read { row, offset, words, .. } => Instr::Read { block, row, offset, words },
+        Instr::Write { row, offset, words, .. } => Instr::Write { block, row, offset, words },
+        Instr::Broadcast { dst_first, dst_last, offset, words, .. } => {
+            Instr::Broadcast { block, dst_first, dst_last, offset, words }
+        }
+        Instr::Arith { op, first_row, last_row, dst, a, b, .. } => {
+            Instr::Arith { block, op, first_row, last_row, dst, a, b }
+        }
+        other => other,
+    }
+}
+
+/// Two [`gather_stream`]s on one chip whose element blocks hold random
+/// data in tiles 0, 1 and 64, with the stage barrier advanced in
+/// between.
+fn gather_case(seed: u64, interconnect: InterconnectKind) -> (PimChip, Vec<u32>, u64) {
+    let mut rng = Rng(seed);
+    let mut chip = PimChip::new(ChipConfig {
+        capacity: ChipCapacity::Gb2,
+        interconnect,
+        node: ProcessNode::Nm28,
+    });
+    for b in 0..ELEMENTS {
+        let block = chip.block_mut(BlockId(b));
+        for row in (0..16).chain(512..520) {
+            for col in 0..DATA_COLS as usize {
+                block.set(row, col, rng.value());
+            }
+        }
+    }
+    let first = gather_stream(&mut rng, 3000);
+    let second = gather_stream(&mut rng, 3000);
+    let mut clocks = FNV_OFFSET;
+    chip.execute(&first);
+    clocks = clock_digest(clocks, &chip);
+    chip.advance_barrier(chip.elapsed() * 1.5);
+    chip.execute(&second);
+    clocks = clock_digest(clocks, &chip);
+    (chip, (0..ELEMENTS).collect(), clocks)
+}
+
 /// Random data in every block's three row zones, the LUT index words of
 /// every holder row, and table entries in both LUT blocks.
 fn preload(rng: &mut Rng, chip: &mut PimChip) {
@@ -576,6 +763,12 @@ fn fetch_runs_on_both_interconnects() {
 }
 
 #[test]
+fn whole_tile_gathers_on_both_interconnects() {
+    check("tile_gathers/1", &|| gather_case(1, InterconnectKind::HTree));
+    check("tile_gathers/2", &|| gather_case(2, InterconnectKind::Bus));
+}
+
+#[test]
 fn level2_shard_step() {
     check("shard/level2", &shard_case);
 }
@@ -583,7 +776,9 @@ fn level2_shard_step() {
 /// The `random/htree`, `random/bus` and `shard` rows were recorded from
 /// the per-instruction interpreter; the `random/idioms` rows from tape
 /// replay before it fused ghost fetches and gathers; the `fetch_runs`
-/// rows from tape replay before it folded consecutive fetches into runs.
+/// rows from tape replay before it folded consecutive fetches into runs;
+/// the `tile_gathers` rows from tape replay before it timed a group's
+/// blocks as lanes and ran whole-tile gathers as one permute.
 const GOLDEN: &[(&str, &[u64])] = &[
     (
         "random/bus/4",
@@ -772,6 +967,48 @@ const GOLDEN: &[(&str, &[u64])] = &[
             0x0bbc62f529374dcf, // cells = 7 blocks
             0xb7e087036ba2d557, // row_buffers = 7 blocks
             0xadd673d9a9040b9e, // trace = 625 spans
+        ],
+    ),
+    (
+        "tile_gathers/1",
+        &[
+            0x3e2f2f5f85289c10, // ledger.compute = 3.6304177800000012e-9
+            0x3e5510dfa6a94b86, // ledger.reads = 1.9619160000001115e-8
+            0x3e237229e3385d46, // ledger.writes = 2.2638067199999087e-9
+            0x3dd4af3f7ce2fc36, // ledger.interconnect = 7.525e-11
+            0x0000000000000000, // ledger.offchip = 0e0
+            0x3ef065f7285c94d2, // ledger.host = 1.563864e-5
+            0x0000000000000000, // ledger.static = 0e0
+            0x3f17cd59c31d7f33, // elapsed = 9.079800000000026e-5
+            0x0000000000000000, // offchip_time = 0e0
+            0x3f4c5c4f57b0d440, // block_busy = 8.654963888888936e-4
+            0x3f17cd59c31d7f33, // finish.seconds = 9.079800000000026e-5
+            0x8c3068aa06299cd6, // clocks = per-stream digest
+            0xcbf29ce484222325, // diagnostics = 0 entries
+            0xf2182cfd0ad1895c, // cells = 40 blocks
+            0x7b1c00e2c2afed3a, // row_buffers = 40 blocks
+            0x57945c9c87282a87, // trace = 7661 spans
+        ],
+    ),
+    (
+        "tile_gathers/2",
+        &[
+            0x3e39a14fddbdede9, // ledger.compute = 5.967478480000003e-9
+            0x3e5dd3bed3966276, // ledger.reads = 2.777868000000349e-8
+            0x3e35f131e20e9a37, // ledger.writes = 5.1088089600004415e-9
+            0x3dd07391c033efe4, // ledger.interconnect = 5.985e-11
+            0x0000000000000000, // ledger.offchip = 0e0
+            0x3ef71e8d0368253d, // ledger.host = 2.2048320000000002e-5
+            0x0000000000000000, // ledger.static = 0e0
+            0x3f1d4414e86ed849, // elapsed = 1.1164071666666763e-4
+            0x0000000000000000, // offchip_time = 0e0
+            0x3f51adf33bf909fd, // block_busy = 1.0790706000000088e-3
+            0x3f1d4414e86ed849, // finish.seconds = 1.1164071666666763e-4
+            0x40fe2cc46ad5a667, // clocks = per-stream digest
+            0xcbf29ce484222325, // diagnostics = 0 entries
+            0x116118669d656c89, // cells = 40 blocks
+            0xe87991b4e51341f8, // row_buffers = 40 blocks
+            0x9f0d6993e4f81a28, // trace = 10805 spans
         ],
     ),
 ];

@@ -7,9 +7,12 @@
 //! `prop_assert*` macros — on top of a deterministic SplitMix64 generator.
 //!
 //! Differences from the real crate, deliberate for a vendored environment:
-//! no shrinking (a failing case reports its inputs via the panic message of
-//! the inner assertion), no persistence files, and the per-test seed is
-//! derived from the test's name, so runs are reproducible across machines.
+//! shrinking works on the generator's recorded draws rather than on value
+//! trees (integer ranges shrink toward their start, `collection::vec`
+//! toward its shortest length, and a failing test prints the shrunk
+//! input before its panic), there are no persistence files, and the
+//! per-test seed is derived from the test's name, so runs are
+//! reproducible across machines.
 
 pub mod strategy;
 pub mod test_runner;
@@ -73,12 +76,13 @@ macro_rules! proptest {
             $(#[$meta])*
             fn $name() {
                 let config: $crate::test_runner::Config = $config;
-                let mut rng = $crate::test_runner::TestRng::from_name(stringify!($name));
-                for _case in 0..config.cases {
-                    $(let $arg = $crate::strategy::Strategy::generate(&$strategy, &mut rng);)+
-                    // Move generated values into the body exactly as
-                    // proptest does; the closure confines any `return`.
-                    (|| $body)();
+                let mut runner = $crate::test_runner::TestRunner::new(config, stringify!($name));
+                // Move generated values into the body exactly as
+                // proptest does; the inner closure confines any `return`.
+                let strategy = ($($strategy,)+);
+                let test = $crate::test_runner::property(&strategy, |($($arg,)+)| (|| $body)());
+                if let Err(failure) = runner.run(&strategy, &test) {
+                    $crate::test_runner::report(stringify!($name), failure, &test);
                 }
             }
         )*

@@ -4,8 +4,10 @@ use std::ops::{Range, RangeInclusive};
 
 use crate::test_runner::TestRng;
 
-/// A recipe for generating values of one type. No shrinking: `generate`
-/// is the whole contract.
+/// A recipe for generating values of one type. `generate` is the whole
+/// contract: a value is a function of the rng's draws, so the runner
+/// shrinks a failing value by replaying smaller draws
+/// ([`crate::test_runner::TestRunner`]).
 pub trait Strategy {
     type Value;
 

@@ -8,9 +8,7 @@
 //!
 //! Exits nonzero if any utilization-like share leaves [0, 1] or any
 //! reconciliation bound fails — the CI regression gate. `--smoke` runs
-//! the reduced CI configuration; `--serve ADDR` additionally exposes
-//! the metered cluster run's registry as a Prometheus pull endpoint for
-//! the duration of the run.
+//! the reduced CI configuration.
 
 use std::sync::Arc;
 
@@ -20,19 +18,8 @@ use wavepim_bench::metrics_report::{
 use wavepim_bench::report::Table;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let smoke = std::env::args().any(|a| a == "--smoke");
     let registry = Arc::new(pim_metrics::MetricsRegistry::new());
-    let server = args
-        .iter()
-        .position(|a| a == "--serve")
-        .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| "127.0.0.1:0".into()))
-        .map(|addr| {
-            let s = pim_metrics::http::serve(addr.as_str(), Arc::clone(&registry))
-                .expect("bind metrics scrape endpoint");
-            println!("Serving Prometheus metrics on http://{}/metrics\n", s.local_addr());
-            s
-        });
 
     let cfg = if smoke { MetricsReportConfig::smoke() } else { MetricsReportConfig::full() };
     let r = profile_report_into(&cfg, &registry);
@@ -120,11 +107,6 @@ fn main() {
     let prom_path = wavepim_bench::artifacts::write_artifact("BENCH_metrics.prom", &prom)
         .expect("write BENCH_metrics.prom");
     println!("Wrote {} ({} lines).", prom_path.display(), r.prometheus_lines);
-
-    if let Some(s) = server {
-        println!("Metrics endpoint served {} scrape(s).", s.scrapes_served());
-        s.shutdown();
-    }
 
     if !violations.is_empty() {
         eprintln!("{} invariant(s) violated — failing.", violations.len());

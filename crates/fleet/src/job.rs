@@ -4,59 +4,21 @@
 //!
 //! Everything the placement engine needs to reason about a job without
 //! building it — block demand per chip, feasibility on a chip subset,
-//! the program/replay keys, virtual cost estimates — lives here
-//! as closed-form arithmetic over the spec. The demand model deals
+//! the program key, virtual cost estimates — lives here as
+//! closed-form arithmetic over the spec. The demand model deals
 //! residents with [`wavesim_mesh::slice_deal`], the same deal
 //! [`wavesim_mesh::SlicePartition::new_weighted`] shards by, and bounds
 //! ghosts from above, so a subset the planner accepts always fits the
-//! real [`pim_cluster::ClusterRunner`] shard map.
+//! real `pim_cluster::ClusterRunner` shard map.
 
 use pim_sim::ChipCapacity;
 use wavesim_dg::{AcousticMaterial, FluxKind};
 use wavesim_numerics::Vec3;
 
-/// Fleet-assigned job identity (the submit order).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct JobId(pub u64);
-
-impl std::fmt::Display for JobId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "job-{}", self.0)
-    }
-}
-
-/// Job lifecycle. `Queued → Placing → Compiling → Running → Done`, with
-/// `Failed` reachable from admission (no chip subset of the fleet fits)
-/// or execution. A cache-hit placement still passes through `Compiling`
-/// — it just spends ~0 seconds there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobState {
-    Queued,
-    Placing,
-    Compiling,
-    Running,
-    Done,
-    Failed,
-}
-
-impl JobState {
-    /// Label used for metrics and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            JobState::Queued => "queued",
-            JobState::Placing => "placing",
-            JobState::Compiling => "compiling",
-            JobState::Running => "running",
-            JobState::Done => "done",
-            JobState::Failed => "failed",
-        }
-    }
-}
-
 /// The acoustic initial condition a job starts from. Workloads only
 /// change *data*, never compiled programs, so two jobs differing only
 /// in workload can share a resident program (see
-/// [`JobSpec::program_key`] vs [`JobSpec::replay_key`]).
+/// [`JobSpec::program_key`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// A plane pressure wave along x.
@@ -73,16 +35,6 @@ impl Workload {
     /// All workloads, in key order.
     pub const ALL: [Workload; 4] =
         [Workload::PlaneX, Workload::ShearY, Workload::Pulse, Workload::MixedTones];
-
-    /// Name used in job labels and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Workload::PlaneX => "plane-x",
-            Workload::ShearY => "shear-y",
-            Workload::Pulse => "pulse",
-            Workload::MixedTones => "mixed-tones",
-        }
-    }
 
     /// The initial value of acoustic variable `var` (0 = pressure,
     /// 1..=3 = velocity) at position `x` — smooth and periodic on the
@@ -110,15 +62,6 @@ impl Workload {
                 2 => 0.25 * (tau * (x.x + x.z)).cos(),
                 _ => 0.125 * (tau * x.z).sin(),
             },
-        }
-    }
-
-    fn tag(self) -> u64 {
-        match self {
-            Workload::PlaneX => 0,
-            Workload::ShearY => 1,
-            Workload::Pulse => 2,
-            Workload::MixedTones => 3,
         }
     }
 }
@@ -216,13 +159,13 @@ impl JobSpec {
     }
 
     /// The *program* key: hashes every input the compiled
-    /// [`pim_cluster::ClusterRunner`] programs are built from — mesh
+    /// `pim_cluster::ClusterRunner` programs are built from — mesh
     /// level, order, flux, material, dt, and the capacity sequence of
     /// the hosting chips (capacities drive the weighted partition,
     /// which changes every shard's programs). A program is a compile
     /// artifact of these inputs, so two jobs with equal program keys on
     /// the same chip subset can share a runner: one built for either,
-    /// [`pim_cluster::ClusterRunner::reset_state`] to the other's
+    /// `pim_cluster::ClusterRunner::reset_state` to the other's
     /// initial state, replays it bit-identically to a fresh runner —
     /// what makes a cache-affinity hit sound.
     pub fn program_key(&self, caps: &[ChipCapacity]) -> u64 {
@@ -242,17 +185,6 @@ impl JobSpec {
         for cap in caps {
             h = pim_isa::fnv1a(h, cap.num_blocks());
         }
-        h
-    }
-
-    /// The *replay* key: the program key plus everything else
-    /// that determines the final state — workload and step count. Two
-    /// jobs with equal replay keys on the same chip subset produce
-    /// byte-identical final states.
-    pub fn replay_key(&self, caps: &[ChipCapacity]) -> u64 {
-        let mut h = self.program_key(caps);
-        h = pim_isa::fnv1a(h, self.workload.tag());
-        h = pim_isa::fnv1a(h, self.steps as u64);
         h
     }
 
@@ -336,10 +268,10 @@ mod tests {
         let mut b = a.clone();
         b.name = "b".into();
         b.workload = Workload::Pulse;
-        // Same program (level/order/flux/material/dt/chips), different
-        // replay (workload differs).
+        b.steps = 9;
+        // Same program (level/order/flux/material/dt/chips): workload
+        // and step budget are replay data, not compile inputs.
         assert_eq!(a.program_key(&caps), b.program_key(&caps));
-        assert_ne!(a.replay_key(&caps), b.replay_key(&caps));
         // Capacity sequence is part of the program: the weighted deal
         // changes shard programs.
         assert_ne!(a.program_key(&caps), a.program_key(&[ChipCapacity::Gb8]));

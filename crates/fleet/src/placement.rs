@@ -4,11 +4,8 @@
 //! Planning runs on a *virtual* timeline (costs proportional to
 //! step-by-element work) rather than reacting to wall-clock completion
 //! events, which makes the plan a pure function of (queue, fleet,
-//! policy): the same inputs always produce the same placements, no
-//! matter how many worker threads later execute them or how their real
-//! finish times jitter. The executor then follows the plan's per-chip
-//! job order and cache hits exactly (see `scheduler`), so the schedule
-//! the user can reason about is the schedule that runs.
+//! policy): the same inputs always produce the same placements, cache
+//! hits and makespan, independent of host timing.
 //!
 //! Three policies:
 //!
@@ -20,8 +17,8 @@
 //!   jobs prefer small chips, keeping big chips open for jobs only
 //!   they can host).
 //! * [`PlacementPolicy::CacheOblivious`] — the same mechanics and
-//!   balance/age terms but affinity weight zero: residency still
-//!   *happens* (the executor pools runners either way), the scorer
+//!   balance/age terms but affinity weight zero: residency is still
+//!   tracked (a job can land on its own program by chance), the scorer
 //!   just never steers toward it. The fleet bench's control arm.
 //! * [`PlacementPolicy::RoundRobin`] — strict FIFO with a rotating
 //!   first-fit chip pointer, the classic baseline the property tests
@@ -82,8 +79,7 @@ pub struct PlannedJob {
     /// The chip cohort (fleet indices, ascending).
     pub chips: Vec<usize>,
     /// True when the cohort's resident program matched the job's
-    /// program key — the executor reuses the pooled runner and skips
-    /// compilation.
+    /// program key, so the plan charges the job no compile cost.
     pub cache_hit: bool,
     /// Virtual start time (placement instant).
     pub start: f64,
@@ -97,8 +93,7 @@ pub struct PlannedJob {
 #[derive(Debug, Clone)]
 pub struct SchedulePlan {
     /// Placed jobs in placement order. For any chip, the sub-sequence
-    /// of jobs using it is its execution order — the executor's
-    /// per-chip tickets come straight from this.
+    /// of jobs using it is its execution order.
     pub jobs: Vec<PlannedJob>,
     /// Jobs no subset of the fleet can host (admission failures).
     pub rejected: Vec<usize>,

@@ -11,9 +11,9 @@
 //!
 //! A registry is a value a run owns; there is no process-wide registry
 //! and no on/off switch. An instrumented component — a simulated chip,
-//! the cluster runner, the native dG solver, the fleet scheduler — is
-//! metered only when it is handed a registry. Without one it holds no
-//! handles and its update sites do no metrics work. Two runs metered
+//! the cluster runner, the native dG solver — is metered only when it
+//! is handed a registry. Without one it holds no handles and its update
+//! sites do no metrics work. Two runs metered
 //! into two registries can execute at the same time and never see each
 //! other's series. Updates through a handle are unconditional.
 //!
@@ -33,15 +33,14 @@
 //! get exact per-step / per-stage increments (see the property test in
 //! `tests/concurrent_delta.rs`).
 //!
-//! Export: [`export::prometheus_text`] (text exposition format) and
-//! [`export::json`]; [`http::serve`] exposes one registry as a scrape target.
+//! Export: [`export::prometheus_text`] (text exposition format, written
+//! to a file such as `BENCH_metrics.prom`) and [`export::json`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 pub mod export;
-pub mod http;
 
 // ---------------------------------------------------------------------------
 // Metric handles.
